@@ -20,10 +20,9 @@ from .cuboids import Cuboid
 from .division import CoordinateSubspace, ideal_cofactors, is_member
 from .errors import OkakitError, SchemaError
 from .merge import ChiProblem, PoleTerm, PrincipalPartData, solve_chain
-from .scalars import EXACT, floating
-from .series import TruncatedSeries, from_json, to_json
+from .scalars import EXACT
+from .series import TruncatedSeries, constant, from_json, to_json
 from .syzygy import (
-    GeneralDecomposition,
     GeneratorPresentation,
     SyzygyVector,
     decompose_general_relation,
@@ -31,9 +30,7 @@ from .syzygy import (
     general_syzygy_generators,
     recombine,
     trivial_solutions,
-    verify_relation,
 )
-from .series import constant, make_series
 
 
 def _load_input(path: str) -> dict:
@@ -67,12 +64,15 @@ def _series_from(data, what: str, eps: float) -> TruncatedSeries:
 
 def _quad_from(data, args) -> QuadratureSpec:
     data = data or {}
+    if not isinstance(data, dict):
+        raise SchemaError("quadrature must be an object")
+    unknown = sorted(set(data) - {"panels", "nodes"})
+    if unknown:
+        raise SchemaError(f"unknown quadrature keys {unknown}; expected 'panels' and 'nodes'")
     kwargs = {}
     if args.panels is not None:
         kwargs["panels"] = args.panels
-    for key in ("panels", "nodes", "tol", "max_depth"):
-        if key in data:
-            kwargs[key] = data[key]
+    kwargs.update(data)
     try:
         return QuadratureSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="report JSON file ('-' for stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
         p.add_argument("--panels", type=int, default=None, help="quadrature panel override")
-        p.add_argument("--backend", choices=["exact", "floating"], default="exact")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
     return parser
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cuboids import Cuboid
-from .errors import OnContour, QuadratureFailure
+from .errors import OnContour
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -30,25 +30,19 @@ class QuadratureSpec:
     """Composite Gauss-Legendre controls.
 
     ``panels`` equal panels of ``nodes`` points per straight contour piece.
-    When ``tol`` is set, panels are bisected adaptively instead (bounded by
-    ``max_depth``); fixed panels are the default because they give
-    deterministic node sets that the seam-split caches can reuse.
+    The node sets are deterministic, so the seam-split caches can reuse
+    them; evaluations stay at least delta/2 from the contour, where the
+    fixed rule converges geometrically.
     """
 
     panels: int = 6
     nodes: int = 10
-    tol: float | None = None
-    max_depth: int = 16
 
     def __post_init__(self):
         if self.panels < 1 or self.nodes < 2:
             raise ValueError("need at least one panel and two nodes")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
 
     def refined(self, factor: int = 4) -> "QuadratureSpec":
-        if self.tol is not None:
-            return replace(self, tol=self.tol / factor ** 2)
         return replace(self, panels=self.panels * factor)
 
 
@@ -58,7 +52,6 @@ class Evaluable:
 
     fn: Callable
     domain: Cuboid | None = None
-    label: str = ""
 
     def __call__(self, z: Sequence) -> complex:
         return self.fn(tuple(complex(v) for v in z))
@@ -78,7 +71,7 @@ class Evaluable:
 
 def constant_evaluable(value: complex, domain: Cuboid | None = None) -> Evaluable:
     value = complex(value)
-    return Evaluable(lambda z: value, domain, label=f"const {value}")
+    return Evaluable(lambda z: value, domain)
 
 
 @dataclass(frozen=True)
@@ -177,33 +170,6 @@ class _PathQuad:
         return complex(np.sum(self.ws * values / (self.zs - zn)) / TWO_PI_I)
 
 
-_GL5 = np.polynomial.legendre.leggauss(5)
-_GL10 = np.polynomial.legendre.leggauss(10)
-
-
-def _adaptive_cauchy(f: Callable, a: complex, b: complex, zn: complex, tol: float, depth: int) -> complex:
-    x5, w5 = _GL5
-    x10, w10 = _GL10
-
-    def gl(x, w):
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        zs = mid + half * x
-        vals = np.array([f(z) for z in zs], dtype=complex)
-        return complex(np.sum(w * vals / (zs - zn)) * half)
-
-    coarse = gl(x5, w5)
-    fine = gl(x10, w10)
-    if abs(fine - coarse) <= tol:
-        return fine
-    if depth <= 0:
-        raise QuadratureFailure("adaptive refinement did not converge")
-    mid = (a + b) / 2
-    left = _adaptive_cauchy(f, a, mid, zn, tol / 2, depth - 1)
-    right = _adaptive_cauchy(f, mid, b, zn, tol / 2, depth - 1)
-    return left + right
-
-
 def _distance_to_segment(zn: complex, a: complex, b: complex) -> float:
     seg = b - a
     t = ((zn - a) / seg).real
@@ -221,10 +187,6 @@ def cauchy_segment_integral(
     a, b = geom.segment
     if _distance_to_segment(zn, a, b) < 1e-13:
         raise OnContour(f"evaluation point {zn} lies on the integration segment")
-    if spec.tol is not None:
-        def density(zeta):
-            return phi.fn(zp + (zeta,))
-        return _adaptive_cauchy(density, a, b, zn, spec.tol, spec.max_depth) / TWO_PI_I
     quad = _PathQuad([(a, b)], spec)
     values = quad.density_values(phi.fn, zp)
     return quad.cauchy(values, zn)
@@ -251,38 +213,6 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | Non
         (complex(s - d, -h), complex(s - d, h)),
         (complex(s - d, h), complex(s, h)),
     ]
-    if spec.tol is not None:
-        def fn1(z):
-            zp, zn = z[:-1], z[-1]
-
-            def density(zeta):
-                return phi.fn(zp + (zeta,))
-
-            if zn.real < s + d / 2:
-                total = 0j
-                for pa, pb in right_path:
-                    total += _adaptive_cauchy(density, pa, pb, zn, spec.tol, spec.max_depth)
-                return total / TWO_PI_I
-            return _adaptive_cauchy(density, a, b, zn, spec.tol, spec.max_depth) / TWO_PI_I + phi.fn(z)
-
-        def fn2(z):
-            zp, zn = z[:-1], z[-1]
-
-            def density(zeta):
-                return phi.fn(zp + (zeta,))
-
-            if zn.real > s - d / 2:
-                total = 0j
-                for pa, pb in left_path:
-                    total += _adaptive_cauchy(density, pa, pb, zn, spec.tol, spec.max_depth)
-                return total / TWO_PI_I
-            return _adaptive_cauchy(density, a, b, zn, spec.tol, spec.max_depth) / TWO_PI_I - phi.fn(z)
-
-        return (
-            Evaluable(fn1, geom.left_slab, label="cousin-left"),
-            Evaluable(fn2, geom.right_slab, label="cousin-right"),
-        )
-
     pushed_right = _PathQuad(right_path, spec)
     pushed_left = _PathQuad(left_path, spec)
     seam_quad = _PathQuad([(a, b)], spec)
@@ -303,10 +233,7 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | Non
         vals = seam_quad.density_values(phi.fn, zp)
         return seam_quad.cauchy(vals, zn) - phi.fn(z)
 
-    return (
-        Evaluable(fn1, geom.left_slab, label="cousin-left"),
-        Evaluable(fn2, geom.right_slab, label="cousin-right"),
-    )
+    return Evaluable(fn1, geom.left_slab), Evaluable(fn2, geom.right_slab)
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 0.9) -> list[tuple]:

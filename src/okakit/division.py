@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CenterNotOnAxis
-from .series import TruncatedSeries, make_series, mul, variable
+from .series import TruncatedSeries, make_series, mul, negligible, variable
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,4 @@ def is_member(f: TruncatedSeries, subspace: CoordinateSubspace) -> bool:
     On the floating backend the remainder coefficients are compared against
     the backend tolerance, relative to the largest coefficient of f.
     """
-    remainder = ideal_cofactors(f, subspace).remainder
-    if f.backend.exact:
-        return remainder.is_zero()
-    scale = f.max_abs_coeff()
-    return all(f.backend.is_negligible(v, scale) for v in remainder.coeffs.values())
+    return negligible(ideal_cofactors(f, subspace).remainder, f)

@@ -37,10 +37,6 @@ class OnContour(OkakitError):
     """Evaluation point lies on the integration segment."""
 
 
-class QuadratureFailure(OkakitError):
-    """Adaptive refinement exceeded its depth budget."""
-
-
 class PoleTooCloseToSeam(OkakitError):
     """A pole locus sits within the seam margin."""
 

@@ -72,7 +72,7 @@ def evaluate(tree, z) -> complex:
 
 def to_evaluable(tree, dim: int) -> Evaluable:
     validate(tree, dim)
-    return Evaluable(lambda z: evaluate(tree, z), label="expression")
+    return Evaluable(lambda z: evaluate(tree, z))
 
 
 def to_series(tree, dim: int, backend: Backend = EXACT) -> TruncatedSeries:
@@ -87,8 +87,6 @@ def _lower(tree, dim: int, backend: Backend) -> TruncatedSeries:
         return variable(dim, tree["index"] - 1, backend=backend)
     if op == "const":
         re, im = tree.get("re", 0.0), tree.get("im", 0.0)
-        if backend.exact:
-            return constant(dim, complex(re, im), backend=backend)
         return constant(dim, complex(re, im), backend=backend)
     if op == "add":
         acc = _lower(tree["args"][0], dim, backend)

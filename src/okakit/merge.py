@@ -14,9 +14,7 @@ default.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,16 +23,15 @@ from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cousin_split, more
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
-    InvalidPartition,
     NotHolomorphicDifference,
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, evaluate_complex
+from .series import TruncatedSeries, evaluate_complex, negligible
 
 
 def series_evaluable(f: TruncatedSeries, domain: Cuboid | None = None) -> Evaluable:
-    return Evaluable(lambda z: evaluate_complex(f, z), domain, label="polynomial")
+    return Evaluable(lambda z: evaluate_complex(f, z), domain)
 
 
 # -- problem data --------------------------------------------------------
@@ -69,7 +66,7 @@ class PrincipalPartData:
                 acc += c / (zn - p) ** t.order
             return acc
 
-        return Evaluable(fn, domain, label="principal part")
+        return Evaluable(fn, domain)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class ChiProblem:
         else:
             if self.codim is None or self.target is None:
                 raise ValueError("extension needs a codimension and a target")
-            n = self.cuboid.ndim
             for axis in range(self.codim):
                 if self.target.depends_on(axis):
                     raise ValueError("target must not depend on the constrained variables")
@@ -193,11 +189,7 @@ def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e
 def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[TruncatedSeries]:
     """Cofactors a_j with h = sum a_j z_j, exact on the polynomial form."""
     cof = ideal_cofactors(h, subspace)
-    rem = cof.remainder
-    if h.backend.exact:
-        if not rem.is_zero():
-            raise NotInIdeal("difference does not vanish on the subspace")
-    elif not all(h.backend.is_negligible(v, h.max_abs_coeff()) for v in rem.coeffs.values()):
+    if not negligible(cof.remainder, h):
         raise NotInIdeal("difference does not vanish on the subspace")
     return list(cof.cofactors)
 
@@ -240,12 +232,12 @@ class ChainState:
         return self.branches[self.branch_index(z[-1].real)].value(z, self.kind)
 
     def evaluable(self, domain: Cuboid | None = None) -> Evaluable:
-        return Evaluable(lambda z: self.value(z), domain, label="merged solution")
+        return Evaluable(lambda z: self.value(z), domain)
 
     def branch_correction(self, idx: int, domain: Cuboid | None = None) -> Evaluable:
         branch = self.branches[idx]
         kind = self.kind
-        return Evaluable(lambda z: branch.correction_value(z, kind), domain, label="correction")
+        return Evaluable(lambda z: branch.correction_value(z, kind), domain)
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
@@ -289,7 +281,7 @@ def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
             Evaluable(lambda z: rb.value(z, "cousin1"), geom.overlap),
             Evaluable(lambda z: lb.value(z, "cousin1"), geom.overlap),
             geom.overlap,
-            tol=max(problem.tol, 100 * _quad_floor(problem)),
+            tol=max(problem.tol, 1e-10),
         )
         densities.append((None, diff))
     new_left = [replace(b, corrections=b.corrections) for b in left.branches]
@@ -303,20 +295,13 @@ def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
     return ChainState(problem.kind, new_left + new_right, left.seams + [geom.s] + right.seams)
 
 
-def _quad_floor(problem: ChiProblem) -> float:
-    # crude scale for seam-difference tolerance on merged inputs
-    return 1e-12
-
-
 # -- solving and verification -------------------------------------------
 
 
 @dataclass
 class ChiSolution:
     chain: ConnectivityChain
-    state: ChainState
     solution: Evaluable
-    patch_locals: list[Evaluable]
     corrections: list[Evaluable]
     region: Cuboid
     report: dict | None = None
@@ -358,16 +343,13 @@ def _solve_one_chain(problem: ChiProblem, partition: SlabPartition,
     lo = partition.slabs[chain.start].re[-1][0]
     hi = partition.slabs[chain.stop].re[-1][1]
     region = problem.cuboid.with_last_re(lo, hi)
-    patch_locals = [local_solution(problem, alpha) for alpha in chain.indices]
     corrections = [
         acc.branch_correction(k, partition.slabs[alpha])
         for k, alpha in enumerate(chain.indices)
     ]
     return ChiSolution(
         chain=chain,
-        state=acc,
         solution=acc.evaluable(region),
-        patch_locals=patch_locals,
         corrections=corrections,
         region=region,
     )
@@ -383,13 +365,7 @@ def chain_decomposition(problem: ChiProblem) -> list[ConnectivityChain]:
 def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) -> list[ChiSolution]:
     """Solve every maximal connected chain of the partition; one solution each."""
     partition = problem.partition
-    chains = chain_decomposition(problem)
-    workers = int(os.environ.get("OKAKIT_THREADS", "1") or "1")
-    if workers > 1 and len(chains) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(lambda c: _solve_one_chain(problem, partition, c, order), chains))
-    else:
-        sols = [_solve_one_chain(problem, partition, c, order) for c in chains]
+    sols = [_solve_one_chain(problem, partition, c, order) for c in chain_decomposition(problem)]
     if verify:
         for sol in sols:
             sol.report = verify_solution(sol, problem)

@@ -10,7 +10,7 @@ of their coefficient maps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -310,6 +310,16 @@ def evaluate_complex(f: TruncatedSeries, point: Sequence) -> complex:
                 term *= w[k] ** e
         acc += term
     return acc
+
+
+def negligible(f: TruncatedSeries, *refs: TruncatedSeries) -> bool:
+    """True iff ``f`` vanishes: exactly on the exact backend; on the floating
+    backend every coefficient within tolerance, relative to the largest
+    coefficient among ``refs``."""
+    if f.backend.exact:
+        return f.is_zero()
+    scale_ = max((r.max_abs_coeff() for r in refs), default=0.0)
+    return all(f.backend.is_negligible(v, scale_) for v in f.coeffs.values())
 
 
 def truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:

@@ -17,9 +17,9 @@ from .errors import InvalidArity, NotARelation
 from .scalars import EXACT, Backend
 from .series import (
     TruncatedSeries,
-    invert_unit,
     make_series,
     mul,
+    negligible,
     scale,
     variable,
     zero,
@@ -103,15 +103,9 @@ def relation_residual(v: SyzygyVector) -> TruncatedSeries:
     return acc
 
 
-def verify_relation(v: SyzygyVector, eps: float | None = None) -> tuple[bool, TruncatedSeries]:
+def verify_relation(v: SyzygyVector) -> tuple[bool, TruncatedSeries]:
     residual = relation_residual(v)
-    be = v.components[0].backend
-    if be.exact:
-        return residual.is_zero(), residual
-    tol = eps if eps is not None else be.eps
-    scale_ = max(max((c.max_abs_coeff() for c in v.components), default=0.0), 1.0)
-    ok = all(abs(c) <= tol * scale_ for c in residual.coeffs.values())
-    return ok, residual
+    return negligible(residual, *v.components), residual
 
 
 def decompose_relation(v: SyzygyVector) -> dict[tuple[int, int], TruncatedSeries]:
@@ -143,25 +137,15 @@ def decompose_relation(v: SyzygyVector) -> dict[tuple[int, int], TruncatedSeries
             forced = forced + mul(h, zj)
             if not h.is_zero():
                 out[(m, j)] = h
-        if be.exact:
-            if not forced.is_zero():
-                raise NotARelation("forced slot did not vanish; inconsistent relation", residual=forced)
-        else:
-            scale_ = max(max((c.max_abs_coeff() for c in v.components), default=0.0), 1.0)
-            if not all(abs(c) <= be.eps * scale_ for c in forced.coeffs.values()):
-                raise NotARelation("forced slot did not vanish; inconsistent relation", residual=forced)
+        if not negligible(forced, *v.components):
+            raise NotARelation("forced slot did not vanish; inconsistent relation", residual=forced)
         comps[m] = zero(ref.dim, backend=be, center=ref.center, order=ref.order)
         for offset, (_h, g) in enumerate(splits[1:], start=1):
             comps[m + offset] = g
     # the surviving last component must vanish: its relation is g * z_p = 0
     last = comps[p - 1]
-    if be.exact:
-        if not last.is_zero():
-            raise NotARelation("terminal component did not vanish", residual=last)
-    else:
-        scale_ = max(max((c.max_abs_coeff() for c in v.components), default=0.0), 1.0)
-        if not all(abs(c) <= be.eps * scale_ for c in last.coeffs.values()):
-            raise NotARelation("terminal component did not vanish", residual=last)
+    if not negligible(last, *v.components):
+        raise NotARelation("terminal component did not vanish", residual=last)
     return out
 
 
@@ -181,43 +165,6 @@ def recombine(coeffs: Mapping[tuple[int, int], TruncatedSeries], p: int, dim: in
         for slot in range(p):
             comps[slot] = comps[slot] + mul(b, t.vector.components[slot])
     return SyzygyVector(tuple(comps))
-
-
-def off_axis_decomposition(v: SyzygyVector, order: int) -> dict[tuple[int, int], TruncatedSeries]:
-    """Closed-form local decomposition valid when the center has a nonzero
-    coordinate among z_1..z_p (so some z_m is a unit there).
-
-    With m the first such index, the coefficients are f_j / z_m on T_mj for
-    j > m and -f_j / z_m on T_jm for j < m; the inverse of z_m is expanded
-    to ``order``.  Not used by the global algorithm.
-    """
-    p = v.arity
-    ref = v.components[0]
-    be = ref.backend
-    m = None
-    for axis in range(min(p, ref.dim)):
-        if not be.is_zero(ref.center[axis]):
-            m = axis
-            break
-    if m is None:
-        raise NotARelation("center lies on the subspace; use decompose_relation instead")
-    ok, residual = verify_relation(v)
-    if not ok:
-        raise NotARelation("input vector is not a relation", residual=residual)
-    zm = variable(ref.dim, m, backend=be, center=ref.center)
-    inv = invert_unit(zm, order)
-    out: dict[tuple[int, int], TruncatedSeries] = {}
-    for j in range(p):
-        if j == m:
-            continue
-        c = mul(v.components[j], inv)
-        if c.is_zero():
-            continue
-        if j > m:
-            out[(m, j)] = c
-        else:
-            out[(j, m)] = scale(c, -1)
-    return out
 
 
 # -- general generator systems ------------------------------------------
@@ -353,14 +300,8 @@ def decompose_general_relation(v: SyzygyVector, pres: GeneratorPresentation) -> 
     if v.arity != N:
         raise InvalidArity(f"expected a vector of length {N}")
     residual = apply_generators(v, pres)
-    be = pres.backend
-    if be.exact:
-        if not residual.is_zero():
-            raise NotARelation("vector does not annihilate the generators", residual=residual)
-    else:
-        scale_ = max(max((c.max_abs_coeff() for c in v.components), default=0.0), 1.0)
-        if not all(abs(c) <= be.eps * scale_ for c in residual.coeffs.values()):
-            raise NotARelation("vector does not annihilate the generators", residual=residual)
+    if not negligible(residual, *v.components):
+        raise NotARelation("vector does not annihilate the generators", residual=residual)
     folded = []
     for j in range(q):
         fj = v.components[j]
@@ -370,9 +311,8 @@ def decompose_general_relation(v: SyzygyVector, pres: GeneratorPresentation) -> 
                 fj = fj + mul(v.components[i], a)
         folded.append(fj)
     tau_coeffs = decompose_relation(SyzygyVector(tuple(folded))) if q >= 2 else {}
-    if q == 1:
-        # a single-variable relation forces the folded component to vanish
-        if folded and not folded[0].is_zero() and be.exact:
-            raise NotARelation("folded component did not vanish", residual=folded[0])
+    # a single-variable relation forces the folded component to vanish
+    if q == 1 and not negligible(folded[0], *v.components):
+        raise NotARelation("folded component did not vanish", residual=folded[0])
     phi_coeffs = {i: v.components[i] for i in range(q, N) if not v.components[i].is_zero()}
     return GeneralDecomposition(tau_coeffs, phi_coeffs)

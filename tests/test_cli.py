@@ -135,6 +135,17 @@ class TestCousinSplit:
         code, _ = run_cli(tmp_path, "cousin-split", payload)
         assert code == 2
 
+    def test_unknown_quadrature_key_exits_2(self, tmp_path):
+        payload = {
+            "dim": 1,
+            "function": {"op": "const", "re": 1.0},
+            "geometry": {"s": 0.0, "delta": 0.2, "theta": 0.4,
+                         "re_lo": -1.0, "re_hi": 1.0},
+            "quadrature": {"panels": 8, "tol": 1e-12},
+        }
+        code, _ = run_cli(tmp_path, "cousin-split", payload)
+        assert code == 2
+
 
 class TestCousin1:
     def payload(self):
@@ -211,6 +222,12 @@ class TestErrorsAndSelftest:
         code = main(["divide", "--input", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path / "o.json")])
         assert code == 2
+
+    def test_backend_flag_rejected(self, tmp_path):
+        payload = {"series": series_json(1, {(1,): 2}), "q": 1}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "divide", payload, extra=["--backend", "floating"])
+        assert exc.value.code == 2
 
     def test_selftest_passes(self, tmp_path):
         out = tmp_path / "self.json"

@@ -93,9 +93,10 @@ class TestSegmentIntegral:
         g = default_geom()
         f = Evaluable(lambda z: cmath.exp(z[-1]))
         z = (0.7 + 0.2j,)
-        fixed = cauchy_segment_integral(f, g, z, QuadratureSpec(panels=24))
-        adaptive = cauchy_segment_integral(f, g, z, QuadratureSpec(tol=1e-12))
-        assert abs(fixed - adaptive) < 1e-10
+        spec = QuadratureSpec(panels=24)
+        fixed = cauchy_segment_integral(f, g, z, spec)
+        refined = cauchy_segment_integral(f, g, z, spec.refined(4))
+        assert abs(fixed - refined) < 1e-10
 
 
 class TestCousinSplit:
@@ -146,10 +147,11 @@ class TestCousinSplit:
     def test_adaptive_split_agrees(self):
         g = default_geom()
         phi = Evaluable(lambda z: z[-1] ** 2 - 0.5)
-        p1, p2 = cousin_split(phi, g, QuadratureSpec(panels=24))
-        a1, a2 = cousin_split(phi, g, QuadratureSpec(tol=1e-12))
+        spec = QuadratureSpec(panels=24)
+        p1, p2 = cousin_split(phi, g, spec)
+        r1, r2 = cousin_split(phi, g, spec.refined(4))
         for z in [(0.1 + 0.2j,), (-0.6 - 0.1j,), (0.9 + 0.3j,)]:
-            assert abs(p1(z) - a1(z)) < 1e-8
+            assert abs(p1(z) - r1(z)) < 1e-8
 
     def test_evaluations_stay_off_contours(self):
         """Points near the seam are fine: the branch uses the pushed contour."""

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from okakit.errors import InvalidArity, NotARelation
-from okakit.series import constant, make_series, monomial, mul, variable, zero
+from okakit.scalars import EXACT, floating
+from okakit.series import constant, monomial, variable, zero
 from okakit.syzygy import (
     GeneralDecomposition,
     GeneratorPresentation,
@@ -14,7 +15,6 @@ from okakit.syzygy import (
     decompose_general_relation,
     decompose_relation,
     general_syzygy_generators,
-    off_axis_decomposition,
     recombine,
     relation_residual,
     trivial_solution,
@@ -139,27 +139,6 @@ class TestDecompose:
             decompose_relation(SyzygyVector((-z2, z1)))
 
 
-class TestOffAxisDecomposition:
-    def test_local_inverse_formula(self):
-        # center (1, 0): z1 is a unit, so T_12 decomposes with unit coefficient
-        center = (1, 0)
-        z1 = variable(2, 0, center=center)
-        z2 = variable(2, 1, center=center)
-        v = SyzygyVector((-z2, z1))
-        coeffs = off_axis_decomposition(v, order=8)
-        assert set(coeffs) == {(0, 1)}
-        # b_12 = z1 / z1 collapses to the constant 1
-        b = coeffs[(0, 1)]
-        assert b == constant(2, 1, center=center, order=8)
-        # slot 1 of b * T_12 reproduces v's slot 1
-        assert (mul(b, z1) - z1).is_zero()
-
-    def test_requires_off_subspace_center(self):
-        v = SyzygyVector((-variable(2, 1), variable(2, 0)))
-        with pytest.raises(NotARelation):
-            off_axis_decomposition(v, order=4)
-
-
 class TestGeneralPresentation:
     def make_presentation(self):
         # sigma_1 = z1, sigma_2 = z2, sigma_3 = z1 + z2 in C^2
@@ -224,6 +203,15 @@ class TestGeneralPresentation:
             assert apply_generators(v, pres).is_zero()
             dec = decompose_general_relation(v, pres)
             assert vectors_equal(dec.recombined(pres), v)
+
+    @pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
+    def test_single_variable_folded_component_must_vanish(self, backend):
+        # sigma_2 = 2 z1 with order-2 truncation: (z1^2, 0) annihilates the
+        # generators only because z1^3 is truncated away
+        pres = GeneratorPresentation(1, 1, 2, {(1, 0): constant(1, 2, backend=backend)}, backend=backend)
+        v = SyzygyVector((monomial(1, (2,), order=2, backend=backend), zero(1, backend=backend, order=2)))
+        with pytest.raises(NotARelation):
+            decompose_general_relation(v, pres)
 
     def test_arity_checks(self):
         pres = self.make_presentation()
