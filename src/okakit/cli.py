@@ -7,11 +7,14 @@ error, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import random
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from . import exprtree
@@ -193,15 +196,12 @@ def cmd_cousin_split(data: dict, args) -> tuple[dict, bool]:
     spec = _quad_from(data.get("quadrature"), args)
     phi1, phi2 = cousin_split(phi, geom, spec)
     grid_cfg = data.get("grid", {})
-    pts = overlap_grid(geom, nx=grid_cfg.get("nx", 7), ny=grid_cfg.get("ny", 7))
-    rows = []
-    worst = 0.0
-    for z in pts:
-        v1, v2, v = phi1(z), phi2(z), phi(z)
-        res = abs(v1 - v2 - v)
-        worst = max(worst, res)
-        zn = z[-1]
-        rows.append([zn.real, zn.imag, v1.real, v1.imag, v2.real, v2.imag, res])
+    pts = np.array(overlap_grid(geom, nx=grid_cfg.get("nx", 7), ny=grid_cfg.get("ny", 7)))
+    v1, v2 = phi1.values(pts), phi2.values(pts)
+    res = np.abs(v1 - v2 - phi.values(pts))
+    worst = float(res.max())
+    rows = [[zn.real, zn.imag, a.real, a.imag, b.real, b.imag, r]
+            for zn, a, b, r in zip(pts[:, -1].tolist(), v1.tolist(), v2.tolist(), res.tolist())]
     if data.get("csv"):
         with open(data["csv"], "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -209,6 +209,19 @@ def cmd_cousin_split(data: dict, args) -> tuple[dict, bool]:
             writer.writerows(rows)
     ok = worst <= args.tol
     return {"max_overlap_residual": worst, "tolerance": args.tol, "samples": len(pts)}, ok
+
+
+def _solve(request: dict, **fields) -> tuple[dict, bool]:
+    """Solve and verify a ChiProblem; its validation errors are input errors."""
+    try:
+        problem = ChiProblem(**fields)
+    except ValueError as exc:
+        raise SchemaError(f"bad problem: {exc}") from exc
+    sols = solve_chain(problem)
+    if request.get("csv"):
+        _dump_solution_csv(request["csv"], sols)
+    reports = [s.report for s in sols]
+    return {"chains": reports}, all(r["pass"] for r in reports)
 
 
 def _chi_common(data: dict, args):
@@ -238,15 +251,8 @@ def cmd_cousin1(data: dict, args) -> tuple[dict, bool]:
                              backend=EXACT)
             terms.append(PoleTerm(order, coeff, locus))
         payload.append(PrincipalPartData(tuple(terms)))
-    problem = ChiProblem(
-        kind="cousin1", cuboid=cuboid, breakpoints=breakpoints, data=tuple(payload),
-        delta=delta, quad=spec, tol=tol,
-    )
-    sols = solve_chain(problem)
-    if data.get("csv"):
-        _dump_solution_csv(data["csv"], sols)
-    reports = [s.report for s in sols]
-    return {"chains": reports}, all(r["pass"] for r in reports)
+    return _solve(data, kind="cousin1", cuboid=cuboid, breakpoints=breakpoints, data=tuple(payload),
+                  delta=delta, quad=spec, tol=tol)
 
 
 def cmd_jokuiko(data: dict, args) -> tuple[dict, bool]:
@@ -260,20 +266,13 @@ def cmd_jokuiko(data: dict, args) -> tuple[dict, bool]:
         if len(locs) != len(breakpoints) + 1:
             raise SchemaError("need exactly one local extension per slab")
         overrides = tuple(exprtree.to_series(t, ndim) for t in locs)
-    problem = ChiProblem(
-        kind="extension", cuboid=cuboid, breakpoints=breakpoints, codim=q,
-        target=target, local_overrides=overrides, delta=delta, quad=spec, tol=tol,
-    )
-    sols = solve_chain(problem)
-    if data.get("csv"):
-        _dump_solution_csv(data["csv"], sols)
-    reports = [s.report for s in sols]
-    return {"chains": reports}, all(r["pass"] for r in reports)
+    return _solve(data, kind="extension", cuboid=cuboid, breakpoints=breakpoints, codim=q,
+                  target=target, local_overrides=overrides, delta=delta, quad=spec, tol=tol)
 
 
 def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
-    import numpy as np
-
+    """Solution values on an nx x ny grid of the last axis; points where the
+    value is not finite (a pole) are left out."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "re", "im", "f_re", "f_im"])
@@ -281,14 +280,11 @@ def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
             (rlo, rhi) = sol.region.re[-1]
             (ilo, ihi) = sol.region.im[-1]
             mids = sol.region.midpoint()
-            for r in np.linspace(rlo, rhi, nx):
-                for i in np.linspace(ilo, ihi, ny):
-                    z = mids[:-1] + (complex(r, i),)
-                    try:
-                        v = sol.solution(z)
-                    except ZeroDivisionError:
-                        continue
-                    writer.writerow([idx, r, i, v.real, v.imag])
+            pts = [mids[:-1] + (complex(r, i),) for r in np.linspace(rlo, rhi, nx) for i in np.linspace(ilo, ihi, ny)]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                vals = sol.solution.values(pts).tolist()
+            writer.writerows([idx, z[-1].real, z[-1].imag, v.real, v.imag]
+                             for z, v in zip(pts, vals) if cmath.isfinite(v))
 
 
 def cmd_selftest(data: dict, args) -> tuple[dict, bool]:
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         if args.command == "selftest" and args.input == "-":
             data = {}
@@ -367,7 +363,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "seed": args.seed,
         "tolerance": args.tol,
-        "elapsed_s": round(time.time() - started, 6),
+        "elapsed_s": round(time.perf_counter() - started, 6),
         "input": data,
         "pass": bool(ok),
         "result": body,

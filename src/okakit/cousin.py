@@ -14,6 +14,7 @@ two branches equals the density on the overlap strip.
 from __future__ import annotations
 
 import cmath
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -48,30 +49,55 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class Evaluable:
-    """Immutable black box: point of C^n -> complex, with a validity region."""
+    """Immutable black box: point of C^n -> complex, with a validity region.
+
+    ``fn`` maps one point (a tuple) to its value.  The optional ``many`` maps
+    an (m, n) complex array of points to their (m,) values; ``values`` calls
+    it when present and loops over ``fn`` otherwise.
+    """
 
     fn: Callable
     domain: Cuboid | None = None
+    many: Callable | None = None
+
+    @staticmethod
+    def batched(many: Callable, domain: Cuboid | None = None) -> "Evaluable":
+        """Evaluable whose scalar ``fn`` is ``many`` on one row."""
+        return Evaluable(lambda z: complex(many(np.array([z], dtype=complex))[0]), domain, many)
 
     def __call__(self, z: Sequence) -> complex:
         return self.fn(tuple(complex(v) for v in z))
 
-    def __add__(self, other: "Evaluable") -> "Evaluable":
+    def values(self, points) -> np.ndarray:
+        P = np.asarray(points, dtype=complex)
+        if self.many is not None:
+            return self.many(P)
+        return np.array([self.fn(tuple(z)) for z in P.tolist()], dtype=complex)
+
+    def _combine(self, other: "Evaluable", op: Callable) -> "Evaluable":
         dom = self.domain
         if dom is not None and other.domain is not None:
             dom = dom.intersect(other.domain)
-        return Evaluable(lambda z: self.fn(z) + other.fn(z), dom)
+        return Evaluable.batched(lambda P: op(self.values(P), other.values(P)), dom)
+
+    def __add__(self, other: "Evaluable") -> "Evaluable":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "Evaluable") -> "Evaluable":
-        dom = self.domain
-        if dom is not None and other.domain is not None:
-            dom = dom.intersect(other.domain)
-        return Evaluable(lambda z: self.fn(z) - other.fn(z), dom)
+        return self._combine(other, np.subtract)
 
 
 def constant_evaluable(value: complex, domain: Cuboid | None = None) -> Evaluable:
     value = complex(value)
-    return Evaluable(lambda z: value, domain)
+    return Evaluable.batched(lambda P: np.full(len(P), value), domain)
+
+
+def cmul(a: np.ndarray, b) -> np.ndarray:
+    """a * b rounded as CPython's complex product (numpy's may differ)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,8 +172,19 @@ def _piece_nodes(a: complex, b: complex, spec: QuadratureSpec) -> tuple[np.ndarr
     return zs, ws * (b - a)
 
 
+# A path keeps its weighted node densities for this many distinct z', least
+# recently used dropped first: more than the 432 one default morera_residual
+# call visits on an n = 2 slab, so verification reuses them across slabs.
+DENSITY_CACHE_SIZE = 512
+# Bounds on temporaries: (points x nodes) entries per Cauchy block, and
+# points per density fill passed to ``values``.
+BLOCK_ENTRIES = 1 << 13
+FILL_POINTS = 1 << 11
+
+
 class _PathQuad:
-    """Fixed node set along a polyline, with a per-parameter density cache."""
+    """Fixed node set along a polyline, with an LRU cache of weighted density
+    values per z'."""
 
     def __init__(self, pieces: Sequence[tuple[complex, complex]], spec: QuadratureSpec):
         zs, ws = [], []
@@ -157,17 +194,47 @@ class _PathQuad:
             ws.append(w)
         self.zs = np.concatenate(zs)
         self.ws = np.concatenate(ws)
-        self._cache: dict = {}
+        self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
-    def density_values(self, phi: Callable, zp: tuple) -> np.ndarray:
-        got = self._cache.get(zp)
-        if got is None:
-            got = np.array([phi(zp + (zeta,)) for zeta in self.zs], dtype=complex)
-            self._cache[zp] = got
-        return got
+    def weighted(self, phi: Evaluable, zps: np.ndarray) -> np.ndarray:
+        """w_j * phi(z', zeta_j) at every node zeta_j, one row per z' in
+        ``zps``; cache misses are filled by ``values`` calls of at most
+        FILL_POINTS points."""
+        cache, nodes = self._cache, len(self.zs)
+        keys = [zp.tobytes() for zp in zps]
+        missing = [i for i, key in enumerate(keys) if key not in cache]
+        step = max(1, FILL_POINTS // nodes)
+        for lo in range(0, len(missing), step):
+            fill = missing[lo:lo + step]
+            pts = np.empty((len(fill), nodes, zps.shape[1] + 1), dtype=complex)
+            pts[:, :, :-1] = zps[fill, None, :]
+            pts[:, :, -1] = self.zs
+            vals = phi.values(pts.reshape(len(fill) * nodes, -1)).reshape(len(fill), nodes)
+            for i, row in zip(fill, vals):
+                cache[keys[i]] = self.ws * row
+        for key in keys:
+            cache.move_to_end(key)
+        out = np.array([cache[key] for key in keys])
+        while len(cache) > DENSITY_CACHE_SIZE:
+            cache.popitem(last=False)
+        return out
 
-    def cauchy(self, values: np.ndarray, zn: complex) -> complex:
-        return complex(np.sum(self.ws * values / (self.zs - zn)) / TWO_PI_I)
+    def cauchy(self, phi: Evaluable, P: np.ndarray) -> np.ndarray:
+        """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z of P,
+        in blocks of at most BLOCK_ENTRIES (row, node) pairs."""
+        out = np.empty(len(P), dtype=complex)
+        rows = max(1, BLOCK_ENTRIES // len(self.zs))
+        for lo in range(0, len(P), rows):
+            Q = P[lo:lo + rows]
+            zp = Q[:, :-1]
+            # a run of equal z' shares one row of weighted densities
+            new = np.ones(len(Q), dtype=bool)
+            new[1:] = (zp[1:] != zp[:-1]).any(axis=1)
+            wd = self.weighted(phi, zp[new])
+            block = self.zs - Q[:, -1:]
+            np.divide(wd if len(wd) == 1 else wd[np.cumsum(new) - 1], block, out=block)
+            out[lo:lo + rows] = block.sum(axis=1)
+        return out / TWO_PI_I
 
 
 def _distance_to_segment(zn: complex, a: complex, b: complex) -> float:
@@ -183,13 +250,12 @@ def cauchy_segment_integral(
     """(1/2 pi i) * integral over the seam segment of phi(z', zeta)/(zeta - z_n)."""
     spec = spec or QuadratureSpec()
     z = tuple(complex(v) for v in z)
-    zp, zn = z[:-1], z[-1]
+    zn = z[-1]
     a, b = geom.segment
     if _distance_to_segment(zn, a, b) < 1e-13:
         raise OnContour(f"evaluation point {zn} lies on the integration segment")
     quad = _PathQuad([(a, b)], spec)
-    values = quad.density_values(phi.fn, zp)
-    return quad.cauchy(values, zn)
+    return complex(quad.cauchy(phi, np.array([z]))[0])
 
 
 def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | None = None) -> tuple[Evaluable, Evaluable]:
@@ -203,37 +269,29 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | Non
     spec = spec or QuadratureSpec()
     s, d, h = geom.s, geom.delta, geom.height
     a, b = geom.segment
-    right_path = [
-        (complex(s, -h), complex(s + d, -h)),
-        (complex(s + d, -h), complex(s + d, h)),
-        (complex(s + d, h), complex(s, h)),
-    ]
-    left_path = [
-        (complex(s, -h), complex(s - d, -h)),
-        (complex(s - d, -h), complex(s - d, h)),
-        (complex(s - d, h), complex(s, h)),
-    ]
-    pushed_right = _PathQuad(right_path, spec)
-    pushed_left = _PathQuad(left_path, spec)
     seam_quad = _PathQuad([(a, b)], spec)
 
-    def fn1(z):
-        zp, zn = z[:-1], z[-1]
-        if zn.real < s + d / 2:
-            vals = pushed_right.density_values(phi.fn, zp)
-            return pushed_right.cauchy(vals, zn)
-        vals = seam_quad.density_values(phi.fn, zp)
-        return seam_quad.cauchy(vals, zn) + phi.fn(z)
+    def pushed_to(x: float) -> _PathQuad:
+        """The segment's endpoints joined through Re = x."""
+        corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
+        return _PathQuad(list(zip(corners, corners[1:])), spec)
 
-    def fn2(z):
-        zp, zn = z[:-1], z[-1]
-        if zn.real > s - d / 2:
-            vals = pushed_left.density_values(phi.fn, zp)
-            return pushed_left.cauchy(vals, zn)
-        vals = seam_quad.density_values(phi.fn, zp)
-        return seam_quad.cauchy(vals, zn) - phi.fn(z)
+    def branch(pushed: _PathQuad, near_seam: Callable, jump: Callable) -> Callable:
+        def many(P):
+            near = near_seam(P[:, -1].real)
+            out = np.empty(len(P), dtype=complex)
+            if not near.all():
+                out[~near] = pushed.cauchy(phi, P[~near])
+            if near.any():
+                Q = P[near]
+                out[near] = jump(seam_quad.cauchy(phi, Q), phi.values(Q))
+            return out
 
-    return Evaluable(fn1, geom.left_slab), Evaluable(fn2, geom.right_slab)
+        return many
+
+    left = branch(pushed_to(s + d), lambda re: re >= s + d / 2, np.add)
+    right = branch(pushed_to(s - d), lambda re: re <= s - d / 2, np.subtract)
+    return Evaluable.batched(left, geom.left_slab), Evaluable.batched(right, geom.right_slab)
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 0.9) -> list[tuple]:
@@ -259,7 +317,8 @@ def morera_residual(
     coordinates frozen at the region midpoint.
 
     Zero (up to quadrature noise) for holomorphic f; proportional to the
-    test-rectangle area for anti-holomorphic contamination.
+    test-rectangle area for anti-holomorphic contamination.  All rectangle
+    nodes of one axis go to f in one ``values`` call.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     x = (x + 1.0) / 2.0
@@ -274,20 +333,16 @@ def morera_residual(
             continue
         res = np.linspace(rlo, rhi, grid + 1)
         ims = np.linspace(ilo, ihi, grid + 1)
-        for a in range(grid):
-            for bdx in range(grid):
-                corners = [
-                    complex(res[a], ims[bdx]),
-                    complex(res[a + 1], ims[bdx]),
-                    complex(res[a + 1], ims[bdx + 1]),
-                    complex(res[a], ims[bdx + 1]),
-                ]
-                total = 0j
-                for c0, c1 in zip(corners, corners[1:] + corners[:1]):
-                    zs = c0 + (c1 - c0) * x
-                    vals = np.array(
-                        [f.fn(mid[:k] + (zk,) + mid[k + 1:]) for zk in zs], dtype=complex
-                    )
-                    total += complex(np.sum(w * vals) * (c1 - c0))
-                worst = max(worst, abs(total))
+        c0 = np.array([[complex(res[a + da], ims[b + db]) for da, db in ((0, 0), (1, 0), (1, 1), (0, 1))]
+                       for a in range(grid) for b in range(grid)])
+        sides = np.roll(c0, -1, axis=1) - c0
+        zs = c0[..., None] + sides[..., None] * x
+        P = np.empty((zs.size, region.ndim), dtype=complex)
+        P[:] = mid
+        P[:, k] = zs.reshape(-1)
+        vals = f.values(P).reshape(zs.shape)
+        # products and moduli rounded as CPython's (cmul, abs), not numpy's vectorised ones
+        pieces = cmul(np.sum(w * vals, axis=-1), sides)
+        total = pieces[:, 0] + pieces[:, 1] + pieces[:, 2] + pieces[:, 3]
+        worst = max(worst, max(map(abs, total.tolist()), default=0.0))
     return worst

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .division import CoordinateSubspace
-from .errors import InvalidPartition
+from .errors import InvalidPartition, SchemaError
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,13 @@ class Cuboid:
 
     @staticmethod
     def from_json(data: dict) -> "Cuboid":
-        return Cuboid(
-            tuple((float(lo), float(hi)) for lo, hi in data["re"]),
-            tuple((float(lo), float(hi)) for lo, hi in data["im"]),
-        )
+        try:
+            return Cuboid(
+                tuple((float(lo), float(hi)) for lo, hi in data["re"]),
+                tuple((float(lo), float(hi)) for lo, hi in data["im"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"a cuboid needs 're' and 'im' lists of [lo, hi] pairs: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

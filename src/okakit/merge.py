@@ -14,12 +14,11 @@ default.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cousin_split, morera_residual
+from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cmul, cousin_split, morera_residual
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -27,11 +26,11 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, evaluate_complex, negligible
+from .series import TruncatedSeries, complex_evaluator, evaluate_complex, negligible
 
 
 def series_evaluable(f: TruncatedSeries, domain: Cuboid | None = None) -> Evaluable:
-    return Evaluable(lambda z: evaluate_complex(f, z), domain)
+    return Evaluable.batched(complex_evaluator(f), domain)
 
 
 # -- problem data --------------------------------------------------------
@@ -55,18 +54,16 @@ class PrincipalPartData:
     terms: tuple[PoleTerm, ...]
 
     def evaluable(self, domain: Cuboid | None = None) -> Evaluable:
-        terms = self.terms
+        terms = [(t.order, complex_evaluator(t.coeff), complex_evaluator(t.locus)) for t in self.terms]
 
-        def fn(z):
-            zp, zn = z[:-1], z[-1]
-            acc = 0j
-            for t in terms:
-                c = evaluate_complex(t.coeff, zp)
-                p = evaluate_complex(t.locus, zp)
-                acc += c / (zn - p) ** t.order
+        def many(P):
+            zp, zn = P[:, :-1], P[:, -1]
+            acc = np.zeros(len(P), dtype=complex)
+            for order, coeff, locus in terms:
+                acc = acc + coeff(zp) / (zn - locus(zp)) ** order
             return acc
 
-        return Evaluable(fn, domain)
+        return Evaluable.batched(many, domain)
 
 
 @dataclass(frozen=True)
@@ -203,17 +200,17 @@ class _Branch:
     local_poly: TruncatedSeries | None
     corrections: tuple[tuple[int | None, Evaluable], ...] = ()
 
-    def correction_value(self, z, kind: str) -> complex:
-        acc = 0j
+    def correction_values(self, P: np.ndarray, kind: str) -> np.ndarray:
+        acc = np.zeros(len(P), dtype=complex)
         for axis, e in self.corrections:
-            v = e.fn(z)
+            v = e.values(P)
             if kind == "extension":
-                v *= z[axis]
-            acc += v
+                v = cmul(v, P[:, axis])
+            acc = acc + v
         return acc
 
-    def value(self, z, kind: str) -> complex:
-        return self.local.fn(z) + self.correction_value(z, kind)
+    def values(self, P: np.ndarray, kind: str) -> np.ndarray:
+        return self.local.values(P) + self.correction_values(P, kind)
 
 
 @dataclass
@@ -224,20 +221,22 @@ class ChainState:
     branches: list[_Branch]
     seams: list[float]  # Re positions separating consecutive branches
 
-    def branch_index(self, zn_re: float) -> int:
-        return bisect_right(self.seams, zn_re)
-
-    def value(self, z) -> complex:
-        z = tuple(complex(v) for v in z)
-        return self.branches[self.branch_index(z[-1].real)].value(z, self.kind)
+    def values(self, P: np.ndarray) -> np.ndarray:
+        """Each row of P evaluated on the branch its Re z_n falls in."""
+        idx = np.searchsorted(self.seams, P[:, -1].real, side="right")
+        out = np.empty(len(P), dtype=complex)
+        for k in np.flatnonzero(np.bincount(idx)):
+            rows = idx == k
+            out[rows] = self.branches[k].values(P[rows], self.kind)
+        return out
 
     def evaluable(self, domain: Cuboid | None = None) -> Evaluable:
-        return Evaluable(lambda z: self.value(z), domain)
+        return Evaluable.batched(self.values, domain)
 
     def branch_correction(self, idx: int, domain: Cuboid | None = None) -> Evaluable:
         branch = self.branches[idx]
         kind = self.kind
-        return Evaluable(lambda z: branch.correction_value(z, kind), domain)
+        return Evaluable.batched(lambda P: branch.correction_values(P, kind), domain)
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
@@ -263,23 +262,18 @@ def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
     if problem.kind == "extension":
         witnesses = ideal_witness(rb.local_poly - lb.local_poly, problem.subspace)
         for axis, w in enumerate(witnesses):
-            w_eval = series_evaluable(w)
-
-            def fn(z, w_eval=w_eval, axis=axis):
-                acc = w_eval.fn(z)
-                for ax, e in rb.corrections:
-                    if ax == axis:
-                        acc += e.fn(z)
-                for ax, e in lb.corrections:
-                    if ax == axis:
-                        acc -= e.fn(z)
-                return acc
-
-            densities.append((axis, Evaluable(fn, geom.overlap)))
+            density = series_evaluable(w)
+            for ax, e in rb.corrections:
+                if ax == axis:
+                    density = density + e
+            for ax, e in lb.corrections:
+                if ax == axis:
+                    density = density - e
+            densities.append((axis, replace(density, domain=geom.overlap)))
     else:
         diff = seam_difference(
-            Evaluable(lambda z: rb.value(z, "cousin1"), geom.overlap),
-            Evaluable(lambda z: lb.value(z, "cousin1"), geom.overlap),
+            Evaluable.batched(lambda P: rb.values(P, "cousin1"), geom.overlap),
+            Evaluable.batched(lambda P: lb.values(P, "cousin1"), geom.overlap),
             geom.overlap,
             tol=max(problem.tol, 1e-10),
         )
@@ -377,10 +371,9 @@ def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
     """(1/2 pi i) * circle integral of f(z)*(z_n - pole)^(order-1) dz_n."""
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     ring = pole + radius * np.exp(1j * thetas)
-    acc = 0j
-    for zn in ring:
-        acc += f.fn(zp + (complex(zn),)) * (zn - pole) ** (order - 1) * (zn - pole)
-    return complex(acc / samples)
+    P = np.array([zp + (zn,) for zn in ring.tolist()])
+    d = ring - pole
+    return complex(np.sum(f.values(P) * d ** (order - 1) * d) / samples)
 
 
 def _pole_positions(problem: ChiProblem, chain: ConnectivityChain) -> list[tuple[int, PoleTerm, complex]]:
@@ -433,10 +426,9 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
         lo = partition.slabs[sol.chain.start].re[-1][0]
         hi = partition.slabs[sol.chain.stop].re[-1][1]
         mids = problem.cuboid.midpoint()
-        sup = 0.0
-        for t in np.linspace(lo, hi, s_samples):
-            z = tuple(0j for _ in range(q)) + mids[q:n - 1] + (complex(t, 0.0),)
-            sup = max(sup, abs(sol.solution.fn(z) - evaluate_complex(problem.target, z)))
+        P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, 0.0),) for t in np.linspace(lo, hi, s_samples)])
+        diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
+        sup = max(map(abs, diff.tolist()))
         report["subspace_sup_error"] = sup
         ok = ok and sup <= tol
     report["pass"] = bool(ok)

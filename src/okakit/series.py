@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import IncompatibleOperands, RequiresExactPolynomial
 from .scalars import EXACT, Backend, QQi, floating
 
@@ -310,6 +312,51 @@ def evaluate_complex(f: TruncatedSeries, point: Sequence) -> complex:
                 term *= w[k] ** e
         acc += term
     return acc
+
+
+def _cpow(wr, wi, e: int):
+    """(wr + i wi)**e, e >= 1, rounded as CPython's complex power: its
+    square-and-multiply sequence up to e = 100, its general power above."""
+    if e > 100:
+        p = np.array([complex(a, b) ** e for a, b in zip(wr, wi)], dtype=complex)
+        return p.real, p.imag
+    (rr, ri), (pr, pi), mask = (1.0, 0.0), (wr, wi), 1
+    while True:
+        if e & mask:
+            rr, ri = rr * pr - ri * pi, rr * pi + ri * pr
+        mask <<= 1
+        if mask > e:
+            return rr, ri
+        pr, pi = pr * pr - pi * pi, pr * pi + pi * pr
+
+
+def complex_evaluator(f: TruncatedSeries):
+    """``evaluate_complex`` compiled for many points: maps an (m, dim) complex
+    array to the (m,) values, equal (==) to ``evaluate_complex`` row by row.
+    Coefficients and center become floats once; terms are summed in dict
+    order, real and imaginary parts kept apart so products round as CPython's."""
+    center = [complex(c) for c in f.center]
+    terms = [(exp, complex(v)) for exp, v in f.coeffs.items()]
+
+    def many(P: np.ndarray) -> np.ndarray:
+        w = [(P[:, k].real - b.real, P[:, k].imag - b.imag) for k, b in enumerate(center)]
+        powers: dict = {}
+        acc_re = acc_im = np.zeros(len(P))
+        for exp, c in terms:
+            tr, ti = c.real, c.imag
+            for k, e in enumerate(exp):
+                if e:
+                    if (k, e) not in powers:
+                        powers[k, e] = _cpow(*w[k], e)
+                    pr, pi = powers[k, e]
+                    tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
+            acc_re = acc_re + tr
+            acc_im = acc_im + ti
+        out = np.empty(len(P), dtype=complex)
+        out.real, out.imag = acc_re, acc_im
+        return out
+
+    return many
 
 
 def negligible(f: TruncatedSeries, *refs: TruncatedSeries) -> bool:

@@ -1,0 +1,189 @@
+"""Tests for the batched evaluation core: the compiled series evaluator, the
+``values`` contract of every library-built evaluable, the scalar fallback
+for user callables, and the bounded density cache."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from okakit import cousin
+from okakit.cousin import Evaluable, SplitGeometry, constant_evaluable, cousin_split, morera_residual
+from okakit.cuboids import Cuboid
+from okakit.merge import ChiProblem, PoleTerm, PrincipalPartData, series_evaluable, solve_chain
+from okakit.scalars import EXACT, QQi, floating
+from okakit.series import complex_evaluator, evaluate_complex, make_series
+
+# -- compiled series evaluator ----------------------------------------------
+
+small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+ratio = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def series_and_points(draw):
+    dim = draw(st.integers(0, 3))
+    exact = draw(st.booleans())
+    scalar = (st.builds(QQi, ratio, ratio) if exact
+              else st.builds(complex, small, small))
+    exps = st.tuples(*[st.integers(0, 7)] * dim)
+    coeffs = draw(st.dictionaries(exps, scalar, max_size=8))
+    center = [draw(scalar) for _ in range(dim)]
+    f = make_series(dim, coeffs, backend=EXACT if exact else floating(), center=center)
+    m = draw(st.integers(1, 6))
+    pts = [[complex(draw(small), draw(small)) for _ in range(dim)] for _ in range(m)]
+    return f, np.array(pts, dtype=complex).reshape(m, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_and_points())
+def test_compiled_series_equals_evaluate_complex(case):
+    f, P = case
+    got = complex_evaluator(f)(P)
+    want = [evaluate_complex(f, tuple(z)) for z in P.tolist()]
+    assert got.tolist() == want
+
+
+def test_compiled_series_high_powers_equal_evaluate_complex():
+    # CPython computes w**e by square-and-multiply up to e = 100 and by its
+    # general power above
+    f = make_series(1, {(3,): 1, (100,): QQi(Fraction(1, 3), Fraction(0)), (101,): 1j, (150,): 2},
+                    center=[0.25])
+    P = np.array([[0.9 + 0.3j], [-1.01 + 0.05j], [0.4 - 0.9j]])
+    assert complex_evaluator(f)(P).tolist() == [evaluate_complex(f, tuple(z)) for z in P.tolist()]
+
+
+# -- values(P) == [fn(z) for z in P] -----------------------------------------
+
+
+def assert_values_match_fn(e: Evaluable, P):
+    P = np.asarray(P, dtype=complex)
+    assert e.many is not None
+    assert e.values(P).tolist() == [e.fn(tuple(z)) for z in P.tolist()]
+
+
+def grid_points(re_lo, re_hi, im_lo, im_hi, zp=(), n=7):
+    return [zp + (complex(r, i),)
+            for r in np.linspace(re_lo, re_hi, n) for i in np.linspace(im_lo, im_hi, 3)]
+
+
+def ml_problem():
+    def pp(*poles):
+        return PrincipalPartData(tuple(PoleTerm(order, make_series(0, {(): c}), make_series(0, {(): p}))
+                                       for p, c, order in poles))
+
+    return ChiProblem(
+        kind="cousin1",
+        cuboid=Cuboid(((-3.0, 3.0),), ((-0.6, 0.6),)),
+        breakpoints=(-1.0, 1.0),
+        data=(pp((-2.0 + 0.1j, 1.5 - 0.5j, 1)), pp((0.2, 0.7 + 0.2j, 2)), pp((2.1 - 0.3j, 0.9, 1))),
+        delta=0.3,
+    )
+
+
+def extension_problem(slabs=3):
+    target = make_series(2, {(0, 0): Fraction(-1), (0, 2): QQi(Fraction(1, 3), Fraction(2, 5))})
+    locals_ = tuple(target + make_series(2, {(1, 0): k + 1, (1, 1): Fraction(1, k + 2)}) for k in range(slabs))
+    breakpoints = tuple(-2.0 + 4.0 * k / slabs for k in range(1, slabs))
+    return ChiProblem(
+        kind="extension",
+        cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+        breakpoints=breakpoints,
+        codim=1,
+        target=target,
+        local_overrides=locals_,
+        delta=0.2,
+    )
+
+
+def test_series_and_principal_part_values():
+    f = make_series(2, {(0, 0): 1, (1, 2): QQi(Fraction(1, 3), Fraction(-2, 7)), (3, 1): 2j}, center=[0.5j, -1])
+    pts = grid_points(-1.0, 1.0, -0.5, 0.5, zp=(0.3 - 0.2j,)) + grid_points(-1.0, 1.0, -0.5, 0.5, zp=(-0.1j,))
+    assert_values_match_fn(series_evaluable(f), pts)
+    locus = make_series(1, {(0,): 0.1, (1,): 0.5})
+    coeff = make_series(1, {(0,): 1 - 1j, (2,): 3})
+    data = PrincipalPartData((PoleTerm(1, coeff, locus), PoleTerm(3, coeff, locus)))
+    assert_values_match_fn(data.evaluable(), pts)
+    assert_values_match_fn(constant_evaluable(2 - 1j), pts)
+
+
+@pytest.mark.parametrize("base", [None, Cuboid(((-0.5, 0.5),), ((-0.2, 0.2),))])
+def test_split_branches_values_on_both_sides_of_switch(base):
+    geom = SplitGeometry(s=0.0, delta=0.25, theta=0.5, re_lo=-1.5, re_hi=1.5, base=base)
+    n = geom.ndim
+    density = series_evaluable(make_series(n, {(0,) * n: 1j, (0,) * (n - 1) + (3,): 0.5, (1,) * n: -2}))
+    left, right = cousin_split(density, geom)
+    zp = () if base is None else (0.1 + 0.05j,)
+    # Re z_n runs across s - delta/2 and s + delta/2, where the branches switch contours
+    pts = grid_points(-1.2, 1.2, -0.4, 0.4, zp=zp, n=13)
+    assert {z[-1].real >= 0.125 for z in pts} == {True, False}
+    assert_values_match_fn(left, pts)
+    assert_values_match_fn(right, pts)
+    assert_values_match_fn(left + right, pts)
+    assert_values_match_fn(left - right, pts)
+
+
+@pytest.mark.parametrize("problem", [ml_problem(), extension_problem()], ids=["cousin1", "extension"])
+def test_chain_state_and_corrections_values(problem):
+    sol = solve_chain(problem, verify=False)[0]
+    zp = () if problem.ndim == 1 else (0.2 - 0.1j,)
+    (lo, hi), = problem.cuboid.re[-1:]
+    pts = grid_points(lo + 0.05, hi - 0.05, -0.45, 0.45, zp=zp, n=17)
+    assert_values_match_fn(sol.solution, pts)
+    for corr in sol.corrections:
+        assert_values_match_fn(corr, pts)
+
+
+# -- scalar-only user callables -----------------------------------------------
+
+
+def test_scalar_only_evaluable_goes_through_split_and_morera():
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        assert isinstance(z, tuple) and all(type(v) is complex for v in z)
+        return z[-1] ** 2 + 0.3
+
+    scalar = Evaluable(fn)
+    batched = Evaluable.batched(lambda P: P[:, -1] ** 2 + 0.3)
+    geom = SplitGeometry(s=0.0, delta=0.25, theta=0.5, re_lo=-1.5, re_hi=1.5)
+    s1, s2 = cousin_split(scalar, geom)
+    b1, b2 = cousin_split(batched, geom)
+    pts = np.array(cousin.overlap_grid(geom))
+    assert max(abs(s1.values(pts) - s2.values(pts) - scalar.values(pts))) < 1e-8
+    assert max(abs(s1.values(pts) - b1.values(pts))) < 1e-12
+    assert max(abs(s2.values(pts) - b2.values(pts))) < 1e-12
+    assert calls
+    calls.clear()
+    region = Cuboid(((-1.0, 1.0),), ((-1.0, 1.0),))
+    assert morera_residual(scalar, region) < 1e-10
+    assert len(calls) == 4 * 4 * 4 * 12  # grid^2 rectangles, 4 sides, 12 nodes
+
+
+# -- bounded density cache ----------------------------------------------------
+
+
+def test_density_cache_bounded_and_values_unchanged(monkeypatch):
+    paths = []
+
+    class Recorded(cousin._PathQuad):
+        def __init__(self, *args):
+            super().__init__(*args)
+            paths.append(self)
+
+    monkeypatch.setattr(cousin, "_PathQuad", Recorded)
+    problem = extension_problem(slabs=2)
+    sol = solve_chain(problem, verify=False)[0]
+    rng = np.random.default_rng(5)
+    m = 5000
+    P = np.empty((m, 2), dtype=complex)
+    P[:, 0] = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
+    P[:, 1] = rng.uniform(-2.0, 2.0, m) + 1j * rng.uniform(-0.5, 0.5, m)
+    assert len(np.unique(P[:, 0])) == m
+    got = np.concatenate([sol.solution.values(P[k:k + 500]) for k in range(0, m, 500)])
+    assert paths and max(len(q._cache) for q in paths) == cousin.DENSITY_CACHE_SIZE
+    fresh = solve_chain(problem, verify=False)[0]
+    assert got.tolist() == fresh.solution.values(P[::-1])[::-1].tolist()

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end (via main(argv))."""
 
 import json
+import math
 
 import pytest
 
@@ -178,6 +179,32 @@ class TestCousin1:
         code, _ = run_cli(tmp_path, "cousin1", payload)
         assert code == 2
 
+    @pytest.mark.parametrize("cuboid", [
+        {"re": [[-3.0, 3.0]]},
+        {"im": [[-0.6, 0.6]]},
+        {"re": [[-3.0, 3.0, 1.0]], "im": [[-0.6, 0.6]]},
+        {"re": [-3.0], "im": [[-0.6, 0.6]]},
+    ], ids=["no-im", "no-re", "triple", "not-a-pair"])
+    def test_malformed_cuboid_exits_2(self, tmp_path, capsys, cuboid):
+        payload = self.payload()
+        payload["cuboid"] = cuboid
+        code, _ = run_cli(tmp_path, "cousin1", payload)
+        assert code == 2
+        assert "okakit: input error" in capsys.readouterr().err
+
+    def test_csv_through_pole_writes_only_finite_rows(self, tmp_path):
+        csv_path = tmp_path / "sol.csv"
+        payload = self.payload()
+        # the pole sits on a node of the 21 x 5 dump grid
+        payload["slabs"][1] = {"poles": [{"re": 0.0, "im": 0.0, "coeff_re": 0.7}]}
+        payload["csv"] = str(csv_path)
+        code, _ = run_cli(tmp_path, "cousin1", payload)
+        assert code == 0
+        rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 21 * 5 - 1
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert not any(float(r) == 0.0 and float(i) == 0.0 for _, r, i, _, _ in rows)
+
 
 class TestJokuiko:
     def test_end_to_end(self, tmp_path):
@@ -195,6 +222,18 @@ class TestJokuiko:
         code, report = run_cli(tmp_path, "jokuiko", payload)
         assert code == 0
         assert all(c["pass"] for c in report["result"]["chains"])
+
+    def test_asymmetric_im_exits_2(self, tmp_path, capsys):
+        payload = {
+            "cuboid": {"re": [[-0.5, 0.5], [-2.0, 2.0]],
+                       "im": [[-0.5, 0.5], [-0.3, 0.5]]},
+            "breakpoints": [0.0],
+            "q": 1,
+            "target": {"op": "var", "index": 2},
+        }
+        code, _ = run_cli(tmp_path, "jokuiko", payload)
+        assert code == 2
+        assert "okakit: input error" in capsys.readouterr().err
 
     def test_inv_target_rejected(self, tmp_path):
         payload = {
