@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,11 +161,20 @@ class SplitGeometry:
 # -- node sets -----------------------------------------------------------
 
 
-def _piece_nodes(a: complex, b: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Composite GL nodes and dz-weights for the straight piece a -> b."""
-    x, w = np.polynomial.legendre.leggauss(spec.nodes)
+@lru_cache(maxsize=32)
+def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
+    count and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
     x = (x + 1.0) / 2.0
     w = w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _piece_nodes(a: complex, b: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Composite GL nodes and dz-weights for the straight piece a -> b."""
+    x, w = _gauss01(spec.nodes)
     edges = np.linspace(0.0, 1.0, spec.panels + 1)
     ts = np.concatenate([edges[k] + (edges[k + 1] - edges[k]) * x for k in range(spec.panels)])
     ws = np.concatenate([(edges[k + 1] - edges[k]) * w for k in range(spec.panels)])
@@ -320,9 +330,7 @@ def morera_residual(
     test-rectangle area for anti-holomorphic contamination.  All rectangle
     nodes of one axis go to f in one ``values`` call.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
+    x, w = _gauss01(nodes)
     mid = region.midpoint()
     worst = 0.0
     axes_iter = range(region.ndim) if axes is None else axes

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cmul, cousin_split, morera_residual
+from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cmul, constant_evaluable, cousin_split, morera_residual
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, complex_evaluator, evaluate_complex, negligible
+from .series import TruncatedSeries, complex_evaluator, evaluate_complex, make_series, negligible
 
 
 def series_evaluable(f: TruncatedSeries, domain: Cuboid | None = None) -> Evaluable:
@@ -196,28 +196,34 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
 
 @dataclass
 class _Branch:
+    """A slab's local solution plus its corrections.  A cousin1 correction
+    has key None and is a function on C^n; an extension correction has key
+    (axis, c', m) and is a function b(z_n) of the last coordinate alone,
+    standing for (z' - c')^m * b(z_n) * z_axis."""
+
     local: Evaluable
     local_poly: TruncatedSeries | None
-    corrections: tuple[tuple[int | None, Evaluable], ...] = ()
+    corrections: tuple[tuple[tuple | None, Evaluable], ...] = ()
 
-    def correction_values(self, P: np.ndarray, kind: str) -> np.ndarray:
+    def correction_values(self, P: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(P), dtype=complex)
-        for axis, e in self.corrections:
-            v = e.values(P)
-            if kind == "extension":
-                v = cmul(v, P[:, axis])
-            acc = acc + v
+        for key, e in self.corrections:
+            if key is None:
+                acc = acc + e.values(P)
+            else:
+                axis, center, m = key
+                v = np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(P[:, -1:])
+                acc = acc + cmul(v, P[:, axis])
         return acc
 
-    def values(self, P: np.ndarray, kind: str) -> np.ndarray:
-        return self.local.values(P) + self.correction_values(P, kind)
+    def values(self, P: np.ndarray) -> np.ndarray:
+        return self.local.values(P) + self.correction_values(P)
 
 
 @dataclass
 class ChainState:
     """Piecewise representation of a (partially) merged solution."""
 
-    kind: str
     branches: list[_Branch]
     seams: list[float]  # Re positions separating consecutive branches
 
@@ -227,24 +233,29 @@ class ChainState:
         out = np.empty(len(P), dtype=complex)
         for k in np.flatnonzero(np.bincount(idx)):
             rows = idx == k
-            out[rows] = self.branches[k].values(P[rows], self.kind)
+            out[rows] = self.branches[k].values(P[rows])
         return out
 
     def evaluable(self, domain: Cuboid | None = None) -> Evaluable:
         return Evaluable.batched(self.values, domain)
 
     def branch_correction(self, idx: int, domain: Cuboid | None = None) -> Evaluable:
-        branch = self.branches[idx]
-        kind = self.kind
-        return Evaluable.batched(lambda P: branch.correction_values(P, kind), domain)
+        return Evaluable.batched(self.branches[idx].correction_values, domain)
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
-    return ChainState(
-        problem.kind,
-        [_Branch(local_solution(problem, alpha), problem.slab_poly(alpha))],
-        [],
-    )
+    return ChainState([_Branch(local_solution(problem, alpha), problem.slab_poly(alpha))], [])
+
+
+def _zn_coefficients(axis: int, w: TruncatedSeries) -> dict:
+    """w = sum_m (z' - c')^m * w_m(z_n) as {(axis, c', m): w_m}, each w_m
+    an exact polynomial in z_n centered at c_n."""
+    groups: dict = {}
+    for exp, v in w.coeffs.items():
+        groups.setdefault(exp[:-1], {})[exp[-1:]] = v
+    center = tuple(complex(c) for c in w.center[:-1])
+    return {(axis, center, m): make_series(1, terms, backend=w.backend, center=w.center[-1:])
+            for m, terms in groups.items()}
 
 
 def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
@@ -252,41 +263,43 @@ def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
     """Merge two adjacent partial solutions across the seam of ``geom``.
 
     The seam densities are split with the Cousin contours; the left halves
-    are added (times the ideal generators, for extension problems) to every
-    left branch and the right halves to every right branch, so the two
-    sides agree on the seam strip.
+    are added to every left branch and the right halves to every right
+    branch, so the two sides agree on the seam strip.  An extension seam
+    density sum_j z_j * w_j is polynomial in z', so it is split one
+    z'-coefficient at a time, as a function of z_n alone (n = 1 splits);
+    the next seam's density for a coefficient adds the earlier corrections
+    of that coefficient.
     """
     lb = left.branches[-1]
     rb = right.branches[0]
-    densities: list[tuple[int | None, Evaluable]] = []
     if problem.kind == "extension":
-        witnesses = ideal_witness(rb.local_poly - lb.local_poly, problem.subspace)
-        for axis, w in enumerate(witnesses):
-            density = series_evaluable(w)
-            for ax, e in rb.corrections:
-                if ax == axis:
-                    density = density + e
-            for ax, e in lb.corrections:
-                if ax == axis:
-                    density = density - e
-            densities.append((axis, replace(density, domain=geom.overlap)))
+        geom = replace(geom, base=None)
+        densities: dict = {}
+        for axis, w in enumerate(ideal_witness(rb.local_poly - lb.local_poly, problem.subspace)):
+            for key, wm in _zn_coefficients(axis, w).items():
+                densities[key] = series_evaluable(wm)
+        zero = constant_evaluable(0)
+        for key, e in rb.corrections:
+            densities[key] = densities.get(key, zero) + e
+        for key, e in lb.corrections:
+            densities[key] = densities.get(key, zero) - e
     else:
         diff = seam_difference(
-            Evaluable.batched(lambda P: rb.values(P, "cousin1"), geom.overlap),
-            Evaluable.batched(lambda P: lb.values(P, "cousin1"), geom.overlap),
+            Evaluable.batched(rb.values, geom.overlap),
+            Evaluable.batched(lb.values, geom.overlap),
             geom.overlap,
             tol=max(problem.tol, 1e-10),
         )
-        densities.append((None, diff))
-    new_left = [replace(b, corrections=b.corrections) for b in left.branches]
-    new_right = [replace(b, corrections=b.corrections) for b in right.branches]
-    for axis, density in densities:
+        densities = {None: diff}
+    new_left = [replace(b) for b in left.branches]
+    new_right = [replace(b) for b in right.branches]
+    for key, density in densities.items():
         b_left, b_right = cousin_split(density, geom, problem.quad)
         for b in new_left:
-            b.corrections = b.corrections + ((axis, b_left),)
+            b.corrections = b.corrections + ((key, b_left),)
         for b in new_right:
-            b.corrections = b.corrections + ((axis, b_right),)
-    return ChainState(problem.kind, new_left + new_right, left.seams + [geom.s] + right.seams)
+            b.corrections = b.corrections + ((key, b_right),)
+    return ChainState(new_left + new_right, left.seams + [geom.s] + right.seams)
 
 
 # -- solving and verification -------------------------------------------
@@ -394,7 +407,9 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
     contour integrals around each pole must match the prescribed ones, and
     the per-patch corrections must pass the Morera residual.  extension:
     the solution restricted to the subspace must match the target on a
-    sample grid, and the solution itself must be holomorphic per patch.
+    sample grid of Re z_n on each slice Im z_n in ``subspace_slices``
+    (0 and +/- 0.9 theta), and the per-patch corrections must pass the
+    Morera residual.
     """
     partition = problem.partition
     tol = problem.tol
@@ -426,10 +441,13 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
         lo = partition.slabs[sol.chain.start].re[-1][0]
         hi = partition.slabs[sol.chain.stop].re[-1][1]
         mids = problem.cuboid.midpoint()
-        P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, 0.0),) for t in np.linspace(lo, hi, s_samples)])
+        slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
+        P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
+                      for y in slices for t in np.linspace(lo, hi, s_samples)])
         diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
         sup = max(map(abs, diff.tolist()))
         report["subspace_sup_error"] = sup
+        report["subspace_slices"] = slices
         ok = ok and sup <= tol
     report["pass"] = bool(ok)
     return report

@@ -1,6 +1,7 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
-for user callables, and the bounded density cache."""
+for user callables, the bounded density cache, and the extension merge that
+splits z'-coefficients as functions of z_n."""
 
 from fractions import Fraction
 
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from okakit import cousin
 from okakit.cousin import Evaluable, SplitGeometry, constant_evaluable, cousin_split, morera_residual
 from okakit.cuboids import Cuboid
-from okakit.merge import ChiProblem, PoleTerm, PrincipalPartData, series_evaluable, solve_chain
+from okakit.merge import (
+    ChiProblem,
+    PoleTerm,
+    PrincipalPartData,
+    ideal_witness,
+    series_evaluable,
+    solve_chain,
+)
 from okakit.scalars import EXACT, QQi, floating
 from okakit.series import complex_evaluator, evaluate_complex, make_series
 
@@ -166,7 +174,21 @@ def test_scalar_only_evaluable_goes_through_split_and_morera():
 # -- bounded density cache ----------------------------------------------------
 
 
-def test_density_cache_bounded_and_values_unchanged(monkeypatch):
+def n2_cousin1_problem():
+    def pp(locus, coeff):
+        return PrincipalPartData((PoleTerm(1, make_series(1, coeff), make_series(1, locus)),))
+
+    return ChiProblem(
+        kind="cousin1",
+        cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+        breakpoints=(0.0,),
+        data=(pp({(0,): -1.0, (1,): 0.1}, {(0,): 1, (1,): 0.5j}),
+              pp({(0,): 1.0 - 0.2j, (1,): -0.1}, {(0,): 2 - 1j})),
+        delta=0.2,
+    )
+
+
+def record_paths(monkeypatch) -> list:
     paths = []
 
     class Recorded(cousin._PathQuad):
@@ -175,15 +197,113 @@ def test_density_cache_bounded_and_values_unchanged(monkeypatch):
             paths.append(self)
 
     monkeypatch.setattr(cousin, "_PathQuad", Recorded)
-    problem = extension_problem(slabs=2)
-    sol = solve_chain(problem, verify=False)[0]
+    return paths
+
+
+def distinct_zp_points(m=5000):
     rng = np.random.default_rng(5)
-    m = 5000
     P = np.empty((m, 2), dtype=complex)
     P[:, 0] = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
     P[:, 1] = rng.uniform(-2.0, 2.0, m) + 1j * rng.uniform(-0.5, 0.5, m)
     assert len(np.unique(P[:, 0])) == m
-    got = np.concatenate([sol.solution.values(P[k:k + 500]) for k in range(0, m, 500)])
+    return P
+
+
+def test_density_cache_bounded_and_values_unchanged(monkeypatch):
+    # cousin1 with n = 2 splits n-dimensional densities: one cache row per z'
+    paths = record_paths(monkeypatch)
+    problem = n2_cousin1_problem()
+    sol = solve_chain(problem, verify=False)[0]
+    P = distinct_zp_points()
+    got = np.concatenate([sol.solution.values(P[k:k + 500]) for k in range(0, len(P), 500)])
     assert paths and max(len(q._cache) for q in paths) == cousin.DENSITY_CACHE_SIZE
     fresh = solve_chain(problem, verify=False)[0]
     assert got.tolist() == fresh.solution.values(P[::-1])[::-1].tolist()
+
+
+def test_extension_density_caches_hold_one_row(monkeypatch):
+    # extension seams split z'-coefficients as functions of z_n alone
+    paths = record_paths(monkeypatch)
+    sol = solve_chain(extension_problem(slabs=3), verify=False)[0]
+    P = distinct_zp_points()
+    # corrections are evaluated across their seams too, so every contour is used
+    for e in [sol.solution, *sol.corrections]:
+        e.values(P)
+    assert paths and all(len(q._cache) == 1 for q in paths)
+
+
+# -- separated extension merge --------------------------------------------------
+
+
+def one_seam_extension(n, q):
+    """Two slabs; the witnesses have a nonzero center and several
+    z'-monomials per constrained axis."""
+    center = [0] * q + [QQi(Fraction(-1, 4), Fraction(1, 3))] * (n - 1 - q) + [QQi(Fraction(1, 5), Fraction(-1, 7))]
+    zn = (0,) * (n - 1)
+    target = make_series(n, {zn + (0,): 2, zn + (1,): -1j, zn + (3,): Fraction(1, 3)}, center=center)
+    if n - 1 > q:
+        target = target + make_series(n, {(0,) * q + (1,) * (n - 1 - q) + (2,): 0.5}, center=center)
+    bump = {}
+    for axis in range(q):
+        for k, extra in enumerate([None, axis, n - 2]):
+            e = [0] * n
+            e[axis] += 1
+            if extra is not None:
+                e[extra] += 1
+            e[-1] = k
+            bump[tuple(e)] = QQi(Fraction(k + 1, axis + 2), Fraction(axis - k, 3))
+    left = target
+    right = target + make_series(n, bump, center=center)
+    cuboid = Cuboid(((-0.5, 0.5),) * (n - 1) + ((-2.0, 2.0),), ((-0.4, 0.4),) * (n - 1) + ((-0.5, 0.5),))
+    return ChiProblem(kind="extension", cuboid=cuboid, breakpoints=(0.0,), codim=q,
+                      target=target, local_overrides=(left, right), delta=0.3)
+
+
+@pytest.mark.parametrize("n, q", [(2, 1), (3, 2), (3, 1)])
+def test_separated_merge_equals_n_dimensional_split(n, q):
+    problem = one_seam_extension(n, q)
+    left, right = problem.local_overrides
+    witnesses = ideal_witness(right - left, problem.subspace)
+    assert all(len({e[:-1] for e in w.coeffs}) >= 2 for w in witnesses)
+    sol = solve_chain(problem)[0]
+    assert sol.report["pass"], sol.report
+    geom = SplitGeometry(s=0.0, delta=0.3, theta=0.5, re_lo=-2.0, re_hi=2.0,
+                         base=Cuboid(problem.cuboid.re[:-1], problem.cuboid.im[:-1]))
+    splits = [cousin_split(series_evaluable(w), geom) for w in witnesses]
+    rng = np.random.default_rng(n + q)
+    m = 400
+    P = np.empty((m, n), dtype=complex)
+    P[:, :-1] = rng.uniform(-0.5, 0.5, (m, n - 1)) + 1j * rng.uniform(-0.4, 0.4, (m, n - 1))
+    P[:, -1] = rng.uniform(-1.9, 1.9, m) + 1j * rng.uniform(-0.5, 0.5, m)
+    on_left = P[:, -1].real < 0.0
+    want = np.where(on_left, series_evaluable(left).values(P), series_evaluable(right).values(P))
+    for axis, (b_left, b_right) in enumerate(splits):
+        want = want + np.where(on_left, b_left.values(P), b_right.values(P)) * P[:, axis]
+    got = sol.solution.values(P)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # on S = {z_1 = ... = z_q = 0} every correction vanishes exactly
+    P[:, :q] = 0
+    assert sol.solution.values(P).tolist() == complex_evaluator(problem.target)(P).tolist()
+
+
+def test_separated_merge_glues_when_coefficients_come_and_go():
+    # seam 1 has the z'-monomial z1 only, seam 2 the constant only, so the
+    # second seam's densities also carry a coefficient its witness lacks
+    g = make_series(2, {(0, 0): 1, (0, 2): -0.5j})
+    bump = [make_series(2, terms) for terms in ({}, {(2, 0): 1}, {(2, 0): 1, (1, 0): 2 - 1j})]
+    problem = ChiProblem(
+        kind="extension",
+        cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+        breakpoints=(-0.6, 0.6),
+        codim=1,
+        target=g,
+        local_overrides=tuple(g + b for b in bump),
+        delta=0.2,
+    )
+    for order in ("ltr", "rtl"):
+        sol = solve_chain(problem, order=order)[0]
+        assert sol.report["pass"], sol.report
+        # the branches agree across both seams: the solution is holomorphic
+        # on the chain, off S (morera_residual freezes z1 at the midpoint)
+        off_s = Cuboid(((0.2, 0.4), (-2.0, 2.0)), ((0.1, 0.3), (-0.5, 0.5)))
+        assert morera_residual(sol.solution, off_s, grid=8, nodes=20) < 1e-9

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from okakit.cousin import Evaluable, QuadratureSpec, morera_residual
+from okakit.cousin import Evaluable, QuadratureSpec, constant_evaluable, morera_residual
 from okakit.cuboids import Cuboid
 from okakit.division import CoordinateSubspace
 from okakit.errors import NotHolomorphicDifference, NotInIdeal, PoleTooCloseToSeam
 from okakit.merge import (
     ChiProblem,
+    ChiSolution,
     PoleTerm,
     PrincipalPartData,
     extract_principal_coefficient,
@@ -243,6 +244,23 @@ class TestExtensionEndToEnd:
         assert len(sols) == 3
         for sol in sols:
             assert sol.chain.start == sol.chain.stop
+
+    def test_subspace_check_covers_im_slices(self):
+        """A solution off the target on S only where Im z_n != 0 fails."""
+        prob = extension_problem()
+        sol = solve_chain(prob, verify=False)[0]
+        g = prob.target
+        off = ChiSolution(
+            chain=sol.chain,
+            solution=Evaluable(lambda z: evaluate_complex(g, z) + 1e-3 * (z[-1].conjugate() - z[-1])),
+            corrections=[constant_evaluable(0.0) for _ in sol.corrections],
+            region=sol.region,
+        )
+        report = verify_solution(off, prob)
+        assert not report["pass"]
+        assert report["subspace_slices"] == [-0.45, 0.0, 0.45]
+        assert report["subspace_sup_error"] == pytest.approx(2e-3 * 0.45)
+        assert verify_solution(sol, prob)["pass"]
 
 
 class TestDeterminism:
