@@ -183,7 +183,7 @@ def _piece_nodes(a: complex, b: complex, spec: QuadratureSpec) -> tuple[np.ndarr
 
 
 # A path keeps its weighted node densities for this many distinct z', least
-# recently used dropped first: more than the 432 one default morera_residual
+# recently used dropped first: more than the 288 one default morera_residual
 # call visits on an n = 2 slab, so verification reuses them across slabs.
 DENSITY_CACHE_SIZE = 512
 # Bounds on temporaries: (points x nodes) entries per Cauchy block, and
@@ -327,8 +327,9 @@ def morera_residual(
     coordinates frozen at the region midpoint.
 
     Zero (up to quadrature noise) for holomorphic f; proportional to the
-    test-rectangle area for anti-holomorphic contamination.  All rectangle
-    nodes of one axis go to f in one ``values`` call.
+    test-rectangle area for anti-holomorphic contamination.  Each edge of
+    the grid is integrated once and shared by the rectangles on either
+    side; all edge nodes of one axis go to f in one ``values`` call.
     """
     x, w = _gauss01(nodes)
     mid = region.midpoint()
@@ -339,18 +340,20 @@ def morera_residual(
         ilo, ihi = region.im[k]
         if rhi <= rlo or ihi <= ilo:
             continue
-        res = np.linspace(rlo, rhi, grid + 1)
-        ims = np.linspace(ilo, ihi, grid + 1)
-        c0 = np.array([[complex(res[a + da], ims[b + db]) for da, db in ((0, 0), (1, 0), (1, 1), (0, 1))]
-                       for a in range(grid) for b in range(grid)])
-        sides = np.roll(c0, -1, axis=1) - c0
-        zs = c0[..., None] + sides[..., None] * x
+        # corners[a, b] = res[a] + i ims[b]; g(g+1) horizontal edges, then g(g+1) vertical ones
+        corners = np.add.outer(np.linspace(rlo, rhi, grid + 1), 1j * np.linspace(ilo, ihi, grid + 1))
+        starts = np.concatenate([corners[:-1].ravel(), corners[:, :-1].ravel()])
+        sides = np.concatenate([np.diff(corners, axis=0).ravel(), np.diff(corners, axis=1).ravel()])
+        zs = starts[:, None] + sides[:, None] * x
         P = np.empty((zs.size, region.ndim), dtype=complex)
         P[:] = mid
         P[:, k] = zs.reshape(-1)
         vals = f.values(P).reshape(zs.shape)
         # products and moduli rounded as CPython's (cmul, abs), not numpy's vectorised ones
-        pieces = cmul(np.sum(w * vals, axis=-1), sides)
-        total = pieces[:, 0] + pieces[:, 1] + pieces[:, 2] + pieces[:, 3]
-        worst = max(worst, max(map(abs, total.tolist()), default=0.0))
+        edges = cmul(np.sum(w * vals, axis=-1), sides)
+        h = edges[:grid * (grid + 1)].reshape(grid, grid + 1)
+        v = edges[grid * (grid + 1):].reshape(grid + 1, grid)
+        # rectangle (a, b): bottom + right - top - left
+        total = h[:, :-1] + v[1:] - h[:, 1:] - v[:-1]
+        worst = max(worst, max(map(abs, total.ravel().tolist()), default=0.0))
     return worst

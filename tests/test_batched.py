@@ -144,6 +144,29 @@ def test_chain_state_and_corrections_values(problem):
         assert_values_match_fn(corr, pts)
 
 
+def test_extension_corrections_summed_once_per_distinct_zn():
+    sol = solve_chain(extension_problem(slabs=3), verify=False)[0]
+    rng = np.random.default_rng(7)
+    m, distinct = 240, 9
+    P = np.empty((m, 2), dtype=complex)
+    P[:, 0] = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
+    zn = rng.uniform(-1.9, 1.9, distinct) + 1j * rng.uniform(-0.45, 0.45, distinct)
+    P[:, 1] = zn[rng.permutation(np.arange(m) % distinct)]
+    for corr in sol.corrections:
+        branch = corr.many.__self__
+        assert branch.corrections and all(key is not None for key, _ in branch.corrections)
+        rows = [branch.correction_values(P[i:i + 1])[0] for i in range(m)]
+        assert branch.correction_values(P).tolist() == rows
+        seen = []
+
+        def recorded(e):
+            return Evaluable.batched(lambda Q: seen.append(len(Q)) or e.values(Q))
+
+        branch.corrections = tuple((key, recorded(e)) for key, e in branch.corrections)
+        assert branch.correction_values(P).tolist() == rows
+        assert seen and set(seen) == {distinct}
+
+
 # -- scalar-only user callables -----------------------------------------------
 
 
@@ -168,7 +191,7 @@ def test_scalar_only_evaluable_goes_through_split_and_morera():
     calls.clear()
     region = Cuboid(((-1.0, 1.0),), ((-1.0, 1.0),))
     assert morera_residual(scalar, region) < 1e-10
-    assert len(calls) == 4 * 4 * 4 * 12  # grid^2 rectangles, 4 sides, 12 nodes
+    assert len(calls) == 2 * 4 * 5 * 12  # 2 g(g+1) shared edges for grid g = 4, 12 nodes each
 
 
 # -- bounded density cache ----------------------------------------------------

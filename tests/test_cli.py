@@ -206,6 +206,25 @@ class TestCousin1:
         assert not any(float(r) == 0.0 and float(i) == 0.0 for _, r, i, _, _ in rows)
 
 
+    def test_skipped_residue_checks_listed(self, tmp_path):
+        # n = 2 pole loci depend on z': their residue checks are skipped, not passed
+        payload = {
+            "cuboid": {"re": [[-0.5, 0.5], [-2.0, 2.0]], "im": [[-0.5, 0.5], [-0.5, 0.5]]},
+            "breakpoints": [0.0],
+            "delta": 0.2,
+            "slabs": [{"poles": [{"re": -1.0, "im": 0.1, "coeff_re": 1.5}]},
+                      {"poles": [{"re": 1.0, "coeff_re": 0.7}, {"re": 1.2, "order": 2, "coeff_re": 0.4}]}],
+        }
+        code, report = run_cli(tmp_path, "cousin1", payload)
+        assert code == 0
+        (chain,) = report["result"]["chains"]
+        assert chain["principal_part_errors"] == []
+        assert [(c["slab"], c["order"]) for c in chain["skipped_checks"]] == [(0, 1), (1, 1), (1, 2)]
+        assert all(c["reason"] for c in chain["skipped_checks"])
+        code, report = run_cli(tmp_path, "cousin1", self.payload())
+        assert code == 0 and report["result"]["chains"][0]["skipped_checks"] == []
+
+
 class TestJokuiko:
     def test_end_to_end(self, tmp_path):
         payload = {

@@ -4,6 +4,7 @@ residual."""
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from okakit.cousin import (
@@ -171,7 +172,65 @@ class TestCousinSplit:
         assert worst < 1e-8
 
 
+def per_rectangle_residual(f, region, grid=4, nodes=12):
+    """Reference Morera residual: every rectangle integrates its own four
+    sides, so interior edges are integrated twice.  Returns the residual
+    and the largest |f| at the nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    mid = region.midpoint()
+    worst = scale = 0.0
+    for k in range(region.ndim):
+        (rlo, rhi), (ilo, ihi) = region.re[k], region.im[k]
+        res, ims = np.linspace(rlo, rhi, grid + 1), np.linspace(ilo, ihi, grid + 1)
+        for a in range(grid):
+            for b in range(grid):
+                c = [complex(res[a + da], ims[b + db]) for da, db in ((0, 0), (1, 0), (1, 1), (0, 1))]
+                total = 0j
+                for z0, z1 in zip(c, c[1:] + c[:1]):
+                    P = np.array([mid] * nodes)
+                    P[:, k] = z0 + (z1 - z0) * x
+                    vals = f.values(P)
+                    scale = max(scale, float(np.abs(vals).max()))
+                    total += complex(np.sum(w * vals)) * (z1 - z0)
+                worst = max(worst, abs(total))
+    return worst, scale
+
+
+def random_polynomial(rng, ndim, degree=6, terms=8):
+    exps = [tuple(int(e) for e in rng.integers(0, degree + 1, ndim)) for _ in range(terms)]
+    coeffs = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    center = rng.normal(size=ndim) + 1j * rng.normal(size=ndim)
+
+    def many(P):
+        return sum(c * np.prod((P - center) ** np.array(e), axis=1) for c, e in zip(coeffs, exps))
+
+    return Evaluable.batched(many)
+
+
 class TestMorera:
+    @pytest.mark.parametrize("grid, nodes", [(1, 12), (3, 12), (4, 12), (3, 24), (8, 40)])
+    def test_shared_edges_match_per_rectangle_reference(self, grid, nodes):
+        rng = np.random.default_rng(grid * 100 + nodes)
+        region = Cuboid(((-0.7, 0.9), (0.1, 1.3)), ((-0.4, 0.8), (-1.0, 0.2)))
+        # a pole 0.05 to the right of the region on axis 1
+        near_pole = Evaluable.batched(lambda P: (2 - 1j) / (P[:, 1] - (1.35 + 0.3j)) + P[:, 0] ** 2)
+        for f in [random_polynomial(rng, 2) for _ in range(4)] + [near_pole]:
+            want, scale = per_rectangle_residual(f, region, grid, nodes)
+            assert abs(morera_residual(f, region, grid=grid, nodes=nodes) - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 5])
+    def test_conjugate_gives_twice_each_rectangle_area(self, grid):
+        # closed integral of conj(z) dz is 2i * area for every rectangle;
+        # that of conj(z)^2 dz is 4i * area * conj(center), largest at a corner rectangle
+        region = Cuboid(((-0.3, 1.7),), ((0.2, 1.2),))
+        area = (2.0 / grid) * (1.0 / grid)
+        got = morera_residual(Evaluable.batched(lambda P: P[:, 0].conj()), region, grid=grid)
+        assert got == pytest.approx(2 * area, rel=1e-12)
+        far = complex(1.7 - 1.0 / grid, 1.2 - 0.5 / grid)
+        got = morera_residual(Evaluable.batched(lambda P: P[:, 0].conj() ** 2), region, grid=grid)
+        assert got == pytest.approx(4 * area * abs(far), rel=1e-12)
+
     def test_entire_functions_pass(self):
         region = Cuboid(((-1.0, 1.0),), ((-1.0, 1.0),))
         for fn in (lambda z: z[0] ** 5, lambda z: cmath.exp(z[0]), lambda z: 1.0 + 0j):

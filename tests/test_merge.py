@@ -174,6 +174,20 @@ class TestCousin1EndToEnd:
         bad = max(e["error"] for e in report["principal_part_errors"])
         assert bad == pytest.approx(0.1 * abs(1.5 - 0.5j), rel=1e-4)
 
+    def test_coincident_poles_verify(self):
+        """c1/(z-p) + c2/(z-p)^2 given as two terms at one point is one
+        principal part: both coefficients are re-extracted on one circle."""
+        p, c1, c2 = 0.2 + 0.1j, 0.7 + 0.2j, -0.4 + 1.1j
+        datum = PrincipalPartData((PoleTerm(1, constant(0, c1), constant(0, p)),
+                                   PoleTerm(2, constant(0, c2), constant(0, p))))
+        base = three_slab_problem()
+        prob = three_slab_problem(data=(base.data[0], datum, base.data[2]))
+        report = solve_chain(prob)[0].report
+        errors = report["principal_part_errors"]
+        assert [e["order"] for e in errors] == [1, 1, 2, 1]
+        assert all(e["error"] <= 1e-6 for e in errors)  # NaN when the circle radius is 0
+        assert report["pass"] and report["skipped_checks"] == []
+
     def test_verification_detects_antiholomorphic_noise(self):
         prob = three_slab_problem()
         sol = solve_chain(prob, verify=False)[0]
