@@ -14,6 +14,7 @@ two branches equals the density on the overlap strip.
 from __future__ import annotations
 
 import cmath
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -61,10 +62,11 @@ class Evaluable:
     domain: Cuboid | None = None
     many: Callable | None = None
 
-    @staticmethod
-    def batched(many: Callable, domain: Cuboid | None = None) -> "Evaluable":
-        """Evaluable whose scalar ``fn`` is ``many`` on one row."""
-        return Evaluable(lambda z: complex(many(np.array([z], dtype=complex))[0]), domain, many)
+    @classmethod
+    def batched(cls, many: Callable, domain: Cuboid | None = None, **parts) -> "Evaluable":
+        """Evaluable (or subclass, with its extra fields ``parts``) whose
+        scalar ``fn`` is ``many`` on one row."""
+        return cls(lambda z: complex(many(np.array([z], dtype=complex))[0]), domain, many, **parts)
 
     def __call__(self, z: Sequence) -> complex:
         return self.fn(tuple(complex(v) for v in z))
@@ -247,6 +249,46 @@ class _PathQuad:
         return out / TWO_PI_I
 
 
+@dataclass(frozen=True)
+class SplitBranch(Evaluable):
+    """One branch of ``cousin_split``: the Cauchy sum of ``density`` over
+    the ``pushed`` contour, except where ``near_seam(Re z_n)`` holds, where
+    it is the segment integral plus the jump term."""
+
+    pushed: _PathQuad | None = None
+    near_seam: Callable | None = None
+    density: Evaluable | None = None
+
+
+def far_field_series(branches: Sequence[SplitBranch], center: complex, radius: float) -> Evaluable:
+    """The summed Cauchy sums of ``branches`` (densities of z_n alone) as one
+    Taylor series about ``center``, for rows with |z_n - center| < radius.
+
+    With rho = radius / (nearest node distance) < 1, the truncation after M
+    terms is at most rho^M / (1 - rho) times (1/2 pi) sum_j |w_j phi(zeta_j)|
+    / |zeta_j - center|; M is the smallest making that factor <= 2^-53.
+    The coefficients (1/2 pi i) sum_j w_j phi(zeta_j) / (zeta_j - center)^(m+1)
+    take O(nodes) memory.
+    """
+    zc = np.concatenate([b.pushed.zs for b in branches]) - center
+    t = np.concatenate([b.pushed.weighted(b.density, np.empty((1, 0), dtype=complex))[0] for b in branches])
+    rho = radius / np.abs(zc).min()
+    coeffs = np.empty(math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho)), dtype=complex)
+    for m in range(len(coeffs)):
+        t = t / zc
+        coeffs[m] = t.sum()
+    coeffs /= TWO_PI_I
+
+    def many(P):
+        w = P[:, -1] - center
+        acc = np.full(len(P), coeffs[-1])
+        for a in coeffs[-2::-1]:
+            acc = acc * w + a
+        return acc
+
+    return Evaluable.batched(many)
+
+
 def _distance_to_segment(zn: complex, a: complex, b: complex) -> float:
     seg = b - a
     t = ((zn - a) / seg).real
@@ -268,7 +310,8 @@ def cauchy_segment_integral(
     return complex(quad.cauchy(phi, np.array([z]))[0])
 
 
-def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | None = None) -> tuple[Evaluable, Evaluable]:
+def cousin_split(phi: Evaluable, geom: SplitGeometry,
+                 spec: QuadratureSpec | None = None) -> tuple[SplitBranch, SplitBranch]:
     """Split phi across the seam: left and right branch functions whose
     difference equals phi on the overlap strip.
 
@@ -286,7 +329,7 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | Non
         corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
         return _PathQuad(list(zip(corners, corners[1:])), spec)
 
-    def branch(pushed: _PathQuad, near_seam: Callable, jump: Callable) -> Callable:
+    def branch(pushed: _PathQuad, near_seam: Callable, jump: Callable, domain: Cuboid) -> SplitBranch:
         def many(P):
             near = near_seam(P[:, -1].real)
             out = np.empty(len(P), dtype=complex)
@@ -297,11 +340,10 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry, spec: QuadratureSpec | Non
                 out[near] = jump(seam_quad.cauchy(phi, Q), phi.values(Q))
             return out
 
-        return many
+        return SplitBranch.batched(many, domain, pushed=pushed, near_seam=near_seam, density=phi)
 
-    left = branch(pushed_to(s + d), lambda re: re >= s + d / 2, np.add)
-    right = branch(pushed_to(s - d), lambda re: re <= s - d / 2, np.subtract)
-    return Evaluable.batched(left, geom.left_slab), Evaluable.batched(right, geom.right_slab)
+    return (branch(pushed_to(s + d), lambda re: re >= s + d / 2, np.add, geom.left_slab),
+            branch(pushed_to(s - d), lambda re: re <= s - d / 2, np.subtract, geom.right_slab))
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 0.9) -> list[tuple]:
@@ -333,7 +375,7 @@ def morera_residual(
     """
     x, w = _gauss01(nodes)
     mid = region.midpoint()
-    worst = 0.0
+    worst = []
     axes_iter = range(region.ndim) if axes is None else axes
     for k in axes_iter:
         rlo, rhi = region.re[k]
@@ -355,5 +397,11 @@ def morera_residual(
         v = edges[grid * (grid + 1):].reshape(grid + 1, grid)
         # rectangle (a, b): bottom + right - top - left
         total = h[:, :-1] + v[1:] - h[:, 1:] - v[:-1]
-        worst = max(worst, max(map(abs, total.ravel().tolist()), default=0.0))
-    return worst
+        worst.append(sup_abs(total.ravel().tolist()))
+    return sup_abs(worst)
+
+
+def sup_abs(values) -> float:
+    """Largest |v| (CPython's abs), and NaN when any |v| is NaN: the
+    builtin ``max`` would keep a NaN only if it came first."""
+    return float(np.max([abs(v) for v in values], initial=0.0))

@@ -14,11 +14,23 @@ default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cmul, constant_evaluable, cousin_split, morera_residual
+from .cousin import (
+    Evaluable,
+    QuadratureSpec,
+    SplitBranch,
+    SplitGeometry,
+    cmul,
+    constant_evaluable,
+    cousin_split,
+    far_field_series,
+    morera_residual,
+    sup_abs,
+)
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -199,28 +211,74 @@ class _Branch:
     """A slab's local solution plus its corrections.  A cousin1 correction
     has key None and is a function on C^n; an extension correction has key
     (axis, c', m) and is a function b(z_n) of the last coordinate alone,
-    standing for (z' - c')^m * b(z_n) * z_axis."""
+    standing for (z' - c')^m * b(z_n) * z_axis.
+
+    ``disc`` = (c, R) is the slab's far-field disc: c is the centre of its
+    z_n rectangle and R the half-diagonal of that rectangle grown by delta
+    on Re, so the seam overlaps lie inside.  A row with |z_n - c| < R sums
+    the corrections whose pushed contour lies at least 2R from c as one
+    Taylor series per key (built lazily, rebuilt when the corrections
+    change) and the others directly; every other row sums all directly.
+    """
 
     local: Evaluable
     local_poly: TruncatedSeries | None
+    disc: tuple[complex, float]
     corrections: tuple[tuple[tuple | None, Evaluable], ...] = ()
+    _far: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _expansion(self) -> tuple[list, list]:
+        """(near corrections, folded far-field series), for rows in the disc."""
+        if self._far is None or self._far[0] is not self.corrections:
+            self._far = (self.corrections, _fold_far(self.disc, self.corrections))
+        return self._far[1]
 
     def correction_values(self, P: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(P), dtype=complex)
-        if any(key is not None for key, _ in self.corrections):
-            # each b(z_n) is summed once per distinct z_n, then scattered back to the rows
-            zn, inv = np.unique(P[:, -1], return_inverse=True)
-        for key, e in self.corrections:
-            if key is None:
-                acc = acc + e.values(P)
-            else:
-                axis, center, m = key
-                v = np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(zn[:, None])[inv]
-                acc = acc + cmul(v, P[:, axis])
-        return acc
+        near, folded = self._expansion()
+        if not folded:
+            return _sum_corrections(P, self.corrections)
+        center, radius = self.disc
+        d = P[:, -1] - center
+        inside = d.real ** 2 + d.imag ** 2 < radius ** 2
+        out = np.empty(len(P), dtype=complex)
+        for rows, terms in ((~inside, self.corrections), (inside, folded + near)):
+            if rows.any():
+                out[rows] = _sum_corrections(P[rows], terms)
+        return out
 
     def values(self, P: np.ndarray) -> np.ndarray:
         return self.local.values(P) + self.correction_values(P)
+
+
+def _sum_corrections(P: np.ndarray, corrections) -> np.ndarray:
+    acc = np.zeros(len(P), dtype=complex)
+    if any(key is not None for key, _ in corrections):
+        # each b(z_n) is summed once per distinct z_n, then scattered back to the rows
+        zn, inv = np.unique(P[:, -1], return_inverse=True)
+    for key, e in corrections:
+        if key is None:
+            acc = acc + e.values(P)
+        else:
+            axis, center, m = key
+            v = np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(zn[:, None])[inv]
+            acc = acc + cmul(v, P[:, axis])
+    return acc
+
+
+def _fold_far(disc: tuple[complex, float], corrections) -> tuple[list, list]:
+    """The corrections to sum directly in the disc, and per key one Taylor
+    series for the others: those split as functions of z_n alone (n = 1
+    cousin1, extension) whose pushed contour nodes all lie at least 2R from
+    the centre, so that rho <= 1/2."""
+    center, radius = disc
+    near, far = [], {}
+    for key, e in corrections:
+        if (isinstance(e, SplitBranch) and e.domain.ndim == 1
+                and np.abs(e.pushed.zs - center).min() >= 2 * radius):
+            far.setdefault(key, []).append(e)
+        else:
+            near.append((key, e))
+    return near, [(key, far_field_series(es, center, radius)) for key, es in far.items()]
 
 
 @dataclass
@@ -247,7 +305,11 @@ class ChainState:
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
-    return ChainState([_Branch(local_solution(problem, alpha), problem.slab_poly(alpha))], [])
+    slab = problem.partition.slabs[alpha]
+    (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
+    disc = (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
+            math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
+    return ChainState([_Branch(local_solution(problem, alpha), problem.slab_poly(alpha), disc)], [])
 
 
 def _zn_coefficients(axis: int, w: TruncatedSeries) -> dict:
@@ -452,7 +514,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
         P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
                       for y in slices for t in np.linspace(lo, hi, s_samples)])
         diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
-        sup = max(map(abs, diff.tolist()))
+        sup = sup_abs(diff.tolist())
         report["subspace_sup_error"] = sup
         report["subspace_slices"] = slices
         ok = ok and sup <= tol

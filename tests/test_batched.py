@@ -1,8 +1,10 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
-for user callables, the bounded density cache, and the extension merge that
-splits z'-coefficients as functions of z_n."""
+for user callables, the bounded density cache, the extension merge that
+splits z'-coefficients as functions of z_n, and the far-field series that
+merged branches sum their distant corrections by."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okakit import cousin
-from okakit.cousin import Evaluable, SplitGeometry, constant_evaluable, cousin_split, morera_residual
+from okakit.cousin import Evaluable, SplitGeometry, cmul, constant_evaluable, cousin_split, morera_residual
 from okakit.cuboids import Cuboid
 from okakit.merge import (
     ChiProblem,
@@ -91,6 +93,25 @@ def ml_problem():
     )
 
 
+def ml_chain_problem(slabs=12):
+    """n = 1 chain of width-2 slabs with 1-3 poles each: most corrections of
+    a branch come from seams at least twice its disc radius away."""
+    data = []
+    for alpha in range(slabs):
+        lo = -slabs + 2.0 * alpha
+        data.append(PrincipalPartData(tuple(
+            PoleTerm(1 + (alpha + k) % 2, make_series(0, {(): complex(1 + 0.1 * alpha, 0.5 - 0.4 * k)}),
+                     make_series(0, {(): complex(lo + 0.5 + 0.5 * k, 0.3 * (-1) ** (alpha + k))}))
+            for k in range(1 + alpha % 3))))
+    return ChiProblem(
+        kind="cousin1",
+        cuboid=Cuboid(((-float(slabs), float(slabs)),), ((-0.6, 0.6),)),
+        breakpoints=tuple(-slabs + 2.0 * k for k in range(1, slabs)),
+        data=tuple(data),
+        delta=0.3,
+    )
+
+
 def extension_problem(slabs=3):
     target = make_series(2, {(0, 0): Fraction(-1), (0, 2): QQi(Fraction(1, 3), Fraction(2, 5))})
     locals_ = tuple(target + make_series(2, {(1, 0): k + 1, (1, 1): Fraction(1, k + 2)}) for k in range(slabs))
@@ -133,7 +154,18 @@ def test_split_branches_values_on_both_sides_of_switch(base):
     assert_values_match_fn(left - right, pts)
 
 
-@pytest.mark.parametrize("problem", [ml_problem(), extension_problem()], ids=["cousin1", "extension"])
+def in_disc(branch, P):
+    center, radius = branch.disc
+    d = P[:, -1] - center
+    return d.real ** 2 + d.imag ** 2 < radius ** 2
+
+
+def folds_far(branch) -> bool:
+    return bool(branch._expansion()[1])
+
+
+@pytest.mark.parametrize("problem", [ml_problem(), extension_problem(), ml_chain_problem()],
+                         ids=["cousin1", "extension", "cousin1-12-slabs"])
 def test_chain_state_and_corrections_values(problem):
     sol = solve_chain(problem, verify=False)[0]
     zp = () if problem.ndim == 1 else (0.2 - 0.1j,)
@@ -142,6 +174,9 @@ def test_chain_state_and_corrections_values(problem):
     assert_values_match_fn(sol.solution, pts)
     for corr in sol.corrections:
         assert_values_match_fn(corr, pts)
+    # some rows take the far-field series
+    branches = sol.solution.many.__self__.branches
+    assert any(folds_far(b) and in_disc(b, np.array(pts)).any() for b in branches)
 
 
 def test_extension_corrections_summed_once_per_distinct_zn():
@@ -152,19 +187,76 @@ def test_extension_corrections_summed_once_per_distinct_zn():
     P[:, 0] = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
     zn = rng.uniform(-1.9, 1.9, distinct) + 1j * rng.uniform(-0.45, 0.45, distinct)
     P[:, 1] = zn[rng.permutation(np.arange(m) % distinct)]
+    folded = 0
     for corr in sol.corrections:
         branch = corr.many.__self__
         assert branch.corrections and all(key is not None for key, _ in branch.corrections)
         rows = [branch.correction_values(P[i:i + 1])[0] for i in range(m)]
         assert branch.correction_values(P).tolist() == rows
-        seen = []
+        near = {id(e) for _, e in branch._expansion()[0]}
+        is_near = [id(e) in near for _, e in branch.corrections]
+        folded += is_near.count(False)
+        seen = {}
 
-        def recorded(e):
-            return Evaluable.batched(lambda Q: seen.append(len(Q)) or e.values(Q))
+        def recorded(i, e):
+            return replace(e, many=lambda Q: seen.setdefault(i, []).extend(Q[:, -1].tolist()) or e.values(Q))
 
-        branch.corrections = tuple((key, recorded(e)) for key, e in branch.corrections)
+        branch.corrections = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
         assert branch.correction_values(P).tolist() == rows
-        assert seen and set(seen) == {distinct}
+        # a near correction sums its kernel once at every distinct z_n; one
+        # folded into the far-field series only at those outside the disc
+        outside = zn[~in_disc(branch, zn[:, None])]
+        for i, near_i in enumerate(is_near):
+            want = zn if near_i else outside
+            assert np.sort(seen.get(i, [])).tolist() == np.sort(want).tolist()
+    assert folded
+
+
+def direct_correction_sum(branch, P):
+    """The branch's corrections summed one by one, each by its own Cauchy
+    sums (the evaluation every row took before far-field folding)."""
+    acc = np.zeros(len(P), dtype=complex)
+    for key, e in branch.corrections:
+        if key is None:
+            acc = acc + e.values(P)
+        else:
+            axis, center, m = key
+            acc = acc + cmul(np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(P[:, -1:]), P[:, axis])
+    return acc
+
+
+@pytest.mark.parametrize("problem", [ml_chain_problem(), extension_problem(slabs=4)],
+                         ids=["cousin1-12-slabs", "extension-4-slabs"])
+def test_far_field_matches_direct_sums(problem):
+    sol = solve_chain(problem, verify=False)[0]
+    branches = sol.solution.many.__self__.branches
+    rng = np.random.default_rng(3)
+    m = 4000
+    (lo, hi), (ilo, ihi) = problem.cuboid.re[-1], problem.cuboid.im[-1]
+    P = np.empty((m, problem.ndim), dtype=complex)
+    for k in range(problem.ndim - 1):
+        P[:, k] = rng.uniform(*problem.cuboid.re[k], m) + 1j * rng.uniform(*problem.cuboid.im[k], m)
+    P[:, -1] = rng.uniform(lo, hi, m) + 1j * rng.uniform(ilo, ihi, m)
+    assert any(folds_far(b) for b in branches) and not all(folds_far(b) for b in branches)
+    for b in branches:
+        got, want = b.correction_values(P), direct_correction_sum(b, P)
+        inside = in_disc(b, P)
+        if not folds_far(b):
+            assert got.tolist() == want.tolist()
+            continue
+        assert inside.any() and not inside.all()
+        # 2R keeps the disc off every folded contour's seam strip, where the
+        # branch would switch from the pushed contour the series expands
+        near = {id(e) for _, e in b._expansion()[0]}
+        assert not any(e.near_seam(P[inside, -1].real).any() for _, e in b.corrections if id(e) not in near)
+        assert got[~inside].tolist() == want[~inside].tolist()
+        assert np.max(np.abs(got[inside] - want[inside])) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_n2_cousin1_corrections_are_not_folded():
+    # their densities depend on z', so no single series in z_n represents them
+    sol = solve_chain(n2_cousin1_problem(), verify=False)[0]
+    assert not any(folds_far(b) for b in sol.solution.many.__self__.branches)
 
 
 # -- scalar-only user callables -----------------------------------------------

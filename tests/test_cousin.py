@@ -2,6 +2,7 @@
 residual."""
 
 import cmath
+import math
 import random
 
 import numpy as np
@@ -255,6 +256,14 @@ class TestMorera:
         region = Cuboid(((0.0, 0.0), (-1.0, 1.0)), ((0.0, 0.0), (-1.0, 1.0)))
         f = Evaluable(lambda z: z[0].conjugate() + z[1] ** 2)
         assert morera_residual(f, region) < 1e-10
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("nan_where", [lambda re: re > 0.5, lambda re: re < -0.5], ids=["right", "left"])
+    def test_nan_values_make_the_residual_nan(self, nan_where, ndim):
+        # max() over the rectangles used to drop a NaN unless it came first
+        region = Cuboid(((-1.0, 1.0),) * ndim, ((-1.0, 1.0),) * ndim)
+        f = Evaluable.batched(lambda P: np.where(nan_where(P[:, 0].real), np.nan, P[:, -1] ** 2))
+        assert math.isnan(morera_residual(f, region))
 
     def test_axes_filter(self):
         region = Cuboid(((-1.0, 1.0), (-1.0, 1.0)), ((-1.0, 1.0), (-1.0, 1.0)))

@@ -1,7 +1,9 @@
 """Unit tests for the slab-merge engine on both problem kinds."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from okakit.cousin import Evaluable, QuadratureSpec, constant_evaluable, morera_residual
@@ -275,6 +277,22 @@ class TestExtensionEndToEnd:
         assert report["subspace_slices"] == [-0.45, 0.0, 0.45]
         assert report["subspace_sup_error"] == pytest.approx(2e-3 * 0.45)
         assert verify_solution(sol, prob)["pass"]
+
+
+    @pytest.mark.parametrize("nan_where", [lambda re: re > 0.5, lambda re: re < -0.5], ids=["right", "left"])
+    def test_subspace_check_fails_on_nan(self, nan_where):
+        prob = extension_problem()
+        sol = solve_chain(prob, verify=False)[0]
+        values = sol.solution.values
+        nan_part = ChiSolution(
+            chain=sol.chain,
+            solution=Evaluable.batched(lambda P: np.where(nan_where(P[:, -1].real), np.nan, values(P))),
+            corrections=sol.corrections,
+            region=sol.region,
+        )
+        report = verify_solution(nan_part, prob)
+        assert math.isnan(report["subspace_sup_error"])
+        assert not report["pass"]
 
 
 class TestDeterminism:
