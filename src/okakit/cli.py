@@ -1,7 +1,7 @@
 """Command-line front end: JSON problem instances in, verification reports out.
 
-Exit status: 0 when every verification block passes, 1 on a computation
-error, 2 on malformed input.
+Exit status: 0 when every verification block passes; 1 when one fails or
+the computation raises an okakit error; 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ import argparse
 import cmath
 import csv
 import json
+import os
 import random
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -21,10 +23,10 @@ from . import exprtree
 from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cousin_split, morera_residual, overlap_grid
 from .cuboids import Cuboid
 from .division import CoordinateSubspace, ideal_cofactors, is_member
-from .errors import OkakitError, SchemaError
+from .errors import InvalidArity, OkakitError, SchemaError
 from .merge import ChiProblem, PoleTerm, PrincipalPartData, solve_chain
 from .scalars import EXACT
-from .series import TruncatedSeries, constant, from_json, to_json
+from .series import TruncatedSeries, constant, from_json, negligible, to_json
 from .syzygy import (
     GeneratorPresentation,
     SyzygyVector,
@@ -48,226 +50,187 @@ def _load_input(path: str) -> dict:
         raise SchemaError(f"cannot read input: {exc}") from exc
 
 
-def _require(data: dict, key: str, kinds, what: str):
-    if key not in data:
-        raise SchemaError(f"missing field {key!r} in {what}")
-    if kinds is not None and not isinstance(data[key], kinds):
-        raise SchemaError(f"field {key!r} in {what} has the wrong type")
-    return data[key]
+def _number(value, kinds=(int, float)):
+    """``value`` if it is a JSON number of ``kinds`` (a bool is none); else a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    return value
 
 
-def _series_from(data, what: str, eps: float) -> TruncatedSeries:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{what} must be a series object")
-    try:
-        return from_json(data, eps=eps)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaError(f"bad series in {what}: {exc}") from exc
+def _quadrature(data: dict, args) -> QuadratureSpec:
+    fields = {} if args.panels is None else {"panels": args.panels}
+    fields.update(data.get("quadrature", {}))
+    return QuadratureSpec(**{key: _number(value, int) for key, value in fields.items()})
 
 
-def _quad_from(data, args) -> QuadratureSpec:
-    data = data or {}
-    if not isinstance(data, dict):
-        raise SchemaError("quadrature must be an object")
-    unknown = sorted(set(data) - {"panels", "nodes"})
-    if unknown:
-        raise SchemaError(f"unknown quadrature keys {unknown}; expected 'panels' and 'nodes'")
-    kwargs = {}
-    if args.panels is not None:
-        kwargs["panels"] = args.panels
-    kwargs.update(data)
-    try:
-        return QuadratureSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad quadrature spec: {exc}") from exc
+def _round_trip(back, given) -> dict:
+    """Verification block of a recombination: ``back`` against the input
+    series ``given``, slot by slot.  ``recombined_equals_input`` is
+    ``series.negligible`` on each difference; ``residual_norm`` is the
+    largest |coefficient| among the differences."""
+    diffs = [a - b for a, b in zip(back, given)]
+    return {"recombined_equals_input": all(negligible(d, *given) for d in diffs),
+            "residual_norm": max((d.max_abs_coeff() for d in diffs), default=0.0)}
 
 
 # -- subcommands ---------------------------------------------------------
+#
+# Each cmd_* reads its request into okakit objects and returns the
+# computation on them, a call with no arguments that returns the report
+# body and the pass flag.  Reading raises on malformed input (see main);
+# the computation raises only okakit errors.
 
 
-def cmd_divide(data: dict, args) -> tuple[dict, bool]:
-    f = _series_from(_require(data, "series", dict, "divide input"), "series", args.tol)
-    q = _require(data, "q", int, "divide input")
-    sub = CoordinateSubspace(f.dim, q)
+def cmd_divide(data: dict, args):
+    f = from_json(data["series"], eps=args.tol)
+    return partial(_divide, f, CoordinateSubspace(f.dim, _number(data["q"], int)))
+
+
+def _divide(f, sub) -> tuple[dict, bool]:
     cof = ideal_cofactors(f, sub)
-    member = is_member(f, sub)
-    recombined = cof.recombined()
-    exact = recombined == f if f.backend.exact else None
+    check = _round_trip([cof.recombined()], [f])
     return {
         "cofactors": [to_json(h) for h in cof.cofactors],
         "remainder": to_json(cof.remainder),
-        "member": member,
-        "recombination_exact": exact,
-    }, (exact is not False)
+        "member": is_member(f, sub),
+        "recombination_exact": check["recombined_equals_input"] if f.backend.exact else None,
+        "verification": check,
+    }, check["recombined_equals_input"]
 
 
-def cmd_syzygy(data: dict, args) -> tuple[dict, bool]:
-    mode = _require(data, "mode", str, "syzygy input")
-    eps = args.tol
+def cmd_syzygy(data: dict, args):
+    mode = data["mode"]
     if mode == "trivial":
-        p = _require(data, "p", int, "syzygy input")
         dim = data.get("dim")
-        sols = trivial_solutions(p, dim=dim)
-        return {
-            "generators": [
-                {"i": t.i + 1, "j": t.j + 1,
-                 "components": [to_json(c) for c in t.vector.components]}
-                for t in sols
-            ]
-        }, True
+        return partial(_trivial, trivial_solutions(_number(data["p"], int),
+                                                   dim=None if dim is None else _number(dim, int)))
     if mode == "decompose":
-        comps = _require(data, "components", list, "syzygy input")
-        v = SyzygyVector(tuple(_series_from(c, "component", eps) for c in comps))
-        coeffs = decompose_relation(v)
-        back = recombine(coeffs, v.arity, dim=v.dim, backend=v.components[0].backend)
-        residual = 0.0
-        equal = all((a - b).is_zero() for a, b in zip(back.components, v.components)) \
-            if v.components[0].backend.exact else None
-        if equal is None:
-            residual = max(
-                (max((abs(c) for c in (a - b).coeffs.values()), default=0.0)
-                 for a, b in zip(back.components, v.components)),
-                default=0.0,
-            )
-            equal = residual <= eps
-        return {
-            "coefficients": [
-                {"i": i + 1, "j": j + 1, "series": to_json(b)} for (i, j), b in sorted(coeffs.items())
-            ],
-            "verification": {"recombined_equals_input": bool(equal), "residual_norm": residual},
-        }, bool(equal)
+        return partial(_decompose, SyzygyVector(tuple(from_json(c, eps=args.tol) for c in data["components"])))
     if mode == "general":
-        dim = _require(data, "dim", int, "syzygy input")
-        q = _require(data, "q", int, "syzygy input")
-        total = _require(data, "N", int, "syzygy input")
-        coeffs = {}
-        for entry in data.get("coefficients", []):
-            i = _require(entry, "i", int, "generator coefficient") - 1
-            j = _require(entry, "j", int, "generator coefficient") - 1
-            coeffs[(i, j)] = _series_from(_require(entry, "series", dict, "generator coefficient"),
-                                          "generator coefficient", eps)
-        pres = GeneratorPresentation(dim, q, total, coeffs)
+        coeffs = {(_number(e["i"], int) - 1, _number(e["j"], int) - 1): from_json(e["series"], eps=args.tol)
+                  for e in data.get("coefficients", [])}
+        vector = [from_json(c, eps=args.tol) for c in data.get("vector", [])]
+        given = [*coeffs.values(), *vector]
+        pres = GeneratorPresentation(_number(data["dim"], int), _number(data["q"], int), _number(data["N"], int),
+                                     coeffs, backend=given[0].backend if given else EXACT)
         if "vector" in data:
-            v = SyzygyVector(tuple(_series_from(c, "vector component", eps) for c in data["vector"]))
-            dec = decompose_general_relation(v, pres)
-            back = dec.recombined(pres)
-            equal = all((a - b).is_zero() for a, b in zip(back.components, v.components))
-            return {
-                "tau_coefficients": [
-                    {"j": j + 1, "k": k + 1, "series": to_json(b)}
-                    for (j, k), b in sorted(dec.tau_coeffs.items())
-                ],
-                "phi_coefficients": [
-                    {"i": i + 1, "series": to_json(b)} for i, b in sorted(dec.phi_coeffs.items())
-                ],
-                "verification": {"recombined_equals_input": bool(equal), "residual_norm": 0.0},
-            }, bool(equal)
-        basis = general_syzygy_generators(pres)
-        return {
-            "tau": [
-                {"j": t.j + 1, "k": t.k + 1, "components": [to_json(c) for c in t.vector.components]}
-                for t in basis.tau
-            ],
-            "phi": [
-                {"i": p.i + 1, "components": [to_json(c) for c in p.vector.components]}
-                for p in basis.phi
-            ],
-        }, True
+            return partial(_general_decomposition, SyzygyVector(tuple(vector)), pres)
+        return partial(_general_basis, pres)
     raise SchemaError(f"unknown syzygy mode {mode!r}")
 
 
-def cmd_cousin_split(data: dict, args) -> tuple[dict, bool]:
-    dim = data.get("dim", 1)
-    tree = _require(data, "function", dict, "cousin-split input")
-    phi = exprtree.to_evaluable(tree, dim)
-    g = _require(data, "geometry", dict, "cousin-split input")
-    base = Cuboid.from_json(g["base"]) if "base" in g else None
-    try:
-        geom = SplitGeometry(
-            s=float(_require(g, "s", (int, float), "geometry")),
-            delta=float(_require(g, "delta", (int, float), "geometry")),
-            theta=float(_require(g, "theta", (int, float), "geometry")),
-            re_lo=float(_require(g, "re_lo", (int, float), "geometry")),
-            re_hi=float(_require(g, "re_hi", (int, float), "geometry")),
-            base=base,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"bad geometry: {exc}") from exc
-    spec = _quad_from(data.get("quadrature"), args)
+def _trivial(sols) -> tuple[dict, bool]:
+    return {
+        "generators": [
+            {"i": t.i + 1, "j": t.j + 1, "components": [to_json(c) for c in t.vector.components]}
+            for t in sols
+        ]
+    }, True
+
+
+def _decompose(v: SyzygyVector) -> tuple[dict, bool]:
+    coeffs = decompose_relation(v)
+    check = _round_trip(recombine(coeffs, v.arity, dim=v.dim, backend=v.components[0].backend).components,
+                        v.components)
+    return {
+        "coefficients": [
+            {"i": i + 1, "j": j + 1, "series": to_json(b)} for (i, j), b in sorted(coeffs.items())
+        ],
+        "verification": check,
+    }, check["recombined_equals_input"]
+
+
+def _general_decomposition(v: SyzygyVector, pres: GeneratorPresentation) -> tuple[dict, bool]:
+    dec = decompose_general_relation(v, pres)
+    check = _round_trip(dec.recombined(pres).components, v.components)
+    return {
+        "tau_coefficients": [
+            {"j": j + 1, "k": k + 1, "series": to_json(b)} for (j, k), b in sorted(dec.tau_coeffs.items())
+        ],
+        "phi_coefficients": [
+            {"i": i + 1, "series": to_json(b)} for i, b in sorted(dec.phi_coeffs.items())
+        ],
+        "verification": check,
+    }, check["recombined_equals_input"]
+
+
+def _general_basis(pres: GeneratorPresentation) -> tuple[dict, bool]:
+    basis = general_syzygy_generators(pres)
+    return {
+        "tau": [
+            {"j": t.j + 1, "k": t.k + 1, "components": [to_json(c) for c in t.vector.components]}
+            for t in basis.tau
+        ],
+        "phi": [
+            {"i": p.i + 1, "components": [to_json(c) for c in p.vector.components]}
+            for p in basis.phi
+        ],
+    }, True
+
+
+def cmd_cousin_split(data: dict, args):
+    g = data["geometry"]
+    geom = SplitGeometry(*(float(_number(g[key])) for key in ("s", "delta", "theta", "re_lo", "re_hi")),
+                         base=Cuboid.from_json(g["base"]) if "base" in g else None)
+    if data.get("dim", geom.ndim) != geom.ndim:
+        raise SchemaError(f"'dim' must be {geom.ndim}, the dimension of the geometry")
+    grid = data.get("grid", {})
+    pts = np.array(overlap_grid(geom, nx=grid.get("nx", 7), ny=grid.get("ny", 7)))
+    return partial(_split, exprtree.to_evaluable(data["function"], geom.ndim), geom, _quadrature(data, args), pts,
+                   os.fspath(data.get("csv") or ""), args.tol)
+
+
+def _split(phi, geom, spec, pts, csv_path, tol) -> tuple[dict, bool]:
     phi1, phi2 = cousin_split(phi, geom, spec)
-    grid_cfg = data.get("grid", {})
-    pts = np.array(overlap_grid(geom, nx=grid_cfg.get("nx", 7), ny=grid_cfg.get("ny", 7)))
     v1, v2 = phi1.values(pts), phi2.values(pts)
     res = np.abs(v1 - v2 - phi.values(pts))
     worst = float(res.max())
-    rows = [[zn.real, zn.imag, a.real, a.imag, b.real, b.imag, r]
-            for zn, a, b, r in zip(pts[:, -1].tolist(), v1.tolist(), v2.tolist(), res.tolist())]
-    if data.get("csv"):
-        with open(data["csv"], "w", newline="") as fh:
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["re", "im", "phi1_re", "phi1_im", "phi2_re", "phi2_im", "residual"])
-            writer.writerows(rows)
-    ok = worst <= args.tol
-    return {"max_overlap_residual": worst, "tolerance": args.tol, "samples": len(pts)}, ok
+            writer.writerows([zn.real, zn.imag, a.real, a.imag, b.real, b.imag, r] for zn, a, b, r
+                             in zip(pts[:, -1].tolist(), v1.tolist(), v2.tolist(), res.tolist()))
+    return {"max_overlap_residual": worst, "tolerance": tol, "samples": len(pts)}, worst <= tol
 
 
-def _solve(request: dict, **fields) -> tuple[dict, bool]:
-    """Solve and verify a ChiProblem; its validation errors are input errors."""
-    try:
-        problem = ChiProblem(**fields)
-    except ValueError as exc:
-        raise SchemaError(f"bad problem: {exc}") from exc
+def _solver(request: dict, args, cuboid: Cuboid, **fields):
+    """The solve of the ChiProblem with ``fields`` and the request's common fields."""
+    problem = ChiProblem(cuboid=cuboid, breakpoints=tuple(float(t) for t in request.get("breakpoints", [])),
+                         delta=request.get("delta"), quad=_quadrature(request, args), tol=args.tol, **fields)
+    return partial(_solve, problem, os.fspath(request.get("csv") or ""))
+
+
+def _solve(problem: ChiProblem, csv_path: str) -> tuple[dict, bool]:
     sols = solve_chain(problem)
-    if request.get("csv"):
-        _dump_solution_csv(request["csv"], sols)
+    if csv_path:
+        _dump_solution_csv(csv_path, sols)
     reports = [s.report for s in sols]
     return {"chains": reports}, all(r["pass"] for r in reports)
 
 
-def _chi_common(data: dict, args):
-    cuboid = Cuboid.from_json(_require(data, "cuboid", dict, "problem input"))
-    breakpoints = tuple(float(t) for t in data.get("breakpoints", []))
-    spec = _quad_from(data.get("quadrature"), args)
-    delta = data.get("delta")
-    tol = data.get("tolerance", args.tol)
-    return cuboid, breakpoints, spec, delta, tol
+def _pole_term(pole: dict, ndim: int) -> PoleTerm:
+    def at(value) -> TruncatedSeries:
+        return constant(ndim - 1, value, backend=EXACT)
+
+    return PoleTerm(_number(pole.get("order", 1), int),
+                    at(complex(pole.get("coeff_re", 1.0), pole.get("coeff_im", 0.0))),
+                    at(complex(pole.get("re", 0.0), pole.get("im", 0.0))))
 
 
-def cmd_cousin1(data: dict, args) -> tuple[dict, bool]:
-    cuboid, breakpoints, spec, delta, tol = _chi_common(data, args)
-    slabs = _require(data, "slabs", list, "cousin1 input")
-    if len(slabs) != len(breakpoints) + 1:
-        raise SchemaError("need exactly one slab datum per slab")
-    ndim = cuboid.ndim
-    payload = []
-    for entry in slabs:
-        terms = []
-        for pole in _require(entry, "poles", list, "slab datum"):
-            order = pole.get("order", 1)
-            if not isinstance(order, int) or order < 1:
-                raise SchemaError("pole order must be a positive integer")
-            locus = constant(ndim - 1, complex(pole.get("re", 0.0), pole.get("im", 0.0)), backend=EXACT)
-            coeff = constant(ndim - 1, complex(pole.get("coeff_re", 1.0), pole.get("coeff_im", 0.0)),
-                             backend=EXACT)
-            terms.append(PoleTerm(order, coeff, locus))
-        payload.append(PrincipalPartData(tuple(terms)))
-    return _solve(data, kind="cousin1", cuboid=cuboid, breakpoints=breakpoints, data=tuple(payload),
-                  delta=delta, quad=spec, tol=tol)
+def cmd_cousin1(data: dict, args):
+    cuboid = Cuboid.from_json(data["cuboid"])
+    payload = tuple(PrincipalPartData(tuple(_pole_term(pole, cuboid.ndim) for pole in slab["poles"]))
+                    for slab in data["slabs"])
+    return _solver(data, args, cuboid, kind="cousin1", data=payload)
 
 
-def cmd_jokuiko(data: dict, args) -> tuple[dict, bool]:
-    cuboid, breakpoints, spec, delta, tol = _chi_common(data, args)
-    q = _require(data, "q", int, "jokuiko input")
-    ndim = cuboid.ndim
-    target = exprtree.to_series(_require(data, "target", dict, "jokuiko input"), ndim)
-    overrides = None
-    if "locals" in data:
-        locs = _require(data, "locals", list, "jokuiko input")
-        if len(locs) != len(breakpoints) + 1:
-            raise SchemaError("need exactly one local extension per slab")
-        overrides = tuple(exprtree.to_series(t, ndim) for t in locs)
-    return _solve(data, kind="extension", cuboid=cuboid, breakpoints=breakpoints, codim=q,
-                  target=target, local_overrides=overrides, delta=delta, quad=spec, tol=tol)
+def cmd_jokuiko(data: dict, args):
+    cuboid = Cuboid.from_json(data["cuboid"])
+    locs = data.get("locals")
+    return _solver(data, args, cuboid, kind="extension", codim=_number(data["q"], int),
+                   target=exprtree.to_series(data["target"], cuboid.ndim),
+                   local_overrides=None if locs is None else tuple(exprtree.to_series(t, cuboid.ndim) for t in locs))
 
 
 def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
@@ -287,7 +250,11 @@ def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
                              for z, v in zip(pts, vals) if cmath.isfinite(v))
 
 
-def cmd_selftest(data: dict, args) -> tuple[dict, bool]:
+def cmd_selftest(data: dict, args):
+    return partial(_selftest, args.seed)
+
+
+def _selftest(seed: int) -> tuple[dict, bool]:
     checks = {}
     # division recombination on a fixed polynomial
     from .series import monomial
@@ -295,7 +262,7 @@ def cmd_selftest(data: dict, args) -> tuple[dict, bool]:
     cof = ideal_cofactors(f, CoordinateSubspace(3, 2))
     checks["division_recombines"] = cof.recombined() == f and cof.remainder.is_zero()
     # syzygy decomposition round trip
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     t = trivial_solutions(3)
     coeffs = {(t1.i, t1.j): constant(3, rng.randint(-3, 3)) for t1 in t}
     v = recombine(coeffs, 3)
@@ -351,7 +318,19 @@ def main(argv=None) -> int:
             data = {}
         else:
             data = _load_input(args.input)
-        body, ok = COMMANDS[args.command](data, args)
+        # the input boundary: reading a request into okakit objects
+        try:
+            # a request's "tolerance" replaces --tol for every check and in the report
+            args.tol = _number(data.get("tolerance", args.tol))
+            if not args.tol > 0:
+                raise ValueError(f"tolerance must be positive, got {args.tol}")
+            compute = COMMANDS[args.command](data, args)
+        # what reading raises on malformed input: a missing key, a value of the
+        # wrong type or out of range, or an okakit constructor's InvalidArity
+        except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, InvalidArity) as exc:
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+            raise SchemaError(f"bad {args.command} request: {what}") from exc
+        body, ok = compute()
     except SchemaError as exc:
         print(f"okakit: input error: {exc}", file=sys.stderr)
         return 2

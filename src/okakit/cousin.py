@@ -348,6 +348,8 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 0.9) -> list[tuple]:
     """Sample points of the overlap strip (base axes frozen at midpoints)."""
+    if min(nx, ny) < 1:
+        raise ValueError("an overlap grid needs at least one point along each axis")
     zp = () if geom.base is None else geom.base.midpoint()
     res = np.linspace(geom.s - geom.delta * shrink, geom.s + geom.delta * shrink, nx)
     ims = np.linspace(-geom.theta * shrink, geom.theta * shrink, ny) if geom.theta > 0 else np.array([0.0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .division import CoordinateSubspace
-from .errors import InvalidPartition, SchemaError
+from .errors import InvalidPartition
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,10 @@ class Cuboid:
 
     @staticmethod
     def from_json(data: dict) -> "Cuboid":
-        try:
-            return Cuboid(
-                tuple((float(lo), float(hi)) for lo, hi in data["re"]),
-                tuple((float(lo), float(hi)) for lo, hi in data["im"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"a cuboid needs 're' and 'im' lists of [lo, hi] pairs: {exc!r}") from exc
+        return Cuboid(
+            tuple((float(lo), float(hi)) for lo, hi in data["re"]),
+            tuple((float(lo), float(hi)) for lo, hi in data["im"]),
+        )
 
 
 @dataclass(frozen=True)

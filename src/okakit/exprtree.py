@@ -6,16 +6,19 @@ Nodes: {"op": "var", "index": j}  (1-based variable z_j)
        {"op": "neg"|"inv", "arg": ...}
        {"op": "pow", "base": ..., "exp": k}
 
-Trees without ``inv`` describe polynomials and can be lowered to an exact
-TruncatedSeries; any tree can be evaluated pointwise.
+``evaluate`` is the one tree walker: it computes a tree over whatever its
+variables are, complex numbers, numpy columns or series.  Trees without
+``inv`` describe polynomials and lower to an exact TruncatedSeries.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cousin import Evaluable
 from .errors import SchemaError
 from .scalars import EXACT, Backend
-from .series import TruncatedSeries, constant, mul, scale, variable
+from .series import TruncatedSeries, variable, zero
 
 
 def _check(cond, msg):
@@ -23,35 +26,40 @@ def _check(cond, msg):
         raise SchemaError(msg)
 
 
-def validate(tree, dim: int):
+def validate(tree, dim: int) -> bool:
+    """Check a tree's shape against ``dim`` variables; True iff it has no
+    ``inv`` node, that is, iff it describes a polynomial."""
     _check(isinstance(tree, dict) and "op" in tree, "expression node must be an object with 'op'")
     op = tree["op"]
     if op == "var":
         idx = tree.get("index")
         _check(isinstance(idx, int) and 1 <= idx <= dim, f"variable index must be in 1..{dim}")
-    elif op == "const":
+        return True
+    if op == "const":
         _check(isinstance(tree.get("re", 0), (int, float)), "const re must be a number")
         _check(isinstance(tree.get("im", 0), (int, float)), "const im must be a number")
-    elif op in ("add", "mul"):
+        return True
+    if op in ("add", "mul"):
         args = tree.get("args")
         _check(isinstance(args, list) and args, f"'{op}' needs a non-empty args list")
-        for a in args:
-            validate(a, dim)
-    elif op in ("neg", "inv"):
+        return all([validate(a, dim) for a in args])
+    if op in ("neg", "inv"):
         _check("arg" in tree, f"'{op}' needs an arg")
-        validate(tree["arg"], dim)
-    elif op == "pow":
+        return validate(tree["arg"], dim) and op == "neg"
+    if op == "pow":
         _check(isinstance(tree.get("exp"), int) and tree["exp"] >= 0, "'pow' exponent must be a non-negative integer")
         _check("base" in tree, "'pow' needs a base")
-        validate(tree["base"], dim)
-    else:
-        raise SchemaError(f"unknown expression op {op!r}")
+        return validate(tree["base"], dim)
+    raise SchemaError(f"unknown expression op {op!r}")
 
 
-def evaluate(tree, z) -> complex:
+def evaluate(tree, z):
+    """The tree at the variables ``z``, where ``z[j]`` is z_{j+1}: complex
+    numbers for one point, the columns ``P.T`` of an (m, n) array P for m
+    points, or series for a lowering."""
     op = tree["op"]
     if op == "var":
-        return complex(z[tree["index"] - 1])
+        return z[tree["index"] - 1]
     if op == "const":
         return complex(tree.get("re", 0.0), tree.get("im", 0.0))
     if op == "add":
@@ -71,41 +79,14 @@ def evaluate(tree, z) -> complex:
 
 
 def to_evaluable(tree, dim: int) -> Evaluable:
+    """The tree as a batched Evaluable: one ``evaluate`` over all points."""
     validate(tree, dim)
-    return Evaluable(lambda z: evaluate(tree, z))
+    return Evaluable.batched(lambda P: np.full(len(P), evaluate(tree, P.T), dtype=complex))
 
 
 def to_series(tree, dim: int, backend: Backend = EXACT) -> TruncatedSeries:
     """Lower a polynomial expression tree to an origin-centered series."""
-    validate(tree, dim)
-    return _lower(tree, dim, backend)
-
-
-def _lower(tree, dim: int, backend: Backend) -> TruncatedSeries:
-    op = tree["op"]
-    if op == "var":
-        return variable(dim, tree["index"] - 1, backend=backend)
-    if op == "const":
-        re, im = tree.get("re", 0.0), tree.get("im", 0.0)
-        return constant(dim, complex(re, im), backend=backend)
-    if op == "add":
-        acc = _lower(tree["args"][0], dim, backend)
-        for a in tree["args"][1:]:
-            acc = acc + _lower(a, dim, backend)
-        return acc
-    if op == "mul":
-        acc = _lower(tree["args"][0], dim, backend)
-        for a in tree["args"][1:]:
-            acc = mul(acc, _lower(a, dim, backend))
-        return acc
-    if op == "neg":
-        return scale(_lower(tree["arg"], dim, backend), -1)
-    if op == "pow":
-        base = _lower(tree["base"], dim, backend)
-        acc = constant(dim, 1, backend=backend)
-        for _ in range(tree["exp"]):
-            acc = mul(acc, base)
-        return acc
-    if op == "inv":
+    if not validate(tree, dim):
         raise SchemaError("'inv' is not polynomial; cannot lower to a series")
-    raise SchemaError(f"unknown expression op {op!r}")
+    # adding the zero series turns a constant tree's complex value into a series
+    return evaluate(tree, [variable(dim, j, backend=backend) for j in range(dim)]) + zero(dim, backend=backend)

@@ -103,11 +103,15 @@ class ChiProblem:
         else:
             if self.codim is None or self.target is None:
                 raise ValueError("extension needs a codimension and a target")
+            CoordinateSubspace(self.ndim, self.codim)  # 1 <= codim <= n, or a ValueError
             for axis in range(self.codim):
                 if self.target.depends_on(axis):
                     raise ValueError("target must not depend on the constrained variables")
             if self.local_overrides is not None and len(self.local_overrides) != len(self.breakpoints) + 1:
                 raise ValueError("need one local override per slab")
+        # every seam then sits at least delta inside its chain, as SplitGeometry requires
+        if self.delta is not None and not 0 < self.delta <= min(self._slab_widths()):
+            raise ValueError("seam margin delta must be positive and at most the narrowest slab width")
 
     @property
     def ndim(self) -> int:
@@ -127,13 +131,13 @@ class ChiProblem:
     def theta(self) -> float:
         return self.cuboid.im[-1][1]
 
+    def _slab_widths(self) -> list[float]:
+        return [hi - lo for lo, hi in (slab.re[-1] for slab in self.partition.slabs)]
+
     def seam_margin(self) -> float:
         if self.delta is not None:
             return self.delta
-        lo, hi = self.cuboid.re[-1]
-        edges = [lo, *self.breakpoints, hi]
-        widths = [b - a for a, b in zip(edges, edges[1:])]
-        return 0.05 * min(widths)
+        return 0.05 * min(self._slab_widths())
 
     def slab_poly(self, alpha: int) -> TruncatedSeries | None:
         if self.kind != "extension":

@@ -10,6 +10,7 @@ of their coefficient maps.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -91,6 +92,15 @@ class TruncatedSeries:
 
     def __neg__(self):
         return scale(self, -1)
+
+    def __pow__(self, k: int):
+        """self**k as k successive products, for an integer k >= 0."""
+        if k < 0:
+            raise ValueError(f"a series has no power {k}")
+        acc = constant(self.dim, 1, backend=self.backend, center=self.center, order=self.order)
+        for _ in range(k):
+            acc = mul(acc, self)
+        return acc
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -452,12 +462,16 @@ def to_json(f: TruncatedSeries) -> dict:
 
 def from_json(data: dict, eps: float = 1e-12) -> TruncatedSeries:
     tag = data.get("backend", "exact")
+    if tag not in ("exact", "floating"):
+        raise ValueError(f"unknown backend {tag!r}")
     backend = EXACT if tag == "exact" else floating(eps)
-    dim = int(data["dim"])
+    # operator.index takes integers only: a float dimension or exponent is malformed
+    dim = operator.index(data["dim"])
     center = [_scalar_from_json(c, backend) for c in data.get("center", [[0, 0]] * dim)]
     order = data.get("order", "exact")
-    order = None if order == "exact" else int(order)
-    terms = {tuple(t["exp"]): _scalar_from_json(t["coeff"], backend) for t in data.get("terms", [])}
+    order = None if order == "exact" else operator.index(order)
+    terms = {tuple(map(operator.index, t["exp"])): _scalar_from_json(t["coeff"], backend)
+             for t in data.get("terms", [])}
     return make_series(dim, terms, order=order, backend=backend, center=center)
 
 

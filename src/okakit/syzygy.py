@@ -93,14 +93,29 @@ def trivial_solutions(p: int, dim: int | None = None, backend: Backend = EXACT) 
     return out
 
 
+def _sum_of_products(pairs, dim: int, backend: Backend, center=None) -> TruncatedSeries:
+    """sum a * b over the series pairs (a, b), skipping every product with a
+    zero factor.  The sum is truncated at the lowest order among all the
+    factors, skipped ones included, as the full sum would be."""
+    order = min((s.order for pair in pairs for s in pair if s.order is not None), default=None)
+    acc = zero(dim, backend=backend, center=center, order=order)
+    for a, b in pairs:
+        if not (a.is_zero() or b.is_zero()):
+            acc = acc + mul(a, b)
+    return acc
+
+
+def _combination(pairs, arity: int, dim: int, backend: Backend) -> SyzygyVector:
+    """sum b * g over the pairs (b, g) of a series and a SyzygyVector, slot by slot."""
+    return SyzygyVector(tuple(_sum_of_products([(b, g.components[slot]) for b, g in pairs], dim, backend)
+                              for slot in range(arity)))
+
+
 def relation_residual(v: SyzygyVector) -> TruncatedSeries:
     """sum_j v_j * z_j; zero iff v is a relation."""
-    acc = None
-    for j, c in enumerate(v.components):
-        zj = variable(c.dim, j, backend=c.backend, center=c.center)
-        term = mul(c, zj)
-        acc = term if acc is None else acc + term
-    return acc
+    ref = v.components[0]
+    return _sum_of_products([(c, variable(c.dim, j, backend=c.backend, center=c.center))
+                             for j, c in enumerate(v.components)], ref.dim, ref.backend, ref.center)
 
 
 def verify_relation(v: SyzygyVector) -> tuple[bool, TruncatedSeries]:
@@ -159,12 +174,8 @@ def recombine(coeffs: Mapping[tuple[int, int], TruncatedSeries], p: int, dim: in
         break
     if n is None:
         n = p
-    comps = [zero(n, backend=backend) for _ in range(p)]
-    for (i, j), b in coeffs.items():
-        t = trivial_solution(i, j, p, dim=n, backend=backend)
-        for slot in range(p):
-            comps[slot] = comps[slot] + mul(b, t.vector.components[slot])
-    return SyzygyVector(tuple(comps))
+    pairs = [(b, trivial_solution(i, j, p, dim=n, backend=backend).vector) for (i, j), b in coeffs.items()]
+    return _combination(pairs, p, n, backend)
 
 
 # -- general generator systems ------------------------------------------
@@ -229,11 +240,9 @@ class GeneralSyzygyBasis:
 
 def apply_generators(v: SyzygyVector, pres: GeneratorPresentation) -> TruncatedSeries:
     """sum v_i sigma_i; zero iff v annihilates the generator tuple."""
-    acc = None
-    for i, c in enumerate(v.components):
-        term = mul(c, pres.generator(i))
-        acc = term if acc is None else acc + term
-    return acc
+    ref = v.components[0]
+    return _sum_of_products([(c, pres.generator(i)) for i, c in enumerate(v.components)],
+                            ref.dim, ref.backend, ref.center)
 
 
 def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis:
@@ -272,21 +281,9 @@ class GeneralDecomposition:
 
     def recombined(self, pres: GeneratorPresentation) -> SyzygyVector:
         basis = general_syzygy_generators(pres)
-        n, N = pres.dim, pres.total
-        comps = [zero(n, backend=pres.backend) for _ in range(N)]
-        for t in basis.tau:
-            b = self.tau_coeffs.get((t.j, t.k))
-            if b is None:
-                continue
-            for slot in range(N):
-                comps[slot] = comps[slot] + mul(b, t.vector.components[slot])
-        for ph in basis.phi:
-            b = self.phi_coeffs.get(ph.i)
-            if b is None:
-                continue
-            for slot in range(N):
-                comps[slot] = comps[slot] + mul(b, ph.vector.components[slot])
-        return SyzygyVector(tuple(comps))
+        pairs = [(self.tau_coeffs[t.j, t.k], t.vector) for t in basis.tau if (t.j, t.k) in self.tau_coeffs]
+        pairs += [(self.phi_coeffs[ph.i], ph.vector) for ph in basis.phi if ph.i in self.phi_coeffs]
+        return _combination(pairs, pres.total, pres.dim, pres.backend)
 
 
 def decompose_general_relation(v: SyzygyVector, pres: GeneratorPresentation) -> GeneralDecomposition:

@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line front end (via main(argv))."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okakit.cli import main
 
@@ -293,3 +299,189 @@ class TestErrorsAndSelftest:
         assert code == 0
         report = json.loads(out.read_text())
         assert all(report["result"]["checks"].values())
+
+
+# -- malformed requests ----------------------------------------------------
+
+def run_stdin(command, payload):
+    """main([command]) on the JSON payload as stdin: (exit code, stdout, stderr)."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+# the README requests, and one of each other kind
+VALID = {
+    "divide": {"series": {"dim": 3, "terms": [{"exp": [1, 0, 1], "coeff": ["1", "0"]},
+                                              {"exp": [0, 2, 0], "coeff": ["1", "0"]}]}, "q": 2},
+    "syzygy": {"mode": "decompose",
+               "components": [{"dim": 2, "terms": [{"exp": [0, 1], "coeff": ["-1", "0"]}]},
+                              {"dim": 2, "terms": [{"exp": [1, 0], "coeff": ["1", "0"]}]}]},
+    "cousin1": {"cuboid": {"re": [[-3, 3]], "im": [[-0.6, 0.6]]}, "breakpoints": [-1.0, 1.0], "delta": 0.3,
+                "slabs": [{"poles": [{"re": -2.0, "im": 0.1, "coeff_re": 1.5}]},
+                          {"poles": [{"re": 0.2, "coeff_re": 0.7, "coeff_im": 0.2}]},
+                          {"poles": [{"re": 2.1, "im": -0.3, "coeff_re": 0.9}]}]},
+    "jokuiko": {"cuboid": {"re": [[-0.5, 0.5], [-2, 2]], "im": [[-0.5, 0.5], [-0.5, 0.5]]},
+                "breakpoints": [0.0], "q": 1, "delta": 0.2,
+                "target": {"op": "add", "args": [{"op": "pow", "base": {"op": "var", "index": 2}, "exp": 2},
+                                                 {"op": "const", "re": -1.0}]}},
+    "cousin-split": {"dim": 1, "function": {"op": "mul", "args": [{"op": "var", "index": 1},
+                                                                  {"op": "const", "re": 0.5, "im": 1.0}]},
+                     "geometry": {"s": 0.0, "delta": 0.2, "theta": 0.4, "re_lo": -1.0, "re_hi": 1.0}},
+    "syzygy-general": {"mode": "general", "dim": 2, "q": 2, "N": 3,
+                       "coefficients": [{"i": 3, "j": 1, "series": series_json(2, {(0, 0): 1})}],
+                       "vector": [series_json(2, {(0, 1): -1}), series_json(2, {(1, 0): 1}), series_json(2, {})]},
+    "syzygy-trivial": {"mode": "trivial", "p": 3},
+}
+
+
+def command_of(kind):
+    return kind.split("-")[0] if kind.startswith("syzygy") else kind
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_valid_requests_pass(kind):
+    code, out, err = run_stdin(command_of(kind), VALID[kind])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+def fields(value, path=()):
+    """Every path into a JSON value (the empty path is the value itself)."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from fields(child, path + (key,))
+
+
+def at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(value)
+    at(out, path[:-1])[path[-1]] = new
+    return out
+
+
+# values of a type that no field of the original's type accepts
+WRONG_TYPED = {dict: ["x", 5, [1]], list: ["x", 5, {"a": 1}], str: ["x", [1], {"a": 1}],
+               int: ["x", [1], {"a": 1}], float: ["x", [1], {"a": 1}]}
+
+
+def assert_input_error(command, payload):
+    code, out, err = run_stdin(command, payload)
+    assert code == 2, (payload, out, err)
+    assert err.startswith("okakit: input error") and "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_wrong_typed_field_exits_2(data):
+    kind = data.draw(st.sampled_from(sorted(VALID)))
+    request = VALID[kind]
+    path = data.draw(st.sampled_from(list(fields(request))))
+    new = data.draw(st.sampled_from(WRONG_TYPED[type(at(request, path))]))
+    assert_input_error(command_of(kind), replaced(request, path, new))
+
+
+def with_pole(pole):
+    return {**VALID["cousin1"], "slabs": [{"poles": [pole]}, *VALID["cousin1"]["slabs"][1:]]}
+
+
+SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
+
+
+@pytest.mark.parametrize("command, payload", [
+    # ended in a traceback before one input boundary read every request
+    pytest.param("cousin1", {**VALID["cousin1"], "tolerance": "x"}, id="tolerance-str"),
+    pytest.param("cousin1", {**VALID["cousin1"], "delta": "x"}, id="delta-str"),
+    pytest.param("cousin1", {**VALID["cousin1"], "breakpoints": ["a", 1.0]}, id="breakpoint-str"),
+    pytest.param("cousin1", {**VALID["cousin1"], "quadrature": {"panels": 1.5}}, id="panels-float"),
+    pytest.param("cousin1", {**VALID["cousin1"], "slabs": [1, 2, 3]}, id="slab-int"),
+    pytest.param("cousin1", with_pole({"re": "x"}), id="pole-re-str"),
+    pytest.param("cousin1", with_pole(5), id="pole-int"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "dim": "x"}, id="split-dim-str"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"nx": "a"}}, id="grid-nx-str"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"nx": 0}}, id="grid-nx-0"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": [1]}, id="grid-list"),
+    pytest.param("divide", {"series": series_json(2, {(1, 1): 1}), "q": 3}, id="divide-q-above-dim"),
+    pytest.param("jokuiko", {**VALID["jokuiko"], "q": 0}, id="jokuiko-q-0"),
+    # exited 1, as computation errors do
+    pytest.param("syzygy", {"mode": "trivial", "p": 0}, id="trivial-p-0"),
+    pytest.param("syzygy", {"mode": "decompose", "components": []}, id="decompose-empty"),
+    pytest.param("syzygy", {"mode": "general", "dim": 2, "q": 3, "N": 3}, id="general-q-above-dim"),
+    pytest.param("syzygy", {**VALID["syzygy-general"],
+                            "coefficients": [{"i": 1, "j": 1, "series": series_json(2, {})}]},
+                 id="general-index-out-of-range"),
+    # other values out of range
+    pytest.param("cousin1", {**VALID["cousin1"], "delta": 0}, id="delta-0"),
+    pytest.param("cousin1", {**VALID["cousin1"], "delta": 2.5}, id="delta-above-slab-width"),
+    pytest.param("jokuiko", {**VALID["jokuiko"], "delta": 5.0}, id="jokuiko-delta-above-slab-width"),
+    pytest.param("jokuiko", {**VALID["jokuiko"], "q": 3}, id="jokuiko-q-above-dim"),
+    pytest.param("cousin1", {**VALID["cousin1"], "tolerance": -1e-8}, id="tolerance-negative"),
+    pytest.param("cousin1", {**VALID["cousin1"], "quadrature": {"nodes": 1}}, id="nodes-1"),
+    pytest.param("cousin1", with_pole({"re": -2.0, "order": 0}), id="pole-order-0"),
+    pytest.param("cousin1", {**VALID["cousin1"], "cuboid": {"re": [], "im": []}}, id="cuboid-empty"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "dim": 2}, id="split-dim-mismatch"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"ny": 0}}, id="grid-ny-0"),
+    pytest.param("divide", {"series": {**series_json(2, {(1, 1): 1}), "backend": "fast"}, "q": 1},
+                 id="series-backend-unknown"),
+    pytest.param("syzygy", {"mode": "trivial", "p": 3, "dim": 2}, id="trivial-dim-below-p"),
+    # read as dimension 2 and exponent 1 before series.from_json took integers only
+    pytest.param("divide", {"series": {**series_json(2, {(1, 1): 1}), "dim": 2.5}, "q": 1}, id="series-dim-float"),
+    pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1.5, 0], "coeff": ["1", "0"]}]}, "q": 1},
+                 id="series-exp-float"),
+])
+def test_malformed_request_exits_2(command, payload):
+    assert_input_error(command, payload)
+
+
+# -- tolerance and round-trip checks ----------------------------------------
+
+def test_report_gives_the_tolerance_applied():
+    code, out, _ = run_stdin("cousin1", {**VALID["cousin1"], "tolerance": 1e-30})
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["tolerance"] == 1e-30
+    code, out, _ = run_stdin("cousin1", VALID["cousin1"])
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-8
+
+
+def floating_json(dim, terms):
+    return {"dim": dim, "backend": "floating",
+            "terms": [{"exp": list(e), "coeff": [c.real, c.imag]} for e, c in terms.items()]}
+
+
+def test_floating_divide_runs_its_check():
+    f = floating_json(3, {(1, 0, 1): 0.1 + 0.2j, (0, 2, 0): 1 / 3})
+    code, out, _ = run_stdin("divide", {"series": f, "q": 2})
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["recombination_exact"] is None
+    assert result["verification"] == {"recombined_equals_input": True, "residual_norm": 0.0}
+
+
+def test_floating_general_decomposition_runs():
+    # sigma_3 = z1/3 + z2/10 and v = g * phi_3 + T_12 with g = 0.9 + 0.3i z1 z2, its
+    # second slot written with c / 10, which rounds apart from the recombined c * 0.1
+    g = {(0, 0): 0.9 + 0j, (1, 1): 0.3j}
+    v = [floating_json(2, {**{e: -c / 3 for e, c in g.items()}, (0, 1): -1.0}),
+         floating_json(2, {**{e: -c / 10 for e, c in g.items()}, (1, 0): 1.0}),
+         floating_json(2, g)]
+    payload = {"mode": "general", "dim": 2, "q": 2, "N": 3, "vector": v,
+               "coefficients": [{"i": 3, "j": j, "series": floating_json(2, {(0, 0): a})}
+                                for j, a in ((1, 1 / 3), (2, 0.1))]}
+    code, out, err = run_stdin("syzygy", payload)
+    assert (code, err) == (0, "")
+    check = json.loads(out)["result"]["verification"]
+    assert check["recombined_equals_input"] is True
+    assert 0.0 < check["residual_norm"] < 1e-15

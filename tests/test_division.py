@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okakit.division import CofactorVector, CoordinateSubspace, ideal_cofactors, is_member, split_variable
 from okakit.errors import CenterNotOnAxis
-from okakit.series import evaluate_complex, make_series, monomial, mul, to_floating, variable
+from okakit.scalars import EXACT, floating
+from okakit.series import evaluate_complex, make_series, monomial, mul, negligible, to_floating, variable
 
-from test_series import random_polynomial
+from test_series import polynomials, random_polynomial
 
 
 class TestSplitVariable:
@@ -124,3 +127,15 @@ class TestCofactorVector:
         g = monomial(2, (0, 2))
         cof = CofactorVector((h1,), g)
         assert cof.recombined() == make_series(2, {(1, 1): 1, (0, 2): 1})
+
+
+@pytest.mark.parametrize("backend", [EXACT, floating(1e-9)], ids=["exact", "floating"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_division_round_trip(backend, data):
+    dim = data.draw(st.integers(1, 3))
+    q = data.draw(st.integers(1, dim))
+    f = data.draw(polynomials(dim, backend, max_terms=6))
+    cof = ideal_cofactors(f, CoordinateSubspace(dim, q))
+    assert negligible(cof.recombined() - f, f)
+    assert not any(cof.remainder.depends_on(axis) for axis in range(q))

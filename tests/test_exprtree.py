@@ -1,0 +1,94 @@
+"""Expression trees: one walker over points, numpy columns and series."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from okakit.errors import SchemaError
+from okakit.exprtree import evaluate, to_evaluable, to_series, validate
+from okakit.series import evaluate as series_evaluate
+
+
+def trees(dim, polynomial=False):
+    """Hypothesis strategy: expression trees in ``dim`` variables; with
+    ``polynomial`` no ``inv`` node."""
+    number = st.floats(-2, 2).map(lambda x: round(x, 3))
+    leaves = st.one_of(st.builds(lambda j: {"op": "var", "index": j}, st.integers(1, dim)),
+                       st.builds(lambda re, im: {"op": "const", "re": re, "im": im}, number, number))
+
+    def nodes(children):
+        ops = [st.builds(lambda op, args: {"op": op, "args": args},
+                         st.sampled_from(["add", "mul"]), st.lists(children, min_size=1, max_size=3)),
+               st.builds(lambda a: {"op": "neg", "arg": a}, children),
+               st.builds(lambda b, k: {"op": "pow", "base": b, "exp": k}, children, st.integers(0, 3))]
+        if not polynomial:
+            ops.append(st.builds(lambda a: {"op": "inv", "arg": a}, children))
+        return st.one_of(ops)
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+def points(dim, max_size=6):
+    z = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+    return st.lists(st.lists(z, min_size=dim, max_size=dim), min_size=1, max_size=max_size)
+
+
+def close(got, want) -> bool:
+    """Within 1e-13 relative to the largest |want|, or absolute below 1."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@st.composite
+def tree_and_points(draw, polynomial=False):
+    dim = draw(st.integers(1, 3))
+    return dim, draw(trees(dim, polynomial)), draw(points(dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_and_points())
+def test_batched_values_match_pointwise_evaluate(case):
+    dim, tree, pts = case
+    try:
+        want = [evaluate(tree, tuple(complex(v) for v in z)) for z in pts]
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    assume(np.all(np.isfinite(want)))
+    assert close(to_evaluable(tree, dim).values(pts), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_and_points(polynomial=True))
+def test_series_lowering_matches_evaluate(case):
+    dim, tree, pts = case
+    f = to_series(tree, dim)
+    assert f.backend.exact
+    assert close([complex(series_evaluate(f, z)) for z in pts], [evaluate(tree, tuple(z)) for z in pts])
+
+
+def test_worked_example():
+    # z1 z2^2 - 1/z1 + (0.5 + i)
+    z1, z2 = {"op": "var", "index": 1}, {"op": "var", "index": 2}
+    poly = {"op": "mul", "args": [z1, {"op": "pow", "base": z2, "exp": 2}]}
+    tree = {"op": "add", "args": [poly, {"op": "neg", "arg": {"op": "inv", "arg": z1}},
+                                  {"op": "const", "re": 0.5, "im": 1.0}]}
+    assert evaluate(tree, (2, 3j)) == -18 + 1j
+    assert to_evaluable(tree, 2).values([(2, 3j), (-1, 1)]).tolist() == [-18 + 1j, 0.5 + 1j]
+    assert to_series(poly, 2).coeffs == {(1, 2): to_series({"op": "const", "re": 1}, 1).coeffs[(0,)]}
+
+
+def test_constant_tree_fills_every_row():
+    tree = {"op": "const", "re": 1.5, "im": -2.0}
+    assert to_evaluable(tree, 2).values(np.zeros((4, 2))).tolist() == [1.5 - 2j] * 4
+    assert to_series(tree, 2).coeffs == {(0, 0): to_series(tree, 1).coeffs[(0,)]}
+
+
+def test_validate_reports_polynomial_trees():
+    z1 = {"op": "var", "index": 1}
+    assert validate({"op": "pow", "base": {"op": "neg", "arg": z1}, "exp": 3}, 1)
+    assert not validate({"op": "add", "args": [z1, {"op": "inv", "arg": z1}]}, 1)
+    with pytest.raises(SchemaError):
+        to_series({"op": "inv", "arg": z1}, 1)
+    with pytest.raises(SchemaError):
+        validate({"op": "add", "args": [{"op": "inv", "arg": z1}, {"op": "var", "index": 2}]}, 1)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from okakit.errors import IncompatibleOperands, RequiresExactPolynomial
 from okakit.scalars import EXACT, QQi, floating
@@ -40,6 +41,15 @@ def random_polynomial(rng, dim, max_degree, n_terms=6, backend=EXACT, center=Non
                 Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
         terms[tuple(exp)] = c
     return make_series(dim, terms, backend=backend, center=center)
+
+
+def polynomials(dim, backend, max_terms=4, max_degree=3):
+    """Hypothesis strategy: origin-centred polynomials on ``backend`` with
+    small Gaussian-rational coefficients."""
+    ratio = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, max_degree)] * dim)
+    terms = st.dictionaries(exps, st.builds(QQi, ratio, ratio), max_size=max_terms)
+    return terms.map(lambda t: make_series(dim, t, backend=backend))
 
 
 class TestConstruction:
@@ -105,6 +115,9 @@ class TestRingLaws:
         assert f == make_series(2, {(0, 0): 1, (2, 0): -1, (0, 1): 1})
         assert (-f) + f == zero(2)
         assert 2 * z1 == z1 + z1
+        assert (z1 + z2) ** 2 == (z1 + z2) * (z1 + z2) and z1 ** 0 == constant(2, 1)
+        with pytest.raises(ValueError):
+            z1 ** -1
 
     def test_truncation_order_propagates(self):
         a = make_series(1, {(1,): 1}, order=4)

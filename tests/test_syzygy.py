@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okakit.errors import InvalidArity, NotARelation
 from okakit.scalars import EXACT, floating
-from okakit.series import constant, monomial, variable, zero
+from okakit.series import constant, monomial, negligible, variable, zero
 from okakit.syzygy import (
     GeneralDecomposition,
     GeneratorPresentation,
@@ -22,7 +24,7 @@ from okakit.syzygy import (
     verify_relation,
 )
 
-from test_series import random_polynomial
+from test_series import polynomials, random_polynomial
 
 
 def vectors_equal(a: SyzygyVector, b: SyzygyVector) -> bool:
@@ -219,3 +221,51 @@ class TestGeneralPresentation:
             decompose_general_relation(SyzygyVector((zero(2), zero(2))), pres)
         with pytest.raises(InvalidArity):
             GeneratorPresentation(2, 3, 4, {})
+
+
+def test_skipped_zero_slots_still_truncate():
+    # a zero known only below degree 2 bounds the order of every sum it enters
+    v = SyzygyVector((zero(2, order=1), monomial(2, (2, 0))))
+    assert relation_residual(v) == zero(2, order=1)
+    assert recombine({(0, 1): constant(3, 1, order=1)}, 3).components[2] == zero(3, order=1)
+
+
+BACKENDS = pytest.mark.parametrize("backend", [EXACT, floating(1e-9)], ids=["exact", "floating"])
+
+
+def subsets(keys, values):
+    """Hypothesis strategy: dicts from some of ``keys`` to ``values``."""
+    return st.dictionaries(st.sampled_from(keys), values) if keys else st.just({})
+
+
+def round_trips(back: SyzygyVector, v: SyzygyVector) -> bool:
+    return back.arity == v.arity and all(negligible(a - b, *v.components)
+                                         for a, b in zip(back.components, v.components))
+
+
+@BACKENDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decompose_relation_round_trip(backend, data):
+    p = data.draw(st.integers(2, 4))
+    dim = data.draw(st.integers(p, p + 1))
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    coeffs = data.draw(subsets(pairs, polynomials(dim, backend)))
+    v = recombine(coeffs, p, dim=dim, backend=backend)
+    assert round_trips(recombine(decompose_relation(v), p, dim=dim, backend=backend), v)
+
+
+@BACKENDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decompose_general_relation_round_trip(backend, data):
+    q = data.draw(st.integers(1, 3))
+    total = data.draw(st.integers(q, q + 2))
+    dim = data.draw(st.integers(q, q + 1))
+    poly = polynomials(dim, backend, max_terms=3, max_degree=2)
+    extra = [(i, j) for i in range(q, total) for j in range(q)]
+    pres = GeneratorPresentation(dim, q, total, data.draw(subsets(extra, poly)), backend=backend)
+    tau = data.draw(subsets([(j, k) for j in range(q) for k in range(j + 1, q)], poly))
+    phi = data.draw(subsets(list(range(q, total)), poly))
+    v = GeneralDecomposition(tau, phi).recombined(pres)
+    assert round_trips(decompose_general_relation(v, pres).recombined(pres), v)
