@@ -50,6 +50,14 @@ def _load_input(path: str) -> dict:
         raise SchemaError(f"cannot read input: {exc}") from exc
 
 
+def _open_output(path: str):
+    """``path`` opened for writing text; a path that cannot be written is malformed input."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise SchemaError(f"cannot write output: {exc}") from exc
+
+
 def _number(value, kinds=(int, float)):
     """``value`` if it is a JSON number of ``kinds`` (a bool is none); else a TypeError."""
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -186,7 +194,7 @@ def _split(phi, geom, spec, pts, csv_path, tol) -> tuple[dict, bool]:
     res = np.abs(v1 - v2 - phi.values(pts))
     worst = float(res.max())
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+        with _open_output(csv_path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["re", "im", "phi1_re", "phi1_im", "phi2_re", "phi2_im", "residual"])
             writer.writerows([zn.real, zn.imag, a.real, a.imag, b.real, b.imag, r] for zn, a, b, r
@@ -236,7 +244,7 @@ def cmd_jokuiko(data: dict, args):
 def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
     """Solution values on an nx x ny grid of the last axis; points where the
     value is not finite (a pole) are left out."""
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain", "re", "im", "f_re", "f_im"])
         for idx, sol in enumerate(sols):
@@ -305,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default="-", help="input JSON file ('-' for stdin)")
         p.add_argument("--output", default="-", help="report JSON file ('-' for stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
-        p.add_argument("--panels", type=int, default=None, help="quadrature panel override")
+        p.add_argument("--panels", type=int, default=None,
+                       help="Gauss panels on each seam-long contour piece (default 6); a shorter piece gets "
+                            "panels in proportion to its length, at least one, so no panel is longer")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
     return parser
 
@@ -331,28 +341,28 @@ def main(argv=None) -> int:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
             raise SchemaError(f"bad {args.command} request: {what}") from exc
         body, ok = compute()
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "seed": args.seed,
+            "tolerance": args.tol,
+            "elapsed_s": round(time.perf_counter() - started, 6),
+            "input": data,
+            "pass": bool(ok),
+            "result": body,
+        }
+        text = json.dumps(report, indent=2, default=str)
+        if args.output == "-":
+            print(text)
+        else:
+            with _open_output(args.output) as fh:
+                fh.write(text + "\n")
     except SchemaError as exc:
         print(f"okakit: input error: {exc}", file=sys.stderr)
         return 2
     except OkakitError as exc:
         print(f"okakit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "seed": args.seed,
-        "tolerance": args.tol,
-        "elapsed_s": round(time.perf_counter() - started, 6),
-        "input": data,
-        "pass": bool(ok),
-        "result": body,
-    }
-    text = json.dumps(report, indent=2, default=str)
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
     return 0 if ok else 1
 
 

@@ -28,14 +28,27 @@ from .errors import OnContour
 TWO_PI_I = 2j * cmath.pi
 
 
+# Limits on a QuadratureSpec: leggauss builds a nodes x nodes matrix, and a
+# path caches DENSITY_CACHE_SIZE rows of one value per contour node.
+MAX_NODES = 100
+MAX_CONTOUR_NODES = 1 << 13
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Composite Gauss-Legendre controls.
 
-    ``panels`` equal panels of ``nodes`` points per straight contour piece.
+    ``panels`` equal panels of ``nodes`` points on every seam-long piece:
+    the seam segment and the vertical piece of a pushed contour, both of
+    length 2h = 2(theta + delta).  A shorter piece of length L gets
+    max(1, ceil(panels * L / 2h)) panels, so no panel is longer than a
+    seam panel; a pushed contour's two legs (L = delta <= h) get at most
+    ceil(panels / 2) each.  A leg lies at least delta from every point and
+    pole the solvers admit, twice the delta/2 between the vertical piece and
+    the points it serves, so its Gauss error is at most the vertical piece's.
     The node sets are deterministic, so the seam-split caches can reuse
-    them; evaluations stay at least delta/2 from the contour, where the
-    fixed rule converges geometrically.
+    them.  ``nodes`` is at most MAX_NODES, and ``contour_nodes`` at most
+    MAX_CONTOUR_NODES.
     """
 
     panels: int = 6
@@ -44,6 +57,23 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.panels < 1 or self.nodes < 2:
             raise ValueError("need at least one panel and two nodes")
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"at most {MAX_NODES} nodes per panel, got {self.nodes}")
+        if self.contour_nodes > MAX_CONTOUR_NODES:
+            raise ValueError(f"{self.panels} panels of {self.nodes} nodes make pushed contours of up to "
+                             f"{self.contour_nodes} nodes; at most {MAX_CONTOUR_NODES} are allowed")
+
+    @property
+    def contour_nodes(self) -> int:
+        """The most nodes one contour can have: a pushed contour whose legs
+        are as long as h."""
+        return self.nodes * (self.panels + 2 * -(-self.panels // 2))
+
+    def piece_panels(self, length: float, height: float) -> int:
+        """Panels on a piece of ``length`` <= 2 ``height``.  A ratio within
+        1e-9 of a whole number counts as that number, so float rounding never
+        adds a panel."""
+        return max(1, math.ceil(round(self.panels * length / (2 * height), 9)))
 
     def refined(self, factor: int = 4) -> "QuadratureSpec":
         return replace(self, panels=self.panels * factor)
@@ -174,12 +204,13 @@ def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _piece_nodes(a: complex, b: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Composite GL nodes and dz-weights for the straight piece a -> b."""
-    x, w = _gauss01(spec.nodes)
-    edges = np.linspace(0.0, 1.0, spec.panels + 1)
-    ts = np.concatenate([edges[k] + (edges[k + 1] - edges[k]) * x for k in range(spec.panels)])
-    ws = np.concatenate([(edges[k + 1] - edges[k]) * w for k in range(spec.panels)])
+def _piece_nodes(a: complex, b: complex, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite GL nodes and dz-weights for the straight piece a -> b:
+    ``panels`` equal panels of ``nodes`` points."""
+    x, w = _gauss01(nodes)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    ts = np.concatenate([edges[k] + (edges[k + 1] - edges[k]) * x for k in range(panels)])
+    ws = np.concatenate([(edges[k + 1] - edges[k]) * w for k in range(panels)])
     zs = a + (b - a) * ts
     return zs, ws * (b - a)
 
@@ -195,13 +226,13 @@ FILL_POINTS = 1 << 11
 
 
 class _PathQuad:
-    """Fixed node set along a polyline, with an LRU cache of weighted density
-    values per z'."""
+    """Fixed node set along a polyline of straight pieces (a, b, panels),
+    with an LRU cache of weighted density values per z'."""
 
-    def __init__(self, pieces: Sequence[tuple[complex, complex]], spec: QuadratureSpec):
+    def __init__(self, pieces: Sequence[tuple[complex, complex, int]], spec: QuadratureSpec):
         zs, ws = [], []
-        for a, b in pieces:
-            z, w = _piece_nodes(a, b, spec)
+        for a, b, panels in pieces:
+            z, w = _piece_nodes(a, b, panels, spec.nodes)
             zs.append(z)
             ws.append(w)
         self.zs = np.concatenate(zs)
@@ -306,7 +337,7 @@ def cauchy_segment_integral(
     a, b = geom.segment
     if _distance_to_segment(zn, a, b) < 1e-13:
         raise OnContour(f"evaluation point {zn} lies on the integration segment")
-    quad = _PathQuad([(a, b)], spec)
+    quad = _PathQuad([(a, b, spec.panels)], spec)
     return complex(quad.cauchy(phi, np.array([z]))[0])
 
 
@@ -322,12 +353,14 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     spec = spec or QuadratureSpec()
     s, d, h = geom.s, geom.delta, geom.height
     a, b = geom.segment
-    seam_quad = _PathQuad([(a, b)], spec)
+    seam_quad = _PathQuad([(a, b, spec.panels)], spec)
+    leg = spec.piece_panels(d, h)
 
     def pushed_to(x: float) -> _PathQuad:
-        """The segment's endpoints joined through Re = x."""
+        """The segment's endpoints joined through Re = x: a leg of length
+        delta, the vertical piece of length 2h, and a leg back."""
         corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
-        return _PathQuad(list(zip(corners, corners[1:])), spec)
+        return _PathQuad(list(zip(corners, corners[1:], (leg, spec.panels, leg))), spec)
 
     def branch(pushed: _PathQuad, near_seam: Callable, jump: Callable, domain: Cuboid) -> SplitBranch:
         def many(P):

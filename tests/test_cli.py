@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -303,12 +304,12 @@ class TestErrorsAndSelftest:
 
 # -- malformed requests ----------------------------------------------------
 
-def run_stdin(command, payload):
-    """main([command]) on the JSON payload as stdin: (exit code, stdout, stderr)."""
+def run_stdin(command, payload, extra=()):
+    """main([command, *extra]) on the JSON payload as stdin: (exit code, stdout, stderr)."""
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main([command])
+            code = main([command, *extra])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -377,10 +378,11 @@ WRONG_TYPED = {dict: ["x", 5, [1]], list: ["x", 5, {"a": 1}], str: ["x", [1], {"
                int: ["x", [1], {"a": 1}], float: ["x", [1], {"a": 1}]}
 
 
-def assert_input_error(command, payload):
-    code, out, err = run_stdin(command, payload)
+def assert_input_error(command, payload, extra=()):
+    code, out, err = run_stdin(command, payload, extra)
     assert code == 2, (payload, out, err)
     assert err.startswith("okakit: input error") and "Traceback" not in err
+    assert (out, err.count("\n")) == ("", 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -443,6 +445,31 @@ SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
 ])
 def test_malformed_request_exits_2(command, payload):
     assert_input_error(command, payload)
+
+
+@pytest.mark.parametrize("payload, extra", [
+    pytest.param({**VALID["cousin1"], "quadrature": {"nodes": 10_000_000}}, (), id="nodes"),
+    pytest.param(VALID["cousin1"], ("--panels", "100000000"), id="panels"),
+])
+def test_huge_quadrature_counts_exit_2_before_allocating(payload, extra):
+    # leggauss builds a nodes x nodes matrix: 10^7 nodes ended in a MemoryError
+    tracemalloc.start()
+    try:
+        assert_input_error("cousin1", payload, extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command, where", [("cousin-split", "csv"), ("cousin1", "csv"), ("cousin1", "--output")])
+def test_unwritable_output_exits_2(tmp_path, command, where):
+    # a path in a missing directory ended in a FileNotFoundError traceback
+    path = str(tmp_path / "missing" / "out")
+    if where == "csv":
+        assert_input_error(command, {**VALID[command], "csv": path})
+    else:
+        assert_input_error(command, VALID[command], (where, path))
 
 
 # -- tolerance and round-trip checks ----------------------------------------

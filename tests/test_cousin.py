@@ -28,6 +28,33 @@ def default_geom(**kw):
     return SplitGeometry(**params)
 
 
+# (geometry, panels, panels per leg): a leg of length delta gets
+# ceil(panels * delta / 2h) panels, and at most ceil(panels / 2)
+PANEL_CASES = [
+    pytest.param({}, 6, 1, id="whole"),  # 6 * 0.25 / 1.5 = 1
+    pytest.param({}, 24, 4, id="whole-24"),
+    pytest.param(dict(s=0.1, delta=0.2, theta=0.7), 24, 3, id="fraction"),  # 2.67
+    pytest.param(dict(delta=0.3, theta=0.0), 7, 4, id="bound"),  # 3.5 -> ceil(7 / 2)
+    # whole in exact arithmetic, one ulp above it in floats
+    pytest.param(dict(delta=0.1, theta=0.0), 6, 3, id="whole-float-3"),  # 3.0000000000000004
+    pytest.param(dict(delta=0.14, theta=0.21), 5, 1, id="whole-float-1"),  # 1.0000000000000002
+    pytest.param(dict(delta=0.14, theta=0.21), 20, 4, id="whole-float-4"),  # 4.000000000000001
+]
+
+
+def near_leg_poles(g):
+    """Simple and double poles as close to the pushed contours' legs as the
+    solvers admit: Im p = +-theta, |Re p - s| = 2 delta."""
+    poles = [complex(g.s + side * 2 * g.delta, im) for side in (1, -1) for im in (g.theta, -g.theta)]
+    terms = [(1.0, 1), (0.5 - 1j, 2), (-2j, 1), (0.7 + 0.3j, 2)]
+    return Evaluable.batched(lambda P: sum(c / (P[:, -1] - p) ** k for (c, k), p in zip(terms, poles)))
+
+
+def slab_points(slab, nx=17, ny=7):
+    (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
+    return np.array([[complex(r, i)] for r in np.linspace(rlo, rhi, nx) for i in np.linspace(ilo, ihi, ny)])
+
+
 def segment_log(a, b, z):
     """Closed form of the Cauchy integral of the constant density 1."""
     # single log of the ratio: branch-safe for a straight segment
@@ -146,14 +173,34 @@ class TestCousinSplit:
             assert abs(s1(z) - f1(z) - h1(z)) < 1e-10
             assert abs(s2(z) - f2(z) - h2(z)) < 1e-10
 
-    def test_adaptive_split_agrees(self):
-        g = default_geom()
-        phi = Evaluable(lambda z: z[-1] ** 2 - 0.5)
-        spec = QuadratureSpec(panels=24)
-        p1, p2 = cousin_split(phi, g, spec)
-        r1, r2 = cousin_split(phi, g, spec.refined(4))
-        for z in [(0.1 + 0.2j,), (-0.6 - 0.1j,), (0.9 + 0.3j,)]:
-            assert abs(p1(z) - r1(z)) < 1e-8
+    @pytest.mark.parametrize("density", ["polynomial", "near-leg-poles"])
+    @pytest.mark.parametrize("geom_kw, panels, leg", [
+        case for case in PANEL_CASES if case.id in ("whole-24", "fraction", "whole-float-3", "whole-float-4")])
+    def test_adaptive_split_agrees(self, geom_kw, panels, leg, density):
+        # legs get panels in proportion to their length, vertical pieces all
+        # of them: every slab point agrees with a split on four times as many
+        g = default_geom(**geom_kw)
+        phi = Evaluable(lambda z: z[-1] ** 2 - 0.5) if density == "polynomial" else near_leg_poles(g)
+        spec = QuadratureSpec(panels=panels)
+        for branch, fine, slab in zip(cousin_split(phi, g, spec), cousin_split(phi, g, spec.refined(4)),
+                                      (g.left_slab, g.right_slab)):
+            P = slab_points(slab)
+            got, want = branch.values(P), fine.values(P)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("geom_kw, panels, leg", PANEL_CASES)
+    def test_panels_per_piece(self, geom_kw, panels, leg):
+        g = default_geom(**geom_kw)
+        spec = QuadratureSpec(panels=panels)
+        h = g.height
+        for branch, x in zip(cousin_split(constant_evaluable(1.0), g, spec), (g.s + g.delta, g.s - g.delta)):
+            zs = branch.pushed.zs
+            # bottom leg, vertical piece at Re = x, top leg
+            pieces = [np.sum(zs.imag == -h), np.sum(zs.real == x), np.sum(zs.imag == h)]
+            assert pieces == [leg * spec.nodes, panels * spec.nodes, leg * spec.nodes]
+            assert len(zs) == sum(pieces) <= spec.contour_nodes
+        assert leg <= -(-panels // 2)
+        assert g.delta / leg <= (2 * h / panels) * (1 + 1e-9)  # no leg panel longer than a seam panel
 
     def test_evaluations_stay_off_contours(self):
         """Points near the seam are fine: the branch uses the pushed contour."""
