@@ -31,7 +31,7 @@ TWO_PI_I = 2j * cmath.pi
 # Limits on a QuadratureSpec: leggauss builds a nodes x nodes matrix, and a
 # path caches DENSITY_CACHE_SIZE rows of one value per contour node.
 MAX_NODES = 100
-MAX_CONTOUR_NODES = 1 << 13
+MAX_PIECE_NODES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ class QuadratureSpec:
     pole the solvers admit, twice the delta/2 between the vertical piece and
     the points it serves, so its Gauss error is at most the vertical piece's.
     The node sets are deterministic, so the seam-split caches can reuse
-    them.  ``nodes`` is at most MAX_NODES, and ``contour_nodes`` at most
-    MAX_CONTOUR_NODES.
+    them.  ``nodes`` is at most MAX_NODES, and a seam-long piece has at most
+    MAX_PIECE_NODES nodes (``panels * nodes``); the legs together get at most
+    panels + 1 panels, so a pushed contour has at most about twice that.
     """
 
     panels: int = 6
@@ -59,21 +60,9 @@ class QuadratureSpec:
             raise ValueError("need at least one panel and two nodes")
         if self.nodes > MAX_NODES:
             raise ValueError(f"at most {MAX_NODES} nodes per panel, got {self.nodes}")
-        if self.contour_nodes > MAX_CONTOUR_NODES:
-            raise ValueError(f"{self.panels} panels of {self.nodes} nodes make pushed contours of up to "
-                             f"{self.contour_nodes} nodes; at most {MAX_CONTOUR_NODES} are allowed")
-
-    @property
-    def contour_nodes(self) -> int:
-        """The most nodes one contour can have: a pushed contour whose legs
-        are as long as h."""
-        return self.nodes * (self.panels + 2 * -(-self.panels // 2))
-
-    def piece_panels(self, length: float, height: float) -> int:
-        """Panels on a piece of ``length`` <= 2 ``height``.  A ratio within
-        1e-9 of a whole number counts as that number, so float rounding never
-        adds a panel."""
-        return max(1, math.ceil(round(self.panels * length / (2 * height), 9)))
+        if self.panels * self.nodes > MAX_PIECE_NODES:
+            raise ValueError(f"{self.panels} panels of {self.nodes} nodes put {self.panels * self.nodes} nodes "
+                             f"on a seam-long contour piece; at most {MAX_PIECE_NODES} are allowed")
 
     def refined(self, factor: int = 4) -> "QuadratureSpec":
         return replace(self, panels=self.panels * factor)
@@ -354,7 +343,10 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     s, d, h = geom.s, geom.delta, geom.height
     a, b = geom.segment
     seam_quad = _PathQuad([(a, b, spec.panels)], spec)
-    leg = spec.piece_panels(d, h)
+    # Each leg (length delta <= h) gets panels in proportion to its length;
+    # a ratio within 1e-9 of a whole number counts as that number, so float
+    # rounding never adds a panel.
+    leg = max(1, math.ceil(round(spec.panels * d / (2 * h), 9)))
 
     def pushed_to(x: float) -> _PathQuad:
         """The segment's endpoints joined through Re = x: a leg of length

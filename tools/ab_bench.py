@@ -4,12 +4,12 @@
         --output BENCH_8.json
     python3 tools/ab_bench.py --pairs 1 --seconds 2       # same-tree smoke run
 
-The *change* side is the working tree this script sits in; ``--change REV``
-takes a committed revision instead.  The *base* side is ``--base REV``,
-exported with ``git archive``; without it both sides run the change tree,
-which checks the script and shows the spread a null comparison gives.
+The *change* side is the working tree this script sits in.  The *base*
+side is ``--base REV``, exported with ``git archive``; without it both sides
+run the working tree, which checks the script and shows the spread a null
+comparison gives.
 
-For every workload, pair k runs ``perfbench/run.py`` once per side on seed
+For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py`` once per side on seed
 ``seeds + k``, base first in even pairs and change first in odd ones, one
 process at a time.  The output gives, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles, the change's median
@@ -111,22 +111,19 @@ def kernel_entries(tree: Path) -> dict:
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", help="git revision of the base side (default: the change tree)")
-    parser.add_argument("--change", help="git revision of the change side (default: the working tree)")
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--base", help="git revision of the base side (default: the working tree)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seeds", type=int, default=911, help="seed of the first pair; pair k runs seeds + k")
     parser.add_argument("--output", help="write the JSON summary here (default: stdout)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        change = export(args.change, Path(tmp) / "change") if args.change else ROOT
-        base = export(args.base, Path(tmp) / "base") if args.base else change
-        sides = {"base": base, "change": change}
-        report = {"base": args.base or "same tree", "change": args.change or "working tree",
+        base = export(args.base, Path(tmp) / "base") if args.base else ROOT
+        sides = {"base": base, "change": ROOT}
+        report = {"base": args.base or "same tree", "change": "working tree",
                   "pairs": args.pairs, "seconds": args.seconds,
                   "seeds": [args.seeds + k for k in range(args.pairs)], "workloads": {}}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
                 for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
