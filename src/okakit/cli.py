@@ -50,6 +50,16 @@ def _load_input(path: str) -> dict:
         raise SchemaError(f"cannot read input: {exc}") from exc
 
 
+def _output_path(path) -> str:
+    """``path`` ("" for none), checked as writable without creating or truncating a file."""
+    path = os.fspath(path or "")
+    parent = os.path.dirname(os.path.abspath(path))
+    new_file_ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if path and (os.path.isdir(path) or not (os.access(path, os.W_OK) if os.path.exists(path) else new_file_ok)):
+        raise SchemaError(f"cannot write output: {path!r} is not a writable file path")
+    return path
+
+
 def _open_output(path: str):
     """``path`` opened for writing text; a path that cannot be written is malformed input."""
     try:
@@ -185,7 +195,7 @@ def cmd_cousin_split(data: dict, args):
     grid = data.get("grid", {})
     pts = np.array(overlap_grid(geom, nx=grid.get("nx", 7), ny=grid.get("ny", 7)))
     return partial(_split, exprtree.to_evaluable(data["function"], geom.ndim), geom, _quadrature(data, args), pts,
-                   os.fspath(data.get("csv") or ""), args.tol)
+                   _output_path(data.get("csv")), args.tol)
 
 
 def _split(phi, geom, spec, pts, csv_path, tol) -> tuple[dict, bool]:
@@ -206,7 +216,7 @@ def _solver(request: dict, args, cuboid: Cuboid, **fields):
     """The solve of the ChiProblem with ``fields`` and the request's common fields."""
     problem = ChiProblem(cuboid=cuboid, breakpoints=tuple(float(t) for t in request.get("breakpoints", [])),
                          delta=request.get("delta"), quad=_quadrature(request, args), tol=args.tol, **fields)
-    return partial(_solve, problem, os.fspath(request.get("csv") or ""))
+    return partial(_solve, problem, _output_path(request.get("csv")))
 
 
 def _solve(problem: ChiProblem, csv_path: str) -> tuple[dict, bool]:
@@ -335,6 +345,7 @@ def main(argv=None) -> int:
             if not args.tol > 0:
                 raise ValueError(f"tolerance must be positive, got {args.tol}")
             compute = COMMANDS[args.command](data, args)
+            _output_path("" if args.output == "-" else args.output)
         # what reading raises on malformed input: a missing key, a value of the
         # wrong type or out of range, or an okakit constructor's InvalidArity
         except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, InvalidArity) as exc:

@@ -208,8 +208,8 @@ def _piece_nodes(a: complex, b: complex, panels: int, nodes: int) -> tuple[np.nd
 # recently used dropped first: more than the 288 one default morera_residual
 # call visits on an n = 2 slab, so verification reuses them across slabs.
 DENSITY_CACHE_SIZE = 512
-# Bounds on temporaries: (points x nodes) entries per Cauchy block, and
-# points per density fill passed to ``values``.
+# Bounds on temporaries: entries per Cauchy (points x nodes) or power
+# (points x terms) block, and points per density fill passed to ``values``.
 BLOCK_ENTRIES = 1 << 13
 FILL_POINTS = 1 << 11
 
@@ -252,59 +252,82 @@ class _PathQuad:
         return out
 
     def cauchy(self, phi: Evaluable, P: np.ndarray) -> np.ndarray:
-        """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z of P,
-        in blocks of at most BLOCK_ENTRIES (row, node) pairs."""
-        out = np.empty(len(P), dtype=complex)
-        rows = max(1, BLOCK_ENTRIES // len(self.zs))
-        for lo in range(0, len(P), rows):
-            Q = P[lo:lo + rows]
-            zp = Q[:, :-1]
+        """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z of P."""
+        def weights(rows):
+            zp = P[rows, :-1]
             # a run of equal z' shares one row of weighted densities
-            new = np.ones(len(Q), dtype=bool)
+            new = np.ones(len(zp), dtype=bool)
             new[1:] = (zp[1:] != zp[:-1]).any(axis=1)
             wd = self.weighted(phi, zp[new])
-            block = self.zs - Q[:, -1:]
-            np.divide(wd if len(wd) == 1 else wd[np.cumsum(new) - 1], block, out=block)
-            out[lo:lo + rows] = block.sum(axis=1)
-        return out / TWO_PI_I
+            return wd if len(wd) == 1 else wd[np.cumsum(new) - 1]
+        return kernel_sums(self.zs, P[:, -1], weights)
+
+
+def _row_sums(m: int, width: int, block: Callable) -> np.ndarray:
+    """block(rows).sum(axis=1) for rows 0..m-1, in slices of at most BLOCK_ENTRIES entries."""
+    out = np.empty(m, dtype=complex)
+    step = max(1, BLOCK_ENTRIES // width)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        out[rows] = block(rows).sum(axis=1)
+    return out
+
+
+def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray:
+    """(1/2 pi i) * sum_j wd[i, j] / (zs_j - zn_i) per zn_i, wd = weights(rows) a
+    slice's weighted densities (one row, or one per row): the one Cauchy kernel loop."""
+    return _row_sums(len(zn), len(zs), lambda rows: weights(rows) / (zs - zn[rows, None])) / TWO_PI_I
 
 
 @dataclass(frozen=True)
 class SplitBranch(Evaluable):
     """One branch of ``cousin_split``: the Cauchy sum of ``density`` over
-    the ``pushed`` contour, except where ``near_seam(Re z_n)`` holds, where
-    it is the segment integral plus the jump term."""
+    the ``pushed`` contour where lo < Re z_n < hi, (lo, hi) = ``valid_re``,
+    and the segment integral plus the jump term elsewhere (near the seam)."""
 
     pushed: _PathQuad | None = None
-    near_seam: Callable | None = None
+    valid_re: tuple[float, float] = (-math.inf, math.inf)
     density: Evaluable | None = None
 
 
-def far_field_series(branches: Sequence[SplitBranch], center: complex, radius: float) -> Evaluable:
-    """The summed Cauchy sums of ``branches`` (densities of z_n alone) as one
-    Taylor series about ``center``, for rows with |z_n - center| < radius.
+def fused_sum(branches: Sequence[SplitBranch], center: complex, radius: float) -> Evaluable:
+    """The summed pushed-contour Cauchy sums of ``branches`` (densities of
+    z_n alone), for rows with |z_n - center| < radius inside every ``valid_re``.
 
-    With rho = radius / (nearest node distance) < 1, the truncation after M
-    terms is at most rho^M / (1 - rho) times (1/2 pi) sum_j |w_j phi(zeta_j)|
-    / |zeta_j - center|; M is the smallest making that factor <= 2^-53.
-    The coefficients (1/2 pi i) sum_j w_j phi(zeta_j) / (zeta_j - center)^(m+1)
-    take O(nodes) memory.
+    The near branches give one Cauchy sum over the union of their nodes.
+    Those with every node at least 2 radius away give one Taylor series:
+    with rho = radius / (nearest node distance) <= 1/2, the truncation after
+    M terms is at most rho^M / (1 - rho) times (1/2 pi) sum_j |w_j
+    phi(zeta_j)| / |zeta_j - center|, and M is the smallest making that
+    factor <= 2^-53.  A row sums the coefficients (1/2 pi i) sum_j w_j
+    phi(zeta_j) / (zeta_j - center)^(m+1) against its powers (z_n - center)^m.
     """
-    zc = np.concatenate([b.pushed.zs for b in branches]) - center
-    t = np.concatenate([b.pushed.weighted(b.density, np.empty((1, 0), dtype=complex))[0] for b in branches])
-    rho = radius / np.abs(zc).min()
-    coeffs = np.empty(math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho)), dtype=complex)
-    for m in range(len(coeffs)):
-        t = t / zc
-        coeffs[m] = t.sum()
-    coeffs /= TWO_PI_I
+    near, far = [], []
+    for b in branches:
+        part = far if np.abs(b.pushed.zs - center).min() >= 2 * radius else near
+        part.append((b.pushed.zs, b.pushed.weighted(b.density, np.empty((1, 0), dtype=complex))[0]))
+    near_zs, near_wd = (np.concatenate(x) for x in zip(*near)) if near else (None, None)
+    if far:
+        zc, t = (np.concatenate(x) for x in zip(*far))
+        zc = zc - center
+        rho = radius / np.abs(zc).min()
+        coeffs = np.empty(math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho)), dtype=complex)
+        for m in range(len(coeffs)):
+            t = t / zc
+            coeffs[m] = t.sum()
+        coeffs /= TWO_PI_I
 
     def many(P):
-        w = P[:, -1] - center
-        acc = np.full(len(P), coeffs[-1])
-        for a in coeffs[-2::-1]:
-            acc = acc * w + a
-        return acc
+        zn = P[:, -1]
+        out = kernel_sums(near_zs, zn, lambda rows: near_wd) if near else np.zeros(len(P), dtype=complex)
+        if far:
+            w = zn - center
+            def powers(rows):
+                pw = np.ones((len(w[rows]), len(coeffs)), dtype=complex)
+                pw[:, 1:] = w[rows, None]
+                return np.cumprod(pw, axis=1, out=pw) * coeffs
+            out = out + _row_sums(len(w), len(coeffs), powers)
+        return out
 
     return Evaluable.batched(many)
 
@@ -354,9 +377,9 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
         corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
         return _PathQuad(list(zip(corners, corners[1:], (leg, spec.panels, leg))), spec)
 
-    def branch(pushed: _PathQuad, near_seam: Callable, jump: Callable, domain: Cuboid) -> SplitBranch:
+    def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable, domain: Cuboid) -> SplitBranch:
         def many(P):
-            near = near_seam(P[:, -1].real)
+            near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
             out = np.empty(len(P), dtype=complex)
             if not near.all():
                 out[~near] = pushed.cauchy(phi, P[~near])
@@ -365,10 +388,10 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
                 out[near] = jump(seam_quad.cauchy(phi, Q), phi.values(Q))
             return out
 
-        return SplitBranch.batched(many, domain, pushed=pushed, near_seam=near_seam, density=phi)
+        return SplitBranch.batched(many, domain, pushed=pushed, valid_re=(lo, hi), density=phi)
 
-    return (branch(pushed_to(s + d), lambda re: re >= s + d / 2, np.add, geom.left_slab),
-            branch(pushed_to(s - d), lambda re: re <= s - d / 2, np.subtract, geom.right_slab))
+    return (branch(pushed_to(s + d), -math.inf, s + d / 2, np.add, geom.left_slab),
+            branch(pushed_to(s - d), s - d / 2, math.inf, np.subtract, geom.right_slab))
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 0.9) -> list[tuple]:

@@ -27,7 +27,7 @@ from .cousin import (
     cmul,
     constant_evaluable,
     cousin_split,
-    far_field_series,
+    fused_sum,
     morera_residual,
     sup_abs,
 )
@@ -219,35 +219,45 @@ class _Branch:
 
     ``disc`` = (c, R) is the slab's far-field disc: c is the centre of its
     z_n rectangle and R the half-diagonal of that rectangle grown by delta
-    on Re, so the seam overlaps lie inside.  A row with |z_n - c| < R sums
-    the corrections whose pushed contour lies at least 2R from c as one
-    Taylor series per key (built lazily, rebuilt when the corrections
-    change) and the others directly; every other row sums all directly.
+    on Re, so the seam overlaps lie inside.  When every correction is a
+    function of z_n alone, each key's corrections compile (lazily, again
+    when they change) into one ``fused_sum``, which the rows in the disc
+    and outside every seam band sum; all other rows, and n >= 2 cousin1
+    branches, sum each correction directly.
     """
 
     local: Evaluable
     local_poly: TruncatedSeries | None
     disc: tuple[complex, float]
     corrections: tuple[tuple[tuple | None, Evaluable], ...] = ()
-    _far: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fused: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _expansion(self) -> tuple[list, list]:
-        """(near corrections, folded far-field series), for rows in the disc."""
-        if self._far is None or self._far[0] is not self.corrections:
-            self._far = (self.corrections, _fold_far(self.disc, self.corrections))
-        return self._far[1]
+    def _compiled(self) -> tuple | None:
+        """((lo, hi), [(key, fused sum)]) for the disc rows with lo < Re z_n < hi
+        (a far correction's band misses the disc), or None if none fuse."""
+        cs = self.corrections
+        if self._fused is None or self._fused[0] is not cs:
+            self._fused = (cs, None)
+            if cs and all(isinstance(e, SplitBranch) and e.domain.ndim == 1 for _, e in cs):
+                keys: dict = {}
+                for key, e in cs:
+                    keys.setdefault(key, []).append(e)
+                band = (max(e.valid_re[0] for _, e in cs), min(e.valid_re[1] for _, e in cs))
+                self._fused = (cs, (band, [(key, fused_sum(es, *self.disc)) for key, es in keys.items()]))
+        return self._fused[1]
 
     def correction_values(self, P: np.ndarray) -> np.ndarray:
-        near, folded = self._expansion()
-        if not folded:
+        compiled = self._compiled()
+        if compiled is None:
             return _sum_corrections(P, self.corrections)
+        (lo, hi), fused = compiled
         center, radius = self.disc
         d = P[:, -1] - center
-        inside = d.real ** 2 + d.imag ** 2 < radius ** 2
+        rows = (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi)
         out = np.empty(len(P), dtype=complex)
-        for rows, terms in ((~inside, self.corrections), (inside, folded + near)):
-            if rows.any():
-                out[rows] = _sum_corrections(P[rows], terms)
+        for sel, terms in ((~rows, self.corrections), (rows, fused)):
+            if sel.any():
+                out[sel] = _sum_corrections(P[sel], terms)
         return out
 
     def values(self, P: np.ndarray) -> np.ndarray:
@@ -256,33 +266,19 @@ class _Branch:
 
 def _sum_corrections(P: np.ndarray, corrections) -> np.ndarray:
     acc = np.zeros(len(P), dtype=complex)
-    if any(key is not None for key, _ in corrections):
+    zn, inv, monomials = P[:, -1], slice(None), {}
+    if len(P) > 1 and any(key is not None for key, _ in corrections):
         # each b(z_n) is summed once per distinct z_n, then scattered back to the rows
-        zn, inv = np.unique(P[:, -1], return_inverse=True)
+        zn, inv = np.unique(zn, return_inverse=True)
     for key, e in corrections:
         if key is None:
             acc = acc + e.values(P)
         else:
             axis, center, m = key
-            v = np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(zn[:, None])[inv]
-            acc = acc + cmul(v, P[:, axis])
+            if key not in monomials:
+                monomials[key] = np.prod((P[:, :-1] - center) ** m, axis=1)
+            acc = acc + cmul(monomials[key] * e.values(zn[:, None])[inv], P[:, axis])
     return acc
-
-
-def _fold_far(disc: tuple[complex, float], corrections) -> tuple[list, list]:
-    """The corrections to sum directly in the disc, and per key one Taylor
-    series for the others: those split as functions of z_n alone (n = 1
-    cousin1, extension) whose pushed contour nodes all lie at least 2R from
-    the centre, so that rho <= 1/2."""
-    center, radius = disc
-    near, far = [], {}
-    for key, e in corrections:
-        if (isinstance(e, SplitBranch) and e.domain.ndim == 1
-                and np.abs(e.pushed.zs - center).min() >= 2 * radius):
-            far.setdefault(key, []).append(e)
-        else:
-            near.append((key, e))
-    return near, [(key, far_field_series(es, center, radius)) for key, es in far.items()]
 
 
 @dataclass

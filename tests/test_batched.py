@@ -1,8 +1,9 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
 for user callables, the bounded density cache, the extension merge that
-splits z'-coefficients as functions of z_n, and the far-field series that
-merged branches sum their distant corrections by."""
+splits z'-coefficients as functions of z_n, and the fused sums (one
+far-field series and one near Cauchy sum per key) that merged branches sum
+their corrections by."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -160,8 +161,32 @@ def in_disc(branch, P):
     return d.real ** 2 + d.imag ** 2 < radius ** 2
 
 
+def in_band(e, P):
+    """Rows where the split branch e takes the seam segment, not its pushed contour."""
+    lo, hi = e.valid_re
+    return ~((lo < P[:, -1].real) & (P[:, -1].real < hi))
+
+
+def fused_rows(branch, P):
+    """Rows the branch sums through its fused sums: in its disc and outside
+    every correction's seam band."""
+    rows = in_disc(branch, P)
+    for _, e in branch.corrections:
+        rows &= ~in_band(e, P)
+    return rows
+
+
+def far_corrections(branch) -> list:
+    """The corrections the fused sums expand as a Taylor series: functions
+    of z_n alone whose pushed nodes all lie at least 2R from the disc centre."""
+    if branch._compiled() is None:
+        return []
+    center, radius = branch.disc
+    return [e for _, e in branch.corrections if np.abs(e.pushed.zs - center).min() >= 2 * radius]
+
+
 def folds_far(branch) -> bool:
-    return bool(branch._expansion()[1])
+    return bool(far_corrections(branch))
 
 
 @pytest.mark.parametrize("problem", [ml_problem(), extension_problem(), ml_chain_problem()],
@@ -179,7 +204,15 @@ def test_chain_state_and_corrections_values(problem):
     assert any(folds_far(b) and in_disc(b, np.array(pts)).any() for b in branches)
 
 
-def test_extension_corrections_summed_once_per_distinct_zn():
+def record_kernel(monkeypatch) -> list:
+    """The z_n of every Cauchy kernel call from now on, one list per call."""
+    calls, kernel = [], cousin.kernel_sums
+    monkeypatch.setattr(cousin, "kernel_sums", lambda zs, zn, weights: calls.append(zn.tolist())
+                        or kernel(zs, zn, weights))
+    return calls
+
+
+def test_extension_corrections_summed_once_per_distinct_zn(monkeypatch):
     sol = solve_chain(extension_problem(slabs=3), verify=False)[0]
     rng = np.random.default_rng(7)
     m, distinct = 240, 9
@@ -187,34 +220,39 @@ def test_extension_corrections_summed_once_per_distinct_zn():
     P[:, 0] = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
     zn = rng.uniform(-1.9, 1.9, distinct) + 1j * rng.uniform(-0.45, 0.45, distinct)
     P[:, 1] = zn[rng.permutation(np.arange(m) % distinct)]
-    folded = 0
+    calls = record_kernel(monkeypatch)
+    fused_keys = 0
     for corr in sol.corrections:
         branch = corr.many.__self__
         assert branch.corrections and all(key is not None for key, _ in branch.corrections)
         rows = [branch.correction_values(P[i:i + 1])[0] for i in range(m)]
         assert branch.correction_values(P).tolist() == rows
-        near = {id(e) for _, e in branch._expansion()[0]}
-        is_near = [id(e) in near for _, e in branch.corrections]
-        folded += is_near.count(False)
         seen = {}
 
         def recorded(i, e):
             return replace(e, many=lambda Q: seen.setdefault(i, []).extend(Q[:, -1].tolist()) or e.values(Q))
 
         branch.corrections = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
+        calls.clear()
         assert branch.correction_values(P).tolist() == rows
-        # a near correction sums its kernel once at every distinct z_n; one
-        # folded into the far-field series only at those outside the disc
-        outside = zn[~in_disc(branch, zn[:, None])]
-        for i, near_i in enumerate(is_near):
-            want = zn if near_i else outside
-            assert np.sort(seen.get(i, [])).tolist() == np.sort(want).tolist()
-    assert folded
+        # every correction is summed on its own once at every distinct z_n
+        # of the rows outside the fused ones ...
+        fused = fused_rows(branch, P)
+        for i in range(len(branch.corrections)):
+            assert seen.get(i, []) == np.unique(P[~fused, -1]).tolist()
+        # ... and on the fused rows each key's fused sum runs the kernel once
+        # at every distinct z_n, over the nodes of its near corrections
+        far = {id(e) for e in far_corrections(branch)}
+        near_keys = {key for key, e in branch.corrections if id(e) not in far}
+        if fused.any():
+            assert calls.count(np.unique(P[fused, -1]).tolist()) == len(near_keys)
+            fused_keys += len(near_keys)
+    assert fused_keys
 
 
 def direct_correction_sum(branch, P):
     """The branch's corrections summed one by one, each by its own Cauchy
-    sums (the evaluation every row took before far-field folding)."""
+    sums (the evaluation every row took before corrections were fused)."""
     acc = np.zeros(len(P), dtype=complex)
     for key, e in branch.corrections:
         if key is None:
@@ -225,32 +263,60 @@ def direct_correction_sum(branch, P):
     return acc
 
 
+def cuboid_sample(problem, m=4000, seed=3):
+    rng = np.random.default_rng(seed)
+    P = np.empty((m, problem.ndim), dtype=complex)
+    for k in range(problem.ndim):
+        P[:, k] = rng.uniform(*problem.cuboid.re[k], m) + 1j * rng.uniform(*problem.cuboid.im[k], m)
+    return P
+
+
 @pytest.mark.parametrize("problem", [ml_chain_problem(), extension_problem(slabs=4)],
                          ids=["cousin1-12-slabs", "extension-4-slabs"])
 def test_far_field_matches_direct_sums(problem):
     sol = solve_chain(problem, verify=False)[0]
     branches = sol.solution.many.__self__.branches
-    rng = np.random.default_rng(3)
-    m = 4000
-    (lo, hi), (ilo, ihi) = problem.cuboid.re[-1], problem.cuboid.im[-1]
-    P = np.empty((m, problem.ndim), dtype=complex)
-    for k in range(problem.ndim - 1):
-        P[:, k] = rng.uniform(*problem.cuboid.re[k], m) + 1j * rng.uniform(*problem.cuboid.im[k], m)
-    P[:, -1] = rng.uniform(lo, hi, m) + 1j * rng.uniform(ilo, ihi, m)
+    P = cuboid_sample(problem)
     assert any(folds_far(b) for b in branches) and not all(folds_far(b) for b in branches)
     for b in branches:
         got, want = b.correction_values(P), direct_correction_sum(b, P)
-        inside = in_disc(b, P)
-        if not folds_far(b):
-            assert got.tolist() == want.tolist()
-            continue
-        assert inside.any() and not inside.all()
-        # 2R keeps the disc off every folded contour's seam strip, where the
+        inside, fused = in_disc(b, P), fused_rows(b, P)
+        assert inside.any() and not inside.all() and fused.any()
+        # 2R keeps the disc off every far correction's seam band, where the
         # branch would switch from the pushed contour the series expands
-        near = {id(e) for _, e in b._expansion()[0]}
-        assert not any(e.near_seam(P[inside, -1].real).any() for _, e in b.corrections if id(e) not in near)
+        assert not any(in_band(e, P[inside]).any() for e in far_corrections(b))
         assert got[~inside].tolist() == want[~inside].tolist()
-        assert np.max(np.abs(got[inside] - want[inside])) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got[fused] - want[fused])) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("problem", [ml_chain_problem(), extension_problem(slabs=4)],
+                         ids=["cousin1-12-slabs", "extension-4-slabs"])
+def test_disc_rows_in_a_seam_band_take_the_direct_sums(problem):
+    # a branch's own rows never lie in its seam bands, but its corrections
+    # are defined (and verified) a margin beyond them
+    sol = solve_chain(problem, verify=False)[0]
+    P = cuboid_sample(problem)
+    banded = 0
+    for b in sol.solution.many.__self__.branches:
+        rows = in_disc(b, P) & ~fused_rows(b, P)
+        banded += rows.sum()
+        assert b.correction_values(P[rows]).tolist() == direct_correction_sum(b, P[rows]).tolist()
+    assert banded > 100
+
+
+def test_one_point_call_runs_the_kernel_at_most_once_per_key(monkeypatch):
+    problem = extension_problem(slabs=4)
+    sol = solve_chain(problem, verify=False)[0]
+    state = sol.solution.many.__self__
+    P = cuboid_sample(problem, m=200)
+    sol.solution.values(P)  # compiles the fused sums, filling their densities once
+    calls = record_kernel(monkeypatch)
+    for z in P.tolist():
+        calls.clear()
+        sol.solution.fn(tuple(z))
+        branch = state.branches[np.searchsorted(state.seams, z[-1].real, side="right")]
+        assert len(calls) <= len({key for key, _ in branch.corrections})
+    assert any(folds_far(b) for b in state.branches)
 
 
 def test_n2_cousin1_corrections_are_not_folded():

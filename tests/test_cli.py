@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okakit import cli
 from okakit.cli import main
 
 
@@ -462,14 +463,44 @@ def test_huge_quadrature_counts_exit_2_before_allocating(payload, extra):
     assert peak < 1 << 20
 
 
+def no_computation(monkeypatch):
+    def computation(*args, **kwargs):
+        raise AssertionError("the computation ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve_chain", computation)
+    monkeypatch.setattr(cli, "cousin_split", computation)
+
+
 @pytest.mark.parametrize("command, where", [("cousin-split", "csv"), ("cousin1", "csv"), ("cousin1", "--output")])
-def test_unwritable_output_exits_2(tmp_path, command, where):
-    # a path in a missing directory ended in a FileNotFoundError traceback
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, command, where):
+    # a path in a missing directory ended in a FileNotFoundError traceback;
+    # later it exited 2, but only after the whole computation had run
+    no_computation(monkeypatch)
     path = str(tmp_path / "missing" / "out")
     if where == "csv":
         assert_input_error(command, {**VALID[command], "csv": path})
     else:
         assert_input_error(command, VALID[command], (where, path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["csv", "--output"])
+def test_directory_as_output_exits_2_before_computing(tmp_path, monkeypatch, where):
+    no_computation(monkeypatch)
+    if where == "csv":
+        assert_input_error("cousin1", {**VALID["cousin1"], "csv": str(tmp_path)})
+    else:
+        assert_input_error("cousin1", VALID["cousin1"], (where, str(tmp_path)))
+
+
+def test_output_path_check_leaves_existing_file_until_written(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("kept")
+    code, _, err = run_stdin("cousin1", {**VALID["cousin1"], "delta": 0}, ("--output", str(out)))
+    assert code == 2 and err.startswith("okakit: input error")
+    assert out.read_text() == "kept"
+    code, _, _ = run_stdin("cousin1", VALID["cousin1"], ("--output", str(out)))
+    assert code == 0 and json.loads(out.read_text())["pass"] is True
 
 
 # -- tolerance and round-trip checks ----------------------------------------

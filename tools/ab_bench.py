@@ -13,11 +13,14 @@ For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py`` once 
 ``seeds + k``, base first in even pairs and change first in odd ones, one
 process at a time.  The output gives, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles, the change's median
-against the base's, and in how many pairs the change was better.  It also
-counts the Cauchy kernel entries (points x contour nodes, summed over every
-``_PathQuad.cauchy`` call) of one verified solve of the first ``ml_chain``
-and ``ext_merge`` instance of seed 5, on each side.  The script exits 1 if
-a run fails or reports a failed output check.
+against the base's, and in how many pairs the change was better; the same
+for the one-point evaluation time ``eval_us.p50`` that ``run.py`` prints on
+a detail line for ``ml_chain`` and ``ext_merge``.  It also counts the
+Cauchy kernel entries (points x contour nodes, summed over every call of
+``cousin.kernel_sums``, or of ``_PathQuad.cauchy`` in a tree without it) of
+one verified solve of the first ``ml_chain`` and ``ext_merge`` instance of
+seed 5, on each side.  The script exits 1 if a run fails or reports a
+failed output check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -35,19 +39,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_SEED = 5
 
-# Run in a tree's own interpreter process: wrap _PathQuad.cauchy, solve the
-# first instance of each workload with verification, print the counts.
+EVAL_US = {"name": "eval_us.p50", "unit": "us", "better": "lower"}
+EVAL_US_LINE = re.compile(r"^\s*eval_us\.p50 = (\S+) us", re.M)
+
+# Run in a tree's own interpreter process: wrap the Cauchy kernel helper
+# (_PathQuad.cauchy in trees that predate it), solve the first instance of
+# each workload with verification, print the counts.
 KERNEL_COUNT = """
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 import bench_workloads as bw
 from okakit import cousin, merge
 entries = [0]
-cauchy = cousin._PathQuad.cauchy
-def counted(self, phi, P):
-    entries[0] += len(P) * len(self.zs)
-    return cauchy(self, phi, P)
-cousin._PathQuad.cauchy = counted
+if hasattr(cousin, "kernel_sums"):
+    kernel = cousin.kernel_sums
+    def counted(zs, zn, weights):
+        entries[0] += len(zn) * len(zs)
+        return kernel(zs, zn, weights)
+    cousin.kernel_sums = counted
+else:
+    cauchy = cousin._PathQuad.cauchy
+    def counted(self, phi, P):
+        entries[0] += len(P) * len(self.zs)
+        return cauchy(self, phi, P)
+    cousin._PathQuad.cauchy = counted
 out = {}
 for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
     entries[0] = 0
@@ -66,6 +81,12 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
+def commit(rev: str) -> str:
+    """The short hash ``rev`` names now, so the report still says which tree ran."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -76,7 +97,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     if result["correct"] is not True or result["failed"]:
         raise SystemExit(f"ab_bench: {workload} seed {seed} in {tree} failed its checks:\n{proc.stderr}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    detail = EVAL_US_LINE.search(proc.stdout)
+    if detail:
+        values[EVAL_US["name"]] = float(detail.group(1))
+    return values
 
 
 def quartiles(values: list[float]) -> dict:
@@ -120,7 +145,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         base = export(args.base, Path(tmp) / "base") if args.base else ROOT
         sides = {"base": base, "change": ROOT}
-        report = {"base": args.base or "same tree", "change": "working tree",
+        report = {"base": commit(args.base) if args.base else "same tree", "change": "working tree",
                   "pairs": args.pairs, "seconds": args.seconds,
                   "seeds": [args.seeds + k for k in range(args.pairs)], "workloads": {}}
         for workload in (w["name"] for w in spec["workloads"]):
@@ -128,7 +153,8 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
                     runs[side].append(run_once(sides[side], workload, args.seeds + k, args.seconds))
-            report["workloads"][workload] = summarize(runs, spec["end_to_end"])
+            details = [EVAL_US] if all(EVAL_US["name"] in r for r in runs["base"] + runs["change"]) else []
+            report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
             print(f"ab_bench: {workload} done", file=sys.stderr)
         report["kernel_entries"] = {"seed": KERNEL_SEED, "instance": "first of the workload's pool",
                                     **{side: kernel_entries(tree) for side, tree in sides.items()}}
