@@ -14,7 +14,7 @@ import os
 import random
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def cmd_cousin_split(data: dict, args):
     if data.get("dim", geom.ndim) != geom.ndim:
         raise SchemaError(f"'dim' must be {geom.ndim}, the dimension of the geometry")
     grid = data.get("grid", {})
-    pts = np.array(overlap_grid(geom, nx=grid.get("nx", 7), ny=grid.get("ny", 7)))
+    pts = np.array(overlap_grid(geom, nx=_number(grid.get("nx", 7), int), ny=_number(grid.get("ny", 7), int)))
     return partial(_split, exprtree.to_evaluable(data["function"], geom.ndim), geom, _quadrature(data, args), pts,
                    _output_path(data.get("csv")), args.tol)
 
@@ -330,8 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused: each parse_args fills a new namespace
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if args.command == "selftest" and args.input == "-":

@@ -32,6 +32,8 @@ TWO_PI_I = 2j * cmath.pi
 # path caches DENSITY_CACHE_SIZE rows of one value per contour node.
 MAX_NODES = 100
 MAX_PIECE_NODES = 1 << 12
+# Limit on an overlap_grid, which builds its nx * ny points as one list.
+MAX_GRID_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -398,6 +400,8 @@ def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 
     """Sample points of the overlap strip (base axes frozen at midpoints)."""
     if min(nx, ny) < 1:
         raise ValueError("an overlap grid needs at least one point along each axis")
+    if nx * ny > MAX_GRID_POINTS:
+        raise ValueError(f"an overlap grid of {nx} x {ny} points is larger than {MAX_GRID_POINTS}")
     zp = () if geom.base is None else geom.base.midpoint()
     res = np.linspace(geom.s - geom.delta * shrink, geom.s + geom.delta * shrink, nx)
     ims = np.linspace(-geom.theta * shrink, geom.theta * shrink, ny) if geom.theta > 0 else np.array([0.0])

@@ -254,6 +254,8 @@ class _Branch:
         center, radius = self.disc
         d = P[:, -1] - center
         rows = (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi)
+        if rows.all():  # every row a merged solution routes here
+            return _sum_corrections(P, fused)
         out = np.empty(len(P), dtype=complex)
         for sel, terms in ((~rows, self.corrections), (rows, fused)):
             if sel.any():
@@ -291,8 +293,11 @@ class ChainState:
     def values(self, P: np.ndarray) -> np.ndarray:
         """Each row of P evaluated on the branch its Re z_n falls in."""
         idx = np.searchsorted(self.seams, P[:, -1].real, side="right")
+        ks = np.flatnonzero(np.bincount(idx))
+        if len(ks) == 1:
+            return self.branches[ks[0]].values(P)
         out = np.empty(len(P), dtype=complex)
-        for k in np.flatnonzero(np.bincount(idx)):
+        for k in ks:
             rows = idx == k
             out[rows] = self.branches[k].values(P[rows])
         return out

@@ -325,10 +325,11 @@ def evaluate_complex(f: TruncatedSeries, point: Sequence) -> complex:
 
 
 def _cpow(wr, wi, e: int):
-    """(wr + i wi)**e, e >= 1, rounded as CPython's complex power: its
-    square-and-multiply sequence up to e = 100, its general power above."""
+    """(wr + i wi)**e, e >= 1, of floats or float arrays, rounded as CPython's
+    complex power: its square-and-multiply sequence up to e = 100, its general power above."""
     if e > 100:
-        p = np.array([complex(a, b) ** e for a, b in zip(wr, wi)], dtype=complex)
+        p = (complex(wr, wi) ** e if isinstance(wr, float)
+             else np.array([complex(a, b) ** e for a, b in zip(wr, wi)], dtype=complex))
         return p.real, p.imag
     (rr, ri), (pr, pi), mask = (1.0, 0.0), (wr, wi), 1
     while True:
@@ -344,14 +345,19 @@ def complex_evaluator(f: TruncatedSeries):
     """``evaluate_complex`` compiled for many points: maps an (m, dim) complex
     array to the (m,) values, equal (==) to ``evaluate_complex`` row by row.
     Coefficients and center become floats once; terms are summed in dict
-    order, real and imaginary parts kept apart so products round as CPython's."""
+    order, real and imaginary parts kept apart so products round as CPython's.
+    One row runs them on Python floats (same rounding, no numpy call overhead)."""
     center = [complex(c) for c in f.center]
     terms = [(exp, complex(v)) for exp, v in f.coeffs.items()]
 
     def many(P: np.ndarray) -> np.ndarray:
-        w = [(P[:, k].real - b.real, P[:, k].imag - b.imag) for k, b in enumerate(center)]
+        if len(P) == 1:
+            w = [(z.real - b.real, z.imag - b.imag) for z, b in zip(P[0].tolist(), center)]
+            acc_re = acc_im = 0.0
+        else:
+            w = [(P[:, k].real - b.real, P[:, k].imag - b.imag) for k, b in enumerate(center)]
+            acc_re = acc_im = np.zeros(len(P))
         powers: dict = {}
-        acc_re = acc_im = np.zeros(len(P))
         for exp, c in terms:
             tr, ti = c.real, c.imag
             for k, e in enumerate(exp):

@@ -63,7 +63,10 @@ def test_compiled_series_high_powers_equal_evaluate_complex():
     f = make_series(1, {(3,): 1, (100,): QQi(Fraction(1, 3), Fraction(0)), (101,): 1j, (150,): 2},
                     center=[0.25])
     P = np.array([[0.9 + 0.3j], [-1.01 + 0.05j], [0.4 - 0.9j]])
-    assert complex_evaluator(f)(P).tolist() == [evaluate_complex(f, tuple(z)) for z in P.tolist()]
+    want = [evaluate_complex(f, tuple(z)) for z in P.tolist()]
+    assert complex_evaluator(f)(P).tolist() == want
+    # a one-row call runs the same operations on Python floats
+    assert [complex_evaluator(f)(P[i:i + 1])[0] for i in range(len(P))] == want
 
 
 # -- values(P) == [fn(z) for z in P] -----------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okakit import cli
+from okakit import cli, cousin
 from okakit.cli import main
 
 
@@ -436,6 +436,12 @@ SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
     pytest.param("cousin1", {**VALID["cousin1"], "cuboid": {"re": [], "im": []}}, id="cuboid-empty"),
     pytest.param("cousin-split", {**SPLIT_VAR, "dim": 2}, id="split-dim-mismatch"),
     pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"ny": 0}}, id="grid-ny-0"),
+    # read as 1 point, and any size built before a check, until grid sizes were read as integers and bounded
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"nx": True}}, id="grid-nx-bool"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"ny": True}}, id="grid-ny-bool"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"nx": 300, "ny": 300}}, id="grid-above-limit"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "grid": {"nx": cousin.MAX_GRID_POINTS + 1, "ny": 1}},
+                 id="grid-row-above-limit"),
     pytest.param("divide", {"series": {**series_json(2, {(1, 1): 1}), "backend": "fast"}, "q": 1},
                  id="series-backend-unknown"),
     pytest.param("syzygy", {"mode": "trivial", "p": 3, "dim": 2}, id="trivial-dim-below-p"),
@@ -512,6 +518,33 @@ def test_report_gives_the_tolerance_applied():
     assert report["tolerance"] == 1e-30
     code, out, _ = run_stdin("cousin1", VALID["cousin1"])
     assert code == 0 and json.loads(out)["tolerance"] == 1e-8
+
+
+def test_one_parser_serves_every_call_without_carrying_flags(monkeypatch):
+    specs, quadrature = [], cli._quadrature
+    monkeypatch.setattr(cli, "_quadrature", lambda data, args: specs.append(quadrature(data, args)) or specs[-1])
+    cli._parser.cache_clear()
+    try:
+        calls = [("cousin-split", ("--panels", "3", "--tol", "1e-3", "--seed", "7"), 1e-3, 7, 3),
+                 ("cousin-split", (), 1e-8, 0, 6),
+                 ("divide", ("--tol", "1e-6"), 1e-6, 0, None),
+                 ("cousin1", ("--seed", "2"), 1e-8, 2, 6),
+                 ("syzygy", (), 1e-8, 0, None)]
+        for command, extra, tol, seed, panels in calls:
+            specs.clear()
+            code, out, err = run_stdin(command, VALID[command], extra)
+            report = json.loads(out)
+            assert (code, err, report["command"]) == (0, "", command)
+            assert (report["tolerance"], report["seed"]) == (tol, seed)
+            assert [spec.panels for spec in specs] == ([] if panels is None else [panels])
+        # a rejected flag leaves the parser as it was
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+            main(["divide", "--panels", "x"])
+        code, out, _ = run_stdin("cousin-split", VALID["cousin-split"])
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-8
+        assert cli._parser.cache_info().misses == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def floating_json(dim, terms):

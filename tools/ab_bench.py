@@ -14,8 +14,10 @@ For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py`` once 
 process at a time.  The output gives, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles, the change's median
 against the base's, and in how many pairs the change was better; the same
-for the one-point evaluation time ``eval_us.p50`` that ``run.py`` prints on
-a detail line for ``ml_chain`` and ``ext_merge``.  It also counts the
+for the one-point evaluation times ``eval_us.p50`` and ``eval_us.p90`` that
+``run.py`` prints on detail lines for ``ml_chain`` and ``ext_merge`` (their
+samples include the cold first calls on each new solution, which build its
+branches' fused sums).  It also counts the
 Cauchy kernel entries (points x contour nodes, summed over every call of
 ``cousin.kernel_sums``, or of ``_PathQuad.cauchy`` in a tree without it) of
 one verified solve of the first ``ml_chain`` and ``ext_merge`` instance of
@@ -39,8 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_SEED = 5
 
-EVAL_US = {"name": "eval_us.p50", "unit": "us", "better": "lower"}
-EVAL_US_LINE = re.compile(r"^\s*eval_us\.p50 = (\S+) us", re.M)
+EVAL_US = [{"name": f"eval_us.{q}", "unit": "us", "better": "lower"} for q in ("p50", "p90")]
+EVAL_US_LINE = re.compile(r"^\s*(eval_us\.p[59]0) = (\S+) us", re.M)
 
 # Run in a tree's own interpreter process: wrap the Cauchy kernel helper
 # (_PathQuad.cauchy in trees that predate it), solve the first instance of
@@ -98,9 +100,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if result["correct"] is not True or result["failed"]:
         raise SystemExit(f"ab_bench: {workload} seed {seed} in {tree} failed its checks:\n{proc.stderr}")
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    detail = EVAL_US_LINE.search(proc.stdout)
-    if detail:
-        values[EVAL_US["name"]] = float(detail.group(1))
+    values.update((name, float(value)) for name, value in EVAL_US_LINE.findall(proc.stdout))
     return values
 
 
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
                     runs[side].append(run_once(sides[side], workload, args.seeds + k, args.seconds))
-            details = [EVAL_US] if all(EVAL_US["name"] in r for r in runs["base"] + runs["change"]) else []
+            details = [m for m in EVAL_US if all(m["name"] in r for r in runs["base"] + runs["change"])]
             report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
             print(f"ab_bench: {workload} done", file=sys.stderr)
         report["kernel_entries"] = {"seed": KERNEL_SEED, "instance": "first of the workload's pool",
