@@ -72,7 +72,7 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class Evaluable:
-    """Immutable black box: point of C^n -> complex, with a validity region.
+    """Immutable black box: point of C^n -> complex.
 
     ``fn`` maps one point (a tuple) to its value.  The optional ``many`` maps
     an (m, n) complex array of points to their (m,) values; ``values`` calls
@@ -80,14 +80,13 @@ class Evaluable:
     """
 
     fn: Callable
-    domain: Cuboid | None = None
     many: Callable | None = None
 
     @classmethod
-    def batched(cls, many: Callable, domain: Cuboid | None = None, **parts) -> "Evaluable":
+    def batched(cls, many: Callable, **parts) -> "Evaluable":
         """Evaluable (or subclass, with its extra fields ``parts``) whose
         scalar ``fn`` is ``many`` on one row."""
-        return cls(lambda z: complex(many(np.array([z], dtype=complex))[0]), domain, many, **parts)
+        return cls(lambda z: complex(many(np.array([z], dtype=complex))[0]), many, **parts)
 
     def __call__(self, z: Sequence) -> complex:
         return self.fn(tuple(complex(v) for v in z))
@@ -99,10 +98,7 @@ class Evaluable:
         return np.array([self.fn(tuple(z)) for z in P.tolist()], dtype=complex)
 
     def _combine(self, other: "Evaluable", op: Callable) -> "Evaluable":
-        dom = self.domain
-        if dom is not None and other.domain is not None:
-            dom = dom.intersect(other.domain)
-        return Evaluable.batched(lambda P: op(self.values(P), other.values(P)), dom)
+        return Evaluable.batched(lambda P: op(self.values(P), other.values(P)))
 
     def __add__(self, other: "Evaluable") -> "Evaluable":
         return self._combine(other, np.add)
@@ -111,17 +107,9 @@ class Evaluable:
         return self._combine(other, np.subtract)
 
 
-def constant_evaluable(value: complex, domain: Cuboid | None = None) -> Evaluable:
+def constant_evaluable(value: complex) -> Evaluable:
     value = complex(value)
-    return Evaluable.batched(lambda P: np.full(len(P), value), domain)
-
-
-def cmul(a: np.ndarray, b) -> np.ndarray:
-    """a * b rounded as CPython's complex product (numpy's may differ)."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return Evaluable.batched(lambda P: np.full(len(P), value))
 
 
 @dataclass(frozen=True)
@@ -160,25 +148,14 @@ class SplitGeometry:
     def ndim(self) -> int:
         return 1 if self.base is None else self.base.ndim + 1
 
-    def _slab(self, lo: float, hi: float) -> Cuboid:
-        re = ((lo, hi),)
+    @property
+    def overlap(self) -> Cuboid:
+        re = ((self.s - self.delta, self.s + self.delta),)
         im = ((-self.theta, self.theta),)
         if self.base is not None:
             re = self.base.re + re
             im = self.base.im + im
         return Cuboid(re, im)
-
-    @property
-    def left_slab(self) -> Cuboid:
-        return self._slab(self.re_lo, self.s + self.delta)
-
-    @property
-    def right_slab(self) -> Cuboid:
-        return self._slab(self.s - self.delta, self.re_hi)
-
-    @property
-    def overlap(self) -> Cuboid:
-        return self._slab(self.s - self.delta, self.s + self.delta)
 
 
 # -- node sets -----------------------------------------------------------
@@ -379,7 +356,7 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
         corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
         return _PathQuad(list(zip(corners, corners[1:], (leg, spec.panels, leg))), spec)
 
-    def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable, domain: Cuboid) -> SplitBranch:
+    def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> SplitBranch:
         def many(P):
             near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
             out = np.empty(len(P), dtype=complex)
@@ -390,21 +367,22 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
                 out[near] = jump(seam_quad.cauchy(phi, Q), phi.values(Q))
             return out
 
-        return SplitBranch.batched(many, domain, pushed=pushed, valid_re=(lo, hi), density=phi)
+        return SplitBranch.batched(many, pushed=pushed, valid_re=(lo, hi), density=phi)
 
-    return (branch(pushed_to(s + d), -math.inf, s + d / 2, np.add, geom.left_slab),
-            branch(pushed_to(s - d), s - d / 2, math.inf, np.subtract, geom.right_slab))
+    return (branch(pushed_to(s + d), -math.inf, s + d / 2, np.add),
+            branch(pushed_to(s - d), s - d / 2, math.inf, np.subtract))
 
 
-def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5, shrink: float = 0.9) -> list[tuple]:
-    """Sample points of the overlap strip (base axes frozen at midpoints)."""
+def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5) -> list[tuple]:
+    """Sample points of the overlap strip shrunk by 0.9 about the seam (base
+    axes frozen at midpoints)."""
     if min(nx, ny) < 1:
         raise ValueError("an overlap grid needs at least one point along each axis")
     if nx * ny > MAX_GRID_POINTS:
         raise ValueError(f"an overlap grid of {nx} x {ny} points is larger than {MAX_GRID_POINTS}")
     zp = () if geom.base is None else geom.base.midpoint()
-    res = np.linspace(geom.s - geom.delta * shrink, geom.s + geom.delta * shrink, nx)
-    ims = np.linspace(-geom.theta * shrink, geom.theta * shrink, ny) if geom.theta > 0 else np.array([0.0])
+    res = np.linspace(geom.s - geom.delta * 0.9, geom.s + geom.delta * 0.9, nx)
+    ims = np.linspace(-geom.theta * 0.9, geom.theta * 0.9, ny) if geom.theta > 0 else np.array([0.0])
     return [zp + (complex(r, i),) for r in res for i in ims]
 
 
@@ -445,17 +423,16 @@ def morera_residual(
         P[:] = mid
         P[:, k] = zs.reshape(-1)
         vals = f.values(P).reshape(zs.shape)
-        # products and moduli rounded as CPython's (cmul, abs), not numpy's vectorised ones
-        edges = cmul(np.sum(w * vals, axis=-1), sides)
+        edges = np.sum(w * vals, axis=-1) * sides
         h = edges[:grid * (grid + 1)].reshape(grid, grid + 1)
         v = edges[grid * (grid + 1):].reshape(grid + 1, grid)
         # rectangle (a, b): bottom + right - top - left
         total = h[:, :-1] + v[1:] - h[:, 1:] - v[:-1]
-        worst.append(sup_abs(total.ravel().tolist()))
+        worst.append(sup_abs(total))
     return sup_abs(worst)
 
 
 def sup_abs(values) -> float:
-    """Largest |v| (CPython's abs), and NaN when any |v| is NaN: the
-    builtin ``max`` would keep a NaN only if it came first."""
-    return float(np.max([abs(v) for v in values], initial=0.0))
+    """Largest |v|, and NaN when any |v| is NaN: the builtin ``max`` would
+    keep a NaN only if it came first."""
+    return float(np.max(np.abs(values), initial=0.0))

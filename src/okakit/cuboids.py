@@ -51,22 +51,6 @@ class Cuboid:
                 return False
         return True
 
-    def intersect(self, other: "Cuboid") -> "Cuboid | None":
-        if other.ndim != self.ndim:
-            raise ValueError("dimension mismatch")
-        re, im = [], []
-        for (a, b), (c, d) in zip(self.re, other.re):
-            lo, hi = max(a, c), min(b, d)
-            if hi < lo:
-                return None
-            re.append((lo, hi))
-        for (a, b), (c, d) in zip(self.im, other.im):
-            lo, hi = max(a, c), min(b, d)
-            if hi < lo:
-                return None
-            im.append((lo, hi))
-        return Cuboid(tuple(re), tuple(im))
-
     def slice_last(self, t: float) -> "Cuboid":
         """Slice {Re z_n = t}; drops the cuboid dimension by one at interior t."""
         lo, hi = self.re[-1]

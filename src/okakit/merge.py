@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .cousin import (
     Evaluable,
     QuadratureSpec,
-    SplitBranch,
     SplitGeometry,
-    cmul,
     constant_evaluable,
     cousin_split,
     fused_sum,
@@ -41,8 +40,8 @@ from .errors import (
 from .series import TruncatedSeries, complex_evaluator, evaluate_complex, make_series, negligible
 
 
-def series_evaluable(f: TruncatedSeries, domain: Cuboid | None = None) -> Evaluable:
-    return Evaluable.batched(complex_evaluator(f), domain)
+def series_evaluable(f: TruncatedSeries) -> Evaluable:
+    return Evaluable.batched(complex_evaluator(f))
 
 
 # -- problem data --------------------------------------------------------
@@ -65,7 +64,7 @@ class PoleTerm:
 class PrincipalPartData:
     terms: tuple[PoleTerm, ...]
 
-    def evaluable(self, domain: Cuboid | None = None) -> Evaluable:
+    def evaluable(self) -> Evaluable:
         terms = [(t.order, complex_evaluator(t.coeff), complex_evaluator(t.locus)) for t in self.terms]
 
         def many(P):
@@ -75,7 +74,7 @@ class PrincipalPartData:
                 acc = acc + coeff(zp) / (zn - locus(zp)) ** order
             return acc
 
-        return Evaluable.batched(many, domain)
+        return Evaluable.batched(many)
 
 
 @dataclass(frozen=True)
@@ -150,11 +149,9 @@ class ChiProblem:
 # -- local solutions -----------------------------------------------------
 
 
-def _locus_positions(term: PoleTerm, base: Cuboid | None) -> list[complex]:
-    if term.locus.dim == 0:
-        return [evaluate_complex(term.locus, ())]
-    pts = [base.midpoint()] if base is not None else [()]
-    return [evaluate_complex(term.locus, p) for p in pts]
+def _pole_position(term: PoleTerm, slab: Cuboid) -> complex:
+    """The term's pole: its locus at the midpoint z' of the slab."""
+    return evaluate_complex(term.locus, slab.midpoint()[:-1])
 
 
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
@@ -165,33 +162,30 @@ def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
     if problem.kind == "cousin1":
         datum = problem.data[alpha]
         delta = problem.seam_margin()
-        base = None if problem.ndim == 1 else Cuboid(slab.re[:-1], slab.im[:-1])
         rlo, rhi = slab.re[-1]
         for term in datum.terms:
-            for p in _locus_positions(term, base):
-                if not (rlo - 1e-12 <= p.real <= rhi + 1e-12) or abs(p.imag) > problem.theta:
+            p = _pole_position(term, slab)
+            if not (rlo - 1e-12 <= p.real <= rhi + 1e-12) or abs(p.imag) > problem.theta:
+                raise PoleTooCloseToSeam(
+                    f"pole at {p} lies outside slab {alpha}"
+                )
+            for edge in (rlo, rhi):
+                if abs(p.real - edge) < delta:
                     raise PoleTooCloseToSeam(
-                        f"pole at {p} lies outside slab {alpha}"
+                        f"pole at {p} within margin {delta} of a slab edge"
                     )
-                for edge in (rlo, rhi):
-                    if abs(p.real - edge) < delta:
-                        raise PoleTooCloseToSeam(
-                            f"pole at {p} within margin {delta} of a slab edge"
-                        )
-        return datum.evaluable(slab)
-    poly = problem.slab_poly(alpha)
-    return series_evaluable(poly, slab)
+        return datum.evaluable()
+    return series_evaluable(problem.slab_poly(alpha))
 
 
-def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e-8,
-                    grid: int = 3, nodes: int = 24) -> Evaluable:
+def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e-8) -> Evaluable:
     """a - b, asserted holomorphic on the overlap via the Morera residual.
 
     The dense default rule keeps the quadrature noise of nearby poles (data
     may sit just outside the seam strip) well below the tolerance.
     """
     diff = a - b
-    residual = morera_residual(diff, overlap, grid=grid, nodes=nodes)
+    residual = morera_residual(diff, overlap, grid=3, nodes=24)
     if residual > tol:
         raise NotHolomorphicDifference(
             f"seam difference residual {residual:.3e} exceeds {tol:.3e}", residual=residual
@@ -210,44 +204,42 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
 # -- chain states --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Branch:
-    """A slab's local solution plus its corrections.  A cousin1 correction
-    has key None and is a function on C^n; an extension correction has key
-    (axis, c', m) and is a function b(z_n) of the last coordinate alone,
-    standing for (z' - c')^m * b(z_n) * z_axis.
+    """A slab's local solution plus its corrections (``cousin_split``
+    branches).  A cousin1 correction has key None and is a function on C^n;
+    an extension correction has key (axis, c', m) and is a function b(z_n)
+    of the last coordinate alone, standing for (z' - c')^m * b(z_n) * z_axis.
 
     ``disc`` = (c, R) is the slab's far-field disc: c is the centre of its
     z_n rectangle and R the half-diagonal of that rectangle grown by delta
-    on Re, so the seam overlaps lie inside.  When every correction is a
-    function of z_n alone, each key's corrections compile (lazily, again
-    when they change) into one ``fused_sum``, which the rows in the disc
-    and outside every seam band sum; all other rows, and n >= 2 cousin1
-    branches, sum each correction directly.
+    on Re, so the seam overlaps lie inside.  It is None when the seams split
+    with a base (n >= 2 cousin1), whose corrections depend on z'.  Otherwise
+    each key's corrections compile, on the first evaluation, into one
+    ``fused_sum``, which the rows in the disc and outside every seam band
+    sum; all other rows sum each correction directly.
     """
 
     local: Evaluable
     local_poly: TruncatedSeries | None
-    disc: tuple[complex, float]
+    disc: tuple[complex, float] | None
     corrections: tuple[tuple[tuple | None, Evaluable], ...] = ()
-    _fused: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    @cached_property
     def _compiled(self) -> tuple | None:
         """((lo, hi), [(key, fused sum)]) for the disc rows with lo < Re z_n < hi
         (a far correction's band misses the disc), or None if none fuse."""
         cs = self.corrections
-        if self._fused is None or self._fused[0] is not cs:
-            self._fused = (cs, None)
-            if cs and all(isinstance(e, SplitBranch) and e.domain.ndim == 1 for _, e in cs):
-                keys: dict = {}
-                for key, e in cs:
-                    keys.setdefault(key, []).append(e)
-                band = (max(e.valid_re[0] for _, e in cs), min(e.valid_re[1] for _, e in cs))
-                self._fused = (cs, (band, [(key, fused_sum(es, *self.disc)) for key, es in keys.items()]))
-        return self._fused[1]
+        if self.disc is None or not cs:
+            return None
+        keys: dict = {}
+        for key, e in cs:
+            keys.setdefault(key, []).append(e)
+        band = (max(e.valid_re[0] for _, e in cs), min(e.valid_re[1] for _, e in cs))
+        return band, [(key, fused_sum(es, *self.disc)) for key, es in keys.items()]
 
     def correction_values(self, P: np.ndarray) -> np.ndarray:
-        compiled = self._compiled()
+        compiled = self._compiled
         if compiled is None:
             return _sum_corrections(P, self.corrections)
         (lo, hi), fused = compiled
@@ -279,7 +271,7 @@ def _sum_corrections(P: np.ndarray, corrections) -> np.ndarray:
             axis, center, m = key
             if key not in monomials:
                 monomials[key] = np.prod((P[:, :-1] - center) ** m, axis=1)
-            acc = acc + cmul(monomials[key] * e.values(zn[:, None])[inv], P[:, axis])
+            acc = acc + monomials[key] * e.values(zn[:, None])[inv] * P[:, axis]
     return acc
 
 
@@ -302,18 +294,20 @@ class ChainState:
             out[rows] = self.branches[k].values(P[rows])
         return out
 
-    def evaluable(self, domain: Cuboid | None = None) -> Evaluable:
-        return Evaluable.batched(self.values, domain)
+    def evaluable(self) -> Evaluable:
+        return Evaluable.batched(self.values)
 
-    def branch_correction(self, idx: int, domain: Cuboid | None = None) -> Evaluable:
-        return Evaluable.batched(self.branches[idx].correction_values, domain)
+    def branch_correction(self, idx: int) -> Evaluable:
+        return Evaluable.batched(self.branches[idx].correction_values)
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
     slab = problem.partition.slabs[alpha]
     (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
-    disc = (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
-            math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
+    disc = None  # merge_pair splits n >= 2 cousin1 seams with a base
+    if problem.kind == "extension" or problem.ndim == 1:
+        disc = (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
+                math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
     return ChainState([_Branch(local_solution(problem, alpha), problem.slab_poly(alpha), disc)], [])
 
 
@@ -354,22 +348,15 @@ def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
         for key, e in lb.corrections:
             densities[key] = densities.get(key, zero) - e
     else:
-        diff = seam_difference(
-            Evaluable.batched(rb.values, geom.overlap),
-            Evaluable.batched(lb.values, geom.overlap),
-            geom.overlap,
-            tol=max(problem.tol, 1e-10),
-        )
+        diff = seam_difference(Evaluable.batched(rb.values), Evaluable.batched(lb.values),
+                               geom.overlap, tol=max(problem.tol, 1e-10))
         densities = {None: diff}
-    new_left = [replace(b) for b in left.branches]
-    new_right = [replace(b) for b in right.branches]
-    for key, density in densities.items():
-        b_left, b_right = cousin_split(density, geom, problem.quad)
-        for b in new_left:
-            b.corrections = b.corrections + ((key, b_left),)
-        for b in new_right:
-            b.corrections = b.corrections + ((key, b_right),)
-    return ChainState(new_left + new_right, left.seams + [geom.s] + right.seams)
+    halves = [(key, cousin_split(density, geom, problem.quad)) for key, density in densities.items()]
+    new_left = tuple((key, h[0]) for key, h in halves)
+    new_right = tuple((key, h[1]) for key, h in halves)
+    return ChainState([replace(b, corrections=b.corrections + new_left) for b in left.branches]
+                      + [replace(b, corrections=b.corrections + new_right) for b in right.branches],
+                      left.seams + [geom.s] + right.seams)
 
 
 # -- solving and verification -------------------------------------------
@@ -419,16 +406,11 @@ def _solve_one_chain(problem: ChiProblem, partition: SlabPartition,
         raise ValueError(f"unknown merge order {order!r}")
     lo = partition.slabs[chain.start].re[-1][0]
     hi = partition.slabs[chain.stop].re[-1][1]
-    region = problem.cuboid.with_last_re(lo, hi)
-    corrections = [
-        acc.branch_correction(k, partition.slabs[alpha])
-        for k, alpha in enumerate(chain.indices)
-    ]
     return ChiSolution(
         chain=chain,
-        solution=acc.evaluable(region),
-        corrections=corrections,
-        region=region,
+        solution=acc.evaluable(),
+        corrections=[acc.branch_correction(k) for k in range(len(chain.indices))],
+        region=problem.cuboid.with_last_re(lo, hi),
     )
 
 
@@ -450,30 +432,30 @@ def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) ->
 
 
 def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
-                                  radius: float, zp: tuple = (), samples: int = 64) -> complex:
-    """(1/2 pi i) * circle integral of f(z)*(z_n - pole)^(order-1) dz_n."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+                                  radius: float, zp: tuple = ()) -> complex:
+    """(1/2 pi i) * circle integral of f(z)*(z_n - pole)^(order-1) dz_n,
+    by the trapezoidal rule on 64 points."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = pole + radius * np.exp(1j * thetas)
     P = np.array([zp + (zn,) for zn in ring.tolist()])
     d = ring - pole
-    return complex(np.sum(f.values(P) * d ** (order - 1) * d) / samples)
+    return complex(np.sum(f.values(P) * d ** (order - 1) * d) / 64)
 
 
 def _pole_positions(problem: ChiProblem, chain: ConnectivityChain) -> tuple[list, list[dict]]:
     """(slab, term, pole) for every term with an n = 1 locus, and the
     skipped residue checks of the others."""
-    out, skipped = [], []
+    out, skipped, slabs = [], [], problem.partition.slabs
     for alpha in chain.indices:
         for term in problem.data[alpha].terms:
             if term.locus.dim != 0:  # contour extraction implemented for n = 1 loci only
                 skipped.append({"slab": alpha, "order": term.order, "reason": "pole locus depends on z'"})
             else:
-                out.append((alpha, term, evaluate_complex(term.locus, ())))
+                out.append((alpha, term, _pole_position(term, slabs[alpha])))
     return out, skipped
 
 
-def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
-                    s_samples: int = 101) -> dict:
+def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """Checkable form of the solution property.
 
     cousin1: principal coefficients re-extracted by contour integrals around
@@ -491,7 +473,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
     morera_vals = []
     for k, alpha in enumerate(sol.chain.indices):
         slab = partition.slabs[alpha]
-        morera_vals.append(morera_residual(sol.corrections[k], slab, grid=grid))
+        morera_vals.append(morera_residual(sol.corrections[k], slab, grid=3))
     report["patch_morera"] = morera_vals
     ok = all(v <= tol for v in morera_vals)
     if problem.kind == "cousin1":
@@ -509,7 +491,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
             errors.append({"slab": alpha, "order": term.order,
                            "pole": [p.real, p.imag], "error": abs(got - want)})
         report["principal_part_errors"] = errors
-        ok = ok and all(e["error"] <= max(tol, 1e-6) for e in errors)
+        ok = ok and all(e["error"] <= tol for e in errors)
     else:
         n, q = problem.ndim, problem.codim
         lo = partition.slabs[sol.chain.start].re[-1][0]
@@ -517,9 +499,9 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem, grid: int = 3,
         mids = problem.cuboid.midpoint()
         slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
         P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
-                      for y in slices for t in np.linspace(lo, hi, s_samples)])
+                      for y in slices for t in np.linspace(lo, hi, 101)])
         diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
-        sup = sup_abs(diff.tolist())
+        sup = sup_abs(diff)
         report["subspace_sup_error"] = sup
         report["subspace_slices"] = slices
         ok = ok and sup <= tol

@@ -17,7 +17,7 @@ from .errors import InvalidArity, NotARelation
 from .scalars import EXACT, Backend
 from .series import (
     TruncatedSeries,
-    make_series,
+    constant,
     mul,
     negligible,
     scale,
@@ -263,15 +263,11 @@ def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis
             comps.append(scale(pres.coefficient(i, j), -1))
         for slot in range(q, N):
             if slot == i:
-                comps.append(constant_one(n, be))
+                comps.append(constant(n, 1, backend=be))
             else:
                 comps.append(zero(n, backend=be))
         phis.append(PhiGenerator(i, SyzygyVector(tuple(comps))))
     return GeneralSyzygyBasis(tuple(taus), tuple(phis))
-
-
-def constant_one(dim: int, backend: Backend) -> TruncatedSeries:
-    return make_series(dim, {(0,) * dim: 1}, backend=backend)
 
 
 @dataclass(frozen=True)

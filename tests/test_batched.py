@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okakit import cousin
-from okakit.cousin import Evaluable, SplitGeometry, cmul, constant_evaluable, cousin_split, morera_residual
+from okakit import cousin, merge
+from okakit.cousin import Evaluable, SplitGeometry, constant_evaluable, cousin_split, morera_residual
 from okakit.cuboids import Cuboid
 from okakit.merge import (
     ChiProblem,
     PoleTerm,
     PrincipalPartData,
     ideal_witness,
+    local_solution,
     series_evaluable,
     solve_chain,
 )
@@ -182,7 +183,7 @@ def fused_rows(branch, P):
 def far_corrections(branch) -> list:
     """The corrections the fused sums expand as a Taylor series: functions
     of z_n alone whose pushed nodes all lie at least 2R from the disc centre."""
-    if branch._compiled() is None:
+    if branch._compiled is None:
         return []
     center, radius = branch.disc
     return [e for _, e in branch.corrections if np.abs(e.pushed.zs - center).min() >= 2 * radius]
@@ -235,7 +236,8 @@ def test_extension_corrections_summed_once_per_distinct_zn(monkeypatch):
         def recorded(i, e):
             return replace(e, many=lambda Q: seen.setdefault(i, []).extend(Q[:, -1].tolist()) or e.values(Q))
 
-        branch.corrections = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
+        traced = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
+        branch = replace(branch, corrections=traced)
         calls.clear()
         assert branch.correction_values(P).tolist() == rows
         # every correction is summed on its own once at every distinct z_n
@@ -262,7 +264,7 @@ def direct_correction_sum(branch, P):
             acc = acc + e.values(P)
         else:
             axis, center, m = key
-            acc = acc + cmul(np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(P[:, -1:]), P[:, axis])
+            acc = acc + np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(P[:, -1:]) * P[:, axis]
     return acc
 
 
@@ -326,6 +328,32 @@ def test_n2_cousin1_corrections_are_not_folded():
     # their densities depend on z', so no single series in z_n represents them
     sol = solve_chain(n2_cousin1_problem(), verify=False)[0]
     assert not any(folds_far(b) for b in sol.solution.many.__self__.branches)
+
+
+# -- dataclasses.replace(e, fn=...), as a tracer wrapping fn does ------------
+
+
+def test_replacing_fn_leaves_values_unchanged():
+    problem = ml_problem()
+    sol = solve_chain(problem, verify=False)[0]
+    geom = SplitGeometry(s=0.0, delta=0.25, theta=0.5, re_lo=-1.5, re_hi=1.5)
+    left, right = cousin_split(constant_evaluable(1.0), geom)
+    P = np.array(grid_points(-1.2, 1.2, -0.4, 0.4, n=9))
+    for e in (local_solution(problem, 1), left, right, sol.solution, sol.corrections[1]):
+        traced = replace(e, fn=lambda z: 0j)
+        assert type(traced) is type(e)
+        assert traced.values(P).tolist() == e.values(P).tolist()
+
+
+def test_replaced_extension_split_branches_still_fuse(monkeypatch):
+    problem = extension_problem(slabs=4)
+    plain = solve_chain(problem, verify=False)[0]
+    split = merge.cousin_split
+    monkeypatch.setattr(merge, "cousin_split", lambda *a: tuple(replace(b, fn=lambda z: 0j) for b in split(*a)))
+    traced = solve_chain(problem, verify=False)[0]
+    P = cuboid_sample(problem, m=400)
+    assert traced.solution.values(P).tolist() == plain.solution.values(P).tolist()
+    assert all(b._compiled is not None for b in traced.solution.many.__self__.branches)
 
 
 # -- scalar-only user callables -----------------------------------------------

@@ -66,9 +66,8 @@ class TestGeometry:
         g = default_geom()
         a, b = g.segment
         assert a == -0.75j and b == 0.75j
-        assert g.left_slab.re == ((-1.5, 0.25),)
-        assert g.right_slab.re == ((-0.25, 1.5),)
         assert g.overlap.re == ((-0.25, 0.25),)
+        assert g.overlap.im == ((-0.5, 0.5),)
 
     def test_seam_must_sit_inside_extents(self):
         with pytest.raises(ValueError):
@@ -80,7 +79,7 @@ class TestGeometry:
         base = Cuboid(((-1.0, 1.0),), ((-1.0, 1.0),))
         g = default_geom(base=base)
         assert g.ndim == 2
-        assert g.left_slab.ndim == 2
+        assert g.overlap.ndim == 2
 
 
 class TestSegmentIntegral:
@@ -182,8 +181,9 @@ class TestCousinSplit:
         g = default_geom(**geom_kw)
         phi = Evaluable(lambda z: z[-1] ** 2 - 0.5) if density == "polynomial" else near_leg_poles(g)
         spec = QuadratureSpec(panels=panels)
-        for branch, fine, slab in zip(cousin_split(phi, g, spec), cousin_split(phi, g, spec.refined(4)),
-                                      (g.left_slab, g.right_slab)):
+        slabs = (Cuboid(((g.re_lo, g.s + g.delta),), ((-g.theta, g.theta),)),
+                 Cuboid(((g.s - g.delta, g.re_hi),), ((-g.theta, g.theta),)))
+        for branch, fine, slab in zip(cousin_split(phi, g, spec), cousin_split(phi, g, spec.refined(4)), slabs):
             P = slab_points(slab)
             got, want = branch.values(P), fine.values(P)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -26,13 +26,6 @@ class TestCuboid:
         assert not c.contains((1.5,))
         assert not c.contains((0.5 + 2j,))
 
-    def test_intersect(self):
-        a = box((-1, 1), (-1, 1))
-        b = box((0, 2), (-1, 1))
-        got = a.intersect(b)
-        assert got.re == ((0.0, 1.0),)
-        assert a.intersect(box((2, 3), (-1, 1))) is None
-
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             box((1, -1), (0, 0))

@@ -30,3 +30,38 @@ def test_checker_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _read_names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (``_x``) that no code of the package reads
+    outside their own definition."""
+    nodes = [(mod, node) for mod, source in sources.items() for node in ast.parse(source).body]
+    reads = [(node, _read_names(node)) for _, node in nodes]
+    return sorted(f"{mod}: {name}" for mod, node in nodes for name in _defined(node)
+                  if name.startswith("_") and not name.startswith("__")
+                  and not any(name in names for other, names in reads if other is not node))
+
+
+def test_checker_flags_orphans():
+    sources = {"a": "def _used(): return 1\ndef _rec(): return _rec()\n_TABLE = 1\nx = _used()\n",
+               "b": "import a\ny = a._TABLE\nclass _Lone: pass\n"}
+    assert orphans(sources) == ["a: _rec", "b: _Lone"]
+
+
+def test_no_orphaned_private_names():
+    assert orphans({p.name: p.read_text() for p in SRC.glob("*.py")}) == []

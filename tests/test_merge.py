@@ -176,6 +176,18 @@ class TestCousin1EndToEnd:
         bad = max(e["error"] for e in report["principal_part_errors"])
         assert bad == pytest.approx(0.1 * abs(1.5 - 0.5j), rel=1e-4)
 
+    def test_residue_error_above_tol_fails(self):
+        """A residue off by 1e-7 fails at tol 1e-8, as every other check's
+        figure above tol does."""
+        prob = three_slab_problem(tol=1e-8)
+        sol = solve_chain(prob, verify=False)[0]
+        assert verify_solution(sol, prob)["pass"]
+        sol.solution = sol.solution + Evaluable.batched(lambda P: 1e-7 / (P[:, -1] - 0.2))
+        report = verify_solution(sol, prob)
+        assert not report["pass"]
+        worst = max(report["principal_part_errors"], key=lambda e: e["error"])
+        assert worst["pole"] == [0.2, 0.0] and worst["error"] == pytest.approx(1e-7, rel=1e-6)
+
     def test_coincident_poles_verify(self):
         """c1/(z-p) + c2/(z-p)^2 given as two terms at one point is one
         principal part: both coefficients are re-extracted on one circle."""
@@ -194,9 +206,7 @@ class TestCousin1EndToEnd:
         prob = three_slab_problem()
         sol = solve_chain(prob, verify=False)[0]
         clean = sol.corrections[1]
-        sol.corrections[1] = Evaluable(
-            lambda z: clean.fn(z) + 1e-3 * z[0].conjugate(), clean.domain
-        )
+        sol.corrections[1] = Evaluable(lambda z: clean.fn(z) + 1e-3 * z[0].conjugate())
         report = verify_solution(sol, prob)
         assert not report["pass"]
         assert report["patch_morera"][1] > 1e-5
