@@ -67,11 +67,17 @@ class PrincipalPartData:
     def evaluable(self) -> Evaluable:
         terms = [(t.order, complex_evaluator(t.coeff), complex_evaluator(t.locus)) for t in self.terms]
 
+        def values(zp):
+            return [(order, coeff(zp), locus(zp)) for order, coeff, locus in terms]
+
+        # dim-0 coefficients and loci are constants: one call's values serve every call
+        folded = values(np.empty((1, 0))) if all(t.coeff.dim == t.locus.dim == 0 for t in self.terms) else None
+
         def many(P):
             zp, zn = P[:, :-1], P[:, -1]
             acc = np.zeros(len(P), dtype=complex)
-            for order, coeff, locus in terms:
-                acc = acc + coeff(zp) / (zn - locus(zp)) ** order
+            for order, coeff, locus in folded or values(zp):
+                acc = acc + coeff / (zn - locus) ** order
             return acc
 
         return Evaluable.batched(many)
@@ -116,7 +122,7 @@ class ChiProblem:
     def ndim(self) -> int:
         return self.cuboid.ndim
 
-    @property
+    @cached_property
     def partition(self) -> SlabPartition:
         return make_partition(self.cuboid, self.breakpoints)
 

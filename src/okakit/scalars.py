@@ -1,73 +1,134 @@
 """Coefficient backends: exact Gaussian rationals and floating complex.
 
-The exact backend stores coefficients as pairs of arbitrary-precision
-rationals (real and imaginary part), so recombination identities can be
-checked with zero tolerance.  The floating backend is plain ``complex``
-with a declared comparison tolerance.
+The exact backend stores each coefficient as reduced Python integers
+(a, b, d) for (a + b*i)/d, so recombination identities can be checked with
+zero tolerance.  The floating backend is plain ``complex`` with a declared
+comparison tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 
-@dataclass(frozen=True)
 class QQi:
-    """Gaussian rational: re + im*i with Fraction parts."""
+    """Gaussian rational (a + b*i)/d as Python ints ``triple = (a, b, d)``, d > 0 and
+    gcd(a, b, d) = 1: one triple per value, so ``==`` and ``hash`` compare triples.
+    Immutable; ``re`` and ``im`` are Fractions."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("triple",)
+
+    def __init__(self, re, im):
+        """re + im*i for int, Fraction or float parts."""
+        # a Fraction's public numerator and denominator are Python-level properties
+        if type(re) is Fraction:
+            a, p = re._numerator, re._denominator
+        else:
+            a, p = re.as_integer_ratio()
+        if type(im) is Fraction:
+            b, q = im._numerator, im._denominator
+        else:
+            b, q = im.as_integer_ratio()
+        if p != q:  # over the lcm of two reduced denominators the triple is reduced
+            g = gcd(p, q)
+            a, b, p = a * (q // g), b * (p // g), p // g * q
+        _set_triple(self, (a, b, p))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a QQi is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _qqi, self.triple
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
+
+    def __repr__(self) -> str:
+        return f"QQi(re={self.re!r}, im={self.im!r})"
+
+    def __eq__(self, other):
+        return self.triple == other.triple if type(other) is QQi else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.triple)
 
     def __add__(self, other: "QQi") -> "QQi":
-        return QQi(self.re + other.re, self.im + other.im)
+        (a, b, d), (c, e, f) = self.triple, other.triple
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "QQi") -> "QQi":
-        return QQi(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        a, b, d = self.triple
+        return _qqi(-a, -b, d)
 
     def __mul__(self, other: "QQi") -> "QQi":
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        (a, b, d), (c, e, f) = self.triple, other.triple
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     def __truediv__(self, other: "QQi") -> "QQi":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        (a, b, d), (c, e, f) = self.triple, other.triple
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        a, b, d = self.triple
+        return complex(a / d, b / d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.triple == (0, 0, 1)
 
     @staticmethod
     def of(value) -> "QQi":
         if isinstance(value, QQi):
             return value
-        if isinstance(value, Rational):
-            return QQi(Fraction(value), Fraction(0))
         if isinstance(value, complex):
-            return QQi(Fraction(value.real), Fraction(value.imag))
-        if isinstance(value, float):
-            return QQi(Fraction(value), Fraction(0))
+            return QQi(value.real, value.imag)
+        if isinstance(value, Rational) and not isinstance(value, (int, Fraction)):
+            value = Fraction(int(value.numerator), int(value.denominator))  # numpy integers
+        if isinstance(value, (Rational, float)):
+            return QQi(value, 0)
         raise TypeError(f"cannot build Gaussian rational from {value!r}")
 
 
-QQI_ZERO = QQi(Fraction(0), Fraction(0))
-QQI_ONE = QQi(Fraction(1), Fraction(0))
+_new = object.__new__
+_set_triple = QQi.triple.__set__
+
+
+def _qqi(a: int, b: int, d: int) -> QQi:
+    """The QQi of the triple (a, b, d), which must already be reduced."""
+    q = _new(QQi)
+    _set_triple(q, (a, b, d))
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> QQi:
+    """(a + b*i)/d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    return _qqi(a // g, b // g, d // g)
+
+
+QQI_ZERO = _qqi(0, 0, 1)
+QQI_ONE = _qqi(1, 0, 1)
 
 
 @dataclass(frozen=True)

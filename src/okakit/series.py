@@ -76,11 +76,10 @@ class TruncatedSeries:
         return add(self, _coerce_operand(self, other))
 
     def __sub__(self, other):
-        other = _coerce_operand(self, other)
-        return add(self, scale(other, -1))
+        return add(self, -_coerce_operand(self, other))
 
     def __rsub__(self, other):
-        return add(_coerce_operand(self, other), scale(self, -1))
+        return add(_coerce_operand(self, other), -self)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -91,7 +90,7 @@ class TruncatedSeries:
         return scale(self, other)
 
     def __neg__(self):
-        return scale(self, -1)
+        return _ring_result(self, {e: -v for e, v in self.coeffs.items()}, self.order)
 
     def __pow__(self, k: int):
         """self**k as k successive products, for an integer k >= 0."""
@@ -205,20 +204,27 @@ def _min_order(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _ring_result(like: TruncatedSeries, terms: dict, order: int | None) -> TruncatedSeries:
+    """The series of ring-operation ``terms`` (backend-typed, on valid multi-indices)
+    with ``like``'s dim, center and backend: only zeros and terms above ``order`` go."""
+    zero_ = like.backend.zero()
+    canon = {e: v for e, v in terms.items() if v != zero_ and (order is None or sum(e) <= order)}
+    f = object.__new__(TruncatedSeries)  # skips __post_init__'s multi-index checks
+    f.__dict__.update(dim=like.dim, center=like.center, coeffs=canon, order=order, backend=like.backend)
+    return f
+
+
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_compatible(a, b)
-    order = _min_order(a.order, b.order)
     terms = dict(a.coeffs)
     for exp, v in b.coeffs.items():
         terms[exp] = terms[exp] + v if exp in terms else v
-    return make_series(a.dim, terms, order=order, backend=a.backend, center=a.center)
+    return _ring_result(a, terms, _min_order(a.order, b.order))
 
 
 def scale(a: TruncatedSeries, scalar) -> TruncatedSeries:
     s = a.backend.coerce(scalar)
-    return make_series(
-        a.dim, {e: v * s for e, v in a.coeffs.items()}, order=a.order, backend=a.backend, center=a.center
-    )
+    return _ring_result(a, {e: v * s for e, v in a.coeffs.items()}, a.order)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -232,7 +238,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 continue
             prod = va * vb
             terms[exp] = terms[exp] + prod if exp in terms else prod
-    return make_series(a.dim, terms, order=order, backend=a.backend, center=a.center)
+    return _ring_result(a, terms, order)
 
 
 def _binomial_powers(delta, max_power: int, backend: Backend):
@@ -448,9 +454,20 @@ def _scalar_to_json(v, backend: Backend):
 
 def _scalar_from_json(pair, backend: Backend):
     re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError(f"expected a number or a fraction string, got {pair!r}")
     if isinstance(re, str) or isinstance(im, str):
-        return QQi(Fraction(re), Fraction(im))
+        q = QQi(Fraction(re), Fraction(im))
+        str(q.re), str(q.im)  # a ValueError where a part has more digits than CPython prints
+        return q
     return complex(re, im)
+
+
+def _index(value) -> int:
+    """A JSON integer: operator.index takes no float, and here no bool either."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def to_json(f: TruncatedSeries) -> dict:
@@ -471,12 +488,11 @@ def from_json(data: dict, eps: float = 1e-12) -> TruncatedSeries:
     if tag not in ("exact", "floating"):
         raise ValueError(f"unknown backend {tag!r}")
     backend = EXACT if tag == "exact" else floating(eps)
-    # operator.index takes integers only: a float dimension or exponent is malformed
-    dim = operator.index(data["dim"])
+    dim = _index(data["dim"])
     center = [_scalar_from_json(c, backend) for c in data.get("center", [[0, 0]] * dim)]
     order = data.get("order", "exact")
-    order = None if order == "exact" else operator.index(order)
-    terms = {tuple(map(operator.index, t["exp"])): _scalar_from_json(t["coeff"], backend)
+    order = None if order == "exact" else _index(order)
+    terms = {tuple(map(_index, t["exp"])): _scalar_from_json(t["coeff"], backend)
              for t in data.get("terms", [])}
     return make_series(dim, terms, order=order, backend=backend, center=center)
 

@@ -20,7 +20,6 @@ from .series import (
     constant,
     mul,
     negligible,
-    scale,
     variable,
     zero,
 )
@@ -71,7 +70,7 @@ def trivial_solution(i: int, j: int, p: int, dim: int | None = None, backend: Ba
     comps = []
     for slot in range(p):
         if slot == i:
-            comps.append(scale(variable(n, j, backend=backend), -1))
+            comps.append(-variable(n, j, backend=backend))
         elif slot == j:
             comps.append(variable(n, i, backend=backend))
         else:
@@ -260,7 +259,7 @@ def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis
     for i in range(q, N):
         comps = []
         for j in range(q):
-            comps.append(scale(pres.coefficient(i, j), -1))
+            comps.append(-pres.coefficient(i, j))
         for slot in range(q, N):
             if slot == i:
                 comps.append(constant(n, 1, backend=be))

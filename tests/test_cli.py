@@ -449,6 +449,19 @@ SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
     pytest.param("divide", {"series": {**series_json(2, {(1, 1): 1}), "dim": 2.5}, "q": 1}, id="series-dim-float"),
     pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1.5, 0], "coeff": ["1", "0"]}]}, "q": 1},
                  id="series-exp-float"),
+    # read as 1 or 0 until series.from_json rejected JSON booleans
+    pytest.param("divide", {"series": {**series_json(1, {(1,): 1}), "dim": True}, "q": 1}, id="series-dim-bool"),
+    pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [True, 0], "coeff": ["1", "0"]}]}, "q": 1},
+                 id="series-exp-bool"),
+    pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1, 0], "coeff": [True, False]}]}, "q": 1},
+                 id="series-coeff-bool"),
+    pytest.param("divide", {"series": {**series_json(2, {(1, 1): 1}), "order": True}, "q": 1},
+                 id="series-order-bool"),
+    # parsed, then a traceback when the report printed a part longer than str may print
+    pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1, 0], "coeff": ["1e5000", "0"]}]}, "q": 1},
+                 id="series-numerator-too-long"),
+    pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1, 0], "coeff": ["0", "1e-5000"]}]}, "q": 1},
+                 id="series-denominator-too-long"),
 ])
 def test_malformed_request_exits_2(command, payload):
     assert_input_error(command, payload)

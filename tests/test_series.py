@@ -1,9 +1,14 @@
 """Unit tests for the truncated-series ring."""
 
+import copy
+import math
+import pickle
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okakit.errors import IncompatibleOperands, RequiresExactPolynomial
@@ -263,3 +268,120 @@ class TestJson:
         f = make_series(1, {(1,): QQi(Fraction(1, 3), Fraction(0))})
         blob = to_json(f)
         assert blob["terms"][0]["coeff"][0] == "1/3"
+
+
+# -- QQi against a Fraction-pair reference ----------------------------------
+
+# small parts make equal values common; large ones reach float rounding
+ratios = st.one_of(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                   st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25)))
+pairs = st.tuples(ratios, ratios)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def assert_canonical(q):
+    a, b, d = q.triple
+    assert d > 0 and math.gcd(a, b, d) == 1
+
+
+class TestQQi:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, pairs)
+    def test_arithmetic_matches_fraction_pairs(self, x, y):
+        p, q = QQi(*x), QQi(*y)
+        results = [(p + q, (x[0] + y[0], x[1] + y[1])), (p - q, (x[0] - y[0], x[1] - y[1])),
+                   (-p, (-x[0], -x[1])), (p * q, ref_mul(x, y))]
+        if y != (0, 0):
+            results.append((p / q, ref_div(x, y)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p / q
+        for got, want in results:
+            assert (got.re, got.im) == want
+            assert got == QQi(*want)
+            assert_canonical(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, pairs)
+    def test_equality_and_hash_follow_the_value(self, x, y):
+        p, q = QQi(*x), QQi(*y)
+        assert_canonical(p)
+        assert (p == q) is (x == y)
+        if x == y:
+            assert hash(p) == hash(q) and p.triple == q.triple
+        assert p.is_zero() is (x == (0, 0))
+
+    def test_int_and_float_parts(self):
+        assert QQi(3, 0) == QQi(Fraction(3), Fraction(0)) == QQi.of(3)
+        assert QQi(0.5, -2) == QQi(Fraction(1, 2), Fraction(-2))
+        assert QQi.of(0.25 - 1j) == QQi(Fraction(1, 4), Fraction(-1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs)
+    def test_complex_is_bit_equal_to_float_of_the_parts(self, x):
+        q = QQi(*x)
+        bits = struct.pack("dd", complex(q).real, complex(q).imag)
+        assert bits == struct.pack("dd", float(q.re), float(q.im))
+
+    @pytest.mark.parametrize("name", ["triple", "re", "im", "other"])
+    def test_fields_cannot_be_assigned(self, name):
+        q = QQi(Fraction(1, 2), Fraction(3))
+        with pytest.raises(AttributeError):
+            setattr(q, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+        assert q == QQi(Fraction(1, 2), Fraction(3))
+
+    def test_copy_and_pickle_keep_the_value(self):
+        q = QQi(Fraction(-7, 6), Fraction(5, 4))
+        for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert twin == q and twin.triple == (-14, 15, 12)
+
+
+# -- ring results -----------------------------------------------------------
+
+
+@st.composite
+def truncated_pairs(draw, backend):
+    """Two dim-2 polynomials on ``backend``, truncated at independent orders
+    (None for none), often sharing terms so that sums cancel."""
+    a = draw(polynomials(2, backend, max_terms=5))
+    b = draw(polynomials(2, backend, max_terms=5))
+    if draw(st.booleans()):
+        b = add(b, scale(a, draw(st.sampled_from([-1, 1, Fraction(-1, 2)]))))
+    orders = draw(st.tuples(*[st.one_of(st.none(), st.integers(0, 5))] * 2))
+    return tuple(f if k is None else truncate(f, k) for f, k in zip((a, b), orders))
+
+
+def assert_canonical_series(f):
+    assert all(not f.backend.is_zero(v) for v in f.coeffs.values())
+    if f.order is not None:
+        assert all(sum(e) <= f.order for e in f.coeffs)
+    assert f == make_series(f.dim, f.coeffs, order=f.order, backend=f.backend, center=f.center)
+
+
+@pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ring_results_are_canonical(backend, data):
+    a, b = data.draw(truncated_pairs(backend))
+    s = data.draw(st.sampled_from([0, 1, -1, Fraction(2, 3)]))
+    for f in (add(a, b), mul(a, b), scale(a, s), -a, a - b, 1 - a, a + 1):
+        assert_canonical_series(f)
+
+
+@pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subtraction_adds_the_negative(backend, data):
+    a, b = data.draw(truncated_pairs(backend))
+    assert a - b == a + (-1) * b == add(a, scale(b, -1))
+    assert -a == scale(a, -1) and 2 - a == add(constant(2, 2, backend=backend), scale(a, -1))
