@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CenterNotOnAxis
-from .series import TruncatedSeries, make_series, mul, negligible, variable
+from .series import TruncatedSeries, _ring_result, mul, negligible, variable
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,11 @@ def split_variable(f: TruncatedSeries, axis: int) -> tuple[TruncatedSeries, Trun
     g_terms: dict = {}
     for exp, v in f.coeffs.items():
         if exp[axis] > 0:
-            e = list(exp)
-            e[axis] -= 1
-            h_terms[tuple(e)] = v
+            h_terms[exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]] = v
         else:
             g_terms[exp] = v
-    h = make_series(f.dim, h_terms, order=f.order, backend=f.backend, center=f.center)
-    g = make_series(f.dim, g_terms, order=f.order, backend=f.backend, center=f.center)
-    return h, g
+    # terms of a valid series, exponents lowered but never below 0: ring results
+    return _ring_result(f, h_terms, f.order), _ring_result(f, g_terms, f.order)
 
 
 def ideal_cofactors(f: TruncatedSeries, subspace: CoordinateSubspace) -> CofactorVector:

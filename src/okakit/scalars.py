@@ -154,8 +154,6 @@ class Backend:
         """Bring a scalar into this backend's coefficient type."""
         if self.exact:
             return QQi.of(value)
-        if isinstance(value, QQi):
-            return complex(value)
         return complex(value)
 
     def zero(self):
@@ -169,12 +167,6 @@ class Backend:
         if self.exact:
             return value.is_zero()
         return value == 0
-
-    def is_negligible(self, value, scale: float = 1.0) -> bool:
-        """Tolerance-aware zero test (relative to ``scale``)."""
-        if self.exact:
-            return value.is_zero()
-        return abs(value) <= self.eps * max(1.0, scale)
 
 
 EXACT = Backend("exact", 0.0)

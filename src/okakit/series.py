@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -241,51 +242,23 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _ring_result(a, terms, order)
 
 
-def _binomial_powers(delta, max_power: int, backend: Backend):
-    """[(w + delta)^k for k in 0..max_power] as coefficient lists in w."""
-    one = backend.one()
-    rows = [[one]]
-    for k in range(1, max_power + 1):
-        prev = rows[-1]
-        row = [backend.zero()] * (k + 1)
-        for j, c in enumerate(prev):
-            row[j] = row[j] + c * delta  # multiply by delta term
-            row[j + 1] = row[j + 1] + c  # multiply by w term
-        rows.append(row)
-    return rows
-
-
 def recenter(f: TruncatedSeries, new_center: Sequence) -> TruncatedSeries:
-    """Re-expand an exact polynomial around a different center."""
+    """Re-expand an exact polynomial around a different center: substitute
+    z_k - b_k = (z_k - b'_k) + (b'_k - b_k) into every term, with the ring's
+    own products and powers."""
     if not f.is_polynomial():
         raise RequiresExactPolynomial("recenter needs an untruncated polynomial")
     bnew = tuple(f.backend.coerce(c) for c in new_center)
     if len(bnew) != f.dim:
         raise ValueError("new center has wrong length")
-    # z_k - b_k = (z_k - b'_k) + (b'_k - b_k)
-    deltas = [bnew[k] - f.center[k] for k in range(f.dim)]
-    max_pow = [0] * f.dim
-    for exp in f.coeffs:
-        for k, e in enumerate(exp):
-            max_pow[k] = max(max_pow[k], e)
-    tables = [_binomial_powers(deltas[k], max_pow[k], f.backend) for k in range(f.dim)]
-    terms: dict = {}
+    shifted = [variable(f.dim, k, backend=f.backend, center=bnew) - f.center[k] for k in range(f.dim)]
+    acc = zero(f.dim, backend=f.backend, center=bnew)
     for exp, v in f.coeffs.items():
-        partial = {(): v}
-        for k, e in enumerate(exp):
-            row = tables[k][e]
-            nxt: dict = {}
-            for pexp, pv in partial.items():
-                for j, c in enumerate(row):
-                    if f.backend.is_zero(c):
-                        continue
-                    key = pexp + (j,)
-                    val = pv * c
-                    nxt[key] = nxt[key] + val if key in nxt else val
-            partial = nxt
-        for pexp, pv in partial.items():
-            terms[pexp] = terms[pexp] + pv if pexp in terms else pv
-    return make_series(f.dim, terms, order=None, backend=f.backend, center=bnew)
+        term = constant(f.dim, v, backend=f.backend, center=bnew)
+        for s, e in zip(shifted, exp):
+            term = term * s**e
+        acc = acc + term
+    return acc
 
 
 def evaluate(f: TruncatedSeries, point: Sequence):
@@ -383,20 +356,23 @@ def complex_evaluator(f: TruncatedSeries):
 
 def negligible(f: TruncatedSeries, *refs: TruncatedSeries) -> bool:
     """True iff ``f`` vanishes: exactly on the exact backend; on the floating
-    backend every coefficient within tolerance, relative to the largest
-    coefficient among ``refs``."""
+    backend every |coefficient| at most eps * max(1, largest |coefficient|
+    among ``refs``)."""
     if f.backend.exact:
         return f.is_zero()
     scale_ = max((r.max_abs_coeff() for r in refs), default=0.0)
-    return all(f.backend.is_negligible(v, scale_) for v in f.coeffs.values())
+    bound = f.backend.eps * max(1.0, scale_)
+    return all(abs(v) <= bound for v in f.coeffs.values())
 
 
 def truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    return make_series(f.dim, f.coeffs, order=order, backend=f.backend, center=f.center)
+    """``f`` cut to ``order``, or to its own order where that is lower: no term is made up."""
+    return make_series(f.dim, f.coeffs, order=_min_order(order, f.order), backend=f.backend, center=f.center)
 
 
 def invert_unit(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Multiplicative inverse of a series with nonzero constant term, to ``order``.
+    """Multiplicative inverse of a series with nonzero constant term, to ``order``
+    or to ``f``'s own order where that is lower.
 
     Neumann recursion: 1/f = (1/c) * sum_k (1 - f/c)^k with c = f(b).
     """
@@ -404,13 +380,9 @@ def invert_unit(f: TruncatedSeries, order: int) -> TruncatedSeries:
     if c is None or f.backend.is_zero(c):
         raise ZeroDivisionError("series is not a unit (zero constant term)")
     ft = truncate(f, order)
-    if f.backend.exact:
-        cinv = f.backend.one() / c
-    else:
-        cinv = 1.0 / c
-    w = constant(f.dim, 1, backend=f.backend, center=f.center, order=order) - scale(ft, cinv)
-    acc = constant(f.dim, 1, backend=f.backend, center=f.center, order=order)
-    pw = acc
+    cinv = f.backend.one() / c
+    acc = pw = constant(f.dim, 1, backend=f.backend, center=f.center, order=ft.order)
+    w = acc - scale(ft, cinv)
     for _ in range(order):
         pw = mul(pw, w)
         if pw.is_zero():
@@ -420,27 +392,7 @@ def invert_unit(f: TruncatedSeries, order: int) -> TruncatedSeries:
 
 
 def to_floating(f: TruncatedSeries, eps: float = 1e-12) -> TruncatedSeries:
-    be = floating(eps)
-    return make_series(
-        f.dim,
-        {e: complex(v) for e, v in f.coeffs.items()},
-        order=f.order,
-        backend=be,
-        center=[complex(c) for c in f.center],
-    )
-
-
-def close_to(a: TruncatedSeries, b: TruncatedSeries, eps: float | None = None) -> bool:
-    """Coefficientwise comparison; exact equality on the exact backend."""
-    if a.backend.exact and b.backend.exact:
-        return a == b
-    tol = eps if eps is not None else max(a.backend.eps, b.backend.eps)
-    keys = set(a.coeffs) | set(b.coeffs)
-    scale_ = max(a.max_abs_coeff(), b.max_abs_coeff(), 1.0)
-    for k in keys:
-        if abs(complex(a.coefficient(k)) - complex(b.coefficient(k))) > tol * scale_:
-            return False
-    return True
+    return make_series(f.dim, f.coeffs, order=f.order, backend=floating(eps), center=f.center)
 
 
 # -- JSON round trip -----------------------------------------------------
@@ -457,10 +409,22 @@ def _scalar_from_json(pair, backend: Backend):
     if isinstance(re, bool) or isinstance(im, bool):
         raise TypeError(f"expected a number or a fraction string, got {pair!r}")
     if isinstance(re, str) or isinstance(im, str):
-        q = QQi(Fraction(re), Fraction(im))
+        q = QQi(_fraction(re), _fraction(im))
         str(q.re), str(q.im)  # a ValueError where a part has more digits than CPython prints
         return q
     return complex(re, im)
+
+
+def _fraction(part) -> Fraction:
+    """Fraction(part), but first a ValueError where the decimal exponent of a string
+    ``part`` gives more digits than CPython prints: Fraction would build that power
+    of ten whole.  A mantissa of m characters cancels at most m of those digits."""
+    if isinstance(part, str):
+        mantissa, _, exp = part.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if exp and abs(int(exp)) > limit + len(mantissa):
+            raise ValueError(f"decimal exponent {exp.strip()} gives more than {limit} digits")
+    return Fraction(part)
 
 
 def _index(value) -> int:

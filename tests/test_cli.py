@@ -7,12 +7,14 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okakit import cli, cousin
+from okakit import cli, cousin, division, series
+from okakit.division import ideal_cofactors
 from okakit.cli import main
 
 
@@ -51,6 +53,16 @@ class TestDivide:
         code, report = run_cli(tmp_path, "divide", payload)
         assert code == 0  # recombination still exact; membership is just data
         assert report["result"]["member"] is False
+
+    def test_divides_once(self, tmp_path, monkeypatch):
+        # membership is read off the remainder: is_member used to run the division a second time
+        calls = []
+        for module in (cli, division):
+            monkeypatch.setattr(module, "ideal_cofactors", lambda *a: calls.append(a) or ideal_cofactors(*a))
+        for terms, member in (({(1, 0, 1): 1, (0, 2, 0): 1}, True), ({(0, 0, 3): 1}, False)):
+            calls.clear()
+            code, report = run_cli(tmp_path, "divide", {"series": series_json(3, terms), "q": 2})
+            assert (code, report["result"]["member"], len(calls)) == (0, member, 1)
 
     def test_report_envelope(self, tmp_path):
         payload = {"series": series_json(1, {(1,): 2}), "q": 1}
@@ -465,6 +477,26 @@ SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
 ])
 def test_malformed_request_exits_2(command, payload):
     assert_input_error(command, payload)
+
+
+@pytest.mark.parametrize("part", ["1e20000000", "-2.5E-20000000", "0e99999999"])
+def test_huge_decimal_exponent_exits_2_before_building(monkeypatch, part):
+    # Fraction built 10**20000000 whole (about 38 s) before the part was found too long to print
+    def fraction(value, *args):
+        assert value != part, "Fraction was given the part with the huge exponent"
+        return Fraction(value, *args)
+
+    monkeypatch.setattr(series, "Fraction", fraction)
+    assert_input_error("divide", {"series": {"dim": 1, "terms": [{"exp": [1], "coeff": ["1", part]}]}, "q": 1})
+
+
+@pytest.mark.parametrize("part", ["0.001e4301", "1e4299", "5e-4299", "1.5e3", "2/3"])
+def test_printable_decimal_parts_still_read(part):
+    # the exponent guard refuses only parts that could not print
+    code, out, err = run_stdin("divide", {"series": {"dim": 1, "terms": [{"exp": [1], "coeff": [part, "0"]}]}, "q": 1})
+    assert code == 0, err
+    cofactor = json.loads(out)["result"]["cofactors"][0]
+    assert Fraction(cofactor["terms"][0]["coeff"][0]) == Fraction(part)
 
 
 @pytest.mark.parametrize("payload, extra", [

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from okakit.scalars import EXACT, QQi, floating
 from okakit.series import (
     TruncatedSeries,
     add,
-    close_to,
     constant,
     evaluate,
     evaluate_complex,
@@ -25,6 +25,7 @@ from okakit.series import (
     make_series,
     monomial,
     mul,
+    negligible,
     recenter,
     scale,
     to_floating,
@@ -192,6 +193,34 @@ class TestRecenter:
         with pytest.raises(RequiresExactPolynomial):
             recenter(f, (1,))
 
+    def test_wrong_length_center_rejected(self):
+        for dim, center in ((0, (1,)), (2, (1,)), (1, (0, 0))):
+            with pytest.raises(ValueError):
+                recenter(make_series(dim, {(0,) * dim: 1}), center)
+
+    @staticmethod
+    def gaussian_rational(rng):
+        return QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+    def test_exact_evaluation_invariance(self):
+        # Gaussian-rational old and new centres and points: equality, not a float tolerance
+        rng = random.Random(1301)
+        for _ in range(60):
+            dim = rng.randint(0, 3)
+            old, new, z = ([self.gaussian_rational(rng) for _ in range(dim)] for _ in range(3))
+            f = random_polynomial(rng, dim, 5 if dim else 0, n_terms=rng.randint(0, 8), center=old)
+            g = recenter(f, new)
+            assert g.center == tuple(new) and g.order is None
+            assert evaluate(g, z) == evaluate(f, z)
+
+    def test_own_center_and_dim_0_are_identity(self):
+        rng = random.Random(1303)
+        for dim in range(4):
+            f = random_polynomial(rng, dim, 5 if dim else 0, center=[self.gaussian_rational(rng) for _ in range(dim)])
+            assert recenter(f, f.center) == f
+        f = constant(0, QQi(Fraction(2, 3), Fraction(-1, 5)))
+        assert recenter(f, ()) == f
+
 
 class TestInvertUnit:
     def test_geometric_series(self):
@@ -213,6 +242,15 @@ class TestInvertUnit:
             for exp in prod.coeffs:
                 if sum(exp) > 0:
                     raise AssertionError(f"nonzero higher term {exp}")
+
+    def test_order_never_above_the_input_order(self):
+        # 1 - z + O(z^3) fixes the inverse only to O(z^3): 1 - z + 7z^3 + O(z^6) agrees with it there
+        f = make_series(1, {(0,): 1, (1,): -1}, order=2)
+        for k in range(3, 7):
+            assert truncate(f, k).order == f.order
+            assert invert_unit(f, k).order == f.order
+        assert invert_unit(constant(2, 3, order=1), 4).order == 1
+        assert invert_unit(f, 1).order == 1
 
     def test_non_unit_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -246,8 +284,8 @@ class TestBackends:
         a = make_series(1, {(1,): 1.0 + 0j}, backend=be)
         b = make_series(1, {(1,): 1.0 + 1e-12j}, backend=be)
         c = make_series(1, {(1,): 1.0 + 1e-3j}, backend=be)
-        assert close_to(a, b)
-        assert not close_to(a, c)
+        assert negligible(a - b, a, b)
+        assert not negligible(a - c, a, c)
 
 
 class TestJson:
@@ -262,7 +300,20 @@ class TestJson:
         f = make_series(2, {(1, 0): 0.5 + 0.25j, (0, 2): -3.0 + 0j}, order=4, backend=be)
         g = from_json(to_json(f))
         assert g.order == 4
-        assert close_to(f, g)
+        assert negligible(f - g, f, g)
+
+    @pytest.mark.parametrize("unset", ["missing", "zero"])
+    def test_exponent_limit_without_a_printing_limit(self, monkeypatch, unset):
+        # Python 3.10 has no printing limit and 3.11+ may set it to 0: huge exponents are still refused
+        if unset == "missing":
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        else:
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        for part in ("1e4302", "-1e-20000000"):
+            with pytest.raises(ValueError):
+                from_json({"dim": 1, "terms": [{"exp": [0], "coeff": [part, "0"]}]})
+        f = from_json({"dim": 1, "terms": [{"exp": [0], "coeff": ["0.05e4301", "0"]}]})
+        assert f.coeffs[(0,)].re == 5 * 10**4299
 
     def test_exact_coefficients_serialized_as_fractions(self):
         f = make_series(1, {(1,): QQi(Fraction(1, 3), Fraction(0))})
