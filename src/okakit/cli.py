@@ -26,7 +26,7 @@ from .division import CoordinateSubspace, ideal_cofactors
 from .errors import InvalidArity, OkakitError, SchemaError
 from .merge import ChiProblem, PoleTerm, PrincipalPartData, solve_chain
 from .scalars import EXACT
-from .series import TruncatedSeries, constant, from_json, negligible, to_json
+from .series import MAX_DIM, TruncatedSeries, constant, from_json, negligible, to_json
 from .syzygy import (
     GeneratorPresentation,
     SyzygyVector,
@@ -75,6 +75,13 @@ def _number(value, kinds=(int, float)):
     return value
 
 
+def _size(value) -> int:
+    """A dimension, arity or generator count: a JSON integer of at most MAX_DIM."""
+    if _number(value, int) > MAX_DIM:
+        raise ValueError(f"a dimension, arity or generator count is at most {MAX_DIM} (series.MAX_DIM), got {value}")
+    return value
+
+
 def _quadrature(data: dict, args) -> QuadratureSpec:
     fields = {} if args.panels is None else {"panels": args.panels}
     fields.update(data.get("quadrature", {}))
@@ -120,8 +127,7 @@ def cmd_syzygy(data: dict, args):
     mode = data["mode"]
     if mode == "trivial":
         dim = data.get("dim")
-        return partial(_trivial, trivial_solutions(_number(data["p"], int),
-                                                   dim=None if dim is None else _number(dim, int)))
+        return partial(_trivial, trivial_solutions(_size(data["p"]), dim=None if dim is None else _size(dim)))
     if mode == "decompose":
         return partial(_decompose, SyzygyVector(tuple(from_json(c, eps=args.tol) for c in data["components"])))
     if mode == "general":
@@ -129,7 +135,7 @@ def cmd_syzygy(data: dict, args):
                   for e in data.get("coefficients", [])}
         vector = [from_json(c, eps=args.tol) for c in data.get("vector", [])]
         given = [*coeffs.values(), *vector]
-        pres = GeneratorPresentation(_number(data["dim"], int), _number(data["q"], int), _number(data["N"], int),
+        pres = GeneratorPresentation(_size(data["dim"]), _number(data["q"], int), _size(data["N"]),
                                      coeffs, backend=given[0].backend if given else EXACT)
         if "vector" in data:
             return partial(_general_decomposition, SyzygyVector(tuple(vector)), pres)

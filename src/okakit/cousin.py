@@ -172,15 +172,32 @@ def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _piece_nodes(a: complex, b: complex, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite GL nodes and dz-weights for the straight piece a -> b:
-    ``panels`` equal panels of ``nodes`` points."""
+@lru_cache(maxsize=32)
+def _unit_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite GL nodes and weights on [0, 1]: ``panels`` equal panels of
+    ``nodes`` points, computed once per pair and shared read-only."""
     x, w = _gauss01(nodes)
     edges = np.linspace(0.0, 1.0, panels + 1)
     ts = np.concatenate([edges[k] + (edges[k + 1] - edges[k]) * x for k in range(panels)])
     ws = np.concatenate([(edges[k + 1] - edges[k]) * w for k in range(panels)])
-    zs = a + (b - a) * ts
-    return zs, ws * (b - a)
+    ts.flags.writeable = ws.flags.writeable = False
+    return ts, ws
+
+
+# A merge splits every z'-coefficient of a seam over the same three contours,
+# one after the other, so a few node sets are enough for them to share arrays.
+@lru_cache(maxsize=16)
+def _path_nodes(pieces: tuple, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite GL nodes and dz-weights along the straight pieces (a, b,
+    panels), computed once per polyline and shared read-only."""
+    zs, ws = [], []
+    for a, b, panels in pieces:
+        t, w = _unit_rule(panels, nodes)
+        zs.append(a + (b - a) * t)
+        ws.append(w * (b - a))
+    zs, ws = np.concatenate(zs), np.concatenate(ws)
+    zs.flags.writeable = ws.flags.writeable = False
+    return zs, ws
 
 
 # A path keeps its weighted node densities for this many distinct z', least
@@ -194,17 +211,11 @@ FILL_POINTS = 1 << 11
 
 
 class _PathQuad:
-    """Fixed node set along a polyline of straight pieces (a, b, panels),
-    with an LRU cache of weighted density values per z'."""
+    """Shared node set along a polyline of straight pieces (a, b, panels),
+    with its own LRU cache of weighted density values per z'."""
 
     def __init__(self, pieces: Sequence[tuple[complex, complex, int]], spec: QuadratureSpec):
-        zs, ws = [], []
-        for a, b, panels in pieces:
-            z, w = _piece_nodes(a, b, panels, spec.nodes)
-            zs.append(z)
-            ws.append(w)
-        self.zs = np.concatenate(zs)
-        self.ws = np.concatenate(ws)
+        self.zs, self.ws = _path_nodes(tuple(pieces), spec.nodes)
         self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
     def weighted(self, phi: Evaluable, zps: np.ndarray) -> np.ndarray:
@@ -242,20 +253,28 @@ class _PathQuad:
         return kernel_sums(self.zs, P[:, -1], weights)
 
 
-def _row_sums(m: int, width: int, block: Callable) -> np.ndarray:
-    """block(rows).sum(axis=1) for rows 0..m-1, in slices of at most BLOCK_ENTRIES entries."""
-    out = np.empty(m, dtype=complex)
-    step = max(1, BLOCK_ENTRIES // width)
+def _row_sums(m: int, width: int, block: Callable, keys: int = 1) -> np.ndarray:
+    """block(rows).sum(axis=-1) for rows 0..m-1, in slices of at most
+    BLOCK_ENTRIES entries: an (m,) array for blocks of shape (rows, width),
+    or (m, keys) for blocks of shape (rows, keys, width) when keys > 1."""
+    out = np.empty((m, keys) if keys > 1 else m, dtype=complex)
+    step = max(1, BLOCK_ENTRIES // (keys * width))
     for lo in range(0, m, step):
         rows = slice(lo, lo + step)
-        out[rows] = block(rows).sum(axis=1)
+        out[rows] = block(rows).sum(axis=-1)
     return out
 
 
-def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray:
-    """(1/2 pi i) * sum_j wd[i, j] / (zs_j - zn_i) per zn_i, wd = weights(rows) a
-    slice's weighted densities (one row, or one per row): the one Cauchy kernel loop."""
-    return _row_sums(len(zn), len(zs), lambda rows: weights(rows) / (zs - zn[rows, None])) / TWO_PI_I
+def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable, keys: int = 1) -> np.ndarray:
+    """(1/2 pi i) * sum_j wd[..., j] / (zs_j - zn_i) per zn_i: the one Cauchy
+    kernel loop.  wd = weights(rows) is a slice's weighted densities, one row
+    or one per row, for an (len(zn),) result; with keys > 1 it is a keys x
+    len(zs) block shared by every row, for an (len(zn), keys) result, and
+    zs - zn is built once for all keys."""
+    def block(rows):
+        d = zs - zn[rows, None]
+        return weights(rows) / (d[:, None] if keys > 1 else d)
+    return _row_sums(len(zn), len(zs), block, keys) / TWO_PI_I
 
 
 @dataclass(frozen=True)
@@ -269,46 +288,69 @@ class SplitBranch(Evaluable):
     density: Evaluable | None = None
 
 
-def fused_sum(branches: Sequence[SplitBranch], center: complex, radius: float) -> Evaluable:
-    """The summed pushed-contour Cauchy sums of ``branches`` (densities of
-    z_n alone), for rows with |z_n - center| < radius inside every ``valid_re``.
+def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: float) -> Callable:
+    """The map from points P to the list whose entry k is the column of the
+    summed pushed-contour Cauchy sums of ``keys[k]`` (densities of z_n
+    alone), for rows with |z_n - center| < radius inside every ``valid_re``.
 
-    The near branches give one Cauchy sum over the union of their nodes.
-    Those with every node at least 2 radius away give one Taylor series:
-    with rho = radius / (nearest node distance) <= 1/2, the truncation after
-    M terms is at most rho^M / (1 - rho) times (1/2 pi) sum_j |w_j
-    phi(zeta_j)| / |zeta_j - center|, and M is the smallest making that
-    factor <= 2^-53.  A row sums the coefficients (1/2 pi i) sum_j w_j
-    phi(zeta_j) / (zeta_j - center)^(m+1) against its powers (z_n - center)^m.
+    The near branches of a key give one Cauchy sum over the union of their
+    nodes.  Those with every node at least 2 radius away give one Taylor
+    series: with rho = radius / (nearest node distance) <= 1/2, the
+    truncation after M terms is at most rho^M / (1 - rho) times (1/2 pi)
+    sum_j |w_j phi(zeta_j)| / |zeta_j - center|, and M is the smallest
+    making that factor <= 2^-53.  A row sums the coefficients (1/2 pi i)
+    sum_j w_j phi(zeta_j) / (zeta_j - center)^(m+1) against its powers
+    (z_n - center)^m.  Keys whose near (far) branches have the same node
+    arrays share one kernel block (power block), with one weight row
+    (coefficient row) per key.
     """
-    near, far = [], []
-    for b in branches:
-        part = far if np.abs(b.pushed.zs - center).min() >= 2 * radius else near
-        part.append((b.pushed.zs, b.pushed.weighted(b.density, np.empty((1, 0), dtype=complex))[0]))
-    near_zs, near_wd = (np.concatenate(x) for x in zip(*near)) if near else (None, None)
-    if far:
-        zc, t = (np.concatenate(x) for x in zip(*far))
+    # keys split at the same seams hold the same node arrays (``_path_nodes``)
+    groups: tuple[dict, dict] = ({}, {})
+    for k, branches in enumerate(keys):
+        parts: tuple[list, list] = ([], [])
+        for b in branches:
+            parts[bool(np.abs(b.pushed.zs - center).min() >= 2 * radius)].append(b)
+        for group, part in zip(groups, parts):
+            if part:
+                group.setdefault(tuple(id(b.pushed.zs) for b in part), []).append((k, part))
+
+    def block(members) -> tuple[list, np.ndarray, np.ndarray]:
+        """Keys, shared nodes and one row of weighted densities per key."""
+        rows = [np.concatenate([b.pushed.weighted(b.density, np.empty((1, 0), dtype=complex))[0] for b in part])
+                for _, part in members]
+        return [k for k, _ in members], np.concatenate([b.pushed.zs for b in members[0][1]]), np.array(rows)
+
+    near = [block(members) for members in groups[0].values()]
+    far = []
+    for ks, zc, t in map(block, groups[1].values()):
         zc = zc - center
         rho = radius / np.abs(zc).min()
-        coeffs = np.empty(math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho)), dtype=complex)
-        for m in range(len(coeffs)):
+        coeffs = np.empty((len(ks), math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho))), dtype=complex)
+        for m in range(coeffs.shape[1]):
             t = t / zc
-            coeffs[m] = t.sum()
-        coeffs /= TWO_PI_I
+            coeffs[:, m] = t.sum(axis=1)
+        far.append((ks, coeffs / TWO_PI_I))
 
-    def many(P):
+    def columns(P):
         zn = P[:, -1]
-        out = kernel_sums(near_zs, zn, lambda rows: near_wd) if near else np.zeros(len(P), dtype=complex)
-        if far:
-            w = zn - center
+        out = [None] * len(keys)
+        for ks, zs, wd in near:
+            sums = kernel_sums(zs, zn, lambda rows: wd, len(ks))
+            for k, col in zip(ks, sums.T if len(ks) > 1 else (sums,)):
+                out[k] = col
+        w = zn - center
+        for ks, coeffs in far:
             def powers(rows):
-                pw = np.ones((len(w[rows]), len(coeffs)), dtype=complex)
+                pw = np.ones((len(w[rows]), coeffs.shape[1]), dtype=complex)
                 pw[:, 1:] = w[rows, None]
-                return np.cumprod(pw, axis=1, out=pw) * coeffs
-            out = out + _row_sums(len(w), len(coeffs), powers)
+                np.cumprod(pw, axis=1, out=pw)
+                return (pw[:, None] if len(ks) > 1 else pw) * coeffs
+            sums = _row_sums(len(w), coeffs.shape[1], powers, len(ks))
+            for k, col in zip(ks, sums.T if len(ks) > 1 else (sums,)):
+                out[k] = (np.zeros(len(zn), dtype=complex) if out[k] is None else out[k]) + col
         return out
 
-    return Evaluable.batched(many)
+    return columns
 
 
 def _distance_to_segment(zn: complex, a: complex, b: complex) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .cousin import (
     SplitGeometry,
     constant_evaluable,
     cousin_split,
-    fused_sum,
+    fused_sums,
     morera_residual,
     sup_abs,
 )
@@ -221,9 +222,9 @@ class _Branch:
     z_n rectangle and R the half-diagonal of that rectangle grown by delta
     on Re, so the seam overlaps lie inside.  It is None when the seams split
     with a base (n >= 2 cousin1), whose corrections depend on z'.  Otherwise
-    each key's corrections compile, on the first evaluation, into one
-    ``fused_sum``, which the rows in the disc and outside every seam band
-    sum; all other rows sum each correction directly.
+    the corrections compile, on the first evaluation, into ``fused_sums``,
+    one linear map over the keys, which the rows in the disc and outside
+    every seam band sum; all other rows sum each correction directly.
     """
 
     local: Evaluable
@@ -232,8 +233,14 @@ class _Branch:
     corrections: tuple[tuple[tuple | None, Evaluable], ...] = ()
 
     @cached_property
+    def _direct(self) -> tuple[list, Callable]:
+        """(keys, columns) summing every correction on its own."""
+        cs = self.corrections  # not self: a reference cycle would outlive the last use of the branch
+        return [key for key, _ in cs], lambda Q: (e.values(Q) for _, e in cs)
+
+    @cached_property
     def _compiled(self) -> tuple | None:
-        """((lo, hi), [(key, fused sum)]) for the disc rows with lo < Re z_n < hi
+        """((lo, hi), keys, columns) for the disc rows with lo < Re z_n < hi
         (a far correction's band misses the disc), or None if none fuse."""
         cs = self.corrections
         if self.disc is None or not cs:
@@ -242,42 +249,47 @@ class _Branch:
         for key, e in cs:
             keys.setdefault(key, []).append(e)
         band = (max(e.valid_re[0] for _, e in cs), min(e.valid_re[1] for _, e in cs))
-        return band, [(key, fused_sum(es, *self.disc)) for key, es in keys.items()]
+        return band, list(keys), fused_sums(list(keys.values()), *self.disc)
 
     def correction_values(self, P: np.ndarray) -> np.ndarray:
         compiled = self._compiled
         if compiled is None:
-            return _sum_corrections(P, self.corrections)
-        (lo, hi), fused = compiled
+            return _sum_corrections(P, *self._direct)
+        (lo, hi), *fused = compiled
         center, radius = self.disc
         d = P[:, -1] - center
         rows = (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi)
         if rows.all():  # every row a merged solution routes here
-            return _sum_corrections(P, fused)
+            return _sum_corrections(P, *fused)
         out = np.empty(len(P), dtype=complex)
-        for sel, terms in ((~rows, self.corrections), (rows, fused)):
+        for sel, terms in ((~rows, self._direct), (rows, fused)):
             if sel.any():
-                out[sel] = _sum_corrections(P[sel], terms)
+                out[sel] = _sum_corrections(P[sel], *terms)
         return out
 
     def values(self, P: np.ndarray) -> np.ndarray:
         return self.local.values(P) + self.correction_values(P)
 
 
-def _sum_corrections(P: np.ndarray, corrections) -> np.ndarray:
+def _sum_corrections(P: np.ndarray, keys: list, columns: Callable) -> np.ndarray:
+    """The sum of the columns of ``columns``, one per key in ``keys``.  With
+    key None a column is a function on C^n, taken at the rows of P; with key
+    (axis, c', m) it is a function b(z_n), taken once per distinct z_n of P
+    and added as (z' - c')^m * b(z_n) * z_axis."""
     acc = np.zeros(len(P), dtype=complex)
+    if not keys or keys[0] is None:  # cousin1: every key is None
+        for col in columns(P):
+            acc = acc + col
+        return acc
     zn, inv, monomials = P[:, -1], slice(None), {}
-    if len(P) > 1 and any(key is not None for key, _ in corrections):
+    if len(P) > 1:
         # each b(z_n) is summed once per distinct z_n, then scattered back to the rows
         zn, inv = np.unique(zn, return_inverse=True)
-    for key, e in corrections:
-        if key is None:
-            acc = acc + e.values(P)
-        else:
-            axis, center, m = key
-            if key not in monomials:
-                monomials[key] = np.prod((P[:, :-1] - center) ** m, axis=1)
-            acc = acc + monomials[key] * e.values(zn[:, None])[inv] * P[:, axis]
+    for key, col in zip(keys, columns(zn[:, None])):
+        axis, center, m = key
+        if key not in monomials:
+            monomials[key] = np.prod((P[:, :-1] - center) ** m, axis=1)
+        acc = acc + monomials[key] * col[inv] * P[:, axis]
     return acc
 
 

@@ -21,6 +21,12 @@ import numpy as np
 from .errors import IncompatibleOperands, RequiresExactPolynomial
 from .scalars import EXACT, Backend, QQi, floating
 
+# Largest series dimension a JSON request may ask for; the CLI bounds the
+# syzygy arity p and generator count N by it too.  A trivial-syzygy request
+# builds p(p-1)/2 vectors of p series of dimension p, so its work and output
+# grow like p^4: at p = 40 it printed 104 MB.
+MAX_DIM = 16
+
 MultiIndex = tuple  # tuple[int, ...]
 
 
@@ -453,7 +459,9 @@ def from_json(data: dict, eps: float = 1e-12) -> TruncatedSeries:
         raise ValueError(f"unknown backend {tag!r}")
     backend = EXACT if tag == "exact" else floating(eps)
     dim = _index(data["dim"])
-    center = [_scalar_from_json(c, backend) for c in data.get("center", [[0, 0]] * dim)]
+    if not 0 <= dim <= MAX_DIM:
+        raise ValueError(f"series dimension must be in 0..{MAX_DIM} (MAX_DIM), got {dim}")
+    center = [_scalar_from_json(c, backend) for c in data["center"]] if "center" in data else None
     order = data.get("order", "exact")
     order = None if order == "exact" else _index(order)
     terms = {tuple(map(_index, t["exp"])): _scalar_from_json(t["coeff"], backend)

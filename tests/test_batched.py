@@ -1,9 +1,9 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
 for user callables, the bounded density cache, the extension merge that
-splits z'-coefficients as functions of z_n, and the fused sums (one
-far-field series and one near Cauchy sum per key) that merged branches sum
-their corrections by."""
+splits z'-coefficients as functions of z_n, and the fused sums (one linear
+map over the keys: shared near kernel blocks and far-field power blocks)
+that merged branches sum their corrections by."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -211,13 +211,22 @@ def test_chain_state_and_corrections_values(problem):
 def record_kernel(monkeypatch) -> list:
     """The z_n of every Cauchy kernel call from now on, one list per call."""
     calls, kernel = [], cousin.kernel_sums
-    monkeypatch.setattr(cousin, "kernel_sums", lambda zs, zn, weights: calls.append(zn.tolist())
-                        or kernel(zs, zn, weights))
+    monkeypatch.setattr(cousin, "kernel_sums", lambda zs, zn, weights, keys=1: calls.append(zn.tolist())
+                        or kernel(zs, zn, weights, keys))
     return calls
 
 
+def near_nodes(branch) -> dict:
+    """Per key, the node arrays (their ids) its near corrections sum over."""
+    far = {id(e) for e in far_corrections(branch)}
+    nodes: dict = {}
+    for key, e in branch.corrections:
+        if id(e) not in far:
+            nodes[key] = nodes.get(key, ()) + (id(e.pushed.zs),)
+    return nodes
+
+
 def test_extension_corrections_summed_once_per_distinct_zn(monkeypatch):
-    sol = solve_chain(extension_problem(slabs=3), verify=False)[0]
     rng = np.random.default_rng(7)
     m, distinct = 240, 9
     P = np.empty((m, 2), dtype=complex)
@@ -225,34 +234,38 @@ def test_extension_corrections_summed_once_per_distinct_zn(monkeypatch):
     zn = rng.uniform(-1.9, 1.9, distinct) + 1j * rng.uniform(-0.45, 0.45, distinct)
     P[:, 1] = zn[rng.permutation(np.arange(m) % distinct)]
     calls = record_kernel(monkeypatch)
-    fused_keys = 0
-    for corr in sol.corrections:
-        branch = corr.many.__self__
-        assert branch.corrections and all(key is not None for key, _ in branch.corrections)
-        rows = [branch.correction_values(P[i:i + 1])[0] for i in range(m)]
-        assert branch.correction_values(P).tolist() == rows
-        seen = {}
+    fused_groups, shared = 0, 0
+    # one key; two keys split at one seam; a key that first appears at the second seam
+    for problem in (extension_problem(slabs=3), one_seam_extension(2, 1), come_and_go_problem()):
+        sol = solve_chain(problem, verify=False)[0]
+        for corr in sol.corrections:
+            branch = corr.many.__self__
+            assert branch.corrections and all(key is not None for key, _ in branch.corrections)
+            rows = [branch.correction_values(P[i:i + 1])[0] for i in range(m)]
+            assert branch.correction_values(P).tolist() == rows
+            seen = {}
 
-        def recorded(i, e):
-            return replace(e, many=lambda Q: seen.setdefault(i, []).extend(Q[:, -1].tolist()) or e.values(Q))
+            def recorded(i, e):
+                return replace(e, many=lambda Q: seen.setdefault(i, []).extend(Q[:, -1].tolist()) or e.values(Q))
 
-        traced = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
-        branch = replace(branch, corrections=traced)
-        calls.clear()
-        assert branch.correction_values(P).tolist() == rows
-        # every correction is summed on its own once at every distinct z_n
-        # of the rows outside the fused ones ...
-        fused = fused_rows(branch, P)
-        for i in range(len(branch.corrections)):
-            assert seen.get(i, []) == np.unique(P[~fused, -1]).tolist()
-        # ... and on the fused rows each key's fused sum runs the kernel once
-        # at every distinct z_n, over the nodes of its near corrections
-        far = {id(e) for e in far_corrections(branch)}
-        near_keys = {key for key, e in branch.corrections if id(e) not in far}
-        if fused.any():
-            assert calls.count(np.unique(P[fused, -1]).tolist()) == len(near_keys)
-            fused_keys += len(near_keys)
-    assert fused_keys
+            traced = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
+            branch = replace(branch, corrections=traced)
+            calls.clear()
+            assert branch.correction_values(P).tolist() == rows
+            # every correction is summed on its own once at every distinct z_n
+            # of the rows outside the fused ones ...
+            fused = fused_rows(branch, P)
+            for i in range(len(branch.corrections)):
+                assert seen.get(i, []) == np.unique(P[~fused, -1]).tolist()
+            # ... and on the fused rows the keys whose near corrections share
+            # their node arrays run the kernel once at every distinct z_n
+            if fused.any():
+                nodes = near_nodes(branch)
+                groups = set(nodes.values())
+                assert calls.count(np.unique(P[fused, -1]).tolist()) == len(groups)
+                fused_groups += len(groups)
+                shared += len(groups) < len(nodes)
+    assert fused_groups and shared
 
 
 def direct_correction_sum(branch, P):
@@ -498,12 +511,12 @@ def test_separated_merge_equals_n_dimensional_split(n, q):
     assert sol.solution.values(P).tolist() == complex_evaluator(problem.target)(P).tolist()
 
 
-def test_separated_merge_glues_when_coefficients_come_and_go():
-    # seam 1 has the z'-monomial z1 only, seam 2 the constant only, so the
-    # second seam's densities also carry a coefficient its witness lacks
+def come_and_go_problem():
+    """Seam 1 has the z'-monomial z1 only, seam 2 the constant only, so the
+    second seam's densities also carry a coefficient its witness lacks."""
     g = make_series(2, {(0, 0): 1, (0, 2): -0.5j})
     bump = [make_series(2, terms) for terms in ({}, {(2, 0): 1}, {(2, 0): 1, (1, 0): 2 - 1j})]
-    problem = ChiProblem(
+    return ChiProblem(
         kind="extension",
         cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
         breakpoints=(-0.6, 0.6),
@@ -512,6 +525,10 @@ def test_separated_merge_glues_when_coefficients_come_and_go():
         local_overrides=tuple(g + b for b in bump),
         delta=0.2,
     )
+
+
+def test_separated_merge_glues_when_coefficients_come_and_go():
+    problem = come_and_go_problem()
     for order in ("ltr", "rtl"):
         sol = solve_chain(problem, order=order)[0]
         assert sol.report["pass"], sol.report
@@ -519,3 +536,54 @@ def test_separated_merge_glues_when_coefficients_come_and_go():
         # on the chain, off S (morera_residual freezes z1 at the midpoint)
         off_s = Cuboid(((0.2, 0.4), (-2.0, 2.0)), ((0.1, 0.3), (-0.5, 0.5)))
         assert morera_residual(sol.solution, off_s, grid=8, nodes=20) < 1e-9
+
+
+# -- one linear map over the keys of a branch ----------------------------------
+
+
+def per_key_sum(branch, P):
+    """The branch's corrections at the rows of P, each key summed on its own
+    by its own kernel call, in the order the keys first appear."""
+    keys: dict = {}
+    for key, e in branch.corrections:
+        keys.setdefault(key, []).append(e)
+    zn, inv = np.unique(P[:, -1], return_inverse=True)
+    acc = np.zeros(len(P), dtype=complex)
+    for (axis, center, m), es in keys.items():
+        column = cousin.fused_sums([es], *branch.disc)(zn[:, None])[0]
+        acc = acc + np.prod((P[:, :-1] - center) ** m, axis=1) * column[inv] * P[:, axis]
+    return acc
+
+
+@pytest.mark.parametrize("make", [lambda: come_and_go_problem(), lambda: one_seam_extension(3, 2)],
+                         ids=["come-and-go", "n3-q2"])
+def test_shared_map_equals_per_key_sums(make):
+    problem = make()
+    P = cuboid_sample(problem, m=1000)
+    for order in ("ltr", "rtl"):
+        sol = solve_chain(problem, order=order, verify=False)[0]
+        branches = sol.solution.many.__self__.branches
+        for b in branches:
+            Q = P[fused_rows(b, P)]
+            assert len(Q) and len({key for key, _ in b.corrections}) > 1
+            assert b.correction_values(Q).tolist() == per_key_sum(b, Q).tolist()
+        assert_values_match_fn(sol.solution, P[:200])
+        for corr in sol.corrections:
+            assert_values_match_fn(corr, P[:200])
+        # a key that first appears at the later seam sums its own node arrays
+        groups = [len(set(near_nodes(b).values())) for b in branches]
+        assert groups == ([2, 2, 1] if order == "ltr" else [1, 2, 2]) if len(branches) == 3 else [1, 1]
+
+
+def test_keys_of_one_seam_share_read_only_node_arrays():
+    sol = solve_chain(one_seam_extension(3, 2), verify=False)[0]
+    left, right = sol.solution.many.__self__.branches
+    for b in (left, right):
+        paths = [e.pushed for _, e in b.corrections]
+        assert len(paths) > 1 and len({id(q) for q in paths}) == len(paths)
+        for q in paths:
+            assert q.zs is paths[0].zs and q.ws is paths[0].ws
+            assert not (q.zs.flags.writeable or q.ws.flags.writeable)
+            with pytest.raises(ValueError):
+                q.zs[0] = 0
+    assert left.corrections[0][1].pushed.zs is not right.corrections[0][1].pushed.zs

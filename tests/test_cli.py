@@ -469,6 +469,14 @@ SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
                  id="series-coeff-bool"),
     pytest.param("divide", {"series": {**series_json(2, {(1, 1): 1}), "order": True}, "q": 1},
                  id="series-order-bool"),
+    # built in proportion to the size before anything bounded it: 2.8 s at dimension
+    # 100,000, past 60 s (and 104 MB printed at p = 40) for trivial syzygies of p = 80
+    pytest.param("divide", {"series": {"dim": series.MAX_DIM + 1, "terms": []}, "q": 1}, id="series-dim-above-limit"),
+    pytest.param("divide", {"series": {"dim": 10 ** 9, "terms": []}, "q": 1}, id="series-dim-huge"),
+    pytest.param("syzygy", {"mode": "trivial", "p": series.MAX_DIM + 1}, id="trivial-p-above-limit"),
+    pytest.param("syzygy", {"mode": "trivial", "p": 3, "dim": series.MAX_DIM + 1}, id="trivial-dim-above-limit"),
+    pytest.param("syzygy", {**VALID["syzygy-general"], "dim": 10 ** 5}, id="general-dim-above-limit"),
+    pytest.param("syzygy", {**VALID["syzygy-general"], "N": 10 ** 5}, id="general-N-above-limit"),
     # parsed, then a traceback when the report printed a part longer than str may print
     pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1, 0], "coeff": ["1e5000", "0"]}]}, "q": 1},
                  id="series-numerator-too-long"),

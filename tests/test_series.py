@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from okakit.errors import IncompatibleOperands, RequiresExactPolynomial
 from okakit.scalars import EXACT, QQi, floating
 from okakit.series import (
+    MAX_DIM,
     TruncatedSeries,
     add,
     constant,
@@ -314,6 +315,15 @@ class TestJson:
                 from_json({"dim": 1, "terms": [{"exp": [0], "coeff": [part, "0"]}]})
         f = from_json({"dim": 1, "terms": [{"exp": [0], "coeff": ["0.05e4301", "0"]}]})
         assert f.coeffs[(0,)].re == 5 * 10**4299
+
+    def test_dimension_bounded_before_the_centre_is_read(self):
+        f = from_json({"dim": MAX_DIM, "terms": [{"exp": [0] * (MAX_DIM - 1) + [2], "coeff": ["1", "0"]}]})
+        assert f.dim == MAX_DIM and f == make_series(MAX_DIM, {(0,) * (MAX_DIM - 1) + (2,): 1})
+        assert from_json(to_json(f)) == f
+        for dim in (MAX_DIM + 1, 10 ** 9, -1):
+            # a centre that cannot be read: the dimension is refused first
+            with pytest.raises(ValueError, match="MAX_DIM"):
+                from_json({"dim": dim, "center": 5, "terms": []})
 
     def test_exact_coefficients_serialized_as_fractions(self):
         f = make_series(1, {(1,): QQi(Fraction(1, 3), Fraction(0))})

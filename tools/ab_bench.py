@@ -17,11 +17,13 @@ against the base's, and in how many pairs the change was better; the same
 for the one-point evaluation times ``eval_us.p50`` and ``eval_us.p90`` that
 ``run.py`` prints on detail lines for ``ml_chain`` and ``ext_merge`` (their
 samples include the cold first calls on each new solution, which build its
-branches' fused sums).  It also counts the
-Cauchy kernel entries (points x contour nodes, summed over every call of
-``cousin.kernel_sums``, or of ``_PathQuad.cauchy`` in a tree without it) of
-one verified solve of the first ``ml_chain`` and ``ext_merge`` instance of
-seed 5, on each side.  The script exits 1 if a run fails or reports a
+branches' fused sums).  It also counts, on each side, the Cauchy kernel
+work of one verified solve of the first ``ml_chain`` and ``ext_merge``
+instance of seed 5: ``kernel_entries`` are the divisions w / (zeta - z_n),
+points x contour nodes x weight columns summed over every call of
+``cousin.kernel_sums`` (or of ``_PathQuad.cauchy`` in a tree without it),
+and ``kernel_differences`` the zeta - z_n entries, points x contour nodes,
+which the columns of one call share.  The script exits 1 if a run fails or reports a
 failed output check.
 """
 
@@ -45,31 +47,36 @@ EVAL_US = [{"name": f"eval_us.{q}", "unit": "us", "better": "lower"} for q in ("
 EVAL_US_LINE = re.compile(r"^\s*(eval_us\.p[59]0) = (\S+) us", re.M)
 
 # Run in a tree's own interpreter process: wrap the Cauchy kernel helper
-# (_PathQuad.cauchy in trees that predate it), solve the first instance of
-# each workload with verification, print the counts.
+# (_PathQuad.cauchy in trees that predate it; kernel_sums took no key count
+# before keys shared its kernel block), solve the first instance of each
+# workload with verification, print the counts.
 KERNEL_COUNT = """
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 import bench_workloads as bw
 from okakit import cousin, merge
-entries = [0]
+count = {"entries": 0, "differences": 0}
+def add(points, nodes, keys=1):
+    count["entries"] += points * nodes * keys
+    count["differences"] += points * nodes
 if hasattr(cousin, "kernel_sums"):
     kernel = cousin.kernel_sums
-    def counted(zs, zn, weights):
-        entries[0] += len(zn) * len(zs)
-        return kernel(zs, zn, weights)
+    def counted(zs, zn, weights, *keys):
+        add(len(zn), len(zs), *keys)
+        return kernel(zs, zn, weights, *keys)
     cousin.kernel_sums = counted
 else:
     cauchy = cousin._PathQuad.cauchy
     def counted(self, phi, P):
-        entries[0] += len(P) * len(self.zs)
+        add(len(P), len(self.zs))
         return cauchy(self, phi, P)
     cousin._PathQuad.cauchy = counted
-out = {}
+out = {"entries": {}, "differences": {}}
 for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
-    entries[0] = 0
+    count.update(entries=0, differences=0)
     merge.solve_chain(workload(int(sys.argv[2])).pool[0][0])
-    out[name] = entries[0]
+    for what in out:
+        out[what][name] = count[what]
 print(json.dumps(out))
 """
 
@@ -127,7 +134,7 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def kernel_entries(tree: Path) -> dict:
+def kernel_counts(tree: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", KERNEL_COUNT, str(tree), str(KERNEL_SEED)],
                           check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -156,8 +163,10 @@ def main(argv=None) -> int:
             details = [m for m in EVAL_US if all(m["name"] in r for r in runs["base"] + runs["change"])]
             report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
             print(f"ab_bench: {workload} done", file=sys.stderr)
-        report["kernel_entries"] = {"seed": KERNEL_SEED, "instance": "first of the workload's pool",
-                                    **{side: kernel_entries(tree) for side, tree in sides.items()}}
+        counts = {side: kernel_counts(tree) for side, tree in sides.items()}
+        for what in ("entries", "differences"):
+            report[f"kernel_{what}"] = {"seed": KERNEL_SEED, "instance": "first of the workload's pool",
+                                        **{side: count[what] for side, count in counts.items()}}
     text = json.dumps(report, indent=2)
     if args.output:
         Path(args.output).write_text(text + "\n")
