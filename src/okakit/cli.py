@@ -1,7 +1,7 @@
 """Command-line front end: JSON problem instances in, verification reports out.
 
 Exit status: 0 when every verification block passes; 1 when one fails or
-the computation raises an okakit error; 2 on malformed input.
+the computation raises an okakit or arithmetic error; 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .cuboids import Cuboid
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import InvalidArity, OkakitError, SchemaError
 from .merge import ChiProblem, PoleTerm, PrincipalPartData, solve_chain
-from .scalars import EXACT
+from .scalars import EXACT, _number
 from .series import MAX_DIM, TruncatedSeries, constant, from_json, negligible, to_json
 from .syzygy import (
     GeneratorPresentation,
@@ -68,13 +68,6 @@ def _open_output(path: str):
         raise SchemaError(f"cannot write output: {exc}") from exc
 
 
-def _number(value, kinds=(int, float)):
-    """``value`` if it is a JSON number of ``kinds`` (a bool is none); else a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"expected {'an integer' if kinds is int else 'a number'}, got {value!r}")
-    return value
-
-
 def _size(value) -> int:
     """A dimension, arity or generator count: a JSON integer of at most MAX_DIM."""
     if _number(value, int) > MAX_DIM:
@@ -103,7 +96,7 @@ def _round_trip(back, given) -> dict:
 # Each cmd_* reads its request into okakit objects and returns the
 # computation on them, a call with no arguments that returns the report
 # body and the pass flag.  Reading raises on malformed input (see main);
-# the computation raises only okakit errors.
+# the computation raises only okakit and arithmetic errors.
 
 
 def cmd_divide(data: dict, args):
@@ -196,7 +189,7 @@ def cmd_cousin_split(data: dict, args):
     g = data["geometry"]
     geom = SplitGeometry(*(float(_number(g[key])) for key in ("s", "delta", "theta", "re_lo", "re_hi")),
                          base=Cuboid.from_json(g["base"]) if "base" in g else None)
-    if data.get("dim", geom.ndim) != geom.ndim:
+    if _number(data.get("dim", geom.ndim), int) != geom.ndim:
         raise SchemaError(f"'dim' must be {geom.ndim}, the dimension of the geometry")
     grid = data.get("grid", {})
     pts = np.array(overlap_grid(geom, nx=_number(grid.get("nx", 7), int), ny=_number(grid.get("ny", 7), int)))
@@ -220,8 +213,10 @@ def _split(phi, geom, spec, pts, csv_path, tol) -> tuple[dict, bool]:
 
 def _solver(request: dict, args, cuboid: Cuboid, **fields):
     """The solve of the ChiProblem with ``fields`` and the request's common fields."""
-    problem = ChiProblem(cuboid=cuboid, breakpoints=tuple(float(t) for t in request.get("breakpoints", [])),
-                         delta=request.get("delta"), quad=_quadrature(request, args), tol=args.tol, **fields)
+    delta = request.get("delta")
+    problem = ChiProblem(cuboid=cuboid, breakpoints=tuple(float(_number(t)) for t in request.get("breakpoints", [])),
+                         delta=None if delta is None else _number(delta), quad=_quadrature(request, args),
+                         tol=args.tol, **fields)
     return partial(_solve, problem, _output_path(request.get("csv")))
 
 
@@ -238,8 +233,8 @@ def _pole_term(pole: dict, ndim: int) -> PoleTerm:
         return constant(ndim - 1, value, backend=EXACT)
 
     return PoleTerm(_number(pole.get("order", 1), int),
-                    at(complex(pole.get("coeff_re", 1.0), pole.get("coeff_im", 0.0))),
-                    at(complex(pole.get("re", 0.0), pole.get("im", 0.0))))
+                    at(complex(_number(pole.get("coeff_re", 1.0)), _number(pole.get("coeff_im", 0.0)))),
+                    at(complex(_number(pole.get("re", 0.0)), _number(pole.get("im", 0.0)))))
 
 
 def cmd_cousin1(data: dict, args):
@@ -381,7 +376,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"okakit: input error: {exc}", file=sys.stderr)
         return 2
-    except OkakitError as exc:
+    except (OkakitError, ArithmeticError) as exc:  # an overflow, say, in a computation on finite input
         print(f"okakit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

@@ -162,21 +162,11 @@ class SplitGeometry:
 
 
 @lru_cache(maxsize=32)
-def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], computed once per node
-    count and shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=32)
 def _unit_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite GL nodes and weights on [0, 1]: ``panels`` equal panels of
     ``nodes`` points, computed once per pair and shared read-only."""
-    x, w = _gauss01(nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = (x + 1.0) / 2.0, w / 2.0
     edges = np.linspace(0.0, 1.0, panels + 1)
     ts = np.concatenate([edges[k] + (edges[k + 1] - edges[k]) * x for k in range(panels)])
     ws = np.concatenate([(edges[k + 1] - edges[k]) * w for k in range(panels)])
@@ -447,7 +437,7 @@ def morera_residual(
     the grid is integrated once and shared by the rectangles on either
     side; all edge nodes of one axis go to f in one ``values`` call.
     """
-    x, w = _gauss01(nodes)
+    x, w = _unit_rule(1, nodes)
     mid = region.midpoint()
     worst = []
     axes_iter = range(region.ndim) if axes is None else axes

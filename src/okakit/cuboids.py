@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .division import CoordinateSubspace
 from .errors import InvalidPartition
+from .scalars import _number
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,9 @@ class Cuboid:
 
     @staticmethod
     def from_json(data: dict) -> "Cuboid":
-        return Cuboid(
-            tuple((float(lo), float(hi)) for lo, hi in data["re"]),
-            tuple((float(lo), float(hi)) for lo, hi in data["im"]),
-        )
+        """The cuboid of finite JSON numbers ``{"re": [[lo, hi], ...], "im": [...]}``."""
+        return Cuboid(*(tuple((float(_number(lo)), float(_number(hi))) for lo, hi in data[key])
+                        for key in ("re", "im")))
 
 
 @dataclass(frozen=True)

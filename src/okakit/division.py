@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CenterNotOnAxis
-from .series import TruncatedSeries, _ring_result, mul, negligible, variable
+from .series import TruncatedSeries, _ring_result, negligible, times_variable
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class CofactorVector:
         """sum_j h_j * z_j + g_q, for checking against the original series."""
         acc = self.remainder
         for j, h in enumerate(self.cofactors):
-            zj = variable(h.dim, j, backend=h.backend, center=h.center)
-            acc = acc + mul(h, zj)
+            acc = acc + times_variable(h, j)
         return acc
 
 
@@ -44,7 +43,8 @@ def split_variable(f: TruncatedSeries, axis: int) -> tuple[TruncatedSeries, Trun
     """Write f = h*z_axis + g with g free of z_axis.
 
     Requires the center coordinate along ``axis`` to be zero, so that
-    z_axis - b_axis = z_axis and the split is pure term surgery.
+    z_axis - b_axis = z_axis and the split is pure term surgery;
+    ``series.times_variable`` puts h * z_axis back.
     """
     if not 0 <= axis < f.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.dim}")

@@ -17,8 +17,12 @@ import numpy as np
 
 from .cousin import Evaluable
 from .errors import SchemaError
-from .scalars import EXACT, Backend
+from .scalars import EXACT, Backend, _number
 from .series import TruncatedSeries, variable, zero
+
+# Largest exponent of a "pow" node: ``TruncatedSeries.__pow__`` lowers k as k
+# successive products, so a request's exponents bound its lowering work.
+MAX_POW = 64
 
 
 def _check(cond, msg):
@@ -32,12 +36,10 @@ def validate(tree, dim: int) -> bool:
     _check(isinstance(tree, dict) and "op" in tree, "expression node must be an object with 'op'")
     op = tree["op"]
     if op == "var":
-        idx = tree.get("index")
-        _check(isinstance(idx, int) and 1 <= idx <= dim, f"variable index must be in 1..{dim}")
+        _check(1 <= _number(tree.get("index"), int) <= dim, f"variable index must be in 1..{dim}")
         return True
     if op == "const":
-        _check(isinstance(tree.get("re", 0), (int, float)), "const re must be a number")
-        _check(isinstance(tree.get("im", 0), (int, float)), "const im must be a number")
+        _number(tree.get("re", 0)), _number(tree.get("im", 0))
         return True
     if op in ("add", "mul"):
         args = tree.get("args")
@@ -47,7 +49,7 @@ def validate(tree, dim: int) -> bool:
         _check("arg" in tree, f"'{op}' needs an arg")
         return validate(tree["arg"], dim) and op == "neg"
     if op == "pow":
-        _check(isinstance(tree.get("exp"), int) and tree["exp"] >= 0, "'pow' exponent must be a non-negative integer")
+        _check(0 <= _number(tree.get("exp"), int) <= MAX_POW, f"'pow' exponent must be an integer in 0..{MAX_POW}")
         _check("base" in tree, "'pow' needs a base")
         return validate(tree["base"], dim)
     raise SchemaError(f"unknown expression op {op!r}")

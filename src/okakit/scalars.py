@@ -3,14 +3,14 @@
 The exact backend stores each coefficient as reduced Python integers
 (a, b, d) for (a + b*i)/d, so recombination identities can be checked with
 zero tolerance.  The floating backend is plain ``complex`` with a declared
-comparison tolerance.
+comparison tolerance.  ``_number`` reads a JSON number of a request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from numbers import Rational
 
 
@@ -174,3 +174,13 @@ EXACT = Backend("exact", 0.0)
 
 def floating(eps: float = 1e-12) -> Backend:
     return Backend("floating", eps)
+
+
+def _number(value, kinds=(int, float)):
+    """``value`` if it is a finite JSON number of ``kinds`` (a bool is none); else a
+    TypeError or ValueError.  Every number of a request is read through it."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    if not isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import IncompatibleOperands, RequiresExactPolynomial
-from .scalars import EXACT, Backend, QQi, floating
+from .scalars import EXACT, Backend, QQi, _number, floating
 
 # Largest series dimension a JSON request may ask for; the CLI bounds the
 # syzygy arity p and generator count N by it too.  A trivial-syzygy request
@@ -177,14 +177,7 @@ def constant(dim: int, value, backend: Backend = EXACT, center=None, order=None)
 
 def variable(dim: int, axis: int, backend: Backend = EXACT, center=None, order=None) -> TruncatedSeries:
     """The coordinate function z_axis expanded at ``center`` (0-based axis)."""
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dim {dim}")
-    exp = tuple(1 if k == axis else 0 for k in range(dim))
-    terms = {exp: 1}
-    if center is not None:
-        b = tuple(center)
-        terms[(0,) * dim] = b[axis]
-    return make_series(dim, terms, order=order, backend=backend, center=center)
+    return times_variable(constant(dim, 1, backend=backend, center=center, order=order), axis)
 
 
 def monomial(dim: int, exp: MultiIndex, coeff=1, backend: Backend = EXACT, center=None, order=None) -> TruncatedSeries:
@@ -204,11 +197,7 @@ def _check_compatible(a: TruncatedSeries, b: TruncatedSeries):
 
 
 def _min_order(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 def _ring_result(like: TruncatedSeries, terms: dict, order: int | None) -> TruncatedSeries:
@@ -246,6 +235,21 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             prod = va * vb
             terms[exp] = terms[exp] + prod if exp in terms else prod
     return _ring_result(a, terms, order)
+
+
+def times_variable(f: TruncatedSeries, axis: int) -> TruncatedSeries:
+    """f * z_axis at f's order, summed as ``mul`` sums it: every exponent of ``axis``
+    raised by one, plus b_axis * f off the axis.  ``division.split_variable`` undoes it."""
+    if not 0 <= axis < f.dim:
+        raise ValueError(f"axis {axis} out of range for dim {f.dim}")
+    b, terms = f.center[axis], {}
+    off = not f.backend.is_zero(b)
+    for exp, v in f.coeffs.items():
+        up = exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:]
+        terms[up] = terms[up] + v if up in terms else v
+        if off:
+            terms[exp] = terms[exp] + v * b if exp in terms else v * b
+    return _ring_result(f, terms, f.order)
 
 
 def recenter(f: TruncatedSeries, new_center: Sequence) -> TruncatedSeries:
@@ -418,7 +422,7 @@ def _scalar_from_json(pair, backend: Backend):
         q = QQi(_fraction(re), _fraction(im))
         str(q.re), str(q.im)  # a ValueError where a part has more digits than CPython prints
         return q
-    return complex(re, im)
+    return complex(_number(re), _number(im))
 
 
 def _fraction(part) -> Fraction:

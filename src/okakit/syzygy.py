@@ -20,6 +20,7 @@ from .series import (
     constant,
     mul,
     negligible,
+    times_variable,
     variable,
     zero,
 )
@@ -61,20 +62,18 @@ class TrivialSolution:
     vector: SyzygyVector
 
 
-def trivial_solution(i: int, j: int, p: int, dim: int | None = None, backend: Backend = EXACT) -> TrivialSolution:
+def _check_pair(i: int, j: int, p: int, n: int):
     if not 0 <= i < j < p:
         raise InvalidArity(f"need 0 <= i < j < p, got i={i}, j={j}, p={p}")
-    n = dim if dim is not None else p
     if n < p:
         raise InvalidArity("ambient dimension must be at least the arity")
-    comps = []
-    for slot in range(p):
-        if slot == i:
-            comps.append(-variable(n, j, backend=backend))
-        elif slot == j:
-            comps.append(variable(n, i, backend=backend))
-        else:
-            comps.append(zero(n, backend=backend))
+
+
+def trivial_solution(i: int, j: int, p: int, dim: int | None = None, backend: Backend = EXACT) -> TrivialSolution:
+    n = dim if dim is not None else p
+    _check_pair(i, j, p, n)
+    comps = [zero(n, backend=backend)] * p
+    comps[i], comps[j] = -variable(n, j, backend=backend), variable(n, i, backend=backend)
     return TrivialSolution(i, j, SyzygyVector(tuple(comps)))
 
 
@@ -85,36 +84,25 @@ def trivial_solutions(p: int, dim: int | None = None, backend: Backend = EXACT) 
     """
     if p < 1:
         raise InvalidArity(f"arity must be positive, got {p}")
-    out = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            out.append(trivial_solution(i, j, p, dim=dim, backend=backend))
-    return out
+    return [trivial_solution(i, j, p, dim=dim, backend=backend) for i in range(p) for j in range(i + 1, p)]
 
 
-def _sum_of_products(pairs, dim: int, backend: Backend, center=None) -> TruncatedSeries:
-    """sum a * b over the series pairs (a, b), skipping every product with a
-    zero factor.  The sum is truncated at the lowest order among all the
-    factors, skipped ones included, as the full sum would be."""
-    order = min((s.order for pair in pairs for s in pair if s.order is not None), default=None)
-    acc = zero(dim, backend=backend, center=center, order=order)
-    for a, b in pairs:
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + mul(a, b)
+def _lowest_order(factors) -> int | None:
+    """The order of a sum of products of ``factors``, zero factors included: the lowest among them."""
+    return min((s.order for s in factors if s.order is not None), default=None)
+
+
+def _sum_times_variables(comps, order: int | None, center=None) -> TruncatedSeries:
+    """sum_j comps_j * z_j at ``order``, summed at ``center`` (the origin by default)."""
+    acc = zero(comps[0].dim, backend=comps[0].backend, center=center, order=order)
+    for j, c in enumerate(comps):
+        acc = acc + times_variable(c, j)
     return acc
-
-
-def _combination(pairs, arity: int, dim: int, backend: Backend) -> SyzygyVector:
-    """sum b * g over the pairs (b, g) of a series and a SyzygyVector, slot by slot."""
-    return SyzygyVector(tuple(_sum_of_products([(b, g.components[slot]) for b, g in pairs], dim, backend)
-                              for slot in range(arity)))
 
 
 def relation_residual(v: SyzygyVector) -> TruncatedSeries:
     """sum_j v_j * z_j; zero iff v is a relation."""
-    ref = v.components[0]
-    return _sum_of_products([(c, variable(c.dim, j, backend=c.backend, center=c.center))
-                             for j, c in enumerate(v.components)], ref.dim, ref.backend, ref.center)
+    return _sum_times_variables(v.components, _lowest_order(v.components), v.components[0].center)
 
 
 def verify_relation(v: SyzygyVector) -> tuple[bool, TruncatedSeries]:
@@ -140,22 +128,16 @@ def decompose_relation(v: SyzygyVector) -> dict[tuple[int, int], TruncatedSeries
         raise NotARelation("input vector is not a relation", residual=residual)
     out: dict[tuple[int, int], TruncatedSeries] = {}
     comps = list(v.components)
-    be = ref.backend
     for m in range(p - 1):
-        splits = [split_variable(c, m) for c in comps[m:]]
         # slot m after subtracting sum_{j>m} h_j T_mj must vanish identically
         forced = comps[m]
-        for offset, (h, _g) in enumerate(splits[1:], start=1):
-            j = m + offset
-            zj = variable(ref.dim, j, backend=be, center=ref.center)
-            forced = forced + mul(h, zj)
+        for j in range(m + 1, p):
+            h, comps[j] = split_variable(comps[j], m)
+            forced = forced + times_variable(h, j)
             if not h.is_zero():
                 out[(m, j)] = h
         if not negligible(forced, *v.components):
             raise NotARelation("forced slot did not vanish; inconsistent relation", residual=forced)
-        comps[m] = zero(ref.dim, backend=be, center=ref.center, order=ref.order)
-        for offset, (_h, g) in enumerate(splits[1:], start=1):
-            comps[m + offset] = g
     # the surviving last component must vanish: its relation is g * z_p = 0
     last = comps[p - 1]
     if not negligible(last, *v.components):
@@ -165,16 +147,23 @@ def decompose_relation(v: SyzygyVector) -> dict[tuple[int, int], TruncatedSeries
 
 def recombine(coeffs: Mapping[tuple[int, int], TruncatedSeries], p: int, dim: int | None = None,
               backend: Backend = EXACT) -> SyzygyVector:
-    """sum b_ij T_ij as a SyzygyVector of arity p."""
-    n = dim
-    for b in coeffs.values():
-        n = b.dim
-        backend = b.backend
-        break
-    if n is None:
-        n = p
-    pairs = [(b, trivial_solution(i, j, p, dim=n, backend=backend).vector) for (i, j), b in coeffs.items()]
-    return _combination(pairs, p, n, backend)
+    """sum b_ij T_ij as a SyzygyVector of arity p, at the origin: b_ij T_ij puts
+    -b_ij z_j into slot i and b_ij z_i into slot j."""
+    first = next(iter(coeffs.values()), None)
+    n, backend = (p if dim is None else dim, backend) if first is None else (first.dim, first.backend)
+    for i, j in coeffs:
+        _check_pair(i, j, p, n)
+    slots = [zero(n, backend=backend, order=_lowest_order(coeffs.values()))] * p
+    _add_trivial(slots, coeffs.items())
+    return SyzygyVector(tuple(slots))
+
+
+def _add_trivial(slots: list, pairs):
+    """slots += b_ij T_ij over the ((i, j), b_ij) in ``pairs``: -b_ij z_j into slot i, b_ij z_i into slot j."""
+    for (i, j), b in pairs:
+        if not b.is_zero():
+            slots[i] = slots[i] - times_variable(b, j)
+            slots[j] = slots[j] + times_variable(b, i)
 
 
 # -- general generator systems ------------------------------------------
@@ -185,7 +174,7 @@ class GeneratorPresentation:
     """Generators sigma_1..sigma_N of the ideal (z_1,...,z_q), normalized so
     sigma_j = z_j for j <= q and sigma_i = sum_j a_ij z_j for i > q.
 
-    ``coeffs`` maps (i, j) with q <= i < N, 0 <= j < q to the series a_ij.
+    ``coeffs`` maps (i, j) with q <= i < N, 0 <= j < q to the series a_ij at 0.
     """
 
     dim: int
@@ -199,9 +188,11 @@ class GeneratorPresentation:
             raise InvalidArity("need q <= N")
         if self.codim > self.dim:
             raise InvalidArity("need q <= n")
-        for (i, j) in self.coeffs:
+        for (i, j), a in self.coeffs.items():
             if not (self.codim <= i < self.total and 0 <= j < self.codim):
                 raise InvalidArity(f"coefficient index ({i},{j}) out of range")
+            if (a.dim, a.center, a.backend) != (self.dim, (self.backend.zero(),) * self.dim, self.backend):
+                raise InvalidArity(f"coefficient ({i},{j}) must be a dim-{self.dim} {self.backend.tag} series at 0")
 
     def coefficient(self, i: int, j: int) -> TruncatedSeries:
         got = self.coeffs.get((i, j))
@@ -210,12 +201,8 @@ class GeneratorPresentation:
     def generator(self, i: int) -> TruncatedSeries:
         if i < self.codim:
             return variable(self.dim, i, backend=self.backend)
-        acc = zero(self.dim, backend=self.backend)
-        for j in range(self.codim):
-            a = self.coeffs.get((i, j))
-            if a is not None:
-                acc = acc + mul(a, variable(self.dim, j, backend=a.backend, center=a.center))
-        return acc
+        row = [self.coefficient(i, j) for j in range(self.codim)]
+        return _sum_times_variables(row, _lowest_order(row))
 
 
 @dataclass(frozen=True)
@@ -237,11 +224,22 @@ class GeneralSyzygyBasis:
     phi: tuple[PhiGenerator, ...]
 
 
+def _fold(v: SyzygyVector, pres: GeneratorPresentation) -> tuple[list, TruncatedSeries]:
+    """The fold f'_j = f_j + sum_{i>=q} f_i a_ij (j < q) of v, and sum_i f_i sigma_i
+    as sum_j f'_j z_j, at the lowest order among the f_i and the a_ij of their sigma_i."""
+    folded = list(v.components[:pres.codim])
+    for i in range(pres.codim, v.arity):
+        for j in range(pres.codim):
+            a = pres.coeffs.get((i, j))
+            if a is not None:
+                folded[j] = folded[j] + mul(v.components[i], a)
+    used = [a for (i, _j), a in pres.coeffs.items() if i < v.arity]
+    return folded, _sum_times_variables(folded, _lowest_order([*v.components, *used]))
+
+
 def apply_generators(v: SyzygyVector, pres: GeneratorPresentation) -> TruncatedSeries:
     """sum v_i sigma_i; zero iff v annihilates the generator tuple."""
-    ref = v.components[0]
-    return _sum_of_products([(c, pres.generator(i)) for i, c in enumerate(v.components)],
-                            ref.dim, ref.backend, ref.center)
+    return _fold(v, pres)[1]
 
 
 def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis:
@@ -249,22 +247,14 @@ def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis
     trivial solutions in the first q slots padded with zeros, plus one
     vector phi_i per extra generator with -a_ij in slot j and 1 in slot i.
     """
-    n, q, N = pres.dim, pres.codim, pres.total
-    be = pres.backend
-    taus = []
-    for t in trivial_solutions(q, dim=n, backend=be):
-        padded = tuple(t.vector.components) + tuple(zero(n, backend=be) for _ in range(N - q))
-        taus.append(TauGenerator(t.i, t.j, SyzygyVector(padded)))
+    n, q, N, be = pres.dim, pres.codim, pres.total, pres.backend
+    pad = (zero(n, backend=be),) * (N - q)
+    taus = [TauGenerator(t.i, t.j, SyzygyVector(t.vector.components + pad))
+            for t in trivial_solutions(q, dim=n, backend=be)]
     phis = []
     for i in range(q, N):
-        comps = []
-        for j in range(q):
-            comps.append(-pres.coefficient(i, j))
-        for slot in range(q, N):
-            if slot == i:
-                comps.append(constant(n, 1, backend=be))
-            else:
-                comps.append(zero(n, backend=be))
+        comps = [-pres.coefficient(i, j) for j in range(q)] + list(pad)
+        comps[i] = constant(n, 1, backend=be)
         phis.append(PhiGenerator(i, SyzygyVector(tuple(comps))))
     return GeneralSyzygyBasis(tuple(taus), tuple(phis))
 
@@ -275,10 +265,24 @@ class GeneralDecomposition:
     phi_coeffs: Mapping[int, TruncatedSeries]
 
     def recombined(self, pres: GeneratorPresentation) -> SyzygyVector:
-        basis = general_syzygy_generators(pres)
-        pairs = [(self.tau_coeffs[t.j, t.k], t.vector) for t in basis.tau if (t.j, t.k) in self.tau_coeffs]
-        pairs += [(self.phi_coeffs[ph.i], ph.vector) for ph in basis.phi if ph.i in self.phi_coeffs]
-        return _combination(pairs, pres.total, pres.dim, pres.backend)
+        """sum b_jk tau_jk + sum c_i phi_i at the origin: b_jk tau_jk puts -b_jk z_k
+        into slot j and b_jk z_j into slot k; c_i phi_i puts c_i into slot i and
+        -c_i a_ij into slot j < q.  Each slot is truncated at the lowest order
+        among the b_jk, the c_i and the a_ij that its sum multiplies."""
+        q = pres.codim
+        taus = [((j, k), self.tau_coeffs[j, k]) for j in range(q) for k in range(j + 1, q) if (j, k) in self.tau_coeffs]
+        phis = [(i, self.phi_coeffs[i]) for i in range(q, pres.total) if i in self.phi_coeffs]
+        a_of = [[pres.coefficient(i, j) for j in range(q)] for i, _ in phis]
+        slots = [zero(pres.dim, backend=pres.backend, order=_lowest_order(
+            [b for _, b in taus + phis] + [row[s] for row in a_of if s < q])) for s in range(pres.total)]
+        _add_trivial(slots, taus)
+        for (i, c), row in zip(phis, a_of):
+            if not c.is_zero():
+                slots[i] = slots[i] + c
+                for j, a in enumerate(row):
+                    if not a.is_zero():
+                        slots[j] = slots[j] + mul(c, -a)
+        return SyzygyVector(tuple(slots))
 
 
 def decompose_general_relation(v: SyzygyVector, pres: GeneratorPresentation) -> GeneralDecomposition:
@@ -291,17 +295,9 @@ def decompose_general_relation(v: SyzygyVector, pres: GeneratorPresentation) -> 
     q, N = pres.codim, pres.total
     if v.arity != N:
         raise InvalidArity(f"expected a vector of length {N}")
-    residual = apply_generators(v, pres)
+    folded, residual = _fold(v, pres)
     if not negligible(residual, *v.components):
         raise NotARelation("vector does not annihilate the generators", residual=residual)
-    folded = []
-    for j in range(q):
-        fj = v.components[j]
-        for i in range(q, N):
-            a = pres.coeffs.get((i, j))
-            if a is not None:
-                fj = fj + mul(v.components[i], a)
-        folded.append(fj)
     tau_coeffs = decompose_relation(SyzygyVector(tuple(folded))) if q >= 2 else {}
     # a single-variable relation forces the folded component to vanish
     if q == 1 and not negligible(folded[0], *v.components):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okakit import cli, cousin, division, series
+from okakit import cli, cousin, division, exprtree, series
 from okakit.division import ideal_cofactors
 from okakit.cli import main
 
@@ -415,6 +415,18 @@ def with_pole(pole):
 SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
 
 
+def with_cuboid(**axes):
+    return {**VALID["cousin1"], "cuboid": {**VALID["cousin1"]["cuboid"], **axes}}
+
+
+def with_target(target):
+    return {**VALID["jokuiko"], "target": target}
+
+
+def with_geometry(**fields):
+    return {**SPLIT_VAR, "geometry": {**SPLIT_VAR["geometry"], **fields}}
+
+
 @pytest.mark.parametrize("command, payload", [
     # ended in a traceback before one input boundary read every request
     pytest.param("cousin1", {**VALID["cousin1"], "tolerance": "x"}, id="tolerance-str"),
@@ -482,9 +494,43 @@ SPLIT_VAR = {**VALID["cousin-split"], "function": {"op": "var", "index": 1}}
                  id="series-numerator-too-long"),
     pytest.param("divide", {"series": {"dim": 2, "terms": [{"exp": [1, 0], "coeff": ["0", "1e-5000"]}]}, "q": 1},
                  id="series-denominator-too-long"),
+    # read and run, exiting 0, until every number of a request went through cli._number
+    pytest.param("cousin1", with_cuboid(re=[[True, 3]]), id="cuboid-bound-bool"),
+    pytest.param("cousin1", with_cuboid(re=[["-3", 3]]), id="cuboid-bound-str"),
+    pytest.param("cousin1", {**VALID["cousin1"], "delta": True}, id="delta-bool"),
+    pytest.param("cousin1", {**VALID["cousin1"], "breakpoints": [-1.0, True]}, id="breakpoint-bool"),
+    pytest.param("cousin1", with_pole({"re": True}), id="pole-re-bool"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "function": {"op": "const", "re": True}}, id="const-re-bool"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "function": {"op": "var", "index": True}}, id="var-index-bool"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "dim": True}, id="split-dim-bool"),
+    pytest.param("jokuiko", with_target({"op": "pow", "base": {"op": "var", "index": 2}, "exp": True}),
+                 id="pow-exp-bool"),
+    # a vacuous pass with an infinite tolerance, a ValueError traceback, a NaN report exiting 1
+    pytest.param("cousin1", {**VALID["cousin1"], "tolerance": 1e999}, id="tolerance-1e999"),
+    pytest.param("cousin-split", with_geometry(theta=math.nan), id="split-theta-nan"),
+    pytest.param("cousin1", with_cuboid(im=[[-math.inf, math.inf]]), id="cuboid-bound-infinite"),
+    pytest.param("divide", {"series": {"dim": 1, "backend": "floating",
+                                       "terms": [{"exp": [1], "coeff": [math.inf, 0]}]}, "q": 1},
+                 id="series-coeff-infinite"),
+    # __pow__ makes k products: still running after 15 s at k = 10^9
+    pytest.param("jokuiko", with_target({"op": "pow", "base": {"op": "var", "index": 2}, "exp": 10 ** 9}),
+                 id="pow-exp-huge"),
+    pytest.param("jokuiko", with_target({"op": "pow", "base": {"op": "var", "index": 2}, "exp": exprtree.MAX_POW + 1}),
+                 id="pow-exp-above-limit"),
 ])
 def test_malformed_request_exits_2(command, payload):
     assert_input_error(command, payload)
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(with_pole({"re": -2.0, "order": 100000}), id="pole-order-huge"),
+    pytest.param(with_cuboid(re=[[-1e308, 1e308]]), id="cuboid-bound-huge"),
+])
+def test_overflow_while_computing_exits_1(payload):
+    # finite input whose computation overflows ended in an OverflowError traceback
+    code, out, err = run_stdin("cousin1", payload)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("okakit: OverflowError") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("part", ["1e20000000", "-2.5E-20000000", "0e99999999"])

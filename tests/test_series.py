@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okakit.division import split_variable
 from okakit.errors import IncompatibleOperands, RequiresExactPolynomial
 from okakit.scalars import EXACT, QQi, floating
 from okakit.series import (
@@ -29,6 +30,7 @@ from okakit.series import (
     negligible,
     recenter,
     scale,
+    times_variable,
     to_floating,
     to_json,
     truncate,
@@ -446,3 +448,61 @@ def test_subtraction_adds_the_negative(backend, data):
     a, b = data.draw(truncated_pairs(backend))
     assert a - b == a + (-1) * b == add(a, scale(b, -1))
     assert -a == scale(a, -1) and 2 - a == add(constant(2, 2, backend=backend), scale(a, -1))
+
+
+# -- multiplying by a coordinate -------------------------------------------
+
+
+def random_series(rng, dim, backend, center=None, order=None, n_terms=5, max_degree=4):
+    """A random series: Gaussian-rational coefficients on the exact backend,
+    random float parts on the floating one."""
+    terms = {}
+    for _ in range(rng.randint(0, n_terms)):
+        exp = [0] * dim
+        for _ in range(rng.randint(0, max_degree)):
+            exp[rng.randrange(dim)] += 1
+        terms[tuple(exp)] = (QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), Fraction(rng.randint(-9, 9), 3))
+                             if backend.exact else complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    return make_series(dim, terms, order=order, backend=backend, center=center)
+
+
+def random_order(rng):
+    return rng.choice([None, None, 0, 1, 2, 3, 4, 5])
+
+
+def bits(f):
+    """``f``'s terms in stored order, each coefficient as its exact bit pattern, and its order."""
+    def pattern(v):
+        return v.triple if isinstance(v, QQi) else struct.pack("<dd", v.real, v.imag)
+
+    return [(e, pattern(v)) for e, v in f.coeffs.items()], f.order
+
+
+def coordinate(dim, axis, backend, center):
+    """z_axis expanded at ``center``, (z_axis - b_axis) + b_axis, built term by term."""
+    unit = tuple(int(k == axis) for k in range(dim))
+    return make_series(dim, {unit: 1, (0,) * dim: center[axis]}, backend=backend, center=center)
+
+
+@pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
+def test_times_variable_is_the_product_with_the_coordinate(backend):
+    rng = random.Random(1601)
+    for k in range(150):
+        dim = rng.randint(1, 4)
+        center = None if k % 3 == 0 else [complex(rng.randint(-3, 3), rng.randint(-2, 2)) / rng.randint(1, 3)
+                                          for _ in range(dim)]
+        f = random_series(rng, dim, backend, center=center, order=random_order(rng))
+        for axis in range(dim):
+            z = coordinate(dim, axis, backend, f.center)
+            assert bits(times_variable(f, axis)) == bits(mul(f, z))
+            assert variable(dim, axis, backend=backend, center=f.center) == z
+    with pytest.raises(ValueError):
+        times_variable(zero(2), 2)
+
+
+def test_times_variable_is_undone_by_split_variable():
+    rng = random.Random(1602)
+    for _ in range(50):
+        dim = rng.randint(1, 3)
+        f = random_series(rng, dim, EXACT, center=[0] + [rng.randint(-2, 2) for _ in range(dim - 1)])
+        assert split_variable(times_variable(f, 0), 0) == (f, zero(dim, center=f.center))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from okakit.errors import InvalidArity, NotARelation
 from okakit.scalars import EXACT, floating
-from okakit.series import constant, monomial, negligible, variable, zero
+from okakit.series import add, constant, monomial, mul, negligible, variable, zero
 from okakit.syzygy import (
     GeneralDecomposition,
     GeneratorPresentation,
@@ -24,7 +24,7 @@ from okakit.syzygy import (
     verify_relation,
 )
 
-from test_series import polynomials, random_polynomial
+from test_series import bits, polynomials, random_order, random_polynomial, random_series
 
 
 def vectors_equal(a: SyzygyVector, b: SyzygyVector) -> bool:
@@ -269,3 +269,59 @@ def test_decompose_general_relation_round_trip(backend, data):
     phi = data.draw(subsets(list(range(q, total)), poly))
     v = GeneralDecomposition(tau, phi).recombined(pres)
     assert round_trips(decompose_general_relation(v, pres).recombined(pres), v)
+
+
+def reference_combination(pairs, arity: int, dim: int, backend) -> list:
+    """sum b * g over the pairs (series b, SyzygyVector g) with ``mul`` and ``add``, slot by
+    slot, each slot truncated at the lowest order among the factors of its products."""
+    slots = []
+    for s in range(arity):
+        orders = [x.order for b, g in pairs for x in (b, g.components[s]) if x.order is not None]
+        acc = zero(dim, backend=backend, order=min(orders, default=None))
+        for b, g in pairs:
+            acc = add(acc, mul(b, g.components[s]))
+        slots.append(acc)
+    return slots
+
+
+@BACKENDS
+def test_recombine_equals_the_sum_over_the_trivial_solutions(backend):
+    rng = random.Random(1603)
+    for _ in range(100):
+        p = rng.randint(1, 4)
+        dim = rng.randint(p, p + 1)
+        coeffs = {(t.i, t.j): random_series(rng, dim, backend, order=random_order(rng), n_terms=3)
+                  for t in trivial_solutions(p, dim=dim) if rng.random() < 0.7}
+        basis = {(t.i, t.j): t.vector for t in trivial_solutions(p, dim=dim, backend=backend)}
+        want = reference_combination([(b, basis[key]) for key, b in coeffs.items()], p, dim, backend)
+        assert [bits(c) for c in recombine(coeffs, p, dim=dim, backend=backend).components] == [bits(c) for c in want]
+
+
+@BACKENDS
+def test_general_recombined_equals_the_sum_over_the_basis(backend):
+    rng = random.Random(1604)
+    for _ in range(100):
+        q = rng.randint(1, 3)
+        total = q + rng.randint(0, 2)
+        dim = rng.randint(q, q + 1)
+        pres = GeneratorPresentation(dim, q, total, {
+            (i, j): random_series(rng, dim, backend, order=random_order(rng), n_terms=2, max_degree=2)
+            for i in range(q, total) for j in range(q) if rng.random() < 0.7}, backend=backend)
+        basis = general_syzygy_generators(pres)
+        tau = {(t.j, t.k): random_series(rng, dim, backend, order=random_order(rng), n_terms=3)
+               for t in basis.tau if rng.random() < 0.7}
+        phi = {g.i: random_series(rng, dim, backend, order=random_order(rng), n_terms=3)
+               for g in basis.phi if rng.random() < 0.7}
+        pairs = [(tau[t.j, t.k], t.vector) for t in basis.tau if (t.j, t.k) in tau]
+        pairs += [(phi[g.i], g.vector) for g in basis.phi if g.i in phi]
+        want = reference_combination(pairs, total, dim, backend)
+        got = GeneralDecomposition(tau, phi).recombined(pres)
+        assert [bits(c) for c in got.components] == [bits(c) for c in want]
+
+
+def test_presentation_coefficients_live_at_the_origin():
+    # recombined built the basis vectors, which refused such a coefficient; the check is now up front
+    with pytest.raises(InvalidArity):
+        GeneratorPresentation(2, 1, 2, {(1, 0): constant(2, 1, center=(0, 1))})
+    with pytest.raises(InvalidArity):
+        GeneratorPresentation(2, 1, 2, {(1, 0): constant(2, 1, backend=floating())})
