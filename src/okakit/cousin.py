@@ -247,8 +247,10 @@ def _row_sums(m: int, width: int, block: Callable, keys: int = 1) -> np.ndarray:
     """block(rows).sum(axis=-1) for rows 0..m-1, in slices of at most
     BLOCK_ENTRIES entries: an (m,) array for blocks of shape (rows, width),
     or (m, keys) for blocks of shape (rows, keys, width) when keys > 1."""
-    out = np.empty((m, keys) if keys > 1 else m, dtype=complex)
     step = max(1, BLOCK_ENTRIES // (keys * width))
+    if m <= step:  # the rows fit one block, as one row does: the same sums, unsliced
+        return block(slice(None)).sum(axis=-1)
+    out = np.empty((m, keys) if keys > 1 else m, dtype=complex)
     for lo in range(0, m, step):
         rows = slice(lo, lo + step)
         out[rows] = block(rows).sum(axis=-1)
@@ -260,7 +262,11 @@ def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable, keys: int = 1
     kernel loop.  wd = weights(rows) is a slice's weighted densities, one row
     or one per row, for an (len(zn),) result; with keys > 1 it is a keys x
     len(zs) block shared by every row, for an (len(zn), keys) result, and
-    zs - zn is built once for all keys."""
+    zs - zn is built once for all keys.  One point skips the blocks: the
+    same quotients and sums along the node axis, so the same bits."""
+    if len(zn) == 1:
+        sums = (weights(slice(None)) / (zs - zn)).sum(axis=-1) / TWO_PI_I
+        return sums.reshape(1, keys) if keys > 1 else sums
     def block(rows):
         d = zs - zn[rows, None]
         return weights(rows) / (d[:, None] if keys > 1 else d)
@@ -292,7 +298,8 @@ def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: f
     sum_j w_j phi(zeta_j) / (zeta_j - center)^(m+1) against its powers
     (z_n - center)^m.  Keys whose near (far) branches have the same node
     arrays share one kernel block (power block), with one weight row
-    (coefficient row) per key.
+    (coefficient row) per key.  One row takes the short path: one kernel
+    row and one power row, no blocks, with the bits of that row in a batch.
     """
     # keys split at the same seams hold the same node arrays (``_path_nodes``)
     groups: tuple[dict, dict] = ({}, {})

@@ -20,8 +20,9 @@ from .errors import SchemaError
 from .scalars import EXACT, Backend, _number
 from .series import TruncatedSeries, variable, zero
 
-# Largest exponent of a "pow" node: ``TruncatedSeries.__pow__`` lowers k as k
-# successive products, so a request's exponents bound its lowering work.
+# Largest exponent of a "pow" node, and largest degree of a tree lowered to a
+# series: ``TruncatedSeries.__pow__`` lowers k as k successive products, and
+# nested powers multiply their exponents, so the degree bounds the lowering work.
 MAX_POW = 64
 
 
@@ -30,28 +31,35 @@ def _check(cond, msg):
         raise SchemaError(msg)
 
 
-def validate(tree, dim: int) -> bool:
-    """Check a tree's shape against ``dim`` variables; True iff it has no
-    ``inv`` node, that is, iff it describes a polynomial."""
+def validate(tree, dim: int) -> int | None:
+    """Check a tree's shape against ``dim`` variables; return its degree as
+    a polynomial (var 1, const 0, add the largest, mul the sum, pow k times
+    the base's), or None if it has an ``inv`` node."""
     _check(isinstance(tree, dict) and "op" in tree, "expression node must be an object with 'op'")
     op = tree["op"]
     if op == "var":
         _check(1 <= _number(tree.get("index"), int) <= dim, f"variable index must be in 1..{dim}")
-        return True
+        return 1
     if op == "const":
         _number(tree.get("re", 0)), _number(tree.get("im", 0))
-        return True
+        return 0
     if op in ("add", "mul"):
         args = tree.get("args")
         _check(isinstance(args, list) and args, f"'{op}' needs a non-empty args list")
-        return all([validate(a, dim) for a in args])
+        degrees = [validate(a, dim) for a in args]
+        if None in degrees:
+            return None
+        return max(degrees) if op == "add" else sum(degrees)
     if op in ("neg", "inv"):
         _check("arg" in tree, f"'{op}' needs an arg")
-        return validate(tree["arg"], dim) and op == "neg"
+        degree = validate(tree["arg"], dim)
+        return degree if op == "neg" else None
     if op == "pow":
-        _check(0 <= _number(tree.get("exp"), int) <= MAX_POW, f"'pow' exponent must be an integer in 0..{MAX_POW}")
+        k = _number(tree.get("exp"), int)
+        _check(0 <= k <= MAX_POW, f"'pow' exponent must be an integer in 0..{MAX_POW}")
         _check("base" in tree, "'pow' needs a base")
-        return validate(tree["base"], dim)
+        degree = validate(tree["base"], dim)
+        return None if degree is None else k * degree
     raise SchemaError(f"unknown expression op {op!r}")
 
 
@@ -88,7 +96,8 @@ def to_evaluable(tree, dim: int) -> Evaluable:
 
 def to_series(tree, dim: int, backend: Backend = EXACT) -> TruncatedSeries:
     """Lower a polynomial expression tree to an origin-centered series."""
-    if not validate(tree, dim):
-        raise SchemaError("'inv' is not polynomial; cannot lower to a series")
+    degree = validate(tree, dim)
+    _check(degree is not None, "'inv' is not polynomial; cannot lower to a series")
+    _check(degree <= MAX_POW, f"a polynomial of degree {degree} is above the {MAX_POW} a series lowering allows")
     # adding the zero series turns a constant tree's complex value into a series
     return evaluate(tree, [variable(dim, j, backend=backend) for j in range(dim)]) + zero(dim, backend=backend)

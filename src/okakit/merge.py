@@ -14,6 +14,7 @@ default.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -257,6 +258,11 @@ class _Branch:
             return _sum_corrections(P, *self._direct)
         (lo, hi), *fused = compiled
         center, radius = self.disc
+        if len(P) == 1:  # the same test on Python floats; x * x gives inf where x ** 2 raises
+            z = complex(P[0, -1])
+            d = z - center
+            inside = d.real * d.real + d.imag * d.imag < radius ** 2 and lo < z.real < hi
+            return _sum_corrections(P, *(fused if inside else self._direct))
         d = P[:, -1] - center
         rows = (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi)
         if rows.all():  # every row a merged solution routes here
@@ -288,7 +294,7 @@ def _sum_corrections(P: np.ndarray, keys: list, columns: Callable) -> np.ndarray
     for key, col in zip(keys, columns(zn[:, None])):
         axis, center, m = key
         if key not in monomials:
-            monomials[key] = np.prod((P[:, :-1] - center) ** m, axis=1)
+            monomials[key] = ((P[:, :-1] - center) ** m).prod(axis=1)
         acc = acc + monomials[key] * col[inv] * P[:, axis]
     return acc
 
@@ -301,7 +307,11 @@ class ChainState:
     seams: list[float]  # Re positions separating consecutive branches
 
     def values(self, P: np.ndarray) -> np.ndarray:
-        """Each row of P evaluated on the branch its Re z_n falls in."""
+        """Each row of P evaluated on the branch its Re z_n falls in.  One
+        row takes a short path: ``bisect`` on the Python float picks the
+        branch ``searchsorted`` would, NaN included, with the same bits."""
+        if len(P) == 1:
+            return self.branches[bisect.bisect_right(self.seams, P[0, -1].real)].values(P)
         idx = np.searchsorted(self.seams, P[:, -1].real, side="right")
         ks = np.flatnonzero(np.bincount(idx))
         if len(ks) == 1:

@@ -132,6 +132,20 @@ def extension_problem(slabs=3):
     )
 
 
+def n2_cousin1_problem():
+    def pp(locus, coeff):
+        return PrincipalPartData((PoleTerm(1, make_series(1, coeff), make_series(1, locus)),))
+
+    return ChiProblem(
+        kind="cousin1",
+        cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+        breakpoints=(0.0,),
+        data=(pp({(0,): -1.0, (1,): 0.1}, {(0,): 1, (1,): 0.5j}),
+              pp({(0,): 1.0 - 0.2j, (1,): -0.1}, {(0,): 2 - 1j})),
+        delta=0.2,
+    )
+
+
 def test_series_and_principal_part_values():
     f = make_series(2, {(0, 0): 1, (1, 2): QQi(Fraction(1, 3), Fraction(-2, 7)), (3, 1): 2j}, center=[0.5j, -1])
     pts = grid_points(-1.0, 1.0, -0.5, 0.5, zp=(0.3 - 0.2j,)) + grid_points(-1.0, 1.0, -0.5, 0.5, zp=(-0.1j,))
@@ -193,8 +207,21 @@ def folds_far(branch) -> bool:
     return bool(far_corrections(branch))
 
 
-@pytest.mark.parametrize("problem", [ml_problem(), extension_problem(), ml_chain_problem()],
-                         ids=["cousin1", "extension", "cousin1-12-slabs"])
+def one_row_routes(problem, state) -> list:
+    """Points for every route of a one-row call: on each seam, inside the seam
+    bands of the branches on either side, beyond both ends of the chain,
+    outside each branch's disc, and at Re z_n = +/-1e200, whose squares overflow."""
+    zp = () if problem.ndim == 1 else (0.2 - 0.1j,)
+    (lo, hi), = problem.cuboid.re[-1:]
+    band = 0.75 * problem.seam_margin()  # past the delta/2 a band reaches across its seam
+    res = [lo - 0.5, hi + 0.5, 1e200, -1e200] + [s + t for s in state.seams for t in (0.0, -band, band)]
+    pts = [zp + (complex(r, y),) for r in res for y in (0.0, 0.3)]
+    # routed to the branch (Re z_n is its slab's midpoint), outside its disc
+    return pts + [zp + (b.disc[0] + 1j * (b.disc[1] + 0.1),) for b in state.branches if b.disc is not None]
+
+
+@pytest.mark.parametrize("problem", [ml_problem(), extension_problem(), ml_chain_problem(), n2_cousin1_problem()],
+                         ids=["cousin1", "extension", "cousin1-12-slabs", "cousin1-n2"])
 def test_chain_state_and_corrections_values(problem):
     sol = solve_chain(problem, verify=False)[0]
     zp = () if problem.ndim == 1 else (0.2 - 0.1j,)
@@ -203,9 +230,19 @@ def test_chain_state_and_corrections_values(problem):
     assert_values_match_fn(sol.solution, pts)
     for corr in sol.corrections:
         assert_values_match_fn(corr, pts)
+    state = sol.solution.many.__self__
+    # a one-row call has the bits of its row in a batch on every route, the
+    # overflowing ones included (a float ** would raise there)
+    P = np.array(one_row_routes(problem, state))
+    with np.errstate(all="ignore"):
+        for e in [sol.solution, *sol.corrections]:
+            assert np.array([e.fn(tuple(z)) for z in P.tolist()]).tobytes() == e.values(P).tobytes()
+        # n >= 2 cousin1 branches have no disc: their corrections depend on z'
+        discs = [b for b in state.branches if b.disc is not None]
+        assert all(not in_disc(b, P).all() for b in discs)
+        assert not discs or any((in_disc(b, P) & ~fused_rows(b, P)).any() for b in discs)
     # some rows take the far-field series
-    branches = sol.solution.many.__self__.branches
-    assert any(folds_far(b) and in_disc(b, np.array(pts)).any() for b in branches)
+    assert not discs or any(folds_far(b) and in_disc(b, np.array(pts)).any() for b in discs)
 
 
 def record_kernel(monkeypatch) -> list:
@@ -397,20 +434,6 @@ def test_scalar_only_evaluable_goes_through_split_and_morera():
 
 
 # -- bounded density cache ----------------------------------------------------
-
-
-def n2_cousin1_problem():
-    def pp(locus, coeff):
-        return PrincipalPartData((PoleTerm(1, make_series(1, coeff), make_series(1, locus)),))
-
-    return ChiProblem(
-        kind="cousin1",
-        cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
-        breakpoints=(0.0,),
-        data=(pp({(0,): -1.0, (1,): 0.1}, {(0,): 1, (1,): 0.5j}),
-              pp({(0,): 1.0 - 0.2j, (1,): -0.1}, {(0,): 2 - 1j})),
-        delta=0.2,
-    )
 
 
 def record_paths(monkeypatch) -> list:

@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -517,6 +518,10 @@ def with_geometry(**fields):
                  id="pow-exp-huge"),
     pytest.param("jokuiko", with_target({"op": "pow", "base": {"op": "var", "index": 2}, "exp": exprtree.MAX_POW + 1}),
                  id="pow-exp-above-limit"),
+    # each exponent within MAX_POW, but a lowering of degree 144 took 11.5 s before to_series bounded the degree
+    pytest.param("jokuiko", with_target({"op": "pow", "exp": 12, "base": {"op": "pow", "exp": 12, "base": {
+        "op": "add", "args": [{"op": "var", "index": 1}, {"op": "var", "index": 2}, {"op": "const", "re": 1}]}}}),
+                 id="pow-nested-degree-above-limit"),
 ])
 def test_malformed_request_exits_2(command, payload):
     assert_input_error(command, payload)
@@ -527,10 +532,13 @@ def test_malformed_request_exits_2(command, payload):
     pytest.param(with_cuboid(re=[[-1e308, 1e308]]), id="cuboid-bound-huge"),
 ])
 def test_overflow_while_computing_exits_1(payload):
-    # finite input whose computation overflows ended in an OverflowError traceback
-    code, out, err = run_stdin("cousin1", payload)
-    assert (code, out) == (1, "")
-    assert err.splitlines()[-1].startswith("okakit: OverflowError") and "Traceback" not in err
+    # finite input whose computation overflows ended in an OverflowError traceback,
+    # and then in numpy RuntimeWarnings printed before the one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_stdin("cousin1", payload)
+    assert (code, out, [str(w.message) for w in caught]) == (1, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("okakit: OverflowError: ")
 
 
 @pytest.mark.parametrize("part", ["1e20000000", "-2.5E-20000000", "0e99999999"])

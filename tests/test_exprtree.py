@@ -86,9 +86,37 @@ def test_constant_tree_fills_every_row():
 
 def test_validate_reports_polynomial_trees():
     z1 = {"op": "var", "index": 1}
-    assert validate({"op": "pow", "base": {"op": "neg", "arg": z1}, "exp": 3}, 1)
-    assert not validate({"op": "add", "args": [z1, {"op": "inv", "arg": z1}]}, 1)
+    assert validate({"op": "pow", "base": {"op": "neg", "arg": z1}, "exp": 3}, 1) == 3
+    assert validate({"op": "add", "args": [z1, {"op": "inv", "arg": z1}]}, 1) is None
     with pytest.raises(SchemaError):
         to_series({"op": "inv", "arg": z1}, 1)
     with pytest.raises(SchemaError):
         validate({"op": "add", "args": [{"op": "inv", "arg": z1}, {"op": "var", "index": 2}]}, 1)
+
+
+def test_validate_returns_the_degree():
+    z1, z2, one = {"op": "var", "index": 1}, {"op": "var", "index": 2}, {"op": "const", "re": 1.0}
+
+    def pow_(base, k):
+        return {"op": "pow", "base": base, "exp": k}
+
+    s = {"op": "add", "args": [z1, z2, one]}
+    cases = [
+        (one, 0), (z2, 1), ({"op": "neg", "arg": s}, 1), (pow_(one, 5), 0), (pow_(z1, 0), 0),
+        ({"op": "mul", "args": [z1, s, pow_(z2, 3)]}, 5),
+        ({"op": "add", "args": [one, pow_(s, 7), {"op": "mul", "args": [z1, z2]}]}, 7),
+        (pow_(pow_(s, 3), 4), 12),
+    ]
+    for tree, degree in cases:
+        assert validate(tree, 2) == degree
+        assert max(map(sum, to_series(tree, 2).coeffs)) == degree
+    assert validate(pow_({"op": "inv", "arg": s}, 2), 2) is None
+    # the degree, not each exponent, bounds a lowering: nested exponents multiply
+    nested = pow_(pow_(s, 12), 12)
+    assert validate(nested, 2) == 144
+    with pytest.raises(SchemaError, match="degree 144"):
+        to_series(nested, 2)
+    assert len(to_series(pow_(pow_(z1, 8), 8), 2).coeffs) == 1  # degree 64 still lowers
+    with pytest.raises(SchemaError):
+        to_series({"op": "mul", "args": [pow_(z1, 64), z2]}, 2)
+    assert len(to_evaluable(nested, 2).values(np.zeros((2, 2)))) == 2  # evaluation needs no lowering
