@@ -194,34 +194,32 @@ def _path_nodes(pieces: tuple, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # recently used dropped first: more than the 288 one default morera_residual
 # call visits on an n = 2 slab, so verification reuses them across slabs.
 DENSITY_CACHE_SIZE = 512
-# Bounds on temporaries: entries per Cauchy (points x nodes) or power
-# (points x terms) block, and points per density fill passed to ``values``.
+# Bound on temporaries: entries per Cauchy (points x nodes) or power
+# (points x terms) block.
 BLOCK_ENTRIES = 1 << 13
-FILL_POINTS = 1 << 11
 
 
 class _PathQuad:
-    """Shared node set along a polyline of straight pieces (a, b, panels),
-    with its own LRU cache of weighted density values per z'."""
+    """Shared node set along a polyline of straight pieces (a, b, panels) for
+    one density ``phi``, with its own LRU cache of weighted density values per z'."""
 
-    def __init__(self, pieces: Sequence[tuple[complex, complex, int]], spec: QuadratureSpec):
+    def __init__(self, pieces: Sequence[tuple[complex, complex, int]], spec: QuadratureSpec, phi: Evaluable):
         self.zs, self.ws = _path_nodes(tuple(pieces), spec.nodes)
+        self.phi = phi
         self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
-    def weighted(self, phi: Evaluable, zps: np.ndarray) -> np.ndarray:
-        """w_j * phi(z', zeta_j) at every node zeta_j, one row per z' in
-        ``zps``; cache misses are filled by ``values`` calls of at most
-        FILL_POINTS points."""
+    def weighted(self, zps: np.ndarray) -> np.ndarray:
+        """w_j * phi(z', zeta_j) at every node zeta_j, one row per z' in ``zps``;
+        one ``values`` call fills the cache misses: callers pass at most one kernel
+        block's rows, so at most max(BLOCK_ENTRIES, nodes) points."""
         cache, nodes = self._cache, len(self.zs)
         keys = [zp.tobytes() for zp in zps]
-        missing = [i for i, key in enumerate(keys) if key not in cache]
-        step = max(1, FILL_POINTS // nodes)
-        for lo in range(0, len(missing), step):
-            fill = missing[lo:lo + step]
+        fill = [i for i, key in enumerate(keys) if key not in cache]
+        if fill:
             pts = np.empty((len(fill), nodes, zps.shape[1] + 1), dtype=complex)
             pts[:, :, :-1] = zps[fill, None, :]
             pts[:, :, -1] = self.zs
-            vals = phi.values(pts.reshape(len(fill) * nodes, -1)).reshape(len(fill), nodes)
+            vals = self.phi.values(pts.reshape(len(fill) * nodes, -1)).reshape(len(fill), nodes)
             for i, row in zip(fill, vals):
                 cache[keys[i]] = self.ws * row
         for key in keys:
@@ -231,14 +229,14 @@ class _PathQuad:
             cache.popitem(last=False)
         return out
 
-    def cauchy(self, phi: Evaluable, P: np.ndarray) -> np.ndarray:
+    def cauchy(self, P: np.ndarray) -> np.ndarray:
         """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z of P."""
         def weights(rows):
             zp = P[rows, :-1]
             # a run of equal z' shares one row of weighted densities
             new = np.ones(len(zp), dtype=bool)
             new[1:] = (zp[1:] != zp[:-1]).any(axis=1)
-            wd = self.weighted(phi, zp[new])
+            wd = self.weighted(zp[new])
             return wd if len(wd) == 1 else wd[np.cumsum(new) - 1]
         return kernel_sums(self.zs, P[:, -1], weights)
 
@@ -275,13 +273,12 @@ def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable, keys: int = 1
 
 @dataclass(frozen=True)
 class SplitBranch(Evaluable):
-    """One branch of ``cousin_split``: the Cauchy sum of ``density`` over
+    """One branch of ``cousin_split``: the Cauchy sum of the density over
     the ``pushed`` contour where lo < Re z_n < hi, (lo, hi) = ``valid_re``,
     and the segment integral plus the jump term elsewhere (near the seam)."""
 
     pushed: _PathQuad | None = None
     valid_re: tuple[float, float] = (-math.inf, math.inf)
-    density: Evaluable | None = None
 
 
 def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: float) -> Callable:
@@ -313,7 +310,7 @@ def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: f
 
     def block(members) -> tuple[list, np.ndarray, np.ndarray]:
         """Keys, shared nodes and one row of weighted densities per key."""
-        rows = [np.concatenate([b.pushed.weighted(b.density, np.empty((1, 0), dtype=complex))[0] for b in part])
+        rows = [np.concatenate([b.pushed.weighted(np.empty((1, 0), dtype=complex))[0] for b in part])
                 for _, part in members]
         return [k for k, _ in members], np.concatenate([b.pushed.zs for b in members[0][1]]), np.array(rows)
 
@@ -367,8 +364,8 @@ def cauchy_segment_integral(
     a, b = geom.segment
     if _distance_to_segment(zn, a, b) < 1e-13:
         raise OnContour(f"evaluation point {zn} lies on the integration segment")
-    quad = _PathQuad([(a, b, spec.panels)], spec)
-    return complex(quad.cauchy(phi, np.array([z]))[0])
+    quad = _PathQuad([(a, b, spec.panels)], spec, phi)
+    return complex(quad.cauchy(np.array([z]))[0])
 
 
 def cousin_split(phi: Evaluable, geom: SplitGeometry,
@@ -383,7 +380,7 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     spec = spec or QuadratureSpec()
     s, d, h = geom.s, geom.delta, geom.height
     a, b = geom.segment
-    seam_quad = _PathQuad([(a, b, spec.panels)], spec)
+    seam_quad = _PathQuad([(a, b, spec.panels)], spec, phi)
     # Each leg (length delta <= h) gets panels in proportion to its length;
     # a ratio within 1e-9 of a whole number counts as that number, so float
     # rounding never adds a panel.
@@ -393,20 +390,20 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
         """The segment's endpoints joined through Re = x: a leg of length
         delta, the vertical piece of length 2h, and a leg back."""
         corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
-        return _PathQuad(list(zip(corners, corners[1:], (leg, spec.panels, leg))), spec)
+        return _PathQuad(list(zip(corners, corners[1:], (leg, spec.panels, leg))), spec, phi)
 
     def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> SplitBranch:
         def many(P):
             near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
             out = np.empty(len(P), dtype=complex)
             if not near.all():
-                out[~near] = pushed.cauchy(phi, P[~near])
+                out[~near] = pushed.cauchy(P[~near])
             if near.any():
                 Q = P[near]
-                out[near] = jump(seam_quad.cauchy(phi, Q), phi.values(Q))
+                out[near] = jump(seam_quad.cauchy(Q), phi.values(Q))
             return out
 
-        return SplitBranch.batched(many, pushed=pushed, valid_re=(lo, hi), density=phi)
+        return SplitBranch.batched(many, pushed=pushed, valid_re=(lo, hi))
 
     return (branch(pushed_to(s + d), -math.inf, s + d / 2, np.add),
             branch(pushed_to(s - d), s - d / 2, math.inf, np.subtract))
@@ -433,7 +430,6 @@ def morera_residual(
     region: Cuboid,
     grid: int = 4,
     nodes: int = 12,
-    axes: Sequence[int] | None = None,
 ) -> float:
     """Largest |closed rectangle integral of f dz_k| over a grid of small
     axis-parallel test rectangles, per complex axis with the other
@@ -447,8 +443,7 @@ def morera_residual(
     x, w = _unit_rule(1, nodes)
     mid = region.midpoint()
     worst = []
-    axes_iter = range(region.ndim) if axes is None else axes
-    for k in axes_iter:
+    for k in range(region.ndim):
         rlo, rhi = region.re[k]
         ilo, ihi = region.im[k]
         if rhi <= rlo or ihi <= ilo:

@@ -13,6 +13,8 @@ variables are, complex numbers, numpy columns or series.  Trees without
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cousin import Evaluable
@@ -23,6 +25,7 @@ from .series import TruncatedSeries, variable, zero
 # Largest exponent of a "pow" node, and largest degree of a tree lowered to a
 # series: ``TruncatedSeries.__pow__`` lowers k as k successive products, and
 # nested powers multiply their exponents, so the degree bounds the lowering work.
+# A lowering may have at most the terms of a degree-MAX_POW polynomial in two variables.
 MAX_POW = 64
 
 
@@ -99,5 +102,8 @@ def to_series(tree, dim: int, backend: Backend = EXACT) -> TruncatedSeries:
     degree = validate(tree, dim)
     _check(degree is not None, "'inv' is not polynomial; cannot lower to a series")
     _check(degree <= MAX_POW, f"a polynomial of degree {degree} is above the {MAX_POW} a series lowering allows")
+    terms, most = math.comb(degree + dim, dim), math.comb(MAX_POW + 2, 2)
+    _check(terms <= most, f"a polynomial of degree {degree} in {dim} variables has up to {terms} terms, "
+                          f"above the {most} a series lowering allows")
     # adding the zero series turns a constant tree's complex value into a series
     return evaluate(tree, [variable(dim, j, backend=backend) for j in range(dim)]) + zero(dim, backend=backend)

@@ -39,7 +39,7 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, complex_evaluator, evaluate_complex, make_series, negligible
+from .series import TruncatedSeries, complex_evaluator, make_series, negligible
 
 
 def series_evaluable(f: TruncatedSeries) -> Evaluable:
@@ -157,22 +157,24 @@ class ChiProblem:
 # -- local solutions -----------------------------------------------------
 
 
-def _pole_position(term: PoleTerm, slab: Cuboid) -> complex:
-    """The term's pole: its locus at the midpoint z' of the slab."""
-    return evaluate_complex(term.locus, slab.midpoint()[:-1])
+def _at(f: TruncatedSeries, zp: tuple) -> complex:
+    return complex(complex_evaluator(f)(np.array([zp], dtype=complex))[0])
+
+
+def _poles(problem: ChiProblem, alpha: int) -> list[tuple[PoleTerm, tuple, complex]]:
+    """(term, z', p) for every term of slab alpha's principal part: p is the
+    term's locus at the slab's midpoint z'."""
+    zp = problem.partition.slabs[alpha].midpoint()[:-1]
+    return [(term, zp, _at(term.locus, zp)) for term in problem.data[alpha].terms]
 
 
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
     """The slab's own solution: its principal-part sum, or the cylinder
     extension of the target (or the supplied override)."""
-    partition = problem.partition
-    slab = partition.slabs[alpha]
     if problem.kind == "cousin1":
-        datum = problem.data[alpha]
         delta = problem.seam_margin()
-        rlo, rhi = slab.re[-1]
-        for term in datum.terms:
-            p = _pole_position(term, slab)
+        rlo, rhi = problem.partition.slabs[alpha].re[-1]
+        for _, _, p in _poles(problem, alpha):
             if not (rlo - 1e-12 <= p.real <= rhi + 1e-12) or abs(p.imag) > problem.theta:
                 raise PoleTooCloseToSeam(
                     f"pole at {p} lies outside slab {alpha}"
@@ -182,7 +184,7 @@ def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
                     raise PoleTooCloseToSeam(
                         f"pole at {p} within margin {delta} of a slab edge"
                     )
-        return datum.evaluable()
+        return problem.data[alpha].evaluable()
     return series_evaluable(problem.slab_poly(alpha))
 
 
@@ -399,46 +401,28 @@ class ChiSolution:
     report: dict | None = None
 
 
-def _chain_geometry(problem: ChiProblem, partition: SlabPartition,
-                    chain: ConnectivityChain, alpha: int) -> SplitGeometry:
-    lo = partition.slabs[chain.start].re[-1][0]
-    hi = partition.slabs[chain.stop].re[-1][1]
+def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) -> ChiSolution:
+    if order not in ("ltr", "rtl"):
+        raise ValueError(f"unknown merge order {order!r}")
+    slabs = problem.partition.slabs
+    region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
+    lo, hi = region.re[-1]
     base = None
     if problem.ndim > 1:
-        base = Cuboid(problem.cuboid.re[:-1], problem.cuboid.im[:-1])
-    return SplitGeometry(
-        s=partition.seam(alpha),
-        delta=problem.seam_margin(),
-        theta=problem.theta,
-        re_lo=lo,
-        re_hi=hi,
-        base=base,
-    )
-
-
-def _solve_one_chain(problem: ChiProblem, partition: SlabPartition,
-                     chain: ConnectivityChain, order: str) -> ChiSolution:
+        base = Cuboid(region.re[:-1], region.im[:-1])
     states = [_singleton_state(problem, alpha) for alpha in chain.indices]
-    seams = list(range(chain.start, chain.stop))  # seam alpha joins slab alpha, alpha+1
-    if order == "ltr":
-        acc = states[0]
-        for k, alpha in enumerate(seams):
-            geom = _chain_geometry(problem, partition, chain, alpha)
-            acc = merge_pair(acc, states[k + 1], geom, problem)
-    elif order == "rtl":
-        acc = states[-1]
-        for k, alpha in zip(range(len(seams) - 1, -1, -1), reversed(seams)):
-            geom = _chain_geometry(problem, partition, chain, alpha)
-            acc = merge_pair(states[k], acc, geom, problem)
-    else:
-        raise ValueError(f"unknown merge order {order!r}")
-    lo = partition.slabs[chain.start].re[-1][0]
-    hi = partition.slabs[chain.stop].re[-1][1]
+    acc = states[0]
+    # seam chain.start + k joins states k and k + 1; the merge replaces both
+    seams = range(len(states) - 1)
+    for k in seams if order == "ltr" else reversed(seams):
+        geom = SplitGeometry(s=problem.partition.seam(chain.start + k), delta=problem.seam_margin(),
+                             theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
+        acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem)
     return ChiSolution(
         chain=chain,
         solution=acc.evaluable(),
         corrections=[acc.branch_correction(k) for k in range(len(chain.indices))],
-        region=problem.cuboid.with_last_re(lo, hi),
+        region=region,
     )
 
 
@@ -451,8 +435,7 @@ def chain_decomposition(problem: ChiProblem) -> list[ConnectivityChain]:
 
 def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) -> list[ChiSolution]:
     """Solve every maximal connected chain of the partition; one solution each."""
-    partition = problem.partition
-    sols = [_solve_one_chain(problem, partition, c, order) for c in chain_decomposition(problem)]
+    sols = [_solve_one_chain(problem, c, order) for c in chain_decomposition(problem)]
     if verify:
         for sol in sols:
             sol.report = verify_solution(sol, problem)
@@ -470,60 +453,44 @@ def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
     return complex(np.sum(f.values(P) * d ** (order - 1) * d) / 64)
 
 
-def _pole_positions(problem: ChiProblem, chain: ConnectivityChain) -> tuple[list, list[dict]]:
-    """(slab, term, pole) for every term with an n = 1 locus, and the
-    skipped residue checks of the others."""
-    out, skipped, slabs = [], [], problem.partition.slabs
-    for alpha in chain.indices:
-        for term in problem.data[alpha].terms:
-            if term.locus.dim != 0:  # contour extraction implemented for n = 1 loci only
-                skipped.append({"slab": alpha, "order": term.order, "reason": "pole locus depends on z'"})
-            else:
-                out.append((alpha, term, _pole_position(term, slabs[alpha])))
-    return out, skipped
-
-
 def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """Checkable form of the solution property.
 
     cousin1: principal coefficients re-extracted by contour integrals around
     each pole must match the prescribed ones, and the per-patch corrections
-    must pass the Morera residual; poles whose locus depends on z' (n >= 2)
-    are not extracted and are listed in ``skipped_checks``.  extension:
-    the solution restricted to the subspace must match the target on a
-    sample grid of Re z_n on each slice Im z_n in ``subspace_slices``
-    (0 and +/- 0.9 theta), and the per-patch corrections must pass the
-    Morera residual.
+    must pass the Morera residual; for n >= 2 both the pole and its
+    coefficient are taken at the slab's midpoint z', where the contour is
+    drawn.  extension: the solution restricted to the subspace must match the
+    target on a sample grid of Re z_n on each slice Im z_n in
+    ``subspace_slices`` (0 and +/- 0.9 theta), and the per-patch corrections
+    must pass the Morera residual.  ``skipped_checks`` lists the checks that
+    did not run.
     """
-    partition = problem.partition
     tol = problem.tol
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": []}
-    morera_vals = []
-    for k, alpha in enumerate(sol.chain.indices):
-        slab = partition.slabs[alpha]
-        morera_vals.append(morera_residual(sol.corrections[k], slab, grid=3))
+    morera_vals = [morera_residual(correction, problem.partition.slabs[alpha], grid=3)
+                   for alpha, correction in zip(sol.chain.indices, sol.corrections)]
     report["patch_morera"] = morera_vals
     ok = all(v <= tol for v in morera_vals)
     if problem.kind == "cousin1":
         delta = problem.seam_margin()
-        poles, report["skipped_checks"] = _pole_positions(problem, sol.chain)
+        poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
         errors = []
-        for alpha, term, p in poles:
+        for alpha, term, zp, p in poles:
             # terms at one position are one principal part: only other positions bound the circle
-            sep = min((abs(p - q) for _, _, q in poles if q != p), default=np.inf)
+            sep = min((abs(p - q) for *_, q in poles if q != p), default=np.inf)
             radius = min(delta / 2, 0.45 * sep)
             if problem.theta > 0:
                 radius = min(radius, max(problem.theta - abs(p.imag), delta / 4))
-            got = extract_principal_coefficient(sol.solution, p, term.order, radius)
-            want = evaluate_complex(term.coeff, ())
+            got = extract_principal_coefficient(sol.solution, p, term.order, radius, zp)
+            want = _at(term.coeff, zp)
             errors.append({"slab": alpha, "order": term.order,
                            "pole": [p.real, p.imag], "error": abs(got - want)})
         report["principal_part_errors"] = errors
         ok = ok and all(e["error"] <= tol for e in errors)
     else:
         n, q = problem.ndim, problem.codim
-        lo = partition.slabs[sol.chain.start].re[-1][0]
-        hi = partition.slabs[sol.chain.stop].re[-1][1]
+        lo, hi = sol.region.re[-1]
         mids = problem.cuboid.midpoint()
         slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
         P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)

@@ -64,7 +64,7 @@ class TrivialSolution:
 
 def _check_pair(i: int, j: int, p: int, n: int):
     if not 0 <= i < j < p:
-        raise InvalidArity(f"need 0 <= i < j < p, got i={i}, j={j}, p={p}")
+        raise InvalidArity(f"T_{{{i + 1},{j + 1}}} needs 1 <= i < j <= p = {p}")
     if n < p:
         raise InvalidArity("ambient dimension must be at least the arity")
 
@@ -189,10 +189,11 @@ class GeneratorPresentation:
         if self.codim > self.dim:
             raise InvalidArity("need q <= n")
         for (i, j), a in self.coeffs.items():
+            name = f"a_{{{i + 1},{j + 1}}}"  # the paper's 1-based indices
             if not (self.codim <= i < self.total and 0 <= j < self.codim):
-                raise InvalidArity(f"coefficient index ({i},{j}) out of range")
+                raise InvalidArity(f"coefficient {name} out of range: need q < i <= N and 1 <= j <= q")
             if (a.dim, a.center, a.backend) != (self.dim, (self.backend.zero(),) * self.dim, self.backend):
-                raise InvalidArity(f"coefficient ({i},{j}) must be a dim-{self.dim} {self.backend.tag} series at 0")
+                raise InvalidArity(f"coefficient {name} must be a dim-{self.dim} {self.backend.tag} series at 0")
 
     def coefficient(self, i: int, j: int) -> TruncatedSeries:
         got = self.coeffs.get((i, j))

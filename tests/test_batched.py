@@ -469,6 +469,29 @@ def test_density_cache_bounded_and_values_unchanged(monkeypatch):
     assert got.tolist() == fresh.solution.values(P[::-1])[::-1].tolist()
 
 
+def test_density_fills_stay_within_one_block(monkeypatch):
+    # weighted() is called for one kernel block's rows, so one values call fills them all
+    fills = []
+
+    class Recorded(cousin._PathQuad):
+        def __init__(self, *args):
+            super().__init__(*args)
+            phi, nodes = self.phi, len(self.zs)
+
+            def many(P):
+                fills.append((len(P), nodes))
+                return phi.values(P)
+
+            self.phi = Evaluable.batched(many)
+
+    monkeypatch.setattr(cousin, "_PathQuad", Recorded)
+    sol = solve_chain(n2_cousin1_problem())[0]
+    assert sol.report["pass"]
+    P = distinct_zp_points()
+    sol.solution.values(P)
+    assert fills and all(points <= max(cousin.BLOCK_ENTRIES, nodes) for points, nodes in fills)
+
+
 def test_extension_density_caches_hold_one_row(monkeypatch):
     # extension seams split z'-coefficients as functions of z_n alone
     paths = record_paths(monkeypatch)

@@ -311,9 +311,3 @@ class TestMorera:
         region = Cuboid(((-1.0, 1.0),) * ndim, ((-1.0, 1.0),) * ndim)
         f = Evaluable.batched(lambda P: np.where(nan_where(P[:, 0].real), np.nan, P[:, -1] ** 2))
         assert math.isnan(morera_residual(f, region))
-
-    def test_axes_filter(self):
-        region = Cuboid(((-1.0, 1.0), (-1.0, 1.0)), ((-1.0, 1.0), (-1.0, 1.0)))
-        f = Evaluable(lambda z: z[0].conjugate() + z[1])
-        assert morera_residual(f, region, axes=[1]) < 1e-10
-        assert morera_residual(f, region, axes=[0]) > 1e-3

@@ -1,12 +1,14 @@
 """Expression trees: one walker over points, numpy columns and series."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from okakit.errors import SchemaError
-from okakit.exprtree import evaluate, to_evaluable, to_series, validate
+from okakit.exprtree import MAX_POW, evaluate, to_evaluable, to_series, validate
 from okakit.series import evaluate as series_evaluate
 
 
@@ -62,6 +64,11 @@ def test_batched_values_match_pointwise_evaluate(case):
 @given(tree_and_points(polynomial=True))
 def test_series_lowering_matches_evaluate(case):
     dim, tree, pts = case
+    degree = validate(tree, dim)
+    if degree > MAX_POW or math.comb(degree + dim, dim) > math.comb(MAX_POW + 2, 2):
+        with pytest.raises(SchemaError):
+            to_series(tree, dim)
+        return
     f = to_series(tree, dim)
     assert f.backend.exact
     assert close([complex(series_evaluate(f, z)) for z in pts], [evaluate(tree, tuple(z)) for z in pts])
@@ -120,3 +127,16 @@ def test_validate_returns_the_degree():
     with pytest.raises(SchemaError):
         to_series({"op": "mul", "args": [pow_(z1, 64), z2]}, 2)
     assert len(to_evaluable(nested, 2).values(np.zeros((2, 2)))) == 2  # evaluation needs no lowering
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 64), (2, 64), (3, 21), (4, 12), (8, 5), (16, 3)])
+def test_lowering_bounded_by_its_terms(dim, degree):
+    # at most the C(66, 2) = 2,145 terms of degree 64 in two variables: the largest
+    # admitted degree of the all-ones linear form lowers, one more is refused
+    def power(k):
+        ones = [{"op": "var", "index": j} for j in range(1, dim + 1)] + [{"op": "const", "re": 1}]
+        return {"op": "pow", "base": {"op": "add", "args": ones}, "exp": k}
+
+    assert len(to_series(power(degree), dim).coeffs) == math.comb(degree + dim, dim)
+    with pytest.raises(SchemaError):
+        to_series(power(degree + 1), dim)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from okakit.merge import (
     solve_chain,
     verify_solution,
 )
-from okakit.series import constant, evaluate_complex, make_series, monomial, variable
+from okakit import merge
+from okakit.series import constant, evaluate_complex, make_series, monomial, scale, variable
+from test_batched import n2_cousin1_problem
 
 
 def pp(*poles):
@@ -48,6 +51,28 @@ def three_slab_problem(**kw):
     )
     params.update(kw)
     return ChiProblem(**params)
+
+
+def n2_chain_problem(slabs):
+    """n = 2 cousin1 chain on Re z2 in [-2, 2] whose loci and coefficients
+    depend on z1, over a base cuboid whose midpoint is off 0."""
+    width = 4.0 / slabs
+    data = []
+    for a in range(slabs):
+        mid = -2.0 + width * (a + 0.5)
+        terms = [PoleTerm(1, make_series(1, {(0,): 1 + 0.5j * a, (1,): 0.3}),
+                          make_series(1, {(0,): mid - 0.1, (1,): 0.1j}))]
+        if a % 2:
+            terms.append(PoleTerm(2, make_series(1, {(0,): -0.4, (2,): 0.2j}),
+                                  make_series(1, {(0,): mid + 0.15 + 0.1j, (1,): -0.05})))
+        data.append(PrincipalPartData(tuple(terms)))
+    return ChiProblem(
+        kind="cousin1",
+        cuboid=Cuboid(((0.1, 0.7), (-2.0, 2.0)), ((-0.2, 0.4), (-0.5, 0.5))),
+        breakpoints=tuple(-2.0 + width * k for k in range(1, slabs)),
+        data=tuple(data),
+        delta=0.2,
+    )
 
 
 def extension_problem(**kw):
@@ -201,6 +226,39 @@ class TestCousin1EndToEnd:
         assert [e["order"] for e in errors] == [1, 1, 2, 1]
         assert all(e["error"] <= 1e-6 for e in errors)  # NaN when the circle radius is 0
         assert report["pass"] and report["skipped_checks"] == []
+
+    @pytest.mark.parametrize("order", ["ltr", "rtl"])
+    @pytest.mark.parametrize("problem", [n2_cousin1_problem(), n2_chain_problem(3), n2_chain_problem(4)],
+                             ids=["n2-two-slabs", "n2-three-slabs", "n2-four-slabs"])
+    def test_every_n2_pole_checked(self, problem, order):
+        """Poles whose locus depends on z' are re-extracted at the slab's
+        midpoint z', one entry per term."""
+        report = solve_chain(problem, order=order)[0].report
+        errors = report["principal_part_errors"]
+        assert [(e["slab"], e["order"]) for e in errors] == [
+            (alpha, term.order) for alpha, datum in enumerate(problem.data) for term in datum.terms]
+        assert all(e["error"] <= problem.tol for e in errors)
+        assert report["pass"] and report["skipped_checks"] == []
+
+    def test_n2_verification_detects_residue_change(self):
+        prob = n2_cousin1_problem()
+        sol = solve_chain(prob, verify=False)[0]
+        assert verify_solution(sol, prob)["pass"]
+        (term,) = prob.data[0].terms
+        wrong = replace(prob, data=(PrincipalPartData((replace(term, coeff=scale(term.coeff, 1.1)),)),
+                                    prob.data[1]))
+        report = verify_solution(sol, wrong)
+        assert not report["pass"]
+        # the coefficient 1 + 0.5j z1 is 1 at the midpoint z1 = 0
+        assert report["principal_part_errors"][0]["error"] == pytest.approx(0.1, rel=1e-4)
+
+    def test_unknown_order_rejected_before_solving(self, monkeypatch):
+        def no_local_solution(*args):
+            raise AssertionError("a local solution was built")
+
+        monkeypatch.setattr(merge, "local_solution", no_local_solution)
+        with pytest.raises(ValueError, match="unknown merge order"):
+            solve_chain(three_slab_problem(), order="up")
 
     def test_verification_detects_antiholomorphic_noise(self):
         prob = three_slab_problem()
