@@ -462,16 +462,21 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     coefficient are taken at the slab's midpoint z', where the contour is
     drawn.  extension: the solution restricted to the subspace must match the
     target on a sample grid of Re z_n on each slice Im z_n in
-    ``subspace_slices`` (0 and +/- 0.9 theta), and the per-patch corrections
-    must pass the Morera residual.  ``skipped_checks`` lists the checks that
-    did not run.
+    ``subspace_slices`` (0 and +/- 0.9 theta; for q = n at the origin alone),
+    and the per-patch corrections must pass the Morera residual.
+    ``skipped_checks`` lists the checks that did not run: patch Morera where
+    no axis has positive Re and Im width.
     """
     tol = problem.tol
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": []}
-    morera_vals = [morera_residual(correction, problem.partition.slabs[alpha], grid=3)
-                   for alpha, correction in zip(sol.chain.indices, sol.corrections)]
-    report["patch_morera"] = morera_vals
-    ok = all(v <= tol for v in morera_vals)
+    slabs = [problem.partition.slabs[alpha] for alpha in sol.chain.indices]
+    # the slabs share their base and theta: every patch has an axis to integrate or none has
+    if any(rhi > rlo and ihi > ilo for (rlo, rhi), (ilo, ihi) in zip(slabs[0].re, slabs[0].im)):
+        report["patch_morera"] = [morera_residual(c, slab, grid=3) for c, slab in zip(sol.corrections, slabs)]
+    else:
+        report["patch_morera"] = []
+        report["skipped_checks"].append({"check": "patch_morera", "reason": "no axis of positive Re and Im width"})
+    ok = all(v <= tol for v in report["patch_morera"])
     if problem.kind == "cousin1":
         delta = problem.seam_margin()
         poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
@@ -490,11 +495,14 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
         ok = ok and all(e["error"] <= tol for e in errors)
     else:
         n, q = problem.ndim, problem.codim
-        lo, hi = sol.region.re[-1]
-        mids = problem.cuboid.midpoint()
-        slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
-        P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
-                      for y in slices for t in np.linspace(lo, hi, 101)])
+        if q < n:
+            lo, hi = sol.region.re[-1]
+            mids = problem.cuboid.midpoint()
+            slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
+            P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
+                          for y in slices for t in np.linspace(lo, hi, 101)])
+        else:  # S is the origin
+            slices, P = [0.0], np.zeros((1, n), dtype=complex)
         diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
         sup = sup_abs(diff)
         report["subspace_sup_error"] = sup

@@ -298,28 +298,9 @@ def evaluate(f: TruncatedSeries, point: Sequence):
     return acc
 
 
-def evaluate_complex(f: TruncatedSeries, point: Sequence) -> complex:
-    """Evaluate with plain complex arithmetic regardless of backend."""
-    z = tuple(complex(p) for p in point)
-    b = tuple(complex(c) for c in f.center)
-    w = tuple(z[k] - b[k] for k in range(f.dim))
-    acc = 0j
-    for exp, v in f.coeffs.items():
-        term = complex(v)
-        for k, e in enumerate(exp):
-            if e:
-                term *= w[k] ** e
-        acc += term
-    return acc
-
-
 def _cpow(wr, wi, e: int):
-    """(wr + i wi)**e, e >= 1, of floats or float arrays, rounded as CPython's
-    complex power: its square-and-multiply sequence up to e = 100, its general power above."""
-    if e > 100:
-        p = (complex(wr, wi) ** e if isinstance(wr, float)
-             else np.array([complex(a, b) ** e for a, b in zip(wr, wi)], dtype=complex))
-        return p.real, p.imag
+    """(wr + i wi)**e, e >= 1, of floats or float arrays, by the square-and-multiply
+    sequence of CPython's complex power (which CPython itself uses up to e = 100)."""
     (rr, ri), (pr, pi), mask = (1.0, 0.0), (wr, wi), 1
     while True:
         if e & mask:
@@ -331,15 +312,17 @@ def _cpow(wr, wi, e: int):
 
 
 def complex_evaluator(f: TruncatedSeries):
-    """``evaluate_complex`` compiled for many points: maps an (m, dim) complex
-    array to the (m,) values, equal (==) to ``evaluate_complex`` row by row.
-    Coefficients and center become floats once; terms are summed in dict
-    order, real and imaginary parts kept apart so products round as CPython's.
-    One row runs them on Python floats (same rounding, no numpy call overhead)."""
+    """Float evaluation of ``f`` compiled for many points: maps an (m, dim) complex
+    array to the (m,) values, each within an a priori bound of the exact value.
+    Coefficients and center become floats once; terms are summed in dict order,
+    real and imaginary parts kept apart.  One row runs the same operations on
+    Python floats (no numpy call overhead), so it equals that row of a batch."""
     center = [complex(c) for c in f.center]
     terms = [(exp, complex(v)) for exp, v in f.coeffs.items()]
 
     def many(P: np.ndarray) -> np.ndarray:
+        if P.shape[1:] != (f.dim,):
+            raise ValueError(f"points of shape {P.shape} for a series of dimension {f.dim}")
         if len(P) == 1:
             w = [(z.real - b.real, z.imag - b.imag) for z, b in zip(P[0].tolist(), center)]
             acc_re = acc_im = 0.0

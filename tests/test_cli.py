@@ -247,6 +247,20 @@ class TestCousin1:
         assert code == 0 and report["result"]["chains"][0]["skipped_checks"] == []
 
 
+    def test_flat_cuboid_lists_patch_morera_as_skipped(self, tmp_path):
+        # with Im z_n in [0, 0] no patch has an axis to integrate
+        payload = self.payload()
+        payload["cuboid"]["im"] = [[0.0, 0.0]]
+        for slab in payload["slabs"]:
+            slab["poles"][0]["im"] = 0.0
+        code, report = run_cli(tmp_path, "cousin1", payload)
+        assert code == 0
+        (chain,) = report["result"]["chains"]
+        assert chain["patch_morera"] == []
+        assert chain["skipped_checks"] == [{"check": "patch_morera", "reason": "no axis of positive Re and Im width"}]
+        assert len(chain["principal_part_errors"]) == 3 and chain["pass"]
+
+
 class TestJokuiko:
     def test_end_to_end(self, tmp_path):
         payload = {
@@ -263,6 +277,29 @@ class TestJokuiko:
         code, report = run_cli(tmp_path, "jokuiko", payload)
         assert code == 0
         assert all(c["pass"] for c in report["result"]["chains"])
+
+    def test_flat_cuboid_lists_patch_morera_as_skipped(self, tmp_path):
+        payload = {**VALID["jokuiko"], "cuboid": {"re": [[-0.5, 0.5], [-2, 2]], "im": [[0, 0], [0, 0]]}}
+        code, report = run_cli(tmp_path, "jokuiko", payload)
+        assert code == 0
+        (chain,) = report["result"]["chains"]
+        assert chain["patch_morera"] == []
+        assert chain["skipped_checks"] == [{"check": "patch_morera", "reason": "no axis of positive Re and Im width"}]
+        assert chain["subspace_slices"] == [0.0] and chain["pass"]
+
+    def test_codim_equal_to_dimension_checks_the_origin(self, tmp_path):
+        def plus_two(tree):
+            return {"op": "add", "args": [{"op": "const", "re": 2.0}, tree]}
+
+        z1, z2 = ({"op": "var", "index": k} for k in (1, 2))
+        payload = {**VALID["jokuiko"], "q": 2, "target": {"op": "const", "re": 2.0},
+                   "locals": [plus_two({"op": "mul", "args": [z1, z2]}),
+                              plus_two({"op": "pow", "base": z2, "exp": 2})]}
+        code, report = run_cli(tmp_path, "jokuiko", payload)
+        assert code == 0
+        (chain,) = report["result"]["chains"]
+        assert chain["subspace_slices"] == [0.0] and chain["subspace_sup_error"] == 0.0
+        assert chain["skipped_checks"] == [] and chain["pass"]
 
     def test_asymmetric_im_exits_2(self, tmp_path, capsys):
         payload = {

@@ -25,7 +25,7 @@ from okakit.merge import (
     verify_solution,
 )
 from okakit import merge
-from okakit.series import constant, evaluate_complex, make_series, monomial, scale, variable
+from okakit.series import constant, make_series, monomial, scale, variable
 from test_batched import n2_cousin1_problem
 
 
@@ -315,7 +315,7 @@ class TestExtensionEndToEnd:
         # the merged solution really differs from the plain extension off S
         sol = sols[0].solution
         z = (0.3 + 0.2j, 1.5 + 0.1j)
-        assert abs(sol(z) - evaluate_complex(g, z)) > 1e-4
+        assert abs(sol(z) - series_evaluable(g)(z)) > 1e-4
 
     def test_disconnected_chains_solved_separately(self):
         # shift the z1 box away from 0: no face meets S, three singleton chains
@@ -333,10 +333,10 @@ class TestExtensionEndToEnd:
         """A solution off the target on S only where Im z_n != 0 fails."""
         prob = extension_problem()
         sol = solve_chain(prob, verify=False)[0]
-        g = prob.target
+        g = series_evaluable(prob.target)
         off = ChiSolution(
             chain=sol.chain,
-            solution=Evaluable(lambda z: evaluate_complex(g, z) + 1e-3 * (z[-1].conjugate() - z[-1])),
+            solution=Evaluable(lambda z: g(z) + 1e-3 * (z[-1].conjugate() - z[-1])),
             corrections=[constant_evaluable(0.0) for _ in sol.corrections],
             region=sol.region,
         )
@@ -346,6 +346,26 @@ class TestExtensionEndToEnd:
         assert report["subspace_sup_error"] == pytest.approx(2e-3 * 0.45)
         assert verify_solution(sol, prob)["pass"]
 
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_codim_equal_to_dimension_checked_at_the_origin(self, n):
+        """For q = n, S is the origin: every row the check evaluates has n
+        coordinates, all 0."""
+        z = [variable(n, k) for k in range(n)]
+        prob = ChiProblem(kind="extension",
+                          cuboid=Cuboid(((-0.5, 0.5),) * (n - 1) + ((-2.0, 2.0),), ((-0.5, 0.5),) * n),
+                          breakpoints=(0.0,), codim=n, target=constant(n, 2), delta=0.2,
+                          local_overrides=(2 + z[0] * z[-1], 2 + z[-1] * z[-1] - 3 * z[0]))
+        sol = solve_chain(prob, verify=False)[0]
+        rows = []
+
+        def recorded(P):
+            rows.append(P)
+            return sol.solution.values(P)
+
+        report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
+        assert rows and all(P.shape[1] == n and not P.any() for P in rows)
+        assert report["subspace_slices"] == [0.0] and report["pass"], report
 
     @pytest.mark.parametrize("nan_where", [lambda re: re > 0.5, lambda re: re < -0.5], ids=["right", "left"])
     def test_subspace_check_fails_on_nan(self, nan_where):

@@ -8,6 +8,7 @@ import struct
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,9 @@ from okakit.series import (
     MAX_DIM,
     TruncatedSeries,
     add,
+    complex_evaluator,
     constant,
     evaluate,
-    evaluate_complex,
     from_json,
     invert_unit,
     make_series,
@@ -88,7 +89,7 @@ class TestConstruction:
     def test_variable_with_center_restores_value(self):
         # z_0 expanded at 2 is (z_0 - 2) + 2
         z = variable(1, 0, center=(2,))
-        assert evaluate_complex(z, (5,)) == 5
+        assert evaluate(z, (5,)) == QQi.of(5)
 
     def test_canonical_form_idempotent(self):
         rng = random.Random(11)
@@ -153,13 +154,10 @@ class TestEvaluation:
             dim = rng.randint(1, 3)
             a = random_polynomial(rng, dim, 5)
             b = random_polynomial(rng, dim, 5)
-            z = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim))
-            lhs = evaluate_complex(mul(a, b), z)
-            rhs = evaluate_complex(a, z) * evaluate_complex(b, z)
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-            lhs = evaluate_complex(add(a, b), z)
-            rhs = evaluate_complex(a, z) + evaluate_complex(b, z)
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+            # each float point read exactly as a Gaussian rational
+            z = tuple(QQi.of(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(dim))
+            assert evaluate(mul(a, b), z) == evaluate(a, z) * evaluate(b, z)
+            assert evaluate(add(a, b), z) == evaluate(a, z) + evaluate(b, z)
 
     def test_exact_evaluation_at_rational_point(self):
         f = make_series(1, {(2,): 1, (0,): -1})
@@ -183,8 +181,8 @@ class TestRecenter:
             f = random_polynomial(rng, dim, 6)
             center = tuple(rng.randint(-2, 2) for _ in range(dim))
             g = recenter(f, center)
-            z = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim))
-            assert abs(evaluate_complex(f, z) - evaluate_complex(g, z)) < 1e-8
+            z = tuple(QQi.of(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(dim))
+            assert evaluate(f, z) == evaluate(g, z)
 
     def test_round_trip_is_identity(self):
         rng = random.Random(23)
@@ -277,10 +275,11 @@ class TestCompatibility:
 class TestBackends:
     def test_to_floating_preserves_values(self):
         rng = random.Random(5)
-        f = random_polynomial(rng, 2, 5)
+        f = random_polynomial(rng, 2, 5, center=(Fraction(1, 3), QQi(Fraction(-2, 7), Fraction(1, 10))))
         g = to_floating(f)
-        z = (0.3 + 0.1j, -0.2j)
-        assert abs(evaluate_complex(f, z) - evaluate_complex(g, z)) < 1e-12
+        # both round each coefficient and center coordinate once, then run the same float operations
+        P = np.array([[0.3 + 0.1j, -0.2j], [1.7 - 0.4j, 0.9 + 2.5j]])
+        assert complex_evaluator(g)(P).tolist() == complex_evaluator(f)(P).tolist()
 
     def test_close_to_floating(self):
         be = floating(1e-9)

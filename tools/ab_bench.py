@@ -23,8 +23,11 @@ instance of seed 5: ``kernel_entries`` are the divisions w / (zeta - z_n),
 points x contour nodes x weight columns summed over every call of
 ``cousin.kernel_sums`` (or of ``_PathQuad.cauchy`` in a tree without it),
 and ``kernel_differences`` the zeta - z_n entries, points x contour nodes,
-which the columns of one call share.  The script exits 1 if a run fails or reports a
-failed output check.
+which the columns of one call share.  Under ``bits`` it gives, per group
+(``ml_chain``, ``ext_merge``, ``exact_algebra``, ``cli_mix``), the sha256 of
+fixed outputs on each side and whether they are equal; see ``BITS`` for what
+each group hashes.  Unequal bits are information, not a failure.  The script
+exits 1 if a run fails or reports a failed output check.
 """
 
 from __future__ import annotations
@@ -77,6 +80,58 @@ for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
     merge.solve_chain(workload(int(sys.argv[2])).pool[0][0])
     for what in out:
         out[what][name] = count[what]
+print(json.dumps(out))
+"""
+
+# Run in a tree's own interpreter process: the sha256 of each group's outputs.
+# ml_chain, ext_merge: the first 3 instances of seeds 5 and 11, both merge
+# orders: merged values at the instance's points, 20 one-point calls, every
+# correction's values and the report's repr.  exact_algebra: the outputs of
+# the first 20 case groups of seed 5.  cli_mix: exit code, stdout without
+# elapsed_s, and any exception of every request of seeds 1-3.
+BITS = """
+import dataclasses, hashlib, json, re, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+import numpy as np
+import bench_workloads as bw
+from okakit import merge, series
+def canon(x):
+    if isinstance(x, series.TruncatedSeries):
+        return series.to_json(x)
+    if dataclasses.is_dataclass(x):
+        return [type(x).__name__] + [canon(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return [[canon(k), canon(v)] for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    return repr(x)
+out = {}
+for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
+    h = hashlib.sha256()
+    for seed in (5, 11):
+        for item in workload(seed).pool[:3]:
+            problem, pts = item[0], item[2]
+            P = np.array(pts, dtype=complex)
+            for order in ("ltr", "rtl"):
+                for sol in merge.solve_chain(problem, order=order):
+                    h.update(sol.solution.values(P).tobytes())
+                    h.update(np.array([sol.solution.fn(z) for z in pts[:20]]).tobytes())
+                    for correction in sol.corrections:
+                        h.update(correction.values(P).tobytes())
+                    h.update(repr(sol.report).encode())
+    out[name] = h.hexdigest()
+h = hashlib.sha256()
+for group in bw.ExactAlgebra(5).pool[:20]:
+    for case, inputs in group:
+        h.update(json.dumps(canon(bw.algebra_task(case, inputs))).encode())
+out["exact_algebra"] = h.hexdigest()
+h = hashlib.sha256()
+for seed in (1, 2, 3):
+    for cycle in bw.CliMix(seed).pool:
+        for request in cycle:
+            code, stdout, raised = bw.run_cli(request[1], request[2])
+            h.update(repr((code, re.sub(r'"elapsed_s": [^,}]*', "", stdout), raised)).encode())
+out["cli_mix"] = h.hexdigest()
 print(json.dumps(out))
 """
 
@@ -140,6 +195,11 @@ def kernel_counts(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def output_bits(tree: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", BITS, str(tree)], check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -167,6 +227,10 @@ def main(argv=None) -> int:
         for what in ("entries", "differences"):
             report[f"kernel_{what}"] = {"seed": KERNEL_SEED, "instance": "first of the workload's pool",
                                         **{side: count[what] for side, count in counts.items()}}
+        bits = {side: output_bits(tree) for side, tree in sides.items()}
+        report["bits"] = {group: {"base": bits["base"][group], "change": bits["change"][group],
+                                  "equal": bits["base"][group] == bits["change"][group]}
+                          for group in bits["change"]}
     text = json.dumps(report, indent=2)
     if args.output:
         Path(args.output).write_text(text + "\n")
