@@ -460,24 +460,29 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     each pole must match the prescribed ones, and the per-patch corrections
     must pass the Morera residual; for n >= 2 both the pole and its
     coefficient are taken at the slab's midpoint z', where the contour is
-    drawn.  extension: the solution restricted to the subspace must match the
-    target on a sample grid of Re z_n on each slice Im z_n in
-    ``subspace_slices`` (0 and +/- 0.9 theta; for q = n at the origin alone),
-    and the per-patch corrections must pass the Morera residual.
-    ``skipped_checks`` lists the checks that did not run: patch Morera where
-    no axis has positive Re and Im width.
+    drawn.  ``skipped_checks`` lists patch Morera where no axis has positive
+    Re and Im width.  extension: every branch is holomorphic on its routed
+    region by construction, so a solution continuous across every seam is
+    holomorphic on the chain (Morera); ``seam_jumps`` gives, per seam s,
+    the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y in
+    [-theta, theta] and the diagonal corners z' of the base cuboid (every
+    axis at lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S).  Then the
+    solution restricted to the subspace must match the target on a sample
+    grid of Re z_n on each slice Im z_n in ``subspace_slices`` (0 and
+    +/- 0.9 theta; for q = n at the origin alone); a chain region that
+    misses S lists that check in ``skipped_checks``.
     """
     tol = problem.tol
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": []}
-    slabs = [problem.partition.slabs[alpha] for alpha in sol.chain.indices]
-    # the slabs share their base and theta: every patch has an axis to integrate or none has
-    if any(rhi > rlo and ihi > ilo for (rlo, rhi), (ilo, ihi) in zip(slabs[0].re, slabs[0].im)):
-        report["patch_morera"] = [morera_residual(c, slab, grid=3) for c, slab in zip(sol.corrections, slabs)]
-    else:
-        report["patch_morera"] = []
-        report["skipped_checks"].append({"check": "patch_morera", "reason": "no axis of positive Re and Im width"})
-    ok = all(v <= tol for v in report["patch_morera"])
     if problem.kind == "cousin1":
+        slabs = [problem.partition.slabs[alpha] for alpha in sol.chain.indices]
+        # the slabs share their base and theta: every patch has an axis to integrate or none has
+        if any(rhi > rlo and ihi > ilo for (rlo, rhi), (ilo, ihi) in zip(slabs[0].re, slabs[0].im)):
+            report["patch_morera"] = [morera_residual(c, slab, grid=3) for c, slab in zip(sol.corrections, slabs)]
+        else:
+            report["patch_morera"] = []
+            report["skipped_checks"].append({"check": "patch_morera", "reason": "no axis of positive Re and Im width"})
+        ok = all(v <= tol for v in report["patch_morera"])
         delta = problem.seam_margin()
         poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
         errors = []
@@ -494,19 +499,33 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
         report["principal_part_errors"] = errors
         ok = ok and all(e["error"] <= tol for e in errors)
     else:
-        n, q = problem.ndim, problem.codim
-        if q < n:
-            lo, hi = sol.region.re[-1]
-            mids = problem.cuboid.midpoint()
-            slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
-            P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
-                          for y in slices for t in np.linspace(lo, hi, 101)])
-        else:  # S is the origin
-            slices, P = [0.0], np.zeros((1, n), dtype=complex)
-        diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
-        sup = sup_abs(diff)
-        report["subspace_sup_error"] = sup
-        report["subspace_slices"] = slices
-        ok = ok and sup <= tol
+        n, q, region = problem.ndim, problem.codim, sol.region
+        # Re z_n = s^-, the float below s, routes to the left branch and s to the right one
+        seams = np.array([(np.nextafter(s, -np.inf), s) for s in map(problem.partition.seam, sol.chain.indices[:-1])])
+        corners = list(dict.fromkeys(tuple(complex(re[a], im[b]) for re, im in zip(region.re[:-1], region.im[:-1]))
+                                     for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))))
+        P = np.empty((len(seams), 2, len(corners), 61, n), dtype=complex)
+        P[..., :-1] = np.reshape(corners, (len(corners), 1, n - 1))
+        P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
+        sides = sol.solution.values(P.reshape(-1, n)).reshape(len(seams), 2, len(corners) * 61)
+        report["patch_morera"] = []
+        report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
+        ok = all(v <= tol for v in report["seam_jumps"])
+        if any(not lo <= 0 <= hi for k in range(q) for lo, hi in (region.re[k], region.im[k])):
+            report["skipped_checks"].append({"check": "subspace", "reason": "chain region does not meet S"})
+        else:
+            if q < n:
+                lo, hi = region.re[-1]
+                mids = problem.cuboid.midpoint()
+                slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
+                P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
+                              for y in slices for t in np.linspace(lo, hi, 101)])
+            else:  # S is the origin
+                slices, P = [0.0], np.zeros((1, n), dtype=complex)
+            diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
+            sup = sup_abs(diff)
+            report["subspace_sup_error"] = sup
+            report["subspace_slices"] = slices
+            ok = ok and sup <= tol
     report["pass"] = bool(ok)
     return report

@@ -278,7 +278,7 @@ def random_ideal_perturbation(rng):
 def test_criterion_6_extension_merge():
     rng = random.Random(606)
     sub = CoordinateSubspace(2, 1)
-    worst_sup = 0.0
+    worst_sup = worst_jump = 0.0
     for idx in range(10):
         g = random_target(rng)
         locals_ = (g + random_ideal_perturbation(rng), g + random_ideal_perturbation(rng))
@@ -302,5 +302,6 @@ def test_criterion_6_extension_merge():
         rep = sols[0].report
         assert rep["pass"], f"instance {idx} failed verification: {rep}"
         worst_sup = max(worst_sup, rep["subspace_sup_error"])
-    report(6, worst_sup <= 1e-8,
-           f"10 instances: subspace sup error <= {worst_sup:.2e}, witnesses exact")
+        worst_jump = max(worst_jump, *rep["seam_jumps"])
+    report(6, worst_sup <= 1e-8 and worst_jump <= 1e-8,
+           f"10 instances: subspace sup error <= {worst_sup:.2e}, seam jump <= {worst_jump:.2e}, witnesses exact")

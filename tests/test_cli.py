@@ -278,13 +278,16 @@ class TestJokuiko:
         assert code == 0
         assert all(c["pass"] for c in report["result"]["chains"])
 
-    def test_flat_cuboid_lists_patch_morera_as_skipped(self, tmp_path):
+    def test_flat_cuboid_checks_every_seam(self, tmp_path):
+        # extension reports check the seams, which a flat cuboid has as well; patch Morera is a cousin1 check
         payload = {**VALID["jokuiko"], "cuboid": {"re": [[-0.5, 0.5], [-2, 2]], "im": [[0, 0], [0, 0]]}}
         code, report = run_cli(tmp_path, "jokuiko", payload)
         assert code == 0
         (chain,) = report["result"]["chains"]
         assert chain["patch_morera"] == []
-        assert chain["skipped_checks"] == [{"check": "patch_morera", "reason": "no axis of positive Re and Im width"}]
+        assert chain["skipped_checks"] == []
+        assert len(chain["seam_jumps"]) == len(payload["breakpoints"])
+        assert all(jump <= report["tolerance"] for jump in chain["seam_jumps"])
         assert chain["subspace_slices"] == [0.0] and chain["pass"]
 
     def test_codim_equal_to_dimension_checks_the_origin(self, tmp_path):

@@ -24,8 +24,9 @@ from okakit.merge import (
     solve_chain,
     verify_solution,
 )
-from okakit import merge
+from okakit import cousin, merge
 from okakit.series import constant, make_series, monomial, scale, variable
+from test_batched import extension_problem as perturbed_extension_problem
 from test_batched import n2_cousin1_problem
 
 
@@ -329,6 +330,33 @@ class TestExtensionEndToEnd:
         for sol in sols:
             assert sol.chain.start == sol.chain.stop
 
+    def test_chain_region_missing_s_skips_subspace_check(self):
+        """z1 in [0.3, 0.8]: no chain meets S, so the subspace check does not
+        run and is listed as skipped; pass covers the seam checks that ran."""
+        prob = extension_problem(
+            cuboid=Cuboid(((0.3, 0.8), (-2.0, 2.0)), ((-0.2, 0.2), (-0.5, 0.5))),
+            breakpoints=(-0.5, 0.5),
+            local_overrides=None,
+        )
+        for sol in solve_chain(prob):
+            report = sol.report
+            assert report["skipped_checks"] == [{"check": "subspace", "reason": "chain region does not meet S"}]
+            assert "subspace_sup_error" not in report and "subspace_slices" not in report
+            assert report["seam_jumps"] == [] and report["pass"], report
+
+    def test_codim_equal_to_dimension_skips_chains_off_the_origin(self):
+        """For q = n only the chain whose Re z_n range holds 0 meets S."""
+        z = variable(1, 0)
+        prob = ChiProblem(kind="extension", cuboid=Cuboid(((-2.0, 2.0),), ((-0.5, 0.5),)),
+                          breakpoints=(-1.0, 1.0), codim=1, target=constant(1, 2), delta=0.2,
+                          local_overrides=(2 + z, 2 - 3 * z, 2 + z * z))
+        reports = [sol.report for sol in solve_chain(prob)]
+        assert [r["chain"] for r in reports] == [[0, 0], [1, 1], [2, 2]]
+        skipped = [{"check": "subspace", "reason": "chain region does not meet S"}]
+        assert [r["skipped_checks"] for r in reports] == [skipped, [], skipped]
+        assert reports[1]["subspace_sup_error"] == 0.0
+        assert all(r["pass"] for r in reports)
+
     def test_subspace_check_covers_im_slices(self):
         """A solution off the target on S only where Im z_n != 0 fails."""
         prob = extension_problem()
@@ -349,8 +377,8 @@ class TestExtensionEndToEnd:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_codim_equal_to_dimension_checked_at_the_origin(self, n):
-        """For q = n, S is the origin: every row the check evaluates has n
-        coordinates, all 0."""
+        """For q = n, S is the origin: the subspace check evaluates the
+        origin alone, in its own call; every other row lies on the seam."""
         z = [variable(n, k) for k in range(n)]
         prob = ChiProblem(kind="extension",
                           cuboid=Cuboid(((-0.5, 0.5),) * (n - 1) + ((-2.0, 2.0),), ((-0.5, 0.5),) * n),
@@ -364,7 +392,11 @@ class TestExtensionEndToEnd:
             return sol.solution.values(P)
 
         report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
-        assert rows and all(P.shape[1] == n and not P.any() for P in rows)
+        *seam_calls, origin = rows
+        assert origin.shape == (1, n) and not origin.any()
+        assert seam_calls and all(P.shape[1] == n for P in seam_calls)
+        assert all(np.isin(P[:, -1].real, (np.nextafter(0.0, -np.inf), 0.0)).all() for P in seam_calls)
+        assert len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
         assert report["subspace_slices"] == [0.0] and report["pass"], report
 
     @pytest.mark.parametrize("nan_where", [lambda re: re > 0.5, lambda re: re < -0.5], ids=["right", "left"])
@@ -381,6 +413,56 @@ class TestExtensionEndToEnd:
         report = verify_solution(nan_part, prob)
         assert math.isnan(report["subspace_sup_error"])
         assert not report["pass"]
+
+
+def one_panel_of_two_nodes(monkeypatch, prob):
+    return replace(prob, quad=QuadratureSpec(panels=1, nodes=2))
+
+
+def right_half_dropped(monkeypatch, prob, s=0.0):
+    """The first key's right split half at seam s is the split of 0."""
+    split, dropped = merge.cousin_split, []
+
+    def mutant(density, geom, spec):
+        left, right = split(density, geom, spec)
+        if geom.s == s and not dropped:
+            dropped.append(geom.s)
+            right = split(constant_evaluable(0), geom, spec)[1]
+        return left, right
+
+    monkeypatch.setattr(merge, "cousin_split", mutant)
+    return prob
+
+
+def left_contour_pushed_left(monkeypatch, prob, s=0.0):
+    """The left branches at seam s integrate over the right branches'
+    contour, pushed to s - delta instead of s + delta."""
+    path_quad = cousin._PathQuad
+
+    def mutant(pieces, spec, phi):
+        if len(pieces) == 3 and pieces[0][0].real == s < pieces[1][0].real:
+            pieces = [(complex(2 * s - a.real, a.imag), complex(2 * s - b.real, b.imag), k) for a, b, k in pieces]
+        return path_quad(pieces, spec, phi)
+
+    monkeypatch.setattr(cousin, "_PathQuad", mutant)
+    return prob
+
+
+class TestExtensionMutants:
+    """Broken glue on the perturbed 4-slab problem (seams at -1, 0, 1) must
+    fail the report: the seam check sees each jump."""
+
+    def test_unmutated_solution_passes(self):
+        report = solve_chain(perturbed_extension_problem(slabs=4))[0].report
+        assert report["pass"] and len(report["seam_jumps"]) == 3
+        assert max(report["seam_jumps"]) <= 1e-10
+
+    @pytest.mark.parametrize("mutant", [one_panel_of_two_nodes, right_half_dropped, left_contour_pushed_left])
+    def test_mutant_fails(self, monkeypatch, mutant):
+        prob = mutant(monkeypatch, perturbed_extension_problem(slabs=4))
+        report = solve_chain(prob)[0].report
+        assert not report["pass"]
+        assert max(report["seam_jumps"]) > 1e-6, report
 
 
 class TestDeterminism:
