@@ -49,7 +49,8 @@ class QuadratureSpec:
     pole the solvers admit, twice the delta/2 between the vertical piece and
     the points it serves, so its Gauss error is at most the vertical piece's.
     The node sets are deterministic, so the seam-split caches can reuse
-    them.  ``nodes`` is at most MAX_NODES, and a seam-long piece has at most
+    them.  A cousin1 merge gives a seam more panels where a pole is near one
+    of its contours (``merge.seam_quadrature``).  ``nodes`` is at most MAX_NODES, and a seam-long piece has at most
     MAX_PIECE_NODES nodes (``panels * nodes``); the legs together get at most
     panels + 1 panels, so a pushed contour has at most about twice that.
     """
@@ -192,7 +193,7 @@ def _path_nodes(pieces: tuple, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 # A path keeps its weighted node densities for this many distinct z', least
 # recently used dropped first: more than the 288 one default morera_residual
-# call visits on an n = 2 slab, so verification reuses them across slabs.
+# call visits on an n = 2 slab.
 DENSITY_CACHE_SIZE = 512
 # Bound on temporaries: entries per Cauchy (points x nodes) or power
 # (points x terms) block.
@@ -281,6 +282,11 @@ class SplitBranch(Evaluable):
     valid_re: tuple[float, float] = (-math.inf, math.inf)
 
 
+def taylor_terms(rho: float) -> int:
+    """The fewest terms M of a far-field fold with rho^M / (1 - rho) <= 2^-53."""
+    return math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho))
+
+
 def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: float) -> Callable:
     """The map from points P to the list whose entry k is the column of the
     summed pushed-contour Cauchy sums of ``keys[k]`` (densities of z_n
@@ -319,7 +325,7 @@ def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: f
     for ks, zc, t in map(block, groups[1].values()):
         zc = zc - center
         rho = radius / np.abs(zc).min()
-        coeffs = np.empty((len(ks), math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho))), dtype=complex)
+        coeffs = np.empty((len(ks), taylor_terms(rho)), dtype=complex)
         for m in range(coeffs.shape[1]):
             t = t / zc
             coeffs[:, m] = t.sum(axis=1)
@@ -347,7 +353,7 @@ def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: f
     return columns
 
 
-def _distance_to_segment(zn: complex, a: complex, b: complex) -> float:
+def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
     seg = b - a
     t = ((zn - a) / seg).real
     t = min(1.0, max(0.0, t))
@@ -362,10 +368,29 @@ def cauchy_segment_integral(
     z = tuple(complex(v) for v in z)
     zn = z[-1]
     a, b = geom.segment
-    if _distance_to_segment(zn, a, b) < 1e-13:
+    if distance_to_segment(zn, a, b) < 1e-13:
         raise OnContour(f"evaluation point {zn} lies on the integration segment")
     quad = _PathQuad([(a, b, spec.panels)], spec, phi)
     return complex(quad.cauchy(np.array([z]))[0])
+
+
+def split_contours(geom: SplitGeometry, spec: QuadratureSpec) -> tuple[list, list, list]:
+    """The straight pieces (a, b, panels) of the seam segment and of the
+    contours pushed to Re = s + delta (the left branch's) and s - delta (the
+    right branch's), with the panel counts ``spec`` gives them."""
+    s, d, h = geom.s, geom.delta, geom.height
+    # Each leg (length delta <= h) gets panels in proportion to its length;
+    # a ratio within 1e-9 of a whole number counts as that number, so float
+    # rounding never adds a panel.
+    leg = max(1, math.ceil(round(spec.panels * d / (2 * h), 9)))
+
+    def pushed_to(x: float) -> list:
+        """The segment's endpoints joined through Re = x: a leg of length
+        delta, the vertical piece of length 2h, and a leg back."""
+        corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
+        return list(zip(corners, corners[1:], (leg, spec.panels, leg)))
+
+    return [(*geom.segment, spec.panels)], pushed_to(s + d), pushed_to(s - d)
 
 
 def cousin_split(phi: Evaluable, geom: SplitGeometry,
@@ -376,21 +401,12 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     The left branch integrates over the contour pushed right of the seam
     (valid for Re z_n < s + delta); near that contour it switches to the
     segment integral plus the jump term phi.  Mirrored for the right branch.
+    The contours are ``split_contours(geom, spec)``.
     """
     spec = spec or QuadratureSpec()
-    s, d, h = geom.s, geom.delta, geom.height
-    a, b = geom.segment
-    seam_quad = _PathQuad([(a, b, spec.panels)], spec, phi)
-    # Each leg (length delta <= h) gets panels in proportion to its length;
-    # a ratio within 1e-9 of a whole number counts as that number, so float
-    # rounding never adds a panel.
-    leg = max(1, math.ceil(round(spec.panels * d / (2 * h), 9)))
-
-    def pushed_to(x: float) -> _PathQuad:
-        """The segment's endpoints joined through Re = x: a leg of length
-        delta, the vertical piece of length 2h, and a leg back."""
-        corners = [complex(s, -h), complex(x, -h), complex(x, h), complex(s, h)]
-        return _PathQuad(list(zip(corners, corners[1:], (leg, spec.panels, leg))), spec, phi)
+    s, d = geom.s, geom.delta
+    seam, left, right = split_contours(geom, spec)
+    seam_quad = _PathQuad(seam, spec, phi)
 
     def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> SplitBranch:
         def many(P):
@@ -405,8 +421,27 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
 
         return SplitBranch.batched(many, pushed=pushed, valid_re=(lo, hi))
 
-    return (branch(pushed_to(s + d), -math.inf, s + d / 2, np.add),
-            branch(pushed_to(s - d), s - d / 2, math.inf, np.subtract))
+    return (branch(_PathQuad(left, spec, phi), -math.inf, s + d / 2, np.add),
+            branch(_PathQuad(right, spec, phi), s - d / 2, math.inf, np.subtract))
+
+
+# The Gauss error of a panel of length l whose integrand is of size about M
+# off a singularity d from the panel: with a = 2d/l the singularity lies
+# outside the Bernstein ellipse rho = a + sqrt(a^2 + 1), whose half minor axis
+# is a, and the error is about M rho^(-2 nodes) (Trefethen, *Approximation
+# Theory and Approximation Practice*, SIAM 2013, Thm 19.3).
+
+def gauss_error(length: float, d: float, bound: float, nodes: int) -> float:
+    """The estimate M rho^(-2 nodes) for a panel of ``length``, M = ``bound``."""
+    a = 2 * d / length
+    return bound * (a + math.sqrt(a * a + 1)) ** (-2 * nodes)
+
+
+def longest_panel(d: float, bound: float, nodes: int, target: float) -> float:
+    """The longest panel whose ``gauss_error`` is at most ``target``: l = 2d/a
+    for the a whose rho = a + sqrt(a^2 + 1) is (bound / target)^(1 / 2 nodes)."""
+    rho = (bound / target) ** (0.5 / nodes)
+    return 4 * d / (rho - 1 / rho) if rho > 1 else math.inf
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5) -> list[tuple]:

@@ -23,13 +23,18 @@ from typing import Callable
 import numpy as np
 
 from .cousin import (
+    MAX_PIECE_NODES,
     Evaluable,
     QuadratureSpec,
     SplitGeometry,
     constant_evaluable,
     cousin_split,
+    distance_to_segment,
     fused_sums,
+    gauss_error,
+    longest_panel,
     morera_residual,
+    split_contours,
     sup_abs,
 )
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
@@ -119,6 +124,8 @@ class ChiProblem:
         # every seam then sits at least delta inside its chain, as SplitGeometry requires
         if self.delta is not None and not 0 < self.delta <= min(self._slab_widths()):
             raise ValueError("seam margin delta must be positive and at most the narrowest slab width")
+        if not self.tol > 0:  # the panel rule aims at tol / 10
+            raise ValueError(f"tolerance must be positive, got {self.tol}")
 
     @property
     def ndim(self) -> int:
@@ -166,6 +173,30 @@ def _poles(problem: ChiProblem, alpha: int) -> list[tuple[PoleTerm, tuple, compl
     term's locus at the slab's midpoint z'."""
     zp = problem.partition.slabs[alpha].midpoint()[:-1]
     return [(term, zp, _at(term.locus, zp)) for term in problem.data[alpha].terms]
+
+
+def _majorant(f: TruncatedSeries, radii: tuple, constant: bool = True) -> float:
+    """sum |a_e| prod r_i^e_i over the terms of f (without the constant term
+    unless ``constant``): a bound on |f(z') - f(c)|, or on |f(z')| with the
+    constant, for |z'_i - c_i| <= r_i."""
+    return sum(abs(v) * math.prod(r ** k for r, k in zip(radii, e))
+               for e, v in f.coeffs.items() if constant or any(e))
+
+
+def _pole_discs(problem: ChiProblem, alpha: int) -> list[tuple[int, float, complex, float]]:
+    """(order, coefficient bound, centre, radius) for every term of slab
+    alpha's principal part: over the base cuboid the term's locus stays in
+    the disc and its coefficient's modulus under the bound (majorants about
+    each series' centre; for n = 1 the locus is a point)."""
+    cub = problem.cuboid
+
+    def reach(f: TruncatedSeries) -> tuple:  # per base axis, the farthest corner of its rectangle from f's centre
+        return tuple(max(abs(complex(re, im) - complex(c)) for re in cub.re[i] for im in cub.im[i])
+                     for i, c in enumerate(f.center))
+
+    return [(t.order, _majorant(t.coeff, reach(t.coeff)),
+             complex(t.locus.coefficient((0,) * t.locus.dim)), _majorant(t.locus, reach(t.locus), False))
+            for t in problem.data[alpha].terms]
 
 
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
@@ -283,7 +314,8 @@ def _sum_corrections(P: np.ndarray, keys: list, columns: Callable) -> np.ndarray
     """The sum of the columns of ``columns``, one per key in ``keys``.  With
     key None a column is a function on C^n, taken at the rows of P; with key
     (axis, c', m) it is a function b(z_n), taken once per distinct z_n of P
-    and added as (z' - c')^m * b(z_n) * z_axis."""
+    and added as (z' - c')^m * b(z_n) * z_axis; in a batch, rows where every
+    key's z_axis is 0 get 0 and take no part."""
     acc = np.zeros(len(P), dtype=complex)
     if not keys or keys[0] is None:  # cousin1: every key is None
         for col in columns(P):
@@ -291,6 +323,12 @@ def _sum_corrections(P: np.ndarray, keys: list, columns: Callable) -> np.ndarray
         return acc
     zn, inv, monomials = P[:, -1], slice(None), {}
     if len(P) > 1:
+        # rows with z_axis = 0 for every key (on S) add finite * 0: they take no correction
+        live = P[:, sorted({axis for axis, _, _ in keys})].any(axis=1)
+        if not live.all():
+            if live.any():
+                acc[live] = _sum_corrections(P[live], keys, columns)
+            return acc
         # each b(z_n) is summed once per distinct z_n, then scattered back to the rows
         zn, inv = np.unique(zn, return_inverse=True)
     for key, col in zip(keys, columns(zn[:, None])):
@@ -353,17 +391,20 @@ def _zn_coefficients(axis: int, w: TruncatedSeries) -> dict:
 
 
 def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
-               problem: ChiProblem) -> ChainState:
+               problem: ChiProblem, spec: QuadratureSpec | None = None) -> ChainState:
     """Merge two adjacent partial solutions across the seam of ``geom``.
 
-    The seam densities are split with the Cousin contours; the left halves
-    are added to every left branch and the right halves to every right
-    branch, so the two sides agree on the seam strip.  An extension seam
-    density sum_j z_j * w_j is polynomial in z', so it is split one
-    z'-coefficient at a time, as a function of z_n alone (n = 1 splits);
-    the next seam's density for a coefficient adds the earlier corrections
-    of that coefficient.
+    The seam densities are split with the Cousin contours, on ``spec``'s
+    panels (``problem.quad`` by default); the left halves are added to every
+    left branch and the right halves to every right branch, so the two sides
+    agree on the seam strip.  A cousin1 density rb - lb is a finite sum of
+    principal parts and Cauchy sums, holomorphic on the seam strip by
+    construction.  An extension seam density sum_j z_j * w_j is polynomial
+    in z', so it is split one z'-coefficient at a time, as a function of z_n
+    alone (n = 1 splits); the next seam's density for a coefficient adds the
+    earlier corrections of that coefficient.
     """
+    spec = spec or problem.quad
     lb = left.branches[-1]
     rb = right.branches[0]
     if problem.kind == "extension":
@@ -378,15 +419,51 @@ def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
         for key, e in lb.corrections:
             densities[key] = densities.get(key, zero) - e
     else:
-        diff = seam_difference(Evaluable.batched(rb.values), Evaluable.batched(lb.values),
-                               geom.overlap, tol=max(problem.tol, 1e-10))
-        densities = {None: diff}
-    halves = [(key, cousin_split(density, geom, problem.quad)) for key, density in densities.items()]
+        densities = {None: Evaluable.batched(rb.values) - Evaluable.batched(lb.values)}
+    halves = [(key, cousin_split(density, geom, spec)) for key, density in densities.items()]
     new_left = tuple((key, h[0]) for key, h in halves)
     new_right = tuple((key, h[1]) for key, h in halves)
     return ChainState([replace(b, corrections=b.corrections + new_left) for b in left.branches]
                       + [replace(b, corrections=b.corrections + new_right) for b in right.branches],
                       left.seams + [geom.s] + right.seams)
+
+
+def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list) -> tuple[QuadratureSpec, dict]:
+    """The seam's quadrature, with panels from the pole table, and its report
+    entry {s, panels, nodes, bound}.
+
+    For every straight piece of the seam's contours (``split_contours``: the
+    segment, the two pushed contours and their legs), d is the least
+    distance from a locus disc of ``discs`` (``_pole_discs`` of the two slabs
+    at the seam) to the piece, and M = max(1, sum_t C_t / d_t^k_t) over the
+    terms t bounds the density there.  The seam gets the fewest panels, at
+    least ``problem.quad.panels``, that keep every panel of every piece
+    within its ``longest_panel`` for a Gauss error of tol / 10: a leg's
+    panels are never longer than the seam-long pieces'.  More than
+    MAX_PIECE_NODES nodes on a seam-long piece raise ``PoleTooCloseToSeam``.
+    ``panels`` is the seam-long pieces' count, ``nodes`` the Gauss nodes of
+    the three contours and ``bound`` the largest ``gauss_error`` of a piece.
+    Extension densities have no poles: their seams keep ``problem.quad``,
+    with bound 0.
+    """
+    quad, h = problem.quad, geom.height
+    pieces = []
+    for a, b, _ in (piece for contour in split_contours(geom, quad) for piece in contour):
+        dists = [distance_to_segment(c, a, b) - r for _, _, c, r in discs]
+        d = min(dists, default=math.inf)
+        M = max(1.0, sum(C / dt ** k for (k, C, _, _), dt in zip(discs, dists))) if d > 0 else math.inf
+        pieces.append((d, M))
+    ell = min(longest_panel(d, M, quad.nodes, problem.tol / 10) if d > 0 else 0.0 for d, M in pieces)
+    panels = max(quad.panels, math.ceil(min(2 * h / ell if ell > 0 else math.inf, MAX_PIECE_NODES)))
+    if panels * quad.nodes > MAX_PIECE_NODES:
+        raise PoleTooCloseToSeam(f"a pole comes within {max(0.0, min(d for d, _ in pieces)):.3g} of a contour of "
+                                 f"the seam at {geom.s}: more than {MAX_PIECE_NODES} Gauss nodes on a seam-long "
+                                 f"piece would be needed")
+    spec = replace(quad, panels=panels)
+    contours = [piece for contour in split_contours(geom, spec) for piece in contour]
+    bound = max((gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (d, M) in zip(contours, pieces)
+                 if d < math.inf), default=0.0)
+    return spec, {"s": geom.s, "panels": panels, "nodes": quad.nodes * sum(k for *_, k in contours), "bound": bound}
 
 
 # -- solving and verification -------------------------------------------
@@ -399,6 +476,7 @@ class ChiSolution:
     corrections: list[Evaluable]
     region: Cuboid
     report: dict | None = None
+    seam_quadrature: list[dict] = field(default_factory=list)  # ``seam_quadrature`` entries, in seam order
 
 
 def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) -> ChiSolution:
@@ -411,18 +489,22 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) 
     if problem.ndim > 1:
         base = Cuboid(region.re[:-1], region.im[:-1])
     states = [_singleton_state(problem, alpha) for alpha in chain.indices]
+    discs = [_pole_discs(problem, alpha) if problem.kind == "cousin1" else [] for alpha in chain.indices]
     acc = states[0]
     # seam chain.start + k joins states k and k + 1; the merge replaces both
     seams = range(len(states) - 1)
+    quadrature = [None] * len(seams)
     for k in seams if order == "ltr" else reversed(seams):
         geom = SplitGeometry(s=problem.partition.seam(chain.start + k), delta=problem.seam_margin(),
                              theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
-        acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem)
+        spec, quadrature[k] = seam_quadrature(problem, geom, discs[k] + discs[k + 1])
+        acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem, spec)
     return ChiSolution(
         chain=chain,
         solution=acc.evaluable(),
         corrections=[acc.branch_correction(k) for k in range(len(chain.indices))],
         region=region,
+        seam_quadrature=quadrature,
     )
 
 
@@ -442,75 +524,88 @@ def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) ->
     return sols
 
 
+def _ring(pole: complex, radius: float, zp: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The 64 points (z', pole + radius e^(i t)) of a residue circle, and
+    their offsets from the pole."""
+    d = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    return np.array([zp + (zn,) for zn in (pole + d).tolist()]), d
+
+
+def _ring_coefficient(vals: np.ndarray, d: np.ndarray, order: int) -> complex:
+    """The trapezoidal (1/2 pi i) circle integral of f (z_n - pole)^(order-1) dz_n
+    from f's values on ``_ring``'s points."""
+    return complex(np.sum(vals * d ** (order - 1) * d) / 64)
+
+
 def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
                                   radius: float, zp: tuple = ()) -> complex:
     """(1/2 pi i) * circle integral of f(z)*(z_n - pole)^(order-1) dz_n,
     by the trapezoidal rule on 64 points."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    ring = pole + radius * np.exp(1j * thetas)
-    P = np.array([zp + (zn,) for zn in ring.tolist()])
-    d = ring - pole
-    return complex(np.sum(f.values(P) * d ** (order - 1) * d) / 64)
+    P, d = _ring(pole, radius, zp)
+    return _ring_coefficient(f.values(P), d, order)
 
 
 def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """Checkable form of the solution property.
 
+    Both kinds: every branch is holomorphic on its routed region by
+    construction: a cousin1 branch is its slab's principal part plus Cauchy
+    sums whose nodes all lie at least delta outside that region (and
+    far-field Taylor polynomials), so it is meromorphic there with the
+    data's poles alone; an extension branch is a polynomial plus such sums.
+    A solution continuous across every seam is then holomorphic (for
+    cousin1: off the poles) on the chain (Morera).  ``seam_jumps`` gives,
+    per seam s, the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y
+    in [-theta, theta] and the diagonal corners z' of the base cuboid
+    (every axis at lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S for
+    extension), and every jump must be at most tol.  ``seam_quadrature``
+    holds each seam's panels and Gauss error estimate, as the solve chose
+    them (``seam_quadrature``).  ``patch_morera`` stays an empty list.
+
     cousin1: principal coefficients re-extracted by contour integrals around
-    each pole must match the prescribed ones, and the per-patch corrections
-    must pass the Morera residual; for n >= 2 both the pole and its
-    coefficient are taken at the slab's midpoint z', where the contour is
-    drawn.  ``skipped_checks`` lists patch Morera where no axis has positive
-    Re and Im width.  extension: every branch is holomorphic on its routed
-    region by construction, so a solution continuous across every seam is
-    holomorphic on the chain (Morera); ``seam_jumps`` gives, per seam s,
-    the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y in
-    [-theta, theta] and the diagonal corners z' of the base cuboid (every
-    axis at lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S).  Then the
-    solution restricted to the subspace must match the target on a sample
-    grid of Re z_n on each slice Im z_n in ``subspace_slices`` (0 and
-    +/- 0.9 theta; for q = n at the origin alone); a chain region that
-    misses S lists that check in ``skipped_checks``.
+    each pole must match the prescribed ones; for n >= 2 both the pole and
+    its coefficient are taken at the slab's midpoint z', where the contour is
+    drawn.  extension: the solution restricted to the subspace must match
+    the target on a sample grid of Re z_n on each slice Im z_n in
+    ``subspace_slices`` (0 and +/- 0.9 theta; for q = n at the origin
+    alone); a chain region that misses S lists that check in
+    ``skipped_checks``.
     """
-    tol = problem.tol
-    report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": []}
+    tol, n, region = problem.tol, problem.ndim, sol.region
+    report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
+                    "patch_morera": [], "seam_quadrature": sol.seam_quadrature}
+    # Re z_n = s^-, the float below s, routes to the left branch and s to the right one
+    seams = np.array([(np.nextafter(s, -np.inf), s) for s in map(problem.partition.seam, sol.chain.indices[:-1])])
+    corners = list(dict.fromkeys(tuple(complex(re[a], im[b]) for re, im in zip(region.re[:-1], region.im[:-1]))
+                                 for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))))
+    P = np.empty((len(seams), 2, len(corners), 61, n), dtype=complex)
+    P[..., :-1] = np.reshape(corners, (len(corners), 1, n - 1))
+    P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
+    sides = sol.solution.values(P.reshape(-1, n)).reshape(len(seams), 2, len(corners) * 61)
+    report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
+    ok = all(v <= tol for v in report["seam_jumps"])
     if problem.kind == "cousin1":
-        slabs = [problem.partition.slabs[alpha] for alpha in sol.chain.indices]
-        # the slabs share their base and theta: every patch has an axis to integrate or none has
-        if any(rhi > rlo and ihi > ilo for (rlo, rhi), (ilo, ihi) in zip(slabs[0].re, slabs[0].im)):
-            report["patch_morera"] = [morera_residual(c, slab, grid=3) for c, slab in zip(sol.corrections, slabs)]
-        else:
-            report["patch_morera"] = []
-            report["skipped_checks"].append({"check": "patch_morera", "reason": "no axis of positive Re and Im width"})
-        ok = all(v <= tol for v in report["patch_morera"])
         delta = problem.seam_margin()
         poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
-        errors = []
+        rings = []
         for alpha, term, zp, p in poles:
             # terms at one position are one principal part: only other positions bound the circle
             sep = min((abs(p - q) for *_, q in poles if q != p), default=np.inf)
             radius = min(delta / 2, 0.45 * sep)
             if problem.theta > 0:
                 radius = min(radius, max(problem.theta - abs(p.imag), delta / 4))
-            got = extract_principal_coefficient(sol.solution, p, term.order, radius, zp)
-            want = _at(term.coeff, zp)
+            rings.append(_ring(p, radius, zp))
+        # every ring in one call: the rows are those each ring would pass on its own
+        vals = sol.solution.values(np.concatenate([R for R, _ in rings])) if rings else None
+        errors = []
+        for i, ((alpha, term, zp, p), (_, d)) in enumerate(zip(poles, rings)):
+            got = _ring_coefficient(vals[64 * i:64 * (i + 1)], d, term.order)
             errors.append({"slab": alpha, "order": term.order,
-                           "pole": [p.real, p.imag], "error": abs(got - want)})
+                           "pole": [p.real, p.imag], "error": abs(got - _at(term.coeff, zp))})
         report["principal_part_errors"] = errors
         ok = ok and all(e["error"] <= tol for e in errors)
     else:
-        n, q, region = problem.ndim, problem.codim, sol.region
-        # Re z_n = s^-, the float below s, routes to the left branch and s to the right one
-        seams = np.array([(np.nextafter(s, -np.inf), s) for s in map(problem.partition.seam, sol.chain.indices[:-1])])
-        corners = list(dict.fromkeys(tuple(complex(re[a], im[b]) for re, im in zip(region.re[:-1], region.im[:-1]))
-                                     for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))))
-        P = np.empty((len(seams), 2, len(corners), 61, n), dtype=complex)
-        P[..., :-1] = np.reshape(corners, (len(corners), 1, n - 1))
-        P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
-        sides = sol.solution.values(P.reshape(-1, n)).reshape(len(seams), 2, len(corners) * 61)
-        report["patch_morera"] = []
-        report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
-        ok = all(v <= tol for v in report["seam_jumps"])
+        q = problem.codim
         if any(not lo <= 0 <= hi for k in range(q) for lo, hi in (region.re[k], region.im[k])):
             report["skipped_checks"].append({"check": "subspace", "reason": "chain region does not meet S"})
         else:

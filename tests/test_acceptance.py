@@ -231,16 +231,17 @@ def ml_battery():
 def test_criterion_5_mittag_leffler_end_to_end():
     started = time.time()
     worst_residue = 0.0
-    worst_morera = 0.0
+    worst_jump = 0.0
     for idx, (prob, sol) in enumerate(ml_battery()):
         rep = sol.report
         assert rep["pass"], f"instance {idx} failed verification: {rep}"
+        assert len(rep["seam_jumps"]) == 2, f"instance {idx}: not every seam checked"
         worst_residue = max(worst_residue, max(e["error"] for e in rep["principal_part_errors"]))
-        worst_morera = max(worst_morera, max(rep["patch_morera"]))
+        worst_jump = max(worst_jump, *rep["seam_jumps"])
     elapsed = time.time() - started
-    ok = worst_residue <= 1e-6 and worst_morera <= 1e-8 and elapsed < 60.0
+    ok = worst_residue <= 1e-6 and worst_jump <= 1e-8 and elapsed < 60.0
     report(5, ok,
-           f"20 instances: residue error <= {worst_residue:.2e}, patch morera <= {worst_morera:.2e} "
+           f"20 instances: residue error <= {worst_residue:.2e}, seam jump <= {worst_jump:.2e} "
            f"({elapsed:.2f}s)")
 
 

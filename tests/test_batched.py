@@ -330,6 +330,27 @@ def record_kernel(monkeypatch) -> list:
     return calls
 
 
+def test_rows_on_s_take_no_extension_correction(monkeypatch):
+    """z_1 = 0 multiplies every extension correction by 0: a batch of rows
+    on S builds no kernel block and gives each row its branch's local value,
+    as fn does, and a batch with rows off S keeps the values of every row."""
+    problem = extension_problem(slabs=3)
+    sol = solve_chain(problem, verify=False)[0]
+    on_s = np.array(grid_points(-1.9, 1.9, -0.45, 0.45, zp=(0j,)))
+    off_s = np.array(grid_points(-1.8, 1.8, -0.4, 0.4, zp=(0.3 - 0.2j,)))  # no z_2 of on_s
+    mixed = np.concatenate([on_s, off_s])[np.random.default_rng(5).permutation(len(on_s) + len(off_s))]
+    want = sol.solution.values(mixed)
+    state = sol.solution.many.__self__
+    calls = record_kernel(monkeypatch)
+    got = sol.solution.values(on_s)
+    assert calls == [] and [sol.solution.fn(tuple(z)) for z in on_s.tolist()] == got.tolist()
+    idx = np.searchsorted(state.seams, on_s[:, -1].real, side="right")
+    assert got.tolist() == [state.branches[k].local.fn(tuple(z)) for k, z in zip(idx, on_s.tolist())]
+    calls.clear()
+    assert sol.solution.values(mixed).tobytes() == want.tobytes()
+    assert calls and all(zn not in on_s[:, -1].tolist() for call in calls for zn in call)
+
+
 def near_nodes(branch) -> dict:
     """Per key, the node arrays (their ids) its near corrections sum over."""
     far = {id(e) for e in far_corrections(branch)}

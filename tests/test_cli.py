@@ -247,8 +247,8 @@ class TestCousin1:
         assert code == 0 and report["result"]["chains"][0]["skipped_checks"] == []
 
 
-    def test_flat_cuboid_lists_patch_morera_as_skipped(self, tmp_path):
-        # with Im z_n in [0, 0] no patch has an axis to integrate
+    def test_flat_cuboid_checks_every_seam(self, tmp_path):
+        # with Im z_n in [0, 0] the seam check samples y = 0 alone; nothing is skipped
         payload = self.payload()
         payload["cuboid"]["im"] = [[0.0, 0.0]]
         for slab in payload["slabs"]:
@@ -256,8 +256,10 @@ class TestCousin1:
         code, report = run_cli(tmp_path, "cousin1", payload)
         assert code == 0
         (chain,) = report["result"]["chains"]
-        assert chain["patch_morera"] == []
-        assert chain["skipped_checks"] == [{"check": "patch_morera", "reason": "no axis of positive Re and Im width"}]
+        assert chain["patch_morera"] == [] and chain["skipped_checks"] == []
+        assert len(chain["seam_jumps"]) == len(payload["breakpoints"])
+        assert all(jump <= report["tolerance"] for jump in chain["seam_jumps"])
+        assert [q["s"] for q in chain["seam_quadrature"]] == payload["breakpoints"]
         assert len(chain["principal_part_errors"]) == 3 and chain["pass"]
 
 

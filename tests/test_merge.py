@@ -104,6 +104,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             extension_problem(target=monomial(2, (1, 0)))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            three_slab_problem(tol=tol)
+
     def test_default_seam_margin(self):
         prob = three_slab_problem(delta=None)
         assert prob.seam_margin() == pytest.approx(0.05 * 2.0)
@@ -172,7 +177,9 @@ class TestCousin1EndToEnd:
         assert len(sols) == 1
         report = sols[0].report
         assert report["pass"]
-        assert max(report["patch_morera"]) <= 1e-8
+        assert len(report["seam_jumps"]) == 2 and max(report["seam_jumps"]) <= 1e-8
+        assert [q["s"] for q in report["seam_quadrature"]] == [-1.0, 1.0]
+        assert all(q["bound"] <= prob.tol / 10 for q in report["seam_quadrature"])
         assert max(e["error"] for e in report["principal_part_errors"]) <= 1e-6
 
     def test_solution_equals_local_plus_correction(self):
@@ -182,6 +189,32 @@ class TestCousin1EndToEnd:
         local = local_solution(prob, 1)
         corr = sol.corrections[1]
         assert abs(sol.solution(z) - local(z) - corr(z)) < 1e-12
+
+    def test_residue_rings_in_one_call(self):
+        """Every pole's 64-point ring goes to the solution in one call, after
+        the seam check's; each ring's rows get the values fn gives them one
+        by one, and the errors are those of extract_principal_coefficient."""
+        prob = three_slab_problem()
+        sol = solve_chain(prob, verify=False)[0]
+        calls = []
+
+        def recorded(P):
+            calls.append(P)
+            return sol.solution.values(P)
+
+        report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
+        seam_rows, rings = calls
+        terms = [term for datum in prob.data for term in datum.terms]
+        errors = report["principal_part_errors"]
+        assert len(errors) == len(terms) == 4 and rings.shape == (64 * 4, 1)
+        batched = sol.solution.values(rings)
+        assert batched.tobytes() == np.array([sol.solution.fn(tuple(z)) for z in rings.tolist()]).tobytes()
+        for i, (term, e) in enumerate(zip(terms, errors)):
+            ring = rings[64 * i:64 * (i + 1)]
+            assert batched[64 * i:64 * (i + 1)].tobytes() == sol.solution.values(ring).tobytes()
+            pole = complex(*e["pole"])
+            got = extract_principal_coefficient(sol.solution, pole, term.order, abs(ring[0, 0] - pole))
+            assert e["error"] == pytest.approx(abs(got - complex(term.coeff.coefficient(()))), abs=1e-13)
 
     def test_residue_extraction_oracle(self):
         f = Evaluable(lambda z: (1.5 - 0.5j) / (z[0] - 0.3) + z[0] ** 2)
@@ -262,13 +295,16 @@ class TestCousin1EndToEnd:
             solve_chain(three_slab_problem(), order="up")
 
     def test_verification_detects_antiholomorphic_noise(self):
+        """Noise 1e-3 conj(z) on the middle branch (Re z in [-1, 1]) breaks
+        the solution at both of its seams."""
         prob = three_slab_problem()
         sol = solve_chain(prob, verify=False)[0]
-        clean = sol.corrections[1]
-        sol.corrections[1] = Evaluable(lambda z: clean.fn(z) + 1e-3 * z[0].conjugate())
+        clean = sol.solution.values
+        middle = lambda P: (-1 <= P[:, -1].real) & (P[:, -1].real < 1)
+        sol.solution = Evaluable.batched(lambda P: clean(P) + np.where(middle(P), 1e-3 * P[:, -1].conj(), 0))
         report = verify_solution(sol, prob)
         assert not report["pass"]
-        assert report["patch_morera"][1] > 1e-5
+        assert min(report["seam_jumps"]) > 1e-3
 
     def test_merge_order_gauge_freedom(self):
         """ltr and rtl give different but equally valid solutions: their
@@ -463,6 +499,126 @@ class TestExtensionMutants:
         report = solve_chain(prob)[0].report
         assert not report["pass"]
         assert max(report["seam_jumps"]) > 1e-6, report
+
+
+def four_slab_cousin1_problem(**kw):
+    """n = 1 cousin1 chain on Re z in [-2, 2] with seams at -1, 0 and 1."""
+    params = dict(
+        kind="cousin1",
+        cuboid=Cuboid(((-2.0, 2.0),), ((-0.5, 0.5),)),
+        breakpoints=(-1.0, 0.0, 1.0),
+        data=(pp((-1.5 + 0.1j, 1.2 - 0.4j)),
+              PrincipalPartData((PoleTerm(2, constant(0, 0.8), constant(0, -0.55 - 0.2j)),)),
+              pp((0.45 + 0.25j, -0.6 + 0.9j), (0.6 - 0.2j, 0.3)),
+              pp((1.6 - 0.1j, 1.0))),
+        delta=0.2,
+    )
+    params.update(kw)
+    return ChiProblem(**params)
+
+
+def near_pole_problem(gap):
+    """Two slabs, Re z in [-1, 3], seam s = 1, delta 0.25, theta 0.5: a pole
+    at Re = s - delta - gap, ``gap`` from the right branch's pushed contour."""
+    return ChiProblem(kind="cousin1", cuboid=Cuboid(((-1.0, 3.0),), ((-0.5, 0.5),)), breakpoints=(1.0,),
+                      data=(pp((0.75 - gap + 0.3j, 1.0)), pp((2.0 - 0.2j, 0.5))), delta=0.25)
+
+
+def wide_neighbour_problem():
+    """A slab of width 2 between slabs of width 40, with coefficients 10^4
+    next to the outer seams: the middle branch folds the corrections of the
+    seams at +/-41 with rho = 1.43 / 40.7 ~ 0.035 and about 11 terms."""
+    return ChiProblem(kind="cousin1", cuboid=Cuboid(((-45.0, 45.0),), ((-0.6, 0.6),)),
+                      breakpoints=(-41.0, -1.0, 1.0, 41.0),
+                      data=(pp((-42 + 0.1j, 1e4)), pp((-20.0, 1.0)), pp((0.2, 1 - 1j)), pp((20 + 0.2j, 1.0)),
+                            pp((42 - 0.2j, 1e4))),
+                      delta=0.3)
+
+
+def rule_bypassed(monkeypatch, prob):
+    """Every seam keeps the problem's panels, whatever the poles."""
+    monkeypatch.setattr(merge, "longest_panel", lambda *args: math.inf)
+    return prob
+
+
+def rule_bypassed_at_one_panel_of_two_nodes(monkeypatch, prob):
+    return rule_bypassed(monkeypatch, replace(prob, quad=QuadratureSpec(panels=1, nodes=2)))
+
+
+def five_fewer_fold_terms(monkeypatch, prob):
+    terms = cousin.taylor_terms
+    monkeypatch.setattr(cousin, "taylor_terms", lambda rho: terms(rho) - 5)
+    return prob
+
+
+class TestCousin1Mutants:
+    """Broken quadrature or glue must fail the cousin1 report (or raise):
+    the seam check sees each jump."""
+
+    @pytest.mark.parametrize("problem", [four_slab_cousin1_problem(), wide_neighbour_problem()],
+                             ids=["four-slabs", "wide-neighbours"])
+    def test_unmutated_solution_passes(self, problem):
+        report = solve_chain(problem)[0].report
+        assert report["pass"] and len(report["seam_jumps"]) == len(problem.breakpoints)
+        assert max(report["seam_jumps"]) <= problem.tol
+
+    @pytest.mark.parametrize("mutant", [rule_bypassed_at_one_panel_of_two_nodes, right_half_dropped,
+                                        left_contour_pushed_left])
+    def test_glue_mutant_fails(self, monkeypatch, mutant):
+        prob = mutant(monkeypatch, four_slab_cousin1_problem())
+        report = solve_chain(prob)[0].report
+        assert not report["pass"]
+        assert max(report["seam_jumps"]) > 1e-6, report
+
+    def test_fold_with_five_fewer_terms_fails(self, monkeypatch):
+        """A truncated fold is still a polynomial, so only continuity can see
+        it; its error, about rho^-5 2^-53 times the folded sums, shows where
+        rho is small and the far densities large."""
+        prob = five_fewer_fold_terms(monkeypatch, wide_neighbour_problem())
+        report = solve_chain(prob)[0].report
+        assert not report["pass"]
+        assert max(report["seam_jumps"][1:3]) > prob.tol >= max(e["error"] for e in report["principal_part_errors"])
+
+    def test_rule_disabled_on_a_pole_past_delta_fails(self, monkeypatch):
+        prob = rule_bypassed(monkeypatch, near_pole_problem(0.02))
+        report = solve_chain(prob)[0].report
+        assert not report["pass"]
+        assert report["seam_jumps"][0] > 1e-3, report
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-3, 0.03, 0.1, 0.2])
+def test_near_pole_table(gap):
+    """A pole ``gap`` from a pushed contour: refused, or solved with every
+    seam jump within tol; from 0.1 on it is solved."""
+    prob = near_pole_problem(gap)
+    try:
+        report = solve_chain(prob)[0].report
+    except PoleTooCloseToSeam:
+        assert gap < 0.1
+        return
+    (entry,) = report["seam_quadrature"]
+    assert entry["s"] == 1.0 and entry["bound"] <= prob.tol / 10
+    assert report["pass"] and len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
+
+
+@pytest.mark.parametrize("slope", [1.0, 1.5])
+def test_n2_loci_widened_over_the_base(slope):
+    """The locus -1 + slope z1 sits at -1 at z1 = 0, 0.8 from the contour at
+    -0.2, but sweeps a disc of radius slope |z1| <= 0.71 slope over the base:
+    slope 1 keeps it off every contour and passes, slope 1.5 reaches one."""
+    def datum(locus):
+        return PrincipalPartData((PoleTerm(1, make_series(1, {(0,): 1}), make_series(1, locus)),))
+
+    prob = ChiProblem(kind="cousin1", cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+                      breakpoints=(0.0,), data=(datum({(0,): -1.0, (1,): slope}), datum({(0,): 1.0})), delta=0.2)
+    if slope > 1:
+        with pytest.raises(PoleTooCloseToSeam, match="within 0 of a contour"):
+            solve_chain(prob)
+        return
+    report = solve_chain(prob)[0].report
+    (entry,) = report["seam_quadrature"]
+    assert entry["panels"] > 6 and entry["bound"] <= prob.tol / 10
+    assert report["pass"] and report["seam_jumps"][0] <= prob.tol
 
 
 class TestDeterminism:
