@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="report JSON file ('-' for stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
         p.add_argument("--panels", type=int, default=None,
-                       help="Gauss panels on each seam-long contour piece (default 6; a cousin1 seam near a "
-                            "pole gets more); a shorter piece gets panels in proportion to its length, at least "
-                            "one, so no panel is longer")
+                       help="Gauss panels on each seam-long cousin1 contour piece (default 6; more near a pole "
+                            "or with a small delta; extension seams use none); a shorter piece gets panels in "
+                            "proportion to its length, at least one, so no panel is longer")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
     return parser
 

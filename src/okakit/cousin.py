@@ -50,9 +50,11 @@ class QuadratureSpec:
     the points it serves, so its Gauss error is at most the vertical piece's.
     The node sets are deterministic, so the seam-split caches can reuse
     them.  A cousin1 merge gives a seam more panels where a pole is near one
-    of its contours (``merge.seam_quadrature``).  ``nodes`` is at most MAX_NODES, and a seam-long piece has at most
-    MAX_PIECE_NODES nodes (``panels * nodes``); the legs together get at most
-    panels + 1 panels, so a pushed contour has at most about twice that.
+    of its contours or delta is small (``merge.seam_quadrature``); extension
+    merges split in closed form and use no quadrature.  ``nodes`` is at most
+    MAX_NODES, and a seam-long piece has at most MAX_PIECE_NODES nodes
+    (``panels * nodes``); the legs together get at most panels + 1 panels,
+    so a pushed contour has at most about twice that.
     """
 
     panels: int = 6
@@ -136,6 +138,8 @@ class SplitGeometry:
             raise ValueError("height bound theta must be non-negative")
         if not (self.re_lo + self.delta <= self.s <= self.re_hi - self.delta):
             raise ValueError("seam must sit at least delta inside the slab extents")
+        if not math.isfinite(2 * self.height):  # the length of every seam-long contour piece
+            raise ValueError(f"seam length 2 (theta + delta) is not finite: theta {self.theta}, delta {self.delta}")
 
     @property
     def height(self) -> float:
@@ -175,8 +179,8 @@ def _unit_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-# A merge splits every z'-coefficient of a seam over the same three contours,
-# one after the other, so a few node sets are enough for them to share arrays.
+# A cousin1 solve splits every seam over three contours, and a repeated solve
+# of one geometry splits over the same ones: a few node sets let them share arrays.
 @lru_cache(maxsize=16)
 def _path_nodes(pieces: tuple, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite GL nodes and dz-weights along the straight pieces (a, b,
@@ -192,8 +196,9 @@ def _path_nodes(pieces: tuple, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # A path keeps its weighted node densities for this many distinct z', least
-# recently used dropped first: more than the 288 one default morera_residual
-# call visits on an n = 2 slab.
+# recently used dropped first.  An n >= 2 cousin1 density depends on z', so a
+# path fills one row of values at its nodes per new z': a solve's own checks
+# visit a few z' (base corners, slab midpoints), and any run keeps this many.
 DENSITY_CACHE_SIZE = 512
 # Bound on temporaries: entries per Cauchy (points x nodes) or power
 # (points x terms) block.
@@ -242,34 +247,27 @@ class _PathQuad:
         return kernel_sums(self.zs, P[:, -1], weights)
 
 
-def _row_sums(m: int, width: int, block: Callable, keys: int = 1) -> np.ndarray:
-    """block(rows).sum(axis=-1) for rows 0..m-1, in slices of at most
-    BLOCK_ENTRIES entries: an (m,) array for blocks of shape (rows, width),
-    or (m, keys) for blocks of shape (rows, keys, width) when keys > 1."""
-    step = max(1, BLOCK_ENTRIES // (keys * width))
+def _row_sums(m: int, width: int, block: Callable) -> np.ndarray:
+    """block(rows).sum(axis=-1) for rows 0..m-1 and blocks of shape (rows,
+    width), in slices of at most BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // width)
     if m <= step:  # the rows fit one block, as one row does: the same sums, unsliced
         return block(slice(None)).sum(axis=-1)
-    out = np.empty((m, keys) if keys > 1 else m, dtype=complex)
+    out = np.empty(m, dtype=complex)
     for lo in range(0, m, step):
         rows = slice(lo, lo + step)
         out[rows] = block(rows).sum(axis=-1)
     return out
 
 
-def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable, keys: int = 1) -> np.ndarray:
+def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray:
     """(1/2 pi i) * sum_j wd[..., j] / (zs_j - zn_i) per zn_i: the one Cauchy
     kernel loop.  wd = weights(rows) is a slice's weighted densities, one row
-    or one per row, for an (len(zn),) result; with keys > 1 it is a keys x
-    len(zs) block shared by every row, for an (len(zn), keys) result, and
-    zs - zn is built once for all keys.  One point skips the blocks: the
+    shared by every row or one per row.  One point skips the blocks: the
     same quotients and sums along the node axis, so the same bits."""
     if len(zn) == 1:
-        sums = (weights(slice(None)) / (zs - zn)).sum(axis=-1) / TWO_PI_I
-        return sums.reshape(1, keys) if keys > 1 else sums
-    def block(rows):
-        d = zs - zn[rows, None]
-        return weights(rows) / (d[:, None] if keys > 1 else d)
-    return _row_sums(len(zn), len(zs), block, keys) / TWO_PI_I
+        return (weights(slice(None)) / (zs - zn[:, None])).sum(axis=-1) / TWO_PI_I
+    return _row_sums(len(zn), len(zs), lambda rows: weights(rows) / (zs - zn[rows, None])) / TWO_PI_I
 
 
 @dataclass(frozen=True)
@@ -287,70 +285,57 @@ def taylor_terms(rho: float) -> int:
     return math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho))
 
 
-def fused_sums(keys: Sequence[Sequence[SplitBranch]], center: complex, radius: float) -> Callable:
-    """The map from points P to the list whose entry k is the column of the
-    summed pushed-contour Cauchy sums of ``keys[k]`` (densities of z_n
-    alone), for rows with |z_n - center| < radius inside every ``valid_re``.
+def fused_sums(branches: Sequence[SplitBranch], center: complex, radius: float) -> Callable:
+    """The map from points P to the summed pushed-contour Cauchy sums of
+    ``branches`` (densities of z_n alone), for rows with |z_n - center| <
+    radius inside every ``valid_re``.
 
-    The near branches of a key give one Cauchy sum over the union of their
-    nodes.  Those with every node at least 2 radius away give one Taylor
-    series: with rho = radius / (nearest node distance) <= 1/2, the
-    truncation after M terms is at most rho^M / (1 - rho) times (1/2 pi)
-    sum_j |w_j phi(zeta_j)| / |zeta_j - center|, and M is the smallest
-    making that factor <= 2^-53.  A row sums the coefficients (1/2 pi i)
-    sum_j w_j phi(zeta_j) / (zeta_j - center)^(m+1) against its powers
-    (z_n - center)^m.  Keys whose near (far) branches have the same node
-    arrays share one kernel block (power block), with one weight row
-    (coefficient row) per key.  One row takes the short path: one kernel
-    row and one power row, no blocks, with the bits of that row in a batch.
+    The near branches give one Cauchy sum over the union of their nodes.
+    Those with every node at least 2 radius away give one Taylor series:
+    with rho = radius / (nearest node distance) <= 1/2, the truncation after
+    M terms is at most rho^M / (1 - rho) times (1/2 pi) sum_j |w_j
+    phi(zeta_j)| / |zeta_j - center|, and M is the smallest making that
+    factor <= 2^-53.  A row sums the coefficients (1/2 pi i) sum_j w_j
+    phi(zeta_j) / (zeta_j - center)^(m+1) against its powers (z_n -
+    center)^m.  One row takes the short path: one kernel row and one power
+    row, no blocks, with the bits of that row in a batch.
     """
-    # keys split at the same seams hold the same node arrays (``_path_nodes``)
-    groups: tuple[dict, dict] = ({}, {})
-    for k, branches in enumerate(keys):
-        parts: tuple[list, list] = ([], [])
-        for b in branches:
-            parts[bool(np.abs(b.pushed.zs - center).min() >= 2 * radius)].append(b)
-        for group, part in zip(groups, parts):
-            if part:
-                group.setdefault(tuple(id(b.pushed.zs) for b in part), []).append((k, part))
+    parts: tuple[list, list] = ([], [])
+    for b in branches:
+        parts[bool(np.abs(b.pushed.zs - center).min() >= 2 * radius)].append(b)
 
-    def block(members) -> tuple[list, np.ndarray, np.ndarray]:
-        """Keys, shared nodes and one row of weighted densities per key."""
-        rows = [np.concatenate([b.pushed.weighted(np.empty((1, 0), dtype=complex))[0] for b in part])
-                for _, part in members]
-        return [k for k, _ in members], np.concatenate([b.pushed.zs for b in members[0][1]]), np.array(rows)
+    def block(part) -> tuple[np.ndarray, np.ndarray]:
+        """Shared nodes and one row of weighted densities."""
+        row = np.concatenate([b.pushed.weighted(np.empty((1, 0), dtype=complex))[0] for b in part])
+        return np.concatenate([b.pushed.zs for b in part]), row
 
-    near = [block(members) for members in groups[0].values()]
-    far = []
-    for ks, zc, t in map(block, groups[1].values()):
+    near = block(parts[0]) if parts[0] else None
+    coeffs = None
+    if parts[1]:
+        zc, t = block(parts[1])
         zc = zc - center
-        rho = radius / np.abs(zc).min()
-        coeffs = np.empty((len(ks), taylor_terms(rho)), dtype=complex)
-        for m in range(coeffs.shape[1]):
+        coeffs = np.empty(taylor_terms(radius / np.abs(zc).min()), dtype=complex)
+        for m in range(len(coeffs)):
             t = t / zc
-            coeffs[:, m] = t.sum(axis=1)
-        far.append((ks, coeffs / TWO_PI_I))
+            coeffs[m] = t.sum()
+        coeffs = coeffs / TWO_PI_I
 
-    def columns(P):
+    def column(P):
         zn = P[:, -1]
-        out = [None] * len(keys)
-        for ks, zs, wd in near:
-            sums = kernel_sums(zs, zn, lambda rows: wd, len(ks))
-            for k, col in zip(ks, sums.T if len(ks) > 1 else (sums,)):
-                out[k] = col
-        w = zn - center
-        for ks, coeffs in far:
+        out = None if near is None else kernel_sums(near[0], zn, lambda rows: near[1])
+        if coeffs is not None:
+            w = zn - center
+
             def powers(rows):
-                pw = np.ones((len(w[rows]), coeffs.shape[1]), dtype=complex)
+                pw = np.ones((len(w[rows]), len(coeffs)), dtype=complex)
                 pw[:, 1:] = w[rows, None]
                 np.cumprod(pw, axis=1, out=pw)
-                return (pw[:, None] if len(ks) > 1 else pw) * coeffs
-            sums = _row_sums(len(w), coeffs.shape[1], powers, len(ks))
-            for k, col in zip(ks, sums.T if len(ks) > 1 else (sums,)):
-                out[k] = (np.zeros(len(zn), dtype=complex) if out[k] is None else out[k]) + col
+                return pw * coeffs
+            sums = _row_sums(len(w), len(coeffs), powers)
+            out = (np.zeros(len(zn), dtype=complex) if out is None else out) + sums
         return out
 
-    return columns
+    return column
 
 
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
@@ -382,7 +367,7 @@ def split_contours(geom: SplitGeometry, spec: QuadratureSpec) -> tuple[list, lis
     # Each leg (length delta <= h) gets panels in proportion to its length;
     # a ratio within 1e-9 of a whole number counts as that number, so float
     # rounding never adds a panel.
-    leg = max(1, math.ceil(round(spec.panels * d / (2 * h), 9)))
+    leg = max(1, math.ceil(round(spec.panels * (d / (2 * h)), 9)))  # d / 2h <= 1/2: no overflow
 
     def pushed_to(x: float) -> list:
         """The segment's endpoints joined through Re = x: a leg of length

@@ -1,15 +1,14 @@
 """Merging local solutions across a slab partition.
 
-Two problem kinds share one engine.  For principal-part (Cousin-I) data the
-local solution on a slab is the finite sum of its pole terms; for
-holomorphic extension from a coordinate subspace it is the cylinder
-extension of the target (possibly perturbed within the ideal).  At every
-seam the difference of the two sides is holomorphic on the margin strip
-(for extension: a polynomial multiple of the subspace generators, with
-explicit cofactors), gets split by the seam contour integrals, and the two
-halves are absorbed into the respective sides.  Chains of slabs pairwise
-connected on the subspace are solved independently, left to right by
-default.
+For principal-part (Cousin-I) data the local solution on a slab is the
+finite sum of its pole terms; at every seam, in the given order, the
+difference of the two sides is split by the seam contour integrals and the
+two halves are absorbed into the respective sides.  For holomorphic
+extension from a coordinate subspace it is the cylinder extension of the
+target (possibly perturbed within the ideal); every seam splits its own
+difference, a polynomial multiple of the subspace generators with explicit
+cofactors, in closed form, in no order.  Chains of slabs pairwise connected
+on the subspace are solved independently.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ import numpy as np
 
 from .cousin import (
     MAX_PIECE_NODES,
+    TWO_PI_I,
     Evaluable,
     QuadratureSpec,
     SplitGeometry,
-    constant_evaluable,
     cousin_split,
     distance_to_segment,
     fused_sums,
@@ -44,7 +43,7 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, complex_evaluator, make_series, negligible
+from .series import TruncatedSeries, complex_evaluator, make_series, negligible, times_variable
 
 
 def series_evaluable(f: TruncatedSeries) -> Evaluable:
@@ -153,12 +152,9 @@ class ChiProblem:
             return self.delta
         return 0.05 * min(self._slab_widths())
 
-    def slab_poly(self, alpha: int) -> TruncatedSeries | None:
-        if self.kind != "extension":
-            return None
-        if self.local_overrides is not None:
-            return self.local_overrides[alpha]
-        return self.target
+    def slab_poly(self, alpha: int) -> TruncatedSeries:
+        """An extension slab's local polynomial: its override, or the target."""
+        return self.target if self.local_overrides is None else self.local_overrides[alpha]
 
 
 # -- local solutions -----------------------------------------------------
@@ -247,96 +243,57 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
 
 @dataclass(frozen=True)
 class _Branch:
-    """A slab's local solution plus its corrections (``cousin_split``
-    branches).  A cousin1 correction has key None and is a function on C^n;
-    an extension correction has key (axis, c', m) and is a function b(z_n)
-    of the last coordinate alone, standing for (z' - c')^m * b(z_n) * z_axis.
+    """A slab's local solution plus its corrections, functions on C^n.
 
-    ``disc`` = (c, R) is the slab's far-field disc: c is the centre of its
-    z_n rectangle and R the half-diagonal of that rectangle grown by delta
-    on Re, so the seam overlaps lie inside.  It is None when the seams split
-    with a base (n >= 2 cousin1), whose corrections depend on z'.  Otherwise
-    the corrections compile, on the first evaluation, into ``fused_sums``,
-    one linear map over the keys, which the rows in the disc and outside
-    every seam band sum; all other rows sum each correction directly.
+    ``disc`` = (c, R) is the far-field disc of an n = 1 cousin1 slab: c is
+    the centre of its z_n rectangle and R the half-diagonal of that
+    rectangle grown by delta on Re, so the seam overlaps lie inside.  Its
+    corrections (``cousin_split`` branches) compile, on the first
+    evaluation, into one ``fused_sums`` map, which the rows in the disc and
+    outside every seam band sum; all other rows, and every row of a branch
+    without a disc, sum each correction directly.
     """
 
     local: Evaluable
-    local_poly: TruncatedSeries | None
     disc: tuple[complex, float] | None
-    corrections: tuple[tuple[tuple | None, Evaluable], ...] = ()
-
-    @cached_property
-    def _direct(self) -> tuple[list, Callable]:
-        """(keys, columns) summing every correction on its own."""
-        cs = self.corrections  # not self: a reference cycle would outlive the last use of the branch
-        return [key for key, _ in cs], lambda Q: (e.values(Q) for _, e in cs)
+    corrections: tuple[Evaluable, ...] = ()
 
     @cached_property
     def _compiled(self) -> tuple | None:
-        """((lo, hi), keys, columns) for the disc rows with lo < Re z_n < hi
-        (a far correction's band misses the disc), or None if none fuse."""
+        """((lo, hi), map) for the disc rows with lo < Re z_n < hi (a far
+        correction's band misses the disc), or None if none fuse."""
         cs = self.corrections
         if self.disc is None or not cs:
             return None
-        keys: dict = {}
-        for key, e in cs:
-            keys.setdefault(key, []).append(e)
-        band = (max(e.valid_re[0] for _, e in cs), min(e.valid_re[1] for _, e in cs))
-        return band, list(keys), fused_sums(list(keys.values()), *self.disc)
+        band = (max(e.valid_re[0] for e in cs), min(e.valid_re[1] for e in cs))
+        return band, fused_sums(cs, *self.disc)
+
+    def _direct(self, P: np.ndarray) -> np.ndarray:
+        return sum((e.values(P) for e in self.corrections), np.zeros(len(P), dtype=complex))
 
     def correction_values(self, P: np.ndarray) -> np.ndarray:
         compiled = self._compiled
         if compiled is None:
-            return _sum_corrections(P, *self._direct)
-        (lo, hi), *fused = compiled
+            return self._direct(P)
+        (lo, hi), fused = compiled
         center, radius = self.disc
         if len(P) == 1:  # the same test on Python floats; x * x gives inf where x ** 2 raises
             z = complex(P[0, -1])
             d = z - center
             inside = d.real * d.real + d.imag * d.imag < radius ** 2 and lo < z.real < hi
-            return _sum_corrections(P, *(fused if inside else self._direct))
+            return (fused if inside else self._direct)(P)
         d = P[:, -1] - center
         rows = (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi)
         if rows.all():  # every row a merged solution routes here
-            return _sum_corrections(P, *fused)
+            return fused(P)
         out = np.empty(len(P), dtype=complex)
         for sel, terms in ((~rows, self._direct), (rows, fused)):
             if sel.any():
-                out[sel] = _sum_corrections(P[sel], *terms)
+                out[sel] = terms(P[sel])
         return out
 
     def values(self, P: np.ndarray) -> np.ndarray:
         return self.local.values(P) + self.correction_values(P)
-
-
-def _sum_corrections(P: np.ndarray, keys: list, columns: Callable) -> np.ndarray:
-    """The sum of the columns of ``columns``, one per key in ``keys``.  With
-    key None a column is a function on C^n, taken at the rows of P; with key
-    (axis, c', m) it is a function b(z_n), taken once per distinct z_n of P
-    and added as (z' - c')^m * b(z_n) * z_axis; in a batch, rows where every
-    key's z_axis is 0 get 0 and take no part."""
-    acc = np.zeros(len(P), dtype=complex)
-    if not keys or keys[0] is None:  # cousin1: every key is None
-        for col in columns(P):
-            acc = acc + col
-        return acc
-    zn, inv, monomials = P[:, -1], slice(None), {}
-    if len(P) > 1:
-        # rows with z_axis = 0 for every key (on S) add finite * 0: they take no correction
-        live = P[:, sorted({axis for axis, _, _ in keys})].any(axis=1)
-        if not live.all():
-            if live.any():
-                acc[live] = _sum_corrections(P[live], keys, columns)
-            return acc
-        # each b(z_n) is summed once per distinct z_n, then scattered back to the rows
-        zn, inv = np.unique(zn, return_inverse=True)
-    for key, col in zip(keys, columns(zn[:, None])):
-        axis, center, m = key
-        if key not in monomials:
-            monomials[key] = ((P[:, :-1] - center) ** m).prod(axis=1)
-        acc = acc + monomials[key] * col[inv] * P[:, axis]
-    return acc
 
 
 @dataclass
@@ -370,99 +327,153 @@ class ChainState:
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
-    slab = problem.partition.slabs[alpha]
-    (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
-    disc = None  # merge_pair splits n >= 2 cousin1 seams with a base
-    if problem.kind == "extension" or problem.ndim == 1:
+    disc = None  # merge_pair splits n >= 2 seams with a base
+    if problem.ndim == 1:
+        slab = problem.partition.slabs[alpha]
+        (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
         disc = (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
                 math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
-    return ChainState([_Branch(local_solution(problem, alpha), problem.slab_poly(alpha), disc)], [])
-
-
-def _zn_coefficients(axis: int, w: TruncatedSeries) -> dict:
-    """w = sum_m (z' - c')^m * w_m(z_n) as {(axis, c', m): w_m}, each w_m
-    an exact polynomial in z_n centered at c_n."""
-    groups: dict = {}
-    for exp, v in w.coeffs.items():
-        groups.setdefault(exp[:-1], {})[exp[-1:]] = v
-    center = tuple(complex(c) for c in w.center[:-1])
-    return {(axis, center, m): make_series(1, terms, backend=w.backend, center=w.center[-1:])
-            for m, terms in groups.items()}
+    return ChainState([_Branch(local_solution(problem, alpha), disc)], [])
 
 
 def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
                problem: ChiProblem, spec: QuadratureSpec | None = None) -> ChainState:
-    """Merge two adjacent partial solutions across the seam of ``geom``.
+    """Merge two adjacent partial cousin1 solutions across the seam of ``geom``.
 
-    The seam densities are split with the Cousin contours, on ``spec``'s
-    panels (``problem.quad`` by default); the left halves are added to every
-    left branch and the right halves to every right branch, so the two sides
-    agree on the seam strip.  A cousin1 density rb - lb is a finite sum of
-    principal parts and Cauchy sums, holomorphic on the seam strip by
-    construction.  An extension seam density sum_j z_j * w_j is polynomial
-    in z', so it is split one z'-coefficient at a time, as a function of z_n
-    alone (n = 1 splits); the next seam's density for a coefficient adds the
-    earlier corrections of that coefficient.
+    The seam density rb - lb, a finite sum of principal parts and Cauchy
+    sums holomorphic on the seam strip by construction, is split with the
+    Cousin contours, on ``spec``'s panels (``problem.quad`` by default); the
+    left half is added to every left branch and the right half to every
+    right branch, so the two sides agree on the seam strip.
     """
-    spec = spec or problem.quad
     lb = left.branches[-1]
     rb = right.branches[0]
-    if problem.kind == "extension":
-        geom = replace(geom, base=None)
-        densities: dict = {}
-        for axis, w in enumerate(ideal_witness(rb.local_poly - lb.local_poly, problem.subspace)):
-            for key, wm in _zn_coefficients(axis, w).items():
-                densities[key] = series_evaluable(wm)
-        zero = constant_evaluable(0)
-        for key, e in rb.corrections:
-            densities[key] = densities.get(key, zero) + e
-        for key, e in lb.corrections:
-            densities[key] = densities.get(key, zero) - e
-    else:
-        densities = {None: Evaluable.batched(rb.values) - Evaluable.batched(lb.values)}
-    halves = [(key, cousin_split(density, geom, spec)) for key, density in densities.items()]
-    new_left = tuple((key, h[0]) for key, h in halves)
-    new_right = tuple((key, h[1]) for key, h in halves)
-    return ChainState([replace(b, corrections=b.corrections + new_left) for b in left.branches]
-                      + [replace(b, corrections=b.corrections + new_right) for b in right.branches],
+    density = Evaluable.batched(rb.values) - Evaluable.batched(lb.values)
+    half_left, half_right = cousin_split(density, geom, spec or problem.quad)
+    return ChainState([replace(b, corrections=b.corrections + (half_left,)) for b in left.branches]
+                      + [replace(b, corrections=b.corrections + (half_right,)) for b in right.branches],
                       left.seams + [geom.s] + right.seams)
 
 
+# -- extension seams in closed form ------------------------------------------
+
+
+def segment_quotient(w: TruncatedSeries, s: float, height: float) -> TruncatedSeries:
+    """Q(z) = the integral of (w(z', zeta) - w(z)) / (zeta - z_n) d zeta along
+    the seam segment from s - i height to s + i height, an exact polynomial
+    in w's backend.  With u = z_n - c and v = zeta - c about w's centre c
+    on the last axis, (v^m - u^m) / (v - u) = sum_{i<m} v^i u^(m-1-i), and
+    v^i integrates to (b^(i+1) - a^(i+1)) / (i + 1) between the endpoints
+    a, b, floats and so exact in either backend."""
+    coerce = w.backend.coerce
+    a, b = (coerce(complex(s, y)) - w.center[-1] for y in (-height, height))
+    moments, pa, pb = [], coerce(1), coerce(1)
+    for i in range(max((e[-1] for e in w.coeffs), default=0)):
+        pa, pb = pa * a, pb * b
+        moments.append((pb - pa) / coerce(i + 1))
+    terms: dict = {}
+    for exp, v in w.coeffs.items():
+        for i in range(exp[-1]):
+            e = exp[:-1] + (exp[-1] - 1 - i,)
+            terms[e] = terms[e] + v * moments[i] if e in terms else v * moments[i]
+    return make_series(w.dim, terms, order=w.order, backend=w.backend, center=w.center)
+
+
+def closed_form_series(seams: list[float], witnesses: list[list[TruncatedSeries]], height: float) -> TruncatedSeries:
+    """G = (Q + sum_k L_k h_k) / 2 pi i, one exact series in the n + K
+    variables (z, L_1, ..., L_K) for the K seams s_k with cofactors
+    ``witnesses[k]`` (Weak Coherence): h_k = sum_j z_j w_{k,j} and
+    Q = sum_k sum_j z_j Q_{k,j}, Q_{k,j} = ``segment_quotient(w_{k,j}, s_k,
+    height)``.  At L_k = ell_k, the log difference of one side of seam k,
+    the terms of seam k are z_j times the Cauchy integral (w ell_k + Q) / 2 pi i
+    of w_{k,j} along the segment s_k -/+ i height.  Every term keeps its
+    factor z_j, so G is 0 on S."""
+    K, g = len(seams), 0  # + starts from 0, which a series adds as its zero
+
+    def lifted(f: TruncatedSeries, tail: tuple) -> TruncatedSeries:
+        return make_series(f.dim + K, {e + tail: v for e, v in f.coeffs.items()}, backend=f.backend,
+                           center=f.center + (0,) * K)
+
+    for k, (s, ws) in enumerate(zip(seams, witnesses)):
+        for j, w in enumerate(ws):
+            g = (g + lifted(times_variable(w, j), tuple(int(i == k) for i in range(K)))
+                 + lifted(times_variable(segment_quotient(w, s, height), j), (0,) * K))
+    return g * (1 / TWO_PI_I)
+
+
+def _closed_form_correction(g: Callable, seams: np.ndarray, height: float, sides: np.ndarray) -> Evaluable:
+    """g, a compiled ``closed_form_series``, at (z, ell_1(z), ..., ell_K(z)):
+    ell_k = Log(sides_k (w + ih)) - Log(sides_k (w - ih)) with w = s_k - z_n
+    and h = ``height``.  With t = z_n - s_k that is Log(ih - t) - Log(-ih - t)
+    on side +1, the seams right of the branch, whose left halves it takes,
+    and Log(t - ih) - Log(t + ih) on side -1.  Each log's cuts are the
+    horizontal rays from s_k +/- ih leading away from its side, so both are
+    holomorphic on the strip |Im z_n| < h, where they differ by 2 pi i.
+    Every row count takes the same numpy operations, so one row has the
+    bits of its row in a batch."""
+    ih = 1j * height * sides
+
+    def many(P: np.ndarray) -> np.ndarray:
+        d = sides * (seams - P[:, -1:])
+        return g(np.concatenate((P, np.log(d + ih) - np.log(d - ih)), axis=1))
+
+    return Evaluable.batched(many)
+
+
+def _extension_state(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> ChainState:
+    """The chain's branches, each seam split in closed form from its own
+    datum h_k = local_{k+1} - local_k: no merge order, no quadrature.  Every
+    branch evaluates the chain's one ``closed_form_series`` at its own logs:
+    branch alpha takes the left half of every seam on its right and the
+    right half of every seam on its left, so neighbouring branches differ
+    by h_k."""
+    height = problem.theta + problem.seam_margin()
+    polys = [problem.slab_poly(alpha) for alpha in chain.indices]
+    witnesses = [ideal_witness(right - left, problem.subspace) for left, right in zip(polys, polys[1:])]
+    locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
+    if all(w.is_zero() for ws in witnesses for w in ws):  # one slab, or equal locals: nothing to glue
+        return ChainState([_Branch(local, None) for local in locals_], list(seams))
+    g = complex_evaluator(closed_form_series(seams, witnesses, height))
+    at, order = np.array(seams), np.arange(len(seams))
+    return ChainState([_Branch(local, None, (_closed_form_correction(g, at, height, np.where(order >= k, 1.0, -1.0)),))
+                       for k, local in enumerate(locals_)], list(seams))
+
+
 def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list) -> tuple[QuadratureSpec, dict]:
-    """The seam's quadrature, with panels from the pole table, and its report
-    entry {s, panels, nodes, bound}.
+    """The cousin1 seam's quadrature, with panels from the pole table, and
+    its report entry {s, panels, nodes, bound}.
 
     For every straight piece of the seam's contours (``split_contours``: the
     segment, the two pushed contours and their legs), d is the least
     distance from a locus disc of ``discs`` (``_pole_discs`` of the two slabs
-    at the seam) to the piece, and M = max(1, sum_t C_t / d_t^k_t) over the
-    terms t bounds the density there.  The seam gets the fewest panels, at
+    at the seam) to the piece, or delta where that is less: the rows at the
+    seam lie delta from the pushed contours, and the kernel 1 / (zeta - z_n)
+    is singular there.  M = max(1, sum_t C_t / d_t^k_t) over the terms t
+    bounds the density on the piece.  The seam gets the fewest panels, at
     least ``problem.quad.panels``, that keep every panel of every piece
     within its ``longest_panel`` for a Gauss error of tol / 10: a leg's
     panels are never longer than the seam-long pieces'.  More than
-    MAX_PIECE_NODES nodes on a seam-long piece raise ``PoleTooCloseToSeam``.
+    MAX_PIECE_NODES nodes on a seam-long piece raise ``PoleTooCloseToSeam``,
+    naming the d and M of the piece that needs the most and the tolerance.
     ``panels`` is the seam-long pieces' count, ``nodes`` the Gauss nodes of
     the three contours and ``bound`` the largest ``gauss_error`` of a piece.
-    Extension densities have no poles: their seams keep ``problem.quad``,
-    with bound 0.
     """
-    quad, h = problem.quad, geom.height
+    quad, h, tol = problem.quad, geom.height, problem.tol
     pieces = []
     for a, b, _ in (piece for contour in split_contours(geom, quad) for piece in contour):
         dists = [distance_to_segment(c, a, b) - r for _, _, c, r in discs]
-        d = min(dists, default=math.inf)
+        d = min(dists + [geom.delta])
         M = max(1.0, sum(C / dt ** k for (k, C, _, _), dt in zip(discs, dists))) if d > 0 else math.inf
-        pieces.append((d, M))
-    ell = min(longest_panel(d, M, quad.nodes, problem.tol / 10) if d > 0 else 0.0 for d, M in pieces)
+        pieces.append((longest_panel(d, M, quad.nodes, tol / 10) if d > 0 else 0.0, d, M))
+    ell, d, M = min(pieces)
     panels = max(quad.panels, math.ceil(min(2 * h / ell if ell > 0 else math.inf, MAX_PIECE_NODES)))
     if panels * quad.nodes > MAX_PIECE_NODES:
-        raise PoleTooCloseToSeam(f"a pole comes within {max(0.0, min(d for d, _ in pieces)):.3g} of a contour of "
-                                 f"the seam at {geom.s}: more than {MAX_PIECE_NODES} Gauss nodes on a seam-long "
-                                 f"piece would be needed")
+        raise PoleTooCloseToSeam(f"a pole or an evaluated row comes within {max(0.0, d):.3g} of a contour of the "
+                                 f"seam at {geom.s}, with density bound M = {M:.3g} and tolerance {tol:.3g}: more "
+                                 f"than {MAX_PIECE_NODES} Gauss nodes on a seam-long piece would be needed")
     spec = replace(quad, panels=panels)
     contours = [piece for contour in split_contours(geom, spec) for piece in contour]
-    bound = max((gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (d, M) in zip(contours, pieces)
-                 if d < math.inf), default=0.0)
+    bound = max(gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (_, d, M) in zip(contours, pieces))
     return spec, {"s": geom.s, "panels": panels, "nodes": quad.nodes * sum(k for *_, k in contours), "bound": bound}
 
 
@@ -484,21 +495,23 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) 
         raise ValueError(f"unknown merge order {order!r}")
     slabs = problem.partition.slabs
     region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
-    lo, hi = region.re[-1]
-    base = None
-    if problem.ndim > 1:
-        base = Cuboid(region.re[:-1], region.im[:-1])
-    states = [_singleton_state(problem, alpha) for alpha in chain.indices]
-    discs = [_pole_discs(problem, alpha) if problem.kind == "cousin1" else [] for alpha in chain.indices]
-    acc = states[0]
-    # seam chain.start + k joins states k and k + 1; the merge replaces both
-    seams = range(len(states) - 1)
-    quadrature = [None] * len(seams)
-    for k in seams if order == "ltr" else reversed(seams):
-        geom = SplitGeometry(s=problem.partition.seam(chain.start + k), delta=problem.seam_margin(),
-                             theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
-        spec, quadrature[k] = seam_quadrature(problem, geom, discs[k] + discs[k + 1])
-        acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem, spec)
+    seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
+    if problem.kind == "extension":  # closed form: no merge order, no quadrature
+        acc = _extension_state(problem, chain, seams)
+        quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0} for s in seams]
+    else:
+        lo, hi = region.re[-1]
+        base = Cuboid(region.re[:-1], region.im[:-1]) if problem.ndim > 1 else None
+        states = [_singleton_state(problem, alpha) for alpha in chain.indices]
+        discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
+        acc = states[0]
+        # seam chain.start + k joins states k and k + 1; the merge replaces both
+        quadrature = [None] * len(seams)
+        for k in range(len(seams)) if order == "ltr" else reversed(range(len(seams))):
+            geom = SplitGeometry(s=seams[k], delta=problem.seam_margin(), theta=problem.theta,
+                                 re_lo=lo, re_hi=hi, base=base)
+            spec, quadrature[k] = seam_quadrature(problem, geom, discs[k] + discs[k + 1])
+            acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem, spec)
     return ChiSolution(
         chain=chain,
         solution=acc.evaluable(),
@@ -552,8 +565,9 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     construction: a cousin1 branch is its slab's principal part plus Cauchy
     sums whose nodes all lie at least delta outside that region (and
     far-field Taylor polynomials), so it is meromorphic there with the
-    data's poles alone; an extension branch is a polynomial plus such sums.
-    A solution continuous across every seam is then holomorphic (for
+    data's poles alone; an extension branch is a polynomial plus
+    polynomials times log differences holomorphic on the strip |Im z_n| <
+    theta + delta (``closed_form_series``).  A solution continuous across every seam is then holomorphic (for
     cousin1: off the poles) on the chain (Morera).  ``seam_jumps`` gives,
     per seam s, the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y
     in [-theta, theta] and the diagonal corners z' of the base cuboid

@@ -1,9 +1,8 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
-for user callables, the bounded density cache, the extension merge that
-splits z'-coefficients as functions of z_n, and the fused sums (one linear
-map over the keys: shared near kernel blocks and far-field power blocks)
-that merged branches sum their corrections by."""
+for user callables, the bounded density cache, the closed-form extension
+split, and the fused sums (one near kernel block and one far-field power
+block) that n = 1 cousin1 branches sum their corrections by."""
 
 import math
 from dataclasses import replace
@@ -266,7 +265,7 @@ def fused_rows(branch, P):
     """Rows the branch sums through its fused sums: in its disc and outside
     every correction's seam band."""
     rows = in_disc(branch, P)
-    for _, e in branch.corrections:
+    for e in branch.corrections:
         rows &= ~in_band(e, P)
     return rows
 
@@ -277,7 +276,7 @@ def far_corrections(branch) -> list:
     if branch._compiled is None:
         return []
     center, radius = branch.disc
-    return [e for _, e in branch.corrections if np.abs(e.pushed.zs - center).min() >= 2 * radius]
+    return [e for e in branch.corrections if np.abs(e.pushed.zs - center).min() >= 2 * radius]
 
 
 def folds_far(branch) -> bool:
@@ -322,97 +321,28 @@ def test_chain_state_and_corrections_values(problem):
     assert not discs or any(folds_far(b) and in_disc(b, np.array(pts)).any() for b in discs)
 
 
-def record_kernel(monkeypatch) -> list:
-    """The z_n of every Cauchy kernel call from now on, one list per call."""
-    calls, kernel = [], cousin.kernel_sums
-    monkeypatch.setattr(cousin, "kernel_sums", lambda zs, zn, weights, keys=1: calls.append(zn.tolist())
-                        or kernel(zs, zn, weights, keys))
-    return calls
-
-
-def test_rows_on_s_take_no_extension_correction(monkeypatch):
-    """z_1 = 0 multiplies every extension correction by 0: a batch of rows
-    on S builds no kernel block and gives each row its branch's local value,
-    as fn does, and a batch with rows off S keeps the values of every row."""
-    problem = extension_problem(slabs=3)
-    sol = solve_chain(problem, verify=False)[0]
-    on_s = np.array(grid_points(-1.9, 1.9, -0.45, 0.45, zp=(0j,)))
-    off_s = np.array(grid_points(-1.8, 1.8, -0.4, 0.4, zp=(0.3 - 0.2j,)))  # no z_2 of on_s
-    mixed = np.concatenate([on_s, off_s])[np.random.default_rng(5).permutation(len(on_s) + len(off_s))]
-    want = sol.solution.values(mixed)
-    state = sol.solution.many.__self__
-    calls = record_kernel(monkeypatch)
-    got = sol.solution.values(on_s)
-    assert calls == [] and [sol.solution.fn(tuple(z)) for z in on_s.tolist()] == got.tolist()
-    idx = np.searchsorted(state.seams, on_s[:, -1].real, side="right")
-    assert got.tolist() == [state.branches[k].local.fn(tuple(z)) for k, z in zip(idx, on_s.tolist())]
-    calls.clear()
-    assert sol.solution.values(mixed).tobytes() == want.tobytes()
-    assert calls and all(zn not in on_s[:, -1].tolist() for call in calls for zn in call)
-
-
-def near_nodes(branch) -> dict:
-    """Per key, the node arrays (their ids) its near corrections sum over."""
-    far = {id(e) for e in far_corrections(branch)}
-    nodes: dict = {}
-    for key, e in branch.corrections:
-        if id(e) not in far:
-            nodes[key] = nodes.get(key, ()) + (id(e.pushed.zs),)
-    return nodes
-
-
-def test_extension_corrections_summed_once_per_distinct_zn(monkeypatch):
-    rng = np.random.default_rng(7)
-    m, distinct = 240, 9
-    P = np.empty((m, 2), dtype=complex)
-    P[:, 0] = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
-    zn = rng.uniform(-1.9, 1.9, distinct) + 1j * rng.uniform(-0.45, 0.45, distinct)
-    P[:, 1] = zn[rng.permutation(np.arange(m) % distinct)]
-    calls = record_kernel(monkeypatch)
-    fused_groups, shared = 0, 0
-    # one key; two keys split at one seam; a key that first appears at the second seam
-    for problem in (extension_problem(slabs=3), one_seam_extension(2, 1), come_and_go_problem()):
+def test_rows_on_s_take_no_extension_correction():
+    """Every term of an extension correction keeps its z_j factor, so rows on
+    S = {z_1 = ... = z_q = 0} equal their branch's local value bit for bit,
+    batched and one row at a time, also where the series centres lie off
+    0 on the other axes."""
+    for problem in (extension_problem(slabs=3), one_seam_extension(3, 1)):
         sol = solve_chain(problem, verify=False)[0]
-        for corr in sol.corrections:
-            branch = corr.many.__self__
-            assert branch.corrections and all(key is not None for key, _ in branch.corrections)
-            rows = [branch.correction_values(P[i:i + 1])[0] for i in range(m)]
-            assert branch.correction_values(P).tolist() == rows
-            seen = {}
-
-            def recorded(i, e):
-                return replace(e, many=lambda Q: seen.setdefault(i, []).extend(Q[:, -1].tolist()) or e.values(Q))
-
-            traced = tuple((key, recorded(i, e)) for i, (key, e) in enumerate(branch.corrections))
-            branch = replace(branch, corrections=traced)
-            calls.clear()
-            assert branch.correction_values(P).tolist() == rows
-            # every correction is summed on its own once at every distinct z_n
-            # of the rows outside the fused ones ...
-            fused = fused_rows(branch, P)
-            for i in range(len(branch.corrections)):
-                assert seen.get(i, []) == np.unique(P[~fused, -1]).tolist()
-            # ... and on the fused rows the keys whose near corrections share
-            # their node arrays run the kernel once at every distinct z_n
-            if fused.any():
-                nodes = near_nodes(branch)
-                groups = set(nodes.values())
-                assert calls.count(np.unique(P[fused, -1]).tolist()) == len(groups)
-                fused_groups += len(groups)
-                shared += len(groups) < len(nodes)
-    assert fused_groups and shared
+        state = sol.solution.many.__self__
+        q, n = problem.codim, problem.ndim
+        on_s = np.array(grid_points(-1.9, 1.9, -0.45, 0.45, zp=(0j,) * q + (0.2 - 0.1j,) * (n - 1 - q)))
+        idx = np.searchsorted(state.seams, on_s[:, -1].real, side="right")
+        local = np.array([state.branches[k].local.fn(tuple(z)) for k, z in zip(idx, on_s.tolist())])
+        assert sol.solution.values(on_s).tobytes() == local.tobytes()
+        assert np.array([sol.solution.fn(tuple(z)) for z in on_s.tolist()]).tobytes() == local.tobytes()
 
 
 def direct_correction_sum(branch, P):
     """The branch's corrections summed one by one, each by its own Cauchy
     sums (the evaluation every row took before corrections were fused)."""
     acc = np.zeros(len(P), dtype=complex)
-    for key, e in branch.corrections:
-        if key is None:
-            acc = acc + e.values(P)
-        else:
-            axis, center, m = key
-            acc = acc + np.prod((P[:, :-1] - center) ** m, axis=1) * e.values(P[:, -1:]) * P[:, axis]
+    for e in branch.corrections:
+        acc = acc + e.values(P)
     return acc
 
 
@@ -424,8 +354,7 @@ def cuboid_sample(problem, m=4000, seed=3):
     return P
 
 
-@pytest.mark.parametrize("problem", [ml_chain_problem(), extension_problem(slabs=4)],
-                         ids=["cousin1-12-slabs", "extension-4-slabs"])
+@pytest.mark.parametrize("problem", [ml_chain_problem()], ids=["cousin1-12-slabs"])
 def test_far_field_matches_direct_sums(problem):
     sol = solve_chain(problem, verify=False)[0]
     branches = sol.solution.many.__self__.branches
@@ -442,8 +371,7 @@ def test_far_field_matches_direct_sums(problem):
         assert np.max(np.abs(got[fused] - want[fused])) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("problem", [ml_chain_problem(), extension_problem(slabs=4)],
-                         ids=["cousin1-12-slabs", "extension-4-slabs"])
+@pytest.mark.parametrize("problem", [ml_chain_problem()], ids=["cousin1-12-slabs"])
 def test_disc_rows_in_a_seam_band_take_the_direct_sums(problem):
     # a branch's own rows never lie in its seam bands, but its corrections
     # are defined (and verified) a margin beyond them
@@ -455,21 +383,6 @@ def test_disc_rows_in_a_seam_band_take_the_direct_sums(problem):
         banded += rows.sum()
         assert b.correction_values(P[rows]).tolist() == direct_correction_sum(b, P[rows]).tolist()
     assert banded > 100
-
-
-def test_one_point_call_runs_the_kernel_at_most_once_per_key(monkeypatch):
-    problem = extension_problem(slabs=4)
-    sol = solve_chain(problem, verify=False)[0]
-    state = sol.solution.many.__self__
-    P = cuboid_sample(problem, m=200)
-    sol.solution.values(P)  # compiles the fused sums, filling their densities once
-    calls = record_kernel(monkeypatch)
-    for z in P.tolist():
-        calls.clear()
-        sol.solution.fn(tuple(z))
-        branch = state.branches[np.searchsorted(state.seams, z[-1].real, side="right")]
-        assert len(calls) <= len({key for key, _ in branch.corrections})
-    assert any(folds_far(b) for b in state.branches)
 
 
 def test_n2_cousin1_corrections_are_not_folded():
@@ -491,17 +404,6 @@ def test_replacing_fn_leaves_values_unchanged():
         traced = replace(e, fn=lambda z: 0j)
         assert type(traced) is type(e)
         assert traced.values(P).tolist() == e.values(P).tolist()
-
-
-def test_replaced_extension_split_branches_still_fuse(monkeypatch):
-    problem = extension_problem(slabs=4)
-    plain = solve_chain(problem, verify=False)[0]
-    split = merge.cousin_split
-    monkeypatch.setattr(merge, "cousin_split", lambda *a: tuple(replace(b, fn=lambda z: 0j) for b in split(*a)))
-    traced = solve_chain(problem, verify=False)[0]
-    P = cuboid_sample(problem, m=400)
-    assert traced.solution.values(P).tolist() == plain.solution.values(P).tolist()
-    assert all(b._compiled is not None for b in traced.solution.many.__self__.branches)
 
 
 # -- scalar-only user callables -----------------------------------------------
@@ -590,17 +492,6 @@ def test_density_fills_stay_within_one_block(monkeypatch):
     assert fills and all(points <= max(cousin.BLOCK_ENTRIES, nodes) for points, nodes in fills)
 
 
-def test_extension_density_caches_hold_one_row(monkeypatch):
-    # extension seams split z'-coefficients as functions of z_n alone
-    paths = record_paths(monkeypatch)
-    sol = solve_chain(extension_problem(slabs=3), verify=False)[0]
-    P = distinct_zp_points()
-    # corrections are evaluated across their seams too, so every contour is used
-    for e in [sol.solution, *sol.corrections]:
-        e.values(P)
-    assert paths and all(len(q._cache) == 1 for q in paths)
-
-
 # -- separated extension merge --------------------------------------------------
 
 
@@ -682,52 +573,66 @@ def test_separated_merge_glues_when_coefficients_come_and_go():
         assert morera_residual(sol.solution, off_s, grid=8, nodes=20) < 1e-9
 
 
-# -- one linear map over the keys of a branch ----------------------------------
+# -- closed-form extension halves ------------------------------------------------
 
 
-def per_key_sum(branch, P):
-    """The branch's corrections at the rows of P, each key summed on its own
-    by its own kernel call, in the order the keys first appear."""
-    keys: dict = {}
-    for key, e in branch.corrections:
-        keys.setdefault(key, []).append(e)
-    zn, inv = np.unique(P[:, -1], return_inverse=True)
-    acc = np.zeros(len(P), dtype=complex)
-    for (axis, center, m), es in keys.items():
-        column = cousin.fused_sums([es], *branch.disc)(zn[:, None])[0]
-        acc = acc + np.prod((P[:, :-1] - center) ** m, axis=1) * column[inv] * P[:, axis]
-    return acc
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_halves_equal_cousin_split(n):
+    """The left and right halves z_1 (w ell + Q) / 2 pi i of one w, of
+    degree 8 in z_n, equal z_1 times the branches of ``cousin_split`` on a
+    fine rule within 1e-12 relative, from the seam out to the far ends of a
+    chain on Re z_n in [-4, 4]; their difference is z_1 w on the seam strip."""
+    rng = np.random.default_rng(8 + n)
+
+    def coeff():
+        return QQi(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                   Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))))
+
+    exps = [(0,) * (n - 1) + (m,) for m in range(9)] + [(1,) * (n - 1) + (m,) for m in range(0, 9, 3)] * (n > 1)
+    w = make_series(n, {e: coeff() for e in exps}, center=[QQi(Fraction(1, 3), Fraction(-1, 5))] * (n - 1)
+                    + [QQi(Fraction(-1, 4), Fraction(1, 7))])
+    assert w.degree() >= 8
+    s, height = 0.3, 0.7
+    base = Cuboid(((-0.5, 0.5),) * (n - 1), ((-0.4, 0.4),) * (n - 1)) if n > 1 else None
+    geom = SplitGeometry(s=s, delta=0.2, theta=0.5, re_lo=-4.0, re_hi=4.0, base=base)
+    assert geom.height == height
+    fine = cousin_split(series_evaluable(w), geom, cousin.QuadratureSpec(panels=40, nodes=20))
+    # the halves of z_1 w: Weak Coherence keeps the factor z_1 explicit
+    g = complex_evaluator(merge.closed_form_series([s], [[w]], height))
+    halves = [merge._closed_form_correction(g, np.array([s]), height, np.array([side])) for side in (1.0, -1.0)]
+    m = 400
+    P = np.empty((m, n), dtype=complex)
+    P[:, :-1] = rng.uniform(-0.5, 0.5, (m, n - 1)) + 1j * rng.uniform(-0.4, 0.4, (m, n - 1))
+    P[:, -1] = rng.uniform(-4.0, 4.0, m) + 1j * rng.uniform(-0.5, 0.5, m)
+    P[:2, -1] = [-4.0 + 0.5j, 4.0 - 0.5j]  # the far ends, |z_n - s| up to 4.33
+    z1, wz = P[:, 0], complex_evaluator(w)(P)
+    scale = np.abs(z1) * (np.abs(wz) + 1)
+    for half, branch in zip(halves, fine):
+        assert_values_match_fn(half, P[:40])
+        assert np.max(np.abs(half.values(P) - z1 * branch.values(P)) / scale) <= 1e-12
+    strip = np.abs(P[:, -1].real - s) < 0.2
+    assert strip.any()
+    assert np.max(np.abs(halves[0].values(P[strip]) - halves[1].values(P[strip]) - z1[strip] * wz[strip])
+                  / scale[strip]) <= 1e-14
 
 
-@pytest.mark.parametrize("make", [lambda: come_and_go_problem(), lambda: one_seam_extension(3, 2)],
-                         ids=["come-and-go", "n3-q2"])
-def test_shared_map_equals_per_key_sums(make):
-    problem = make()
-    P = cuboid_sample(problem, m=1000)
-    for order in ("ltr", "rtl"):
-        sol = solve_chain(problem, order=order, verify=False)[0]
-        branches = sol.solution.many.__self__.branches
-        for b in branches:
-            Q = P[fused_rows(b, P)]
-            assert len(Q) and len({key for key, _ in b.corrections}) > 1
-            assert b.correction_values(Q).tolist() == per_key_sum(b, Q).tolist()
-        assert_values_match_fn(sol.solution, P[:200])
-        for corr in sol.corrections:
-            assert_values_match_fn(corr, P[:200])
-        # a key that first appears at the later seam sums its own node arrays
-        groups = [len(set(near_nodes(b).values())) for b in branches]
-        assert groups == ([2, 2, 1] if order == "ltr" else [1, 2, 2]) if len(branches) == 3 else [1, 1]
+def test_extension_solve_runs_no_quadrature(monkeypatch):
+    """An extension chain is built in closed form: no ``cousin_split``,
+    contour or Cauchy kernel; its seams report no panels, and neither the
+    merge order nor the problem's quadrature changes a bit of it."""
+    def refused(*args, **kwargs):
+        raise AssertionError("quadrature on the extension path")
 
-
-def test_keys_of_one_seam_share_read_only_node_arrays():
-    sol = solve_chain(one_seam_extension(3, 2), verify=False)[0]
-    left, right = sol.solution.many.__self__.branches
-    for b in (left, right):
-        paths = [e.pushed for _, e in b.corrections]
-        assert len(paths) > 1 and len({id(q) for q in paths}) == len(paths)
-        for q in paths:
-            assert q.zs is paths[0].zs and q.ws is paths[0].ws
-            assert not (q.zs.flags.writeable or q.ws.flags.writeable)
-            with pytest.raises(ValueError):
-                q.zs[0] = 0
-    assert left.corrections[0][1].pushed.zs is not right.corrections[0][1].pushed.zs
+    for owner, name in ((merge, "cousin_split"), (cousin, "kernel_sums"), (cousin, "_PathQuad")):
+        monkeypatch.setattr(owner, name, refused)
+    for problem in (extension_problem(slabs=4), come_and_go_problem(), one_seam_extension(3, 2)):
+        P = cuboid_sample(problem, m=300)
+        got = []
+        for order, quad in (("ltr", problem.quad), ("rtl", problem.quad), ("ltr", cousin.QuadratureSpec(1, 2))):
+            sol = solve_chain(replace(problem, quad=quad), order=order)[0]
+            report = sol.report
+            assert report["pass"], report
+            assert report["seam_quadrature"] == [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0}
+                                                 for s in problem.breakpoints]
+            got.append(b"".join(e.values(P).tobytes() for e in [sol.solution, *sol.corrections]))
+        assert got[0] == got[1] == got[2]

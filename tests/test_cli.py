@@ -263,6 +263,37 @@ class TestCousin1:
         assert len(chain["principal_part_errors"]) == 3 and chain["pass"]
 
 
+    @pytest.mark.parametrize("payload", [
+        {"cuboid": {"re": [[-3, 3]], "im": [[-0.6, 0.6]]}, "breakpoints": [-1.0, 1.0],
+         "slabs": [{"poles": [{"re": -2.0, "im": 0.1, "coeff_re": 1.5}]},
+                   {"poles": [{"re": 0.2, "coeff_re": 0.7, "coeff_im": 0.2}]},
+                   {"poles": [{"re": 2.1, "im": -0.3, "coeff_re": 0.9}]}]},
+        {"cuboid": {"re": [[-0.5, 0.5], [-2.0, 2.0]], "im": [[-0.5, 0.5], [-1.0, 1.0]]}, "breakpoints": [0.0],
+         "slabs": [{"poles": [{"re": -1.0, "im": 0.1, "coeff_re": 1.5}]}, {"poles": [{"re": 1.0, "coeff_re": 0.7}]}]},
+    ], ids=["n1", "n2"])
+    def test_default_delta_seams_within_tolerance(self, tmp_path, payload):
+        # without "delta" the margin is a twentieth of a slab, and the rows at a seam lie that close to the
+        # pushed contours: the panels must cover the kernel there as well as the poles (jumps up to 1.8e-5 before)
+        code, report = run_cli(tmp_path, "cousin1", payload)
+        assert code == 0
+        (chain,) = report["result"]["chains"]
+        assert len(chain["seam_jumps"]) == len(payload["breakpoints"])
+        assert all(jump <= report["tolerance"] for jump in chain["seam_jumps"])
+        assert all(q["panels"] > 6 and q["bound"] <= report["tolerance"] / 10 for q in chain["seam_quadrature"])
+
+    @pytest.mark.parametrize("change, named", [
+        ({"slabs": [{"poles": [{"re": -2.0, "im": 0.1, "coeff_re": 1e308}]}]}, "M = 7.07e+307"),
+        ({"tolerance": 1e-300}, "tolerance 1e-300"),
+    ], ids=["huge-coefficient", "tiny-tolerance"])
+    def test_too_many_nodes_names_distance_bound_and_tolerance(self, change, named):
+        # the pole is 0.7 from every contour: the message read "a pole comes within 0.9 of a contour" alone
+        payload = {**VALID["cousin1"], **change}
+        payload["slabs"] = change.get("slabs", []) + VALID["cousin1"]["slabs"][len(change.get("slabs", [])):]
+        code, out, err = run_stdin("cousin1", payload)
+        assert (code, out) == (1, "")
+        assert err.startswith("okakit: PoleTooCloseToSeam: ") and "within 0.3 of a contour" in err and named in err
+
+
 class TestJokuiko:
     def test_end_to_end(self, tmp_path):
         payload = {
@@ -552,6 +583,9 @@ def with_geometry(**fields):
     # a vacuous pass with an infinite tolerance, a ValueError traceback, a NaN report exiting 1
     pytest.param("cousin1", {**VALID["cousin1"], "tolerance": 1e999}, id="tolerance-1e999"),
     pytest.param("cousin-split", with_geometry(theta=math.nan), id="split-theta-nan"),
+    # a NaN panel count ended in a ValueError traceback, and numpy overflow warnings printed before a report
+    pytest.param("cousin-split", with_geometry(delta=1e308, re_lo=-1.6e308, re_hi=1.6e308), id="split-delta-huge"),
+    pytest.param("cousin-split", with_geometry(theta=1e308), id="split-theta-huge"),
     pytest.param("cousin1", with_cuboid(im=[[-math.inf, math.inf]]), id="cuboid-bound-infinite"),
     pytest.param("divide", {"series": {"dim": 1, "backend": "floating",
                                        "terms": [{"exp": [1], "coeff": [math.inf, 0]}]}, "q": 1},

@@ -25,7 +25,7 @@ from okakit.merge import (
     verify_solution,
 )
 from okakit import cousin, merge
-from okakit.series import constant, make_series, monomial, scale, variable
+from okakit.series import complex_evaluator, constant, make_series, monomial, scale, times_variable, variable
 from test_batched import extension_problem as perturbed_extension_problem
 from test_batched import n2_cousin1_problem
 
@@ -451,12 +451,8 @@ class TestExtensionEndToEnd:
         assert not report["pass"]
 
 
-def one_panel_of_two_nodes(monkeypatch, prob):
-    return replace(prob, quad=QuadratureSpec(panels=1, nodes=2))
-
-
 def right_half_dropped(monkeypatch, prob, s=0.0):
-    """The first key's right split half at seam s is the split of 0."""
+    """The right split half at seam s is the split of 0."""
     split, dropped = merge.cousin_split, []
 
     def mutant(density, geom, spec):
@@ -484,16 +480,71 @@ def left_contour_pushed_left(monkeypatch, prob, s=0.0):
     return prob
 
 
+def closed_form_mutant(monkeypatch, change):
+    """Every extension branch's correction built from the compiled series
+    and sides change(alpha, g, sides) gives for branch alpha."""
+    build = merge._closed_form_correction
+
+    def mutant(g, seams, height, sides):
+        g, sides = change(int((sides < 0).sum()), g, sides.copy())
+        return build(g, seams, height, sides)
+
+    monkeypatch.setattr(merge, "_closed_form_correction", mutant)
+
+
+def right_log_on_a_left_branch(monkeypatch, prob):
+    """Branch 0 takes the right log difference at seam 1, right of it."""
+    def change(alpha, g, sides):
+        if alpha == 0:
+            sides[1] = -1.0
+        return g, sides
+
+    closed_form_mutant(monkeypatch, change)
+    return prob
+
+
+def one_datum_term_missed(monkeypatch, prob):
+    """Branch 1 misses seam 2's h_k ell term: its L_2 is 0."""
+    def change(alpha, g, sides):
+        def without(X):
+            X = X.copy()
+            X[:, prob.ndim + 2] = 0
+            return g(X)
+
+        return (without if alpha == 1 else g), sides
+
+    closed_form_mutant(monkeypatch, change)
+    return prob
+
+
+def quotient_on_its_left_side_only(monkeypatch, prob):
+    """Seam 1's share sum_j z_j Q_{1,j} / 2 pi i of G reaches the branches
+    left of it alone."""
+    left, right = prob.local_overrides[1:3]
+    height = prob.theta + prob.seam_margin()
+    q1 = complex_evaluator(sum(times_variable(merge.segment_quotient(w, prob.partition.seam(1), height), j)
+                               for j, w in enumerate(ideal_witness(right - left, prob.subspace))))
+
+    def change(alpha, g, sides):
+        return ((lambda X: g(X) - q1(X[:, :prob.ndim]) / cousin.TWO_PI_I) if alpha > 1 else g), sides
+
+    closed_form_mutant(monkeypatch, change)
+    return prob
+
+
 class TestExtensionMutants:
     """Broken glue on the perturbed 4-slab problem (seams at -1, 0, 1) must
-    fail the report: the seam check sees each jump."""
+    fail the report: the seam check sees each jump.  Dropping Q everywhere
+    is no mutant: the result still glues and vanishes on S, another gauge
+    (``test_closed_form_halves_equal_cousin_split`` pins Q)."""
 
     def test_unmutated_solution_passes(self):
         report = solve_chain(perturbed_extension_problem(slabs=4))[0].report
         assert report["pass"] and len(report["seam_jumps"]) == 3
         assert max(report["seam_jumps"]) <= 1e-10
 
-    @pytest.mark.parametrize("mutant", [one_panel_of_two_nodes, right_half_dropped, left_contour_pushed_left])
+    @pytest.mark.parametrize("mutant", [right_log_on_a_left_branch, one_datum_term_missed,
+                                        quotient_on_its_left_side_only])
     def test_mutant_fails(self, monkeypatch, mutant):
         prob = mutant(monkeypatch, perturbed_extension_problem(slabs=4))
         report = solve_chain(prob)[0].report

@@ -23,7 +23,10 @@ instance of seed 5: ``kernel_entries`` are the divisions w / (zeta - z_n),
 points x contour nodes x weight columns summed over every call of
 ``cousin.kernel_sums`` (or of ``_PathQuad.cauchy`` in a tree without it),
 and ``kernel_differences`` the zeta - z_n entries, points x contour nodes,
-which the columns of one call share.  Under ``bits`` it gives, per group
+which the columns of one call share.  Trees whose ``kernel_sums`` takes a
+key count (one weight column per extension key) have several columns per
+call; in trees without it every call has one, and ``ext_merge`` solves in
+closed form, so both of its counts read 0.  Under ``bits`` it gives, per group
 (``ml_chain``, ``ext_merge``, ``exact_algebra``, ``cli_mix``), the sha256 of
 fixed outputs on each side and whether they are equal; see ``BITS`` for what
 each group hashes.  Unequal bits are information, not a failure.  The script
@@ -50,9 +53,10 @@ EVAL_US = [{"name": f"eval_us.{q}", "unit": "us", "better": "lower"} for q in ("
 EVAL_US_LINE = re.compile(r"^\s*(eval_us\.p[59]0) = (\S+) us", re.M)
 
 # Run in a tree's own interpreter process: wrap the Cauchy kernel helper
-# (_PathQuad.cauchy in trees that predate it; kernel_sums took no key count
-# before keys shared its kernel block), solve the first instance of each
-# workload with verification, print the counts.
+# (_PathQuad.cauchy in trees that predate it; kernel_sums takes a key count,
+# the number of weight columns, only in trees whose extension keys shared
+# its kernel block), solve the first instance of each workload with
+# verification, print the counts.
 KERNEL_COUNT = """
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
