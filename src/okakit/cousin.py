@@ -179,20 +179,15 @@ def _unit_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-# A cousin1 solve splits every seam over three contours, and a repeated solve
-# of one geometry splits over the same ones: a few node sets let them share arrays.
-@lru_cache(maxsize=16)
-def _path_nodes(pieces: tuple, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _path_nodes(pieces: Sequence[tuple[complex, complex, int]], nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite GL nodes and dz-weights along the straight pieces (a, b,
-    panels), computed once per polyline and shared read-only."""
+    panels)."""
     zs, ws = [], []
     for a, b, panels in pieces:
         t, w = _unit_rule(panels, nodes)
         zs.append(a + (b - a) * t)
         ws.append(w * (b - a))
-    zs, ws = np.concatenate(zs), np.concatenate(ws)
-    zs.flags.writeable = ws.flags.writeable = False
-    return zs, ws
+    return np.concatenate(zs), np.concatenate(ws)
 
 
 # A path keeps its weighted node densities for this many distinct z', least
@@ -206,11 +201,11 @@ BLOCK_ENTRIES = 1 << 13
 
 
 class _PathQuad:
-    """Shared node set along a polyline of straight pieces (a, b, panels) for
+    """The node set along a polyline of straight pieces (a, b, panels) for
     one density ``phi``, with its own LRU cache of weighted density values per z'."""
 
     def __init__(self, pieces: Sequence[tuple[complex, complex, int]], spec: QuadratureSpec, phi: Evaluable):
-        self.zs, self.ws = _path_nodes(tuple(pieces), spec.nodes)
+        self.zs, self.ws = _path_nodes(pieces, spec.nodes)
         self.phi = phi
         self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
@@ -247,6 +242,20 @@ class _PathQuad:
         return kernel_sums(self.zs, P[:, -1], weights)
 
 
+def routed(P: np.ndarray, key: np.ndarray, parts: Sequence[Callable]) -> np.ndarray:
+    """parts[k](P[key == k]) in the rows of P whose key is k, for an integer
+    or boolean ``key`` per row.  Where every row has one key, that part gets
+    P itself, uncopied."""
+    ks = np.flatnonzero(np.bincount(key))
+    if len(ks) == 1:
+        return parts[ks[0]](P)
+    out = np.empty(len(P), dtype=complex)
+    for k in ks:
+        rows = key == k
+        out[rows] = parts[k](P[rows])
+    return out
+
+
 def _row_sums(m: int, width: int, block: Callable) -> np.ndarray:
     """block(rows).sum(axis=-1) for rows 0..m-1 and blocks of shape (rows,
     width), in slices of at most BLOCK_ENTRIES entries."""
@@ -263,10 +272,7 @@ def _row_sums(m: int, width: int, block: Callable) -> np.ndarray:
 def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray:
     """(1/2 pi i) * sum_j wd[..., j] / (zs_j - zn_i) per zn_i: the one Cauchy
     kernel loop.  wd = weights(rows) is a slice's weighted densities, one row
-    shared by every row or one per row.  One point skips the blocks: the
-    same quotients and sums along the node axis, so the same bits."""
-    if len(zn) == 1:
-        return (weights(slice(None)) / (zs - zn[:, None])).sum(axis=-1) / TWO_PI_I
+    shared by every row or one per row."""
     return _row_sums(len(zn), len(zs), lambda rows: weights(rows) / (zs - zn[rows, None])) / TWO_PI_I
 
 
@@ -285,10 +291,15 @@ def taylor_terms(rho: float) -> int:
     return math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho))
 
 
+def summed(parts: Sequence[Evaluable]) -> Callable:
+    """The map from points P to the sum of every part's values, part by part."""
+    return lambda P: sum((e.values(P) for e in parts), np.zeros(len(P), dtype=complex))
+
+
 def fused_sums(branches: Sequence[SplitBranch], center: complex, radius: float) -> Callable:
-    """The map from points P to the summed pushed-contour Cauchy sums of
-    ``branches`` (densities of z_n alone), for rows with |z_n - center| <
-    radius inside every ``valid_re``.
+    """The map from points P to the sum of ``branches`` (densities of z_n
+    alone): the fused sums below for rows with |z_n - center| < radius inside
+    every ``valid_re``, ``summed`` for every other row.
 
     The near branches give one Cauchy sum over the union of their nodes.
     Those with every node at least 2 radius away give one Taylor series:
@@ -300,6 +311,7 @@ def fused_sums(branches: Sequence[SplitBranch], center: complex, radius: float) 
     center)^m.  One row takes the short path: one kernel row and one power
     row, no blocks, with the bits of that row in a batch.
     """
+    lo, hi = max(b.valid_re[0] for b in branches), min(b.valid_re[1] for b in branches)
     parts: tuple[list, list] = ([], [])
     for b in branches:
         parts[bool(np.abs(b.pushed.zs - center).min() >= 2 * radius)].append(b)
@@ -335,7 +347,19 @@ def fused_sums(branches: Sequence[SplitBranch], center: complex, radius: float) 
             out = (np.zeros(len(zn), dtype=complex) if out is None else out) + sums
         return out
 
-    return column
+    direct = summed(branches)
+
+    def many(P):
+        if len(P) == 1:  # the same test on Python floats; x * x gives inf where x ** 2 raises
+            z = complex(P[0, -1])
+            d = z - center
+            inside = d.real * d.real + d.imag * d.imag < radius ** 2 and lo < z.real < hi
+            return (column if inside else direct)(P)
+        d = P[:, -1] - center
+        return routed(P, (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi),
+                      (direct, column))
+
+    return many
 
 
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
@@ -396,13 +420,7 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> SplitBranch:
         def many(P):
             near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
-            out = np.empty(len(P), dtype=complex)
-            if not near.all():
-                out[~near] = pushed.cauchy(P[~near])
-            if near.any():
-                Q = P[near]
-                out[near] = jump(seam_quad.cauchy(Q), phi.values(Q))
-            return out
+            return routed(P, near, (pushed.cauchy, lambda Q: jump(seam_quad.cauchy(Q), phi.values(Q))))
 
         return SplitBranch.batched(many, pushed=pushed, valid_re=(lo, hi))
 

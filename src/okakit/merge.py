@@ -33,7 +33,9 @@ from .cousin import (
     gauss_error,
     longest_panel,
     morera_residual,
+    routed,
     split_contours,
+    summed,
     sup_abs,
 )
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
@@ -248,10 +250,9 @@ class _Branch:
     ``disc`` = (c, R) is the far-field disc of an n = 1 cousin1 slab: c is
     the centre of its z_n rectangle and R the half-diagonal of that
     rectangle grown by delta on Re, so the seam overlaps lie inside.  Its
-    corrections (``cousin_split`` branches) compile, on the first
-    evaluation, into one ``fused_sums`` map, which the rows in the disc and
-    outside every seam band sum; all other rows, and every row of a branch
-    without a disc, sum each correction directly.
+    corrections (``cousin_split`` branches) are summed by one map, built on
+    the first evaluation: ``fused_sums`` about the disc, or ``summed`` for
+    a branch without a disc or corrections.
     """
 
     local: Evaluable
@@ -259,41 +260,15 @@ class _Branch:
     corrections: tuple[Evaluable, ...] = ()
 
     @cached_property
-    def _compiled(self) -> tuple | None:
-        """((lo, hi), map) for the disc rows with lo < Re z_n < hi (a far
-        correction's band misses the disc), or None if none fuse."""
+    def _sums(self) -> Callable:
         cs = self.corrections
-        if self.disc is None or not cs:
-            return None
-        band = (max(e.valid_re[0] for e in cs), min(e.valid_re[1] for e in cs))
-        return band, fused_sums(cs, *self.disc)
-
-    def _direct(self, P: np.ndarray) -> np.ndarray:
-        return sum((e.values(P) for e in self.corrections), np.zeros(len(P), dtype=complex))
+        return fused_sums(cs, *self.disc) if self.disc is not None and cs else summed(cs)
 
     def correction_values(self, P: np.ndarray) -> np.ndarray:
-        compiled = self._compiled
-        if compiled is None:
-            return self._direct(P)
-        (lo, hi), fused = compiled
-        center, radius = self.disc
-        if len(P) == 1:  # the same test on Python floats; x * x gives inf where x ** 2 raises
-            z = complex(P[0, -1])
-            d = z - center
-            inside = d.real * d.real + d.imag * d.imag < radius ** 2 and lo < z.real < hi
-            return (fused if inside else self._direct)(P)
-        d = P[:, -1] - center
-        rows = (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi)
-        if rows.all():  # every row a merged solution routes here
-            return fused(P)
-        out = np.empty(len(P), dtype=complex)
-        for sel, terms in ((~rows, self._direct), (rows, fused)):
-            if sel.any():
-                out[sel] = terms(P[sel])
-        return out
+        return self._sums(P)
 
     def values(self, P: np.ndarray) -> np.ndarray:
-        return self.local.values(P) + self.correction_values(P)
+        return self.local.values(P) + self._sums(P)
 
 
 @dataclass
@@ -309,21 +284,7 @@ class ChainState:
         branch ``searchsorted`` would, NaN included, with the same bits."""
         if len(P) == 1:
             return self.branches[bisect.bisect_right(self.seams, P[0, -1].real)].values(P)
-        idx = np.searchsorted(self.seams, P[:, -1].real, side="right")
-        ks = np.flatnonzero(np.bincount(idx))
-        if len(ks) == 1:
-            return self.branches[ks[0]].values(P)
-        out = np.empty(len(P), dtype=complex)
-        for k in ks:
-            rows = idx == k
-            out[rows] = self.branches[k].values(P[rows])
-        return out
-
-    def evaluable(self) -> Evaluable:
-        return Evaluable.batched(self.values)
-
-    def branch_correction(self, idx: int) -> Evaluable:
-        return Evaluable.batched(self.branches[idx].correction_values)
+        return routed(P, np.searchsorted(self.seams, P[:, -1].real, side="right"), [b.values for b in self.branches])
 
 
 def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
@@ -514,8 +475,8 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) 
             acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem, spec)
     return ChiSolution(
         chain=chain,
-        solution=acc.evaluable(),
-        corrections=[acc.branch_correction(k) for k in range(len(chain.indices))],
+        solution=Evaluable.batched(acc.values),
+        corrections=[Evaluable.batched(b.correction_values) for b in acc.branches],
         region=region,
         seam_quadrature=quadrature,
     )

@@ -314,11 +314,12 @@ def _cpow(wr, wi, e: int):
 def complex_evaluator(f: TruncatedSeries):
     """Float evaluation of ``f`` compiled for many points: maps an (m, dim) complex
     array to the (m,) values, each within an a priori bound of the exact value.
-    Coefficients and center become floats once; terms are summed in dict order,
-    real and imaginary parts kept apart.  One row runs the same operations on
+    Coefficients and center become floats, and each term's nonzero (axis,
+    exponent) pairs are listed, once; terms are summed in dict order, real
+    and imaginary parts kept apart.  One row runs the same operations on
     Python floats (no numpy call overhead), so it equals that row of a batch."""
     center = [complex(c) for c in f.center]
-    terms = [(exp, complex(v)) for exp, v in f.coeffs.items()]
+    terms = [([(k, e) for k, e in enumerate(exp) if e], complex(v)) for exp, v in f.coeffs.items()]
 
     def many(P: np.ndarray) -> np.ndarray:
         if P.shape[1:] != (f.dim,):
@@ -330,14 +331,13 @@ def complex_evaluator(f: TruncatedSeries):
             w = [(P[:, k].real - b.real, P[:, k].imag - b.imag) for k, b in enumerate(center)]
             acc_re = acc_im = np.zeros(len(P))
         powers: dict = {}
-        for exp, c in terms:
+        for factors, c in terms:
             tr, ti = c.real, c.imag
-            for k, e in enumerate(exp):
-                if e:
-                    if (k, e) not in powers:
-                        powers[k, e] = _cpow(*w[k], e)
-                    pr, pi = powers[k, e]
-                    tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
+            for k, e in factors:
+                if (k, e) not in powers:
+                    powers[k, e] = _cpow(*w[k], e)
+                pr, pi = powers[k, e]
+                tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
             acc_re = acc_re + tr
             acc_im = acc_im + ti
         out = np.empty(len(P), dtype=complex)

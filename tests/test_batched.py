@@ -273,7 +273,7 @@ def fused_rows(branch, P):
 def far_corrections(branch) -> list:
     """The corrections the fused sums expand as a Taylor series: functions
     of z_n alone whose pushed nodes all lie at least 2R from the disc centre."""
-    if branch._compiled is None:
+    if branch.disc is None or not branch.corrections:
         return []
     center, radius = branch.disc
     return [e for e in branch.corrections if np.abs(e.pushed.zs - center).min() >= 2 * radius]
@@ -383,6 +383,31 @@ def test_disc_rows_in_a_seam_band_take_the_direct_sums(problem):
         banded += rows.sum()
         assert b.correction_values(P[rows]).tolist() == direct_correction_sum(b, P[rows]).tolist()
     assert banded > 100
+
+
+def test_routed_rows_equal_their_rows_alone():
+    """``cousin.routed`` gives each row of a split call the bits of the same
+    row evaluated alone, hands a call whose rows all have one key its array
+    uncopied, and gives zero rows an empty result."""
+    problem = ml_chain_problem()
+    state = solve_chain(problem, verify=False)[0].solution.many.__self__
+    P = cuboid_sample(problem, m=300)
+    parts = [b.values for b in state.branches]
+    key = np.searchsorted(state.seams, P[:, -1].real, side="right")
+    assert len(np.unique(key)) > 1
+    for k, part in ((key, parts), (key == 0, parts[:2])):  # integer and boolean keys
+        alone = np.concatenate([part[int(k[i])](P[i:i + 1]) for i in range(len(P))])
+        assert cousin.routed(P, k, part).tobytes() == alone.tobytes()
+    seen = []
+
+    def spy(Q):
+        seen.append(Q)
+        return np.zeros(len(Q), dtype=complex)
+
+    assert cousin.routed(P, np.full(len(P), 2), [None, None, spy]).tolist() == [0j] * len(P)
+    assert len(seen) == 1 and seen[0] is P
+    empty = cousin.routed(P[:0], key[:0], parts)
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 def test_n2_cousin1_corrections_are_not_folded():

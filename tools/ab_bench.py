@@ -27,7 +27,7 @@ which the columns of one call share.  Trees whose ``kernel_sums`` takes a
 key count (one weight column per extension key) have several columns per
 call; in trees without it every call has one, and ``ext_merge`` solves in
 closed form, so both of its counts read 0.  Under ``bits`` it gives, per group
-(``ml_chain``, ``ext_merge``, ``exact_algebra``, ``cli_mix``), the sha256 of
+(``ml_chain``, ``ext_merge``, ``n2_cousin1``, ``exact_algebra``, ``cli_mix``), the sha256 of
 fixed outputs on each side and whether they are equal; see ``BITS`` for what
 each group hashes.  Unequal bits are information, not a failure.  The script
 exits 1 if a run fails or reports a failed output check.
@@ -90,8 +90,10 @@ print(json.dumps(out))
 # Run in a tree's own interpreter process: the sha256 of each group's outputs.
 # ml_chain, ext_merge: the first 3 instances of seeds 5 and 11, both merge
 # orders: merged values at the instance's points, 20 one-point calls, every
-# correction's values and the report's repr.  exact_algebra: the outputs of
-# the first 20 case groups of seed 5.  cli_mix: exit code, stdout without
+# correction's values and the report's repr.  n2_cousin1, which no workload
+# covers: the same for a fixed 4-slab n = 2 cousin1 problem with z'-dependent
+# loci, at 60 points of distinct z'.  exact_algebra: the outputs of the first
+# 20 case groups of seed 5.  cli_mix: exit code, stdout without
 # elapsed_s, and any exception of every request of seeds 1-3.
 BITS = """
 import dataclasses, hashlib, json, re, sys
@@ -99,6 +101,7 @@ sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 import numpy as np
 import bench_workloads as bw
 from okakit import merge, series
+from okakit.cuboids import Cuboid
 def canon(x):
     if isinstance(x, series.TruncatedSeries):
         return series.to_json(x)
@@ -109,21 +112,38 @@ def canon(x):
     if isinstance(x, (list, tuple)):
         return [canon(v) for v in x]
     return repr(x)
+def solved(h, problem, pts):
+    P = np.array(pts, dtype=complex)
+    for order in ("ltr", "rtl"):
+        for sol in merge.solve_chain(problem, order=order):
+            h.update(sol.solution.values(P).tobytes())
+            h.update(np.array([sol.solution.fn(z) for z in pts[:20]]).tobytes())
+            for correction in sol.corrections:
+                h.update(correction.values(P).tobytes())
+            h.update(repr(sol.report).encode())
 out = {}
 for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
     h = hashlib.sha256()
     for seed in (5, 11):
         for item in workload(seed).pool[:3]:
-            problem, pts = item[0], item[2]
-            P = np.array(pts, dtype=complex)
-            for order in ("ltr", "rtl"):
-                for sol in merge.solve_chain(problem, order=order):
-                    h.update(sol.solution.values(P).tobytes())
-                    h.update(np.array([sol.solution.fn(z) for z in pts[:20]]).tobytes())
-                    for correction in sol.corrections:
-                        h.update(correction.values(P).tobytes())
-                    h.update(repr(sol.report).encode())
+            solved(h, item[0], item[2])
     out[name] = h.hexdigest()
+def slab(*terms):  # (order, coefficient, locus) with series in z_1
+    return merge.PrincipalPartData(tuple(merge.PoleTerm(k, series.make_series(1, c), series.make_series(1, p))
+                                         for k, c, p in terms))
+problem = merge.ChiProblem(
+    kind="cousin1", cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+    breakpoints=(-1.0, 0.0, 1.0), delta=0.2,
+    data=(slab((1, {(0,): 1, (1,): 0.5j}, {(0,): -1.5 + 0.1j, (1,): 0.1})),
+          slab((2, {(0,): 0.5 - 0.2j}, {(0,): -0.5 - 0.2j, (1,): -0.05j})),
+          slab((1, {(0,): -1j, (1,): 0.3}, {(0,): 0.45, (1,): 0.08}), (1, {(0,): 0.2}, {(0,): 0.6 + 0.25j})),
+          slab((1, {(0,): 2 - 1j}, {(0,): 1.5 - 0.1j, (1,): -0.1 + 0.05j}))))
+rng = np.random.default_rng(24)
+z1 = rng.uniform(-0.5, 0.5, 60) + 1j * rng.uniform(-0.5, 0.5, 60)
+z2 = rng.uniform(-1.95, 1.95, 60) + 1j * rng.uniform(-0.45, 0.45, 60)
+h = hashlib.sha256()
+solved(h, problem, list(zip(z1.tolist(), z2.tolist())))
+out["n2_cousin1"] = h.hexdigest()
 h = hashlib.sha256()
 for group in bw.ExactAlgebra(5).pool[:20]:
     for case, inputs in group:
