@@ -215,8 +215,7 @@ def _solver(request: dict, args, cuboid: Cuboid, **fields):
     """The solve of the ChiProblem with ``fields`` and the request's common fields."""
     delta = request.get("delta")
     problem = ChiProblem(cuboid=cuboid, breakpoints=tuple(float(_number(t)) for t in request.get("breakpoints", [])),
-                         delta=None if delta is None else _number(delta), quad=_quadrature(request, args),
-                         tol=args.tol, **fields)
+                         delta=None if delta is None else _number(delta), tol=args.tol, **fields)
     return partial(_solve, problem, _output_path(request.get("csv")))
 
 
@@ -323,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default="-", help="input JSON file ('-' for stdin)")
         p.add_argument("--output", default="-", help="report JSON file ('-' for stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
-        p.add_argument("--panels", type=int, default=None,
-                       help="Gauss panels on each seam-long cousin1 contour piece (default 6; more near a pole "
-                            "or with a small delta; extension seams use none); a shorter piece gets panels in "
-                            "proportion to its length, at least one, so no panel is longer")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+        if name == "cousin-split":  # cousin1 seams take their panels from the pole table, extension seams none
+            p.add_argument("--panels", type=int, default=None,
+                           help="Gauss panels on each seam-long contour piece (default 6); a shorter piece gets "
+                                "panels in proportion to its length, at least one, so no panel is longer")
     return parser
 
 

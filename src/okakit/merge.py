@@ -101,7 +101,6 @@ class ChiProblem:
     target: TruncatedSeries | None = None
     local_overrides: tuple[TruncatedSeries, ...] | None = None
     delta: float | None = None
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -205,14 +204,10 @@ def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
         rlo, rhi = problem.partition.slabs[alpha].re[-1]
         for _, _, p in _poles(problem, alpha):
             if not (rlo - 1e-12 <= p.real <= rhi + 1e-12) or abs(p.imag) > problem.theta:
-                raise PoleTooCloseToSeam(
-                    f"pole at {p} lies outside slab {alpha}"
-                )
+                raise PoleTooCloseToSeam(f"pole at {p} lies outside slab {alpha}")
             for edge in (rlo, rhi):
                 if abs(p.real - edge) < delta:
-                    raise PoleTooCloseToSeam(
-                        f"pole at {p} within margin {delta} of a slab edge"
-                    )
+                    raise PoleTooCloseToSeam(f"pole at {p} within margin {delta} of a slab edge")
         return problem.data[alpha].evaluable()
     return series_evaluable(problem.slab_poly(alpha))
 
@@ -297,20 +292,17 @@ def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
     return ChainState([_Branch(local_solution(problem, alpha), disc)], [])
 
 
-def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry,
-               problem: ChiProblem, spec: QuadratureSpec | None = None) -> ChainState:
+def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry, spec: QuadratureSpec) -> ChainState:
     """Merge two adjacent partial cousin1 solutions across the seam of ``geom``.
 
-    The seam density rb - lb, a finite sum of principal parts and Cauchy
-    sums holomorphic on the seam strip by construction, is split with the
-    Cousin contours, on ``spec``'s panels (``problem.quad`` by default); the
-    left half is added to every left branch and the right half to every
-    right branch, so the two sides agree on the seam strip.
+    The seam density, the first right branch less the last left branch, a
+    finite sum of principal parts and Cauchy sums holomorphic on the seam
+    strip by construction, is split with the Cousin contours, on ``spec``'s
+    panels; the left half is added to every left branch and the right half
+    to every right branch, so the two sides agree on the seam strip.
     """
-    lb = left.branches[-1]
-    rb = right.branches[0]
-    density = Evaluable.batched(rb.values) - Evaluable.batched(lb.values)
-    half_left, half_right = cousin_split(density, geom, spec or problem.quad)
+    density = Evaluable.batched(right.branches[0].values) - Evaluable.batched(left.branches[-1].values)
+    half_left, half_right = cousin_split(density, geom, spec)
     return ChainState([replace(b, corrections=b.corrections + (half_left,)) for b in left.branches]
                       + [replace(b, corrections=b.corrections + (half_right,)) for b in right.branches],
                       left.seams + [geom.s] + right.seams)
@@ -400,41 +392,47 @@ def _extension_state(problem: ChiProblem, chain: ConnectivityChain, seams: list[
                        for k, local in enumerate(locals_)], list(seams))
 
 
-def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list) -> tuple[QuadratureSpec, dict]:
+def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list,
+                    neighbour: float | None) -> tuple[QuadratureSpec, dict]:
     """The cousin1 seam's quadrature, with panels from the pole table, and
     its report entry {s, panels, nodes, bound}.
 
     For every straight piece of the seam's contours (``split_contours``: the
     segment, the two pushed contours and their legs), d is the least
-    distance from a locus disc of ``discs`` (``_pole_discs`` of the two slabs
-    at the seam) to the piece, or delta where that is less: the rows at the
+    distance to the piece from a locus disc of ``discs`` (``_pole_discs`` of
+    the two slabs at the seam), from the ends ``neighbour`` +/- ih of the
+    contour of the half that the seam merged just before adds to the density
+    (w - delta away across a slab of width w), or delta: the rows at the
     seam lie delta from the pushed contours, and the kernel 1 / (zeta - z_n)
     is singular there.  M = max(1, sum_t C_t / d_t^k_t) over the terms t
     bounds the density on the piece.  The seam gets the fewest panels, at
-    least ``problem.quad.panels``, that keep every panel of every piece
+    least ``QuadratureSpec()``'s, that keep every panel of every piece
     within its ``longest_panel`` for a Gauss error of tol / 10: a leg's
     panels are never longer than the seam-long pieces'.  More than
     MAX_PIECE_NODES nodes on a seam-long piece raise ``PoleTooCloseToSeam``,
-    naming the d and M of the piece that needs the most and the tolerance.
-    ``panels`` is the seam-long pieces' count, ``nodes`` the Gauss nodes of
-    the three contours and ``bound`` the largest ``gauss_error`` of a piece.
+    naming the d and M of the piece that needs the most, what sets that d
+    and the tolerance.  ``panels`` is the seam-long pieces' count, ``nodes``
+    the Gauss nodes of the three contours and ``bound`` the largest
+    ``gauss_error`` of a piece.
     """
-    quad, h, tol = problem.quad, geom.height, problem.tol
+    quad, h, tol = QuadratureSpec(), geom.height, problem.tol
     pieces = []
     for a, b, _ in (piece for contour in split_contours(geom, quad) for piece in contour):
         dists = [distance_to_segment(c, a, b) - r for _, _, c, r in discs]
-        d = min(dists + [geom.delta])
+        gap = math.inf if neighbour is None else min(distance_to_segment(complex(neighbour, y), a, b) for y in (-h, h))
+        d = min(dists + [geom.delta, gap])
         M = max(1.0, sum(C / dt ** k for (k, C, _, _), dt in zip(discs, dists))) if d > 0 else math.inf
-        pieces.append((longest_panel(d, M, quad.nodes, tol / 10) if d > 0 else 0.0, d, M))
-    ell, d, M = min(pieces)
+        pieces.append((longest_panel(d, M, quad.nodes, tol / 10) if d > 0 else 0.0, d, M, d == gap))
+    ell, d, M, by_neighbour = min(pieces)
     panels = max(quad.panels, math.ceil(min(2 * h / ell if ell > 0 else math.inf, MAX_PIECE_NODES)))
     if panels * quad.nodes > MAX_PIECE_NODES:
-        raise PoleTooCloseToSeam(f"a pole or an evaluated row comes within {max(0.0, d):.3g} of a contour of the "
-                                 f"seam at {geom.s}, with density bound M = {M:.3g} and tolerance {tol:.3g}: more "
-                                 f"than {MAX_PIECE_NODES} Gauss nodes on a seam-long piece would be needed")
+        near = f"the contour of the seam at {neighbour}" if by_neighbour else "a pole or an evaluated row"
+        raise PoleTooCloseToSeam(f"{near} comes within {max(0.0, d):.3g} of a contour of the seam at {geom.s}, "
+                                 f"with density bound M = {M:.3g} and tolerance {tol:.3g}: more than "
+                                 f"{MAX_PIECE_NODES} Gauss nodes on a seam-long piece would be needed")
     spec = replace(quad, panels=panels)
     contours = [piece for contour in split_contours(geom, spec) for piece in contour]
-    bound = max(gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (_, d, M) in zip(contours, pieces))
+    bound = max(gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (_, d, M, _) in zip(contours, pieces))
     return spec, {"s": geom.s, "panels": panels, "nodes": quad.nodes * sum(k for *_, k in contours), "bound": bound}
 
 
@@ -467,12 +465,13 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) 
         discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
         acc = states[0]
         # seam chain.start + k joins states k and k + 1; the merge replaces both
-        quadrature = [None] * len(seams)
+        quadrature, before = [None] * len(seams), None
         for k in range(len(seams)) if order == "ltr" else reversed(range(len(seams))):
             geom = SplitGeometry(s=seams[k], delta=problem.seam_margin(), theta=problem.theta,
                                  re_lo=lo, re_hi=hi, base=base)
-            spec, quadrature[k] = seam_quadrature(problem, geom, discs[k] + discs[k + 1])
-            acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, problem, spec)
+            spec, quadrature[k] = seam_quadrature(problem, geom, discs[k] + discs[k + 1], before)
+            acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, spec)
+            before = geom.s  # the next seam's density holds this seam's half
     return ChiSolution(
         chain=chain,
         solution=Evaluable.batched(acc.values),
@@ -538,13 +537,14 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     them (``seam_quadrature``).  ``patch_morera`` stays an empty list.
 
     cousin1: principal coefficients re-extracted by contour integrals around
-    each pole must match the prescribed ones; for n >= 2 both the pole and
-    its coefficient are taken at the slab's midpoint z', where the contour is
-    drawn.  extension: the solution restricted to the subspace must match
-    the target on a sample grid of Re z_n on each slice Im z_n in
-    ``subspace_slices`` (0 and +/- 0.9 theta; for q = n at the origin
-    alone); a chain region that misses S lists that check in
-    ``skipped_checks``.
+    each pole must match the prescribed ones, summed over the slab's terms
+    of one order at one position (one contour sees them all; each term keeps
+    its entry); for n >= 2 the poles and coefficients are taken at the
+    slab's midpoint z', where the contour is drawn.  extension: the solution
+    restricted to the subspace must match the target on a sample grid of
+    Re z_n on each slice Im z_n in ``subspace_slices`` (0 and +/- 0.9 theta;
+    for q = n at the origin alone); a chain region that misses S lists that
+    check in ``skipped_checks``.
     """
     tol, n, region = problem.tol, problem.ndim, sol.region
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
@@ -575,8 +575,8 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
         errors = []
         for i, ((alpha, term, zp, p), (_, d)) in enumerate(zip(poles, rings)):
             got = _ring_coefficient(vals[64 * i:64 * (i + 1)], d, term.order)
-            errors.append({"slab": alpha, "order": term.order,
-                           "pole": [p.real, p.imag], "error": abs(got - _at(term.coeff, zp))})
+            want = sum(_at(t.coeff, zp) for a, t, _, q in poles if (a, t.order, q) == (alpha, term.order, p))
+            errors.append({"slab": alpha, "order": term.order, "pole": [p.real, p.imag], "error": abs(got - want)})
         report["principal_part_errors"] = errors
         ok = ok and all(e["error"] <= tol for e in errors)
     else:

@@ -293,6 +293,31 @@ class TestCousin1:
         assert (code, out) == (1, "")
         assert err.startswith("okakit: PoleTooCloseToSeam: ") and "within 0.3 of a contour" in err and named in err
 
+    def test_neighbouring_half_near_a_seam_contour_is_named(self):
+        # the middle slab is delta wide: the density at 0.15 holds the right half of the seam at -0.15, whose
+        # contour ends on the contour pushed left from 0.15; at 6 panels that seam jumped 4.3e-4, bound 1.5e-13
+        payload = {"cuboid": {"re": [[-2, 2]], "im": [[-0.5, 0.5]]}, "breakpoints": [-0.15, 0.15], "delta": 0.3,
+                   "slabs": [{"poles": [{"re": -1.2, "im": 0.2, "coeff_re": 1.5},
+                                        {"re": -1.0, "im": -0.3, "coeff_re": 2, "coeff_im": -1, "order": 2}]},
+                             {"poles": []},
+                             {"poles": [{"re": 1.1, "im": 0.1, "coeff_re": -1, "coeff_im": 2},
+                                        {"re": 1.3, "im": -0.2, "coeff_re": 0.7, "order": 2}]}]}
+        code, out, err = run_stdin("cousin1", payload)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("okakit: PoleTooCloseToSeam: the contour of the seam at -0.15 comes within 0 of a "
+                              "contour of the seam at 0.15"), err
+
+    def test_two_terms_of_one_order_at_one_pole_pass(self):
+        # the residue ring sees 1.0 + 0.5: each term was compared alone, with errors 0.5 and 1.0
+        payload = {"cuboid": {"re": [[-3, 3]], "im": [[-0.6, 0.6]]}, "breakpoints": [-1.0, 1.0], "delta": 0.3,
+                   "slabs": [{"poles": [{"re": -2.0, "coeff_re": 1.0}, {"re": -2.0, "coeff_re": 0.5}]},
+                             {"poles": [{"re": 0.2}]}, {"poles": [{"re": 2.1}]}]}
+        code, out, err = run_stdin("cousin1", payload)
+        assert (code, err) == (0, "")
+        (chain,) = json.loads(out)["result"]["chains"]
+        errors = chain["principal_part_errors"]
+        assert len(errors) == 4 and max(e["error"] for e in errors) <= 1e-12 and chain["pass"]
+
 
 class TestJokuiko:
     def test_end_to_end(self, tmp_path):
@@ -507,7 +532,7 @@ def with_geometry(**fields):
     pytest.param("cousin1", {**VALID["cousin1"], "tolerance": "x"}, id="tolerance-str"),
     pytest.param("cousin1", {**VALID["cousin1"], "delta": "x"}, id="delta-str"),
     pytest.param("cousin1", {**VALID["cousin1"], "breakpoints": ["a", 1.0]}, id="breakpoint-str"),
-    pytest.param("cousin1", {**VALID["cousin1"], "quadrature": {"panels": 1.5}}, id="panels-float"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "quadrature": {"panels": 1.5}}, id="panels-float"),
     pytest.param("cousin1", {**VALID["cousin1"], "slabs": [1, 2, 3]}, id="slab-int"),
     pytest.param("cousin1", with_pole({"re": "x"}), id="pole-re-str"),
     pytest.param("cousin1", with_pole(5), id="pole-int"),
@@ -530,7 +555,7 @@ def with_geometry(**fields):
     pytest.param("jokuiko", {**VALID["jokuiko"], "delta": 5.0}, id="jokuiko-delta-above-slab-width"),
     pytest.param("jokuiko", {**VALID["jokuiko"], "q": 3}, id="jokuiko-q-above-dim"),
     pytest.param("cousin1", {**VALID["cousin1"], "tolerance": -1e-8}, id="tolerance-negative"),
-    pytest.param("cousin1", {**VALID["cousin1"], "quadrature": {"nodes": 1}}, id="nodes-1"),
+    pytest.param("cousin-split", {**SPLIT_VAR, "quadrature": {"nodes": 1}}, id="nodes-1"),
     pytest.param("cousin1", with_pole({"re": -2.0, "order": 0}), id="pole-order-0"),
     pytest.param("cousin1", {**VALID["cousin1"], "cuboid": {"re": [], "im": []}}, id="cuboid-empty"),
     pytest.param("cousin-split", {**SPLIT_VAR, "dim": 2}, id="split-dim-mismatch"),
@@ -656,14 +681,14 @@ def test_printable_decimal_parts_still_read(part):
 
 
 @pytest.mark.parametrize("payload, extra", [
-    pytest.param({**VALID["cousin1"], "quadrature": {"nodes": 10_000_000}}, (), id="nodes"),
-    pytest.param(VALID["cousin1"], ("--panels", "100000000"), id="panels"),
+    pytest.param({**VALID["cousin-split"], "quadrature": {"nodes": 10_000_000}}, (), id="nodes"),
+    pytest.param(VALID["cousin-split"], ("--panels", "100000000"), id="panels"),
 ])
 def test_huge_quadrature_counts_exit_2_before_allocating(payload, extra):
     # leggauss builds a nodes x nodes matrix: 10^7 nodes ended in a MemoryError
     tracemalloc.start()
     try:
-        assert_input_error("cousin1", payload, extra)
+        assert_input_error("cousin-split", payload, extra)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -729,7 +754,7 @@ def test_one_parser_serves_every_call_without_carrying_flags(monkeypatch):
         calls = [("cousin-split", ("--panels", "3", "--tol", "1e-3", "--seed", "7"), 1e-3, 7, 3),
                  ("cousin-split", (), 1e-8, 0, 6),
                  ("divide", ("--tol", "1e-6"), 1e-6, 0, None),
-                 ("cousin1", ("--seed", "2"), 1e-8, 2, 6),
+                 ("cousin1", ("--seed", "2"), 1e-8, 2, None),
                  ("syzygy", (), 1e-8, 0, None)]
         for command, extra, tol, seed, panels in calls:
             specs.clear()
@@ -746,6 +771,24 @@ def test_one_parser_serves_every_call_without_carrying_flags(monkeypatch):
         assert cli._parser.cache_info().misses == 1
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("command, panels", [("divide", "3"), ("cousin1", "8"), ("jokuiko", "8")])
+def test_panels_only_on_cousin_split(command, panels):
+    # only cousin-split reads quadrature: cousin1 seams take their panels from the pole table, extension seams none
+    with pytest.raises(SystemExit) as exit_, contextlib.redirect_stderr(io.StringIO()) as err:
+        main([command, "--panels", panels])
+    assert exit_.value.code == 2 and "unrecognized arguments: --panels" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["cousin1", "jokuiko"])
+def test_quadrature_key_changes_no_solve(command):
+    # a solve's panels come from the pole table (cousin1) or there are none (jokuiko): the key is not read
+    code, out, err = run_stdin(command, VALID[command])
+    code_q, out_q, err_q = run_stdin(command, {**VALID[command], "quadrature": {"panels": 1, "nodes": 2}})
+    assert (code, err) == (code_q, err_q) == (0, "")
+    report, report_q = json.loads(out), json.loads(out_q)
+    assert (report["pass"], report["result"]) == (report_q["pass"], report_q["result"])
 
 
 def floating_json(dim, terms):

@@ -286,6 +286,20 @@ class TestCousin1EndToEnd:
         # the coefficient 1 + 0.5j z1 is 1 at the midpoint z1 = 0
         assert report["principal_part_errors"][0]["error"] == pytest.approx(0.1, rel=1e-4)
 
+    def test_terms_at_one_pole_checked_by_their_sum(self):
+        """Two order-1 terms at -2 are one principal part of residue 1.5:
+        each entry compares the ring with the sum, so the solution passes and
+        a solution missing either term fails."""
+        prob = three_slab_problem(data=(pp((-2.0, 1.0), (-2.0, 0.5)),) + three_slab_problem().data[1:])
+        report = solve_chain(prob)[0].report
+        assert report["pass"] and len(report["principal_part_errors"]) == 5
+        first, second = prob.data[0].terms
+        for kept, dropped in ((second, 1.0), (first, 0.5)):
+            missing = replace(prob, data=(PrincipalPartData((kept,)),) + prob.data[1:])
+            report = verify_solution(solve_chain(missing, verify=False)[0], prob)
+            assert not report["pass"]
+            assert [e["error"] for e in report["principal_part_errors"][:2]] == pytest.approx([dropped] * 2)
+
     def test_unknown_order_rejected_before_solving(self, monkeypatch):
         def no_local_solution(*args):
             raise AssertionError("a local solution was built")
@@ -593,7 +607,9 @@ def rule_bypassed(monkeypatch, prob):
 
 
 def rule_bypassed_at_one_panel_of_two_nodes(monkeypatch, prob):
-    return rule_bypassed(monkeypatch, replace(prob, quad=QuadratureSpec(panels=1, nodes=2)))
+    """Every seam gets one panel of two nodes."""
+    monkeypatch.setattr(merge, "QuadratureSpec", lambda: QuadratureSpec(panels=1, nodes=2))
+    return rule_bypassed(monkeypatch, prob)
 
 
 def five_fewer_fold_terms(monkeypatch, prob):
@@ -650,6 +666,43 @@ def test_near_pole_table(gap):
     (entry,) = report["seam_quadrature"]
     assert entry["s"] == 1.0 and entry["bound"] <= prob.tol / 10
     assert report["pass"] and len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
+
+
+def narrow_middle_problem(width, delta, rng):
+    """Three slabs on Re z in [-2, 2], the middle one empty and ``width``
+    wide, one random pole of order 1 or 2 in each outer slab."""
+    def datum(lo, hi):
+        order, coeff = rng.choice([1, 2]), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        pole = complex(rng.uniform(lo + delta, hi - delta), rng.uniform(-0.45, 0.45))
+        return PrincipalPartData((PoleTerm(order, constant(0, coeff), constant(0, pole)),))
+
+    return ChiProblem(kind="cousin1", cuboid=Cuboid(((-2.0, 2.0),), ((-0.5, 0.5),)),
+                      breakpoints=(-width / 2, width / 2),
+                      data=(datum(-2.0, -width / 2), PrincipalPartData(()), datum(width / 2, 2.0)), delta=delta)
+
+
+def test_neighbouring_half_sets_the_panels():
+    """A seam merged after its neighbour splits a density that holds the
+    neighbour's half, a Cauchy sum on a contour ending w - delta from the
+    seam's contour pushed towards it.  With middle slabs 1.25 delta wide,
+    5 of these 24 solves failed while the rule counted only poles and
+    delta, with jumps up to 1.7e4 times the bound."""
+    rng = random.Random(7)
+    for i in range(12):
+        delta = (0.1, 0.2, 0.3)[i % 3]
+        prob = narrow_middle_problem(1.25 * delta, delta, rng)
+        for order in ("ltr", "rtl"):
+            report = solve_chain(prob, order=order)[0].report
+            assert report["pass"] and max(report["seam_jumps"]) <= prob.tol, (i, order, report)
+
+
+@pytest.mark.parametrize("order, named", [("ltr", "-0.15"), ("rtl", "0.15")])
+def test_neighbouring_contour_on_a_seam_contour_raises(order, named):
+    """A middle slab delta wide puts the neighbour's contour on one of the
+    seam's own: no panel count reaches tol, and the message names it."""
+    prob = narrow_middle_problem(0.3, 0.3, random.Random(1))
+    with pytest.raises(PoleTooCloseToSeam, match=f"the contour of the seam at {named} comes within 0 of a contour"):
+        solve_chain(prob, order=order)
 
 
 @pytest.mark.parametrize("slope", [1.0, 1.5])
