@@ -216,7 +216,9 @@ def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e
     """a - b, asserted holomorphic on the overlap via the Morera residual.
 
     The dense default rule keeps the quadrature noise of nearby poles (data
-    may sit just outside the seam strip) well below the tolerance.
+    may sit just outside the seam strip) well below the tolerance.  Nothing
+    in okakit calls it; ``perfbench/bench_trace.py`` ``install`` looks it up
+    with ``getattr``, so ``--trace 1`` fails without it.
     """
     diff = a - b
     residual = morera_residual(diff, overlap, grid=3, nodes=24)
@@ -497,25 +499,35 @@ def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) ->
     return sols
 
 
-def _ring(pole: complex, radius: float, zp: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The 64 points (z', pole + radius e^(i t)) of a residue circle, and
-    their offsets from the pole."""
-    d = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
-    return np.array([zp + (zn,) for zn in (pole + d).tolist()]), d
+def _rings(poles: list, radii: list, zps: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 64 points (z', pole + radius e^(i t)) of each residue circle, ring
+    after ring, and per ring the offsets from its pole: one unit circle, broadcast."""
+    d = np.reshape(radii, (-1, 1)) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    P = np.empty((len(poles), 64, n), dtype=complex)
+    P[..., :-1], P[..., -1] = np.reshape(zps, (len(zps), 1, n - 1)), np.reshape(poles, (-1, 1)) + d
+    return P.reshape(-1, n), d
 
 
-def _ring_coefficient(vals: np.ndarray, d: np.ndarray, order: int) -> complex:
-    """The trapezoidal (1/2 pi i) circle integral of f (z_n - pole)^(order-1) dz_n
-    from f's values on ``_ring``'s points."""
-    return complex(np.sum(vals * d ** (order - 1) * d) / 64)
+def _ring_coefficients(vals: np.ndarray, d: np.ndarray, orders: list[int]) -> list[complex]:
+    """Per ring of ``_rings``, the trapezoidal (1/2 pi i) circle integral of
+    f (z_n - pole)^(order-1) dz_n from f's values on its points.  The rings
+    of one order share numpy calls, whose power keeps a Python-int exponent."""
+    vals, out = vals.reshape(d.shape), np.empty(len(d), dtype=complex)
+    for order in set(orders):
+        rows = [i for i, k in enumerate(orders) if k == order]
+        out[rows] = np.sum(vals[rows] * d[rows] ** (order - 1) * d[rows], axis=1) / 64
+    return out.tolist()
 
 
 def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
                                   radius: float, zp: tuple = ()) -> complex:
     """(1/2 pi i) * circle integral of f(z)*(z_n - pole)^(order-1) dz_n,
-    by the trapezoidal rule on 64 points."""
-    P, d = _ring(pole, radius, zp)
-    return _ring_coefficient(f.values(P), d, order)
+    by the trapezoidal rule on 64 points: the ring rule of
+    ``verify_solution``'s residue check, for one ring.  Nothing in okakit
+    calls it; ``perfbench/bench_trace.py`` ``install`` looks it up with
+    ``getattr``, so ``--trace 1`` fails without it."""
+    P, d = _rings([pole], [radius], [zp], len(zp) + 1)
+    return _ring_coefficients(f.values(P), d, [order])[0]
 
 
 def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
@@ -545,6 +557,10 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     Re z_n on each slice Im z_n in ``subspace_slices`` (0 and +/- 0.9 theta;
     for q = n at the origin alone); a chain region that misses S lists that
     check in ``skipped_checks``.
+
+    The seam rows and the residue rings (cousin1) or the subspace rows
+    (extension) go to the solution in one call, each check's rows in their
+    own order; a row's value does not depend on the rows beside it.
     """
     tol, n, region = problem.tol, problem.ndim, sol.region
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
@@ -556,46 +572,48 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     P = np.empty((len(seams), 2, len(corners), 61, n), dtype=complex)
     P[..., :-1] = np.reshape(corners, (len(corners), 1, n - 1))
     P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
-    sides = sol.solution.values(P.reshape(-1, n)).reshape(len(seams), 2, len(corners) * 61)
-    report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
-    ok = all(v <= tol for v in report["seam_jumps"])
+    rows = [P.reshape(-1, n)]
     if problem.kind == "cousin1":
         delta = problem.seam_margin()
         poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
-        rings = []
+        # one pass over the terms: the prescribed sum per slab, order and position, in term order
+        want: dict = {}
         for alpha, term, zp, p in poles:
+            want[alpha, term.order, p] = want.get((alpha, term.order, p), 0) + _at(term.coeff, zp)
+        positions, radii = list(dict.fromkeys(p for *_, p in poles)), []
+        for *_, p in poles:
             # terms at one position are one principal part: only other positions bound the circle
-            sep = min((abs(p - q) for *_, q in poles if q != p), default=np.inf)
-            radius = min(delta / 2, 0.45 * sep)
-            if problem.theta > 0:
-                radius = min(radius, max(problem.theta - abs(p.imag), delta / 4))
-            rings.append(_ring(p, radius, zp))
-        # every ring in one call: the rows are those each ring would pass on its own
-        vals = sol.solution.values(np.concatenate([R for R, _ in rings])) if rings else None
-        errors = []
-        for i, ((alpha, term, zp, p), (_, d)) in enumerate(zip(poles, rings)):
-            got = _ring_coefficient(vals[64 * i:64 * (i + 1)], d, term.order)
-            want = sum(_at(t.coeff, zp) for a, t, _, q in poles if (a, t.order, q) == (alpha, term.order, p))
-            errors.append({"slab": alpha, "order": term.order, "pole": [p.real, p.imag], "error": abs(got - want)})
-        report["principal_part_errors"] = errors
-        ok = ok and all(e["error"] <= tol for e in errors)
+            radius = min(delta / 2, 0.45 * min((abs(p - q) for q in positions if q != p), default=np.inf))
+            radii.append(min(radius, max(problem.theta - abs(p.imag), delta / 4)) if problem.theta > 0 else radius)
+        ring_rows, d = _rings([p for *_, p in poles], radii, [zp for *_, zp, _ in poles], n)
+        rows.append(ring_rows)
     else:
         q = problem.codim
         if any(not lo <= 0 <= hi for k in range(q) for lo, hi in (region.re[k], region.im[k])):
             report["skipped_checks"].append({"check": "subspace", "reason": "chain region does not meet S"})
-        else:
-            if q < n:
-                lo, hi = region.re[-1]
-                mids = problem.cuboid.midpoint()
-                slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
-                P = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
-                              for y in slices for t in np.linspace(lo, hi, 101)])
-            else:  # S is the origin
-                slices, P = [0.0], np.zeros((1, n), dtype=complex)
-            diff = sol.solution.values(P) - complex_evaluator(problem.target)(P)
-            sup = sup_abs(diff)
-            report["subspace_sup_error"] = sup
-            report["subspace_slices"] = slices
-            ok = ok and sup <= tol
+        elif q < n:
+            lo, hi = region.re[-1]
+            mids = problem.cuboid.midpoint()
+            slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
+            rows.append(np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
+                                  for y in slices for t in np.linspace(lo, hi, 101)]))
+        else:  # S is the origin
+            slices = [0.0]
+            rows.append(np.zeros((1, n), dtype=complex))
+    vals = sol.solution.values(np.concatenate(rows))
+    sides = vals[:len(rows[0])].reshape(len(seams), 2, len(corners) * 61)
+    report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
+    ok = all(v <= tol for v in report["seam_jumps"])
+    if problem.kind == "cousin1":
+        got = _ring_coefficients(vals[len(rows[0]):], d, [term.order for _, term, _, _ in poles])
+        errors = [{"slab": alpha, "order": term.order, "pole": [p.real, p.imag],
+                   "error": abs(g - want[alpha, term.order, p])} for (alpha, term, _, p), g in zip(poles, got)]
+        report["principal_part_errors"] = errors
+        ok = ok and all(e["error"] <= tol for e in errors)
+    elif len(rows) > 1:
+        sup = sup_abs(vals[len(rows[0]):] - complex_evaluator(problem.target)(rows[1]))
+        report["subspace_sup_error"] = sup
+        report["subspace_slices"] = slices
+        ok = ok and sup <= tol
     report["pass"] = bool(ok)
     return report

@@ -191,9 +191,10 @@ class TestCousin1EndToEnd:
         assert abs(sol.solution(z) - local(z) - corr(z)) < 1e-12
 
     def test_residue_rings_in_one_call(self):
-        """Every pole's 64-point ring goes to the solution in one call, after
-        the seam check's; each ring's rows get the values fn gives them one
-        by one, and the errors are those of extract_principal_coefficient."""
+        """Every pole's 64-point ring goes to the solution in the one call
+        that also takes the seam rows, after them; each ring's rows get the
+        values fn gives them one by one, and the errors are those of
+        extract_principal_coefficient."""
         prob = three_slab_problem()
         sol = solve_chain(prob, verify=False)[0]
         calls = []
@@ -203,11 +204,13 @@ class TestCousin1EndToEnd:
             return sol.solution.values(P)
 
         report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
-        seam_rows, rings = calls
+        (P,) = calls
         terms = [term for datum in prob.data for term in datum.terms]
         errors = report["principal_part_errors"]
+        seam_rows, rings = P[:2 * 2 * 61], P[2 * 2 * 61:]
         assert len(errors) == len(terms) == 4 and rings.shape == (64 * 4, 1)
-        batched = sol.solution.values(rings)
+        assert np.isin(seam_rows[:, -1].real, [np.nextafter(s, -np.inf) for s in (-1.0, 1.0)] + [-1.0, 1.0]).all()
+        batched = sol.solution.values(P)[len(seam_rows):]
         assert batched.tobytes() == np.array([sol.solution.fn(tuple(z)) for z in rings.tolist()]).tobytes()
         for i, (term, e) in enumerate(zip(terms, errors)):
             ring = rings[64 * i:64 * (i + 1)]
@@ -428,7 +431,7 @@ class TestExtensionEndToEnd:
     @pytest.mark.parametrize("n", [1, 2])
     def test_codim_equal_to_dimension_checked_at_the_origin(self, n):
         """For q = n, S is the origin: the subspace check evaluates the
-        origin alone, in its own call; every other row lies on the seam."""
+        origin alone, last in the one call; every other row lies on the seam."""
         z = [variable(n, k) for k in range(n)]
         prob = ChiProblem(kind="extension",
                           cuboid=Cuboid(((-0.5, 0.5),) * (n - 1) + ((-2.0, 2.0),), ((-0.5, 0.5),) * n),
@@ -442,10 +445,10 @@ class TestExtensionEndToEnd:
             return sol.solution.values(P)
 
         report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
-        *seam_calls, origin = rows
+        (P,) = rows
+        seam_rows, origin = P[:-1], P[-1:]
         assert origin.shape == (1, n) and not origin.any()
-        assert seam_calls and all(P.shape[1] == n for P in seam_calls)
-        assert all(np.isin(P[:, -1].real, (np.nextafter(0.0, -np.inf), 0.0)).all() for P in seam_calls)
+        assert len(seam_rows) and np.isin(seam_rows[:, -1].real, (np.nextafter(0.0, -np.inf), 0.0)).all()
         assert len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
         assert report["subspace_slices"] == [0.0] and report["pass"], report
 
@@ -723,6 +726,120 @@ def test_n2_loci_widened_over_the_base(slope):
     (entry,) = report["seam_quadrature"]
     assert entry["panels"] > 6 and entry["bound"] <= prob.tol / 10
     assert report["pass"] and report["seam_jumps"][0] <= prob.tol
+
+
+def ab_bench_n2_cousin1_problem():
+    """The fixed n = 2 cousin1 problem of the ``n2_cousin1`` bits group of
+    ``tools/ab_bench.py``: four slabs, loci and coefficients in z1."""
+    def slab(*terms):
+        return PrincipalPartData(tuple(PoleTerm(k, make_series(1, c), make_series(1, p)) for k, c, p in terms))
+
+    return ChiProblem(
+        kind="cousin1", cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
+        breakpoints=(-1.0, 0.0, 1.0), delta=0.2,
+        data=(slab((1, {(0,): 1, (1,): 0.5j}, {(0,): -1.5 + 0.1j, (1,): 0.1})),
+              slab((2, {(0,): 0.5 - 0.2j}, {(0,): -0.5 - 0.2j, (1,): -0.05j})),
+              slab((1, {(0,): -1j, (1,): 0.3}, {(0,): 0.45, (1,): 0.08}), (1, {(0,): 0.2}, {(0,): 0.6 + 0.25j})),
+              slab((1, {(0,): 2 - 1j}, {(0,): 1.5 - 0.1j, (1,): -0.1 + 0.05j}))))
+
+
+def verification_rows(sol, prob):
+    """The rows ``verify_solution`` evaluates ``sol`` at, from its one call,
+    split into the seam rows and the rest (rings or subspace rows), and the
+    report."""
+    calls = []
+
+    def recorded(P):
+        calls.append(P)
+        return sol.solution.values(P)
+
+    report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
+    assert len(calls) == 1
+    P = calls[0]
+    seam_count = len(report["seam_jumps"]) * 2 * 61 * (4 if prob.ndim > 1 else 1)
+    return P[:seam_count], P[seam_count:], report
+
+
+ONE_PASS_PROBLEMS = [three_slab_problem, ab_bench_n2_cousin1_problem, lambda: perturbed_extension_problem(slabs=4)]
+
+
+class TestOneEvaluationPass:
+    """``verify_solution`` evaluates every check's rows of a chain in one
+    call and reads each check from its own slice."""
+
+    @pytest.mark.parametrize("make", ONE_PASS_PROBLEMS, ids=["n1-cousin1", "n2-cousin1", "extension-4-slabs"])
+    def test_concatenated_rows_equal_separate_calls(self, make):
+        """On a fresh solve, points, seam rows and check rows in one call
+        have the bits of three calls on another fresh solve."""
+        prob = make()
+        seam_rows, check_rows, _ = verification_rows(solve_chain(prob, verify=False)[0], prob)
+        assert len(seam_rows) and len(check_rows)
+        rng = np.random.default_rng(26)
+        points = np.column_stack([rng.uniform(lo, hi, 40) + 1j * rng.uniform(a, b, 40)
+                                  for (lo, hi), (a, b) in zip(prob.cuboid.re, prob.cuboid.im)])
+        together = solve_chain(prob, verify=False)[0].solution.values(np.concatenate([points, seam_rows, check_rows]))
+        apart = solve_chain(prob, verify=False)[0].solution
+        assert together.tobytes() == np.concatenate([apart.values(R) for R in (points, seam_rows, check_rows)]).tobytes()
+
+    @pytest.mark.parametrize("prob", [three_slab_problem(), ab_bench_n2_cousin1_problem(),
+                                      perturbed_extension_problem(slabs=4), extension_problem(
+                                          cuboid=Cuboid(((0.3, 0.8), (-2.0, 2.0)), ((-0.2, 0.2), (-0.5, 0.5))),
+                                          breakpoints=(-0.5, 0.5))],
+                             ids=["n1-cousin1", "n2-cousin1", "extension", "extension-off-S"])
+    def test_one_values_call_per_chain(self, prob):
+        """One call per chain, three chains off S included, with the report
+        of an unrecorded solution."""
+        for sol in solve_chain(prob, verify=False):
+            assert verification_rows(sol, prob)[2] == verify_solution(sol, prob)
+
+    def test_ring_rule_matches_the_per_ring_loop(self):
+        """The broadcast rings and the per-order sums have the bits of one
+        ring built and summed at a time."""
+        rng = np.random.default_rng(5)
+        poles = (rng.normal(size=9) + 1j * rng.normal(size=9)).tolist()
+        radii, orders = rng.uniform(0.01, 0.5, 9).tolist(), [1, 3, 2, 1, 1, 2, 3, 1, 2]
+        zps = [(complex(*rng.normal(size=2)),) for _ in poles]
+        P, d = merge._rings(poles, radii, zps, 2)
+        vals = rng.normal(size=len(P)) + 1j * rng.normal(size=len(P))
+        got = merge._ring_coefficients(vals, d, orders)
+        for i, (pole, radius, zp, order) in enumerate(zip(poles, radii, zps, orders)):
+            di = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+            ring = np.array([zp + (zn,) for zn in (pole + di).tolist()])
+            assert P[64 * i:64 * (i + 1)].tobytes() == ring.tobytes() and d[i].tobytes() == di.tobytes()
+            assert got[i] == complex(np.sum(vals[64 * i:64 * (i + 1)] * di ** (order - 1) * di) / 64)
+
+    @staticmethod
+    def wrong_at(sol, row):
+        """sol, plus 1 at the one row equal to ``row``."""
+        values = sol.solution.values
+        return replace(sol, solution=Evaluable.batched(lambda P: values(P) + (P == row).all(axis=1)))
+
+    def test_one_wrong_ring_row_fails_its_residue(self):
+        prob = three_slab_problem()
+        sol = solve_chain(prob, verify=False)[0]
+        _, rings, _ = verification_rows(sol, prob)
+        report = verify_solution(self.wrong_at(sol, rings[64 * 2 + 5]), prob)
+        assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+        assert [e["error"] > prob.tol for e in report["principal_part_errors"]] == [False, False, True, False]
+
+    @pytest.mark.parametrize("prob", [three_slab_problem(), perturbed_extension_problem(slabs=4)],
+                             ids=["cousin1", "extension"])
+    def test_one_wrong_seam_row_fails_its_jump(self, prob):
+        sol = solve_chain(prob, verify=False)[0]
+        seam_rows, _, _ = verification_rows(sol, prob)
+        report = verify_solution(self.wrong_at(sol, seam_rows[len(seam_rows) // 2 + 7]), prob)
+        jumps = report["seam_jumps"]
+        assert not report["pass"] and [j > prob.tol for j in jumps] == [k == len(jumps) // 2 for k in range(len(jumps))]
+        assert max(e["error"] for e in report.get("principal_part_errors", [{"error": 0.0}])) <= prob.tol
+        assert report.get("subspace_sup_error", 0.0) <= prob.tol
+
+    def test_one_wrong_subspace_row_fails_the_subspace_check(self):
+        prob = perturbed_extension_problem(slabs=4)
+        sol = solve_chain(prob, verify=False)[0]
+        _, subspace_rows, _ = verification_rows(sol, prob)
+        report = verify_solution(self.wrong_at(sol, subspace_rows[150]), prob)
+        assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+        assert report["subspace_sup_error"] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestDeterminism:

@@ -1,7 +1,6 @@
 """A/B comparison of two okakit trees on the perfbench workloads.
 
-    python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --seconds 8 --seeds 921 \
-        --output BENCH_8.json
+    python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --seeds 921 --output BENCH_8.json
     python3 tools/ab_bench.py --pairs 1 --seconds 2       # same-tree smoke run
 
 The *change* side is the working tree this script sits in.  The *base*
@@ -11,13 +10,17 @@ comparison gives.
 
 For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py`` once per side on seed
 ``seeds + k``, base first in even pairs and change first in odd ones, one
-process at a time.  The output gives, per workload and end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles, the change's median
-against the base's, and in how many pairs the change was better; the same
-for the one-point evaluation times ``eval_us.p50`` and ``eval_us.p90`` that
-``run.py`` prints on detail lines for ``ml_chain`` and ``ext_merge`` (their
-samples include the cold first calls on each new solution, which build its
-branches' fused sums).  It also counts, on each side, the Cauchy kernel
+process at a time, for ``--seconds`` (by default the benchmark's own
+``run_seconds``: ``peak_rss_mb`` grows with the cycles a run completes, so
+shorter runs hide what the benchmark sees).  The output gives, per workload
+and end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles, the change's median against the base's, and in how many pairs
+the change was better; the same for the one-point evaluation times
+``eval_us.p50`` and ``eval_us.p90`` that ``run.py`` prints on detail lines
+for ``ml_chain`` and ``ext_merge`` (their samples include the cold first
+calls on each new solution, which build its branches' fused sums).  Under
+``cycles`` it lists each side's cycle count per pair, from ``run.py``'s
+``<workload>: N cycles`` line.  It also counts, on each side, the Cauchy kernel
 work of one verified solve of the first ``ml_chain`` and ``ext_merge``
 instance of seed 5: ``kernel_entries`` are the divisions w / (zeta - z_n),
 points x contour nodes x weight columns summed over every call of
@@ -51,6 +54,7 @@ KERNEL_SEED = 5
 
 EVAL_US = [{"name": f"eval_us.{q}", "unit": "us", "better": "lower"} for q in ("p50", "p90")]
 EVAL_US_LINE = re.compile(r"^\s*(eval_us\.p[59]0) = (\S+) us", re.M)
+CYCLES_LINE = re.compile(r"^(\S+): (\d+) cycles", re.M)
 
 # Run in a tree's own interpreter process: wrap the Cauchy kernel helper
 # (_PathQuad.cauchy in trees that predate it; kernel_sums takes a key count,
@@ -185,8 +189,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     if result["correct"] is not True or result["failed"]:
         raise SystemExit(f"ab_bench: {workload} seed {seed} in {tree} failed its checks:\n{proc.stderr}")
+    cycles = dict(CYCLES_LINE.findall(proc.stdout))
+    if workload not in cycles:
+        raise SystemExit(f"ab_bench: {workload} seed {seed} in {tree} printed no '{workload}: N cycles' line")
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values.update((name, float(value)) for name, value in EVAL_US_LINE.findall(proc.stdout))
+    values["cycles"] = int(cycles[workload])
     return values
 
 
@@ -229,7 +237,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision of the base side (default: the working tree)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]),
+                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--seeds", type=int, default=911, help="seed of the first pair; pair k runs seeds + k")
     parser.add_argument("--output", help="write the JSON summary here (default: stdout)")
     args = parser.parse_args(argv)
@@ -246,6 +255,7 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(sides[side], workload, args.seeds + k, args.seconds))
             details = [m for m in EVAL_US if all(m["name"] in r for r in runs["base"] + runs["change"])]
             report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
+            report["workloads"][workload]["cycles"] = {side: [r["cycles"] for r in rs] for side, rs in runs.items()}
             print(f"ab_bench: {workload} done", file=sys.stderr)
         counts = {side: kernel_counts(tree) for side, tree in sides.items()}
         for what in ("entries", "differences"):
