@@ -49,9 +49,8 @@ class QuadratureSpec:
     pole the solvers admit, twice the delta/2 between the vertical piece and
     the points it serves, so its Gauss error is at most the vertical piece's.
     A ``cousin-split`` request may set both; a cousin1 seam gets more than
-    the default panels where a pole or another seam's contour is near one of
-    its own or delta is small (``merge.seam_quadrature``); extension seams
-    use none.  ``nodes`` is at most MAX_NODES, and a seam-long piece has at
+    the default panels where a pole is near one of its contours or delta is
+    small (``merge.seam_quadrature``); extension seams use none.  ``nodes`` is at most MAX_NODES, and a seam-long piece has at
     most MAX_PIECE_NODES nodes (``panels * nodes``); the legs together get
     at most panels + 1 panels, so a pushed contour has at most about twice
     that.

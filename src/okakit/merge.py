@@ -1,14 +1,15 @@
 """Merging local solutions across a slab partition.
 
 For principal-part (Cousin-I) data the local solution on a slab is the
-finite sum of its pole terms; at every seam, in the given order, the
-difference of the two sides is split by the seam contour integrals and the
-two halves are absorbed into the respective sides.  For holomorphic
-extension from a coordinate subspace it is the cylinder extension of the
-target (possibly perturbed within the ideal); every seam splits its own
-difference, a polynomial multiple of the subspace generators with explicit
-cofactors, in closed form, in no order.  Chains of slabs pairwise connected
-on the subspace are solved independently.
+finite sum of its pole terms; for holomorphic extension from a coordinate
+subspace it is the cylinder extension of the target (possibly perturbed
+within the ideal).  Both kinds glue by one rule, in no order: seam k
+splits only its own datum h_k = local_{k+1} - local_k, with the seam
+contour integrals for principal parts and in closed form for extension (a
+polynomial multiple of the subspace generators with explicit cofactors),
+and branch alpha is local_alpha plus the left half of every seam k >= alpha
+and the right half of every seam k < alpha.  Chains of slabs pairwise
+connected on the subspace are solved independently.
 """
 
 from __future__ import annotations
@@ -242,14 +243,14 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
 
 @dataclass(frozen=True)
 class _Branch:
-    """A slab's local solution plus its corrections, functions on C^n.
+    """A slab's local solution plus its corrections, functions on C^n: for
+    cousin1 one ``cousin_split`` half per seam of the chain, in seam order,
+    for extension one closed-form correction or none.
 
-    ``disc`` = (c, R) is the far-field disc of an n = 1 cousin1 slab: c is
-    the centre of its z_n rectangle and R the half-diagonal of that
-    rectangle grown by delta on Re, so the seam overlaps lie inside.  Its
-    corrections (``cousin_split`` branches) are summed by one map, built on
-    the first evaluation: ``fused_sums`` about the disc, or ``summed`` for
-    a branch without a disc or corrections.
+    ``disc`` = (c, R) is the far-field disc of an n = 1 cousin1 slab
+    (``_far_field_disc``).  The corrections are summed by one map,
+    ``correction_values``, built on the first evaluation: ``fused_sums``
+    about the disc, or ``summed`` for a branch without a disc or corrections.
     """
 
     local: Evaluable
@@ -257,20 +258,17 @@ class _Branch:
     corrections: tuple[Evaluable, ...] = ()
 
     @cached_property
-    def _sums(self) -> Callable:
+    def correction_values(self) -> Callable:
         cs = self.corrections
         return fused_sums(cs, *self.disc) if self.disc is not None and cs else summed(cs)
 
-    def correction_values(self, P: np.ndarray) -> np.ndarray:
-        return self._sums(P)
-
     def values(self, P: np.ndarray) -> np.ndarray:
-        return self.local.values(P) + self._sums(P)
+        return self.local.values(P) + self.correction_values(P)
 
 
 @dataclass
 class ChainState:
-    """Piecewise representation of a (partially) merged solution."""
+    """The merged solution of a chain: one branch per slab, routed by Re z_n."""
 
     branches: list[_Branch]
     seams: list[float]  # Re positions separating consecutive branches
@@ -284,30 +282,26 @@ class ChainState:
         return routed(P, np.searchsorted(self.seams, P[:, -1].real, side="right"), [b.values for b in self.branches])
 
 
-def _singleton_state(problem: ChiProblem, alpha: int) -> ChainState:
-    disc = None  # merge_pair splits n >= 2 seams with a base
-    if problem.ndim == 1:
-        slab = problem.partition.slabs[alpha]
-        (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
-        disc = (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
-                math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
-    return ChainState([_Branch(local_solution(problem, alpha), disc)], [])
+def _far_field_disc(problem: ChiProblem, alpha: int) -> tuple[complex, float] | None:
+    """(c, R) for an n = 1 cousin1 slab: c is the centre of its z_n
+    rectangle and R the half-diagonal of that rectangle grown by delta on
+    Re, so the seam overlaps lie inside.  None for extension, whose
+    corrections are no ``cousin_split`` halves, and for n >= 2, whose
+    corrections depend on z'."""
+    if problem.kind == "extension" or problem.ndim > 1:
+        return None
+    slab = problem.partition.slabs[alpha]
+    (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
+    return (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
+            math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
 
 
-def merge_pair(left: ChainState, right: ChainState, geom: SplitGeometry, spec: QuadratureSpec) -> ChainState:
-    """Merge two adjacent partial cousin1 solutions across the seam of ``geom``.
-
-    The seam density, the first right branch less the last left branch, a
-    finite sum of principal parts and Cauchy sums holomorphic on the seam
-    strip by construction, is split with the Cousin contours, on ``spec``'s
-    panels; the left half is added to every left branch and the right half
-    to every right branch, so the two sides agree on the seam strip.
-    """
-    density = Evaluable.batched(right.branches[0].values) - Evaluable.batched(left.branches[-1].values)
-    half_left, half_right = cousin_split(density, geom, spec)
-    return ChainState([replace(b, corrections=b.corrections + (half_left,)) for b in left.branches]
-                      + [replace(b, corrections=b.corrections + (half_right,)) for b in right.branches],
-                      left.seams + [geom.s] + right.seams)
+def merge_pair(left: Evaluable, right: Evaluable, geom: SplitGeometry,
+               spec: QuadratureSpec) -> tuple[Evaluable, Evaluable]:
+    """The halves of one cousin1 seam, whose left half less its right half
+    is the seam's datum ``right - left`` on the strip: the principal parts of
+    the two slabs at the seam of ``geom``, split on ``spec``'s panels."""
+    return cousin_split(right - left, geom, spec)
 
 
 # -- extension seams in closed form ------------------------------------------
@@ -375,36 +369,31 @@ def _closed_form_correction(g: Callable, seams: np.ndarray, height: float, sides
     return Evaluable.batched(many)
 
 
-def _extension_state(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> ChainState:
-    """The chain's branches, each seam split in closed form from its own
-    datum h_k = local_{k+1} - local_k: no merge order, no quadrature.  Every
-    branch evaluates the chain's one ``closed_form_series`` at its own logs:
-    branch alpha takes the left half of every seam on its right and the
-    right half of every seam on its left, so neighbouring branches differ
-    by h_k."""
+def _extension_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Callable:
+    """The map from a branch's sides (``left[k]``: the branch takes seam k's
+    left half) to its corrections, each seam split in closed form from its
+    own datum h_k = local_{k+1} - local_k, with no quadrature: one
+    correction, the chain's one ``closed_form_series`` at the logs of those
+    sides, or none where every datum is 0 (one slab, or equal locals)."""
     height = problem.theta + problem.seam_margin()
     polys = [problem.slab_poly(alpha) for alpha in chain.indices]
     witnesses = [ideal_witness(right - left, problem.subspace) for left, right in zip(polys, polys[1:])]
-    locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
-    if all(w.is_zero() for ws in witnesses for w in ws):  # one slab, or equal locals: nothing to glue
-        return ChainState([_Branch(local, None) for local in locals_], list(seams))
-    g = complex_evaluator(closed_form_series(seams, witnesses, height))
-    at, order = np.array(seams), np.arange(len(seams))
-    return ChainState([_Branch(local, None, (_closed_form_correction(g, at, height, np.where(order >= k, 1.0, -1.0)),))
-                       for k, local in enumerate(locals_)], list(seams))
+    if all(w.is_zero() for ws in witnesses for w in ws):
+        return lambda left: ()
+    g, at = complex_evaluator(closed_form_series(seams, witnesses, height)), np.array(seams)
+    return lambda left: (_closed_form_correction(g, at, height, np.where(left, 1.0, -1.0)),)
 
 
-def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list,
-                    neighbour: float | None) -> tuple[QuadratureSpec, dict]:
+def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list) -> tuple[QuadratureSpec, dict]:
     """The cousin1 seam's quadrature, with panels from the pole table, and
     its report entry {s, panels, nodes, bound}.
 
-    For every straight piece of the seam's contours (``split_contours``: the
-    segment, the two pushed contours and their legs), d is the least
-    distance to the piece from a locus disc of ``discs`` (``_pole_discs`` of
-    the two slabs at the seam), from the ends ``neighbour`` +/- ih of the
-    contour of the half that the seam merged just before adds to the density
-    (w - delta away across a slab of width w), or delta: the rows at the
+    The seam's density is its own datum, the principal parts of the two
+    slabs at the seam, so their poles and the rows are all it has to keep
+    away from.  For every straight piece of the seam's contours
+    (``split_contours``: the segment, the two pushed contours and their
+    legs), d is the least distance to the piece from a locus disc of
+    ``discs`` (``_pole_discs`` of the two slabs), or delta: the rows at the
     seam lie delta from the pushed contours, and the kernel 1 / (zeta - z_n)
     is singular there.  M = max(1, sum_t C_t / d_t^k_t) over the terms t
     bounds the density on the piece.  The seam gets the fewest panels, at
@@ -412,29 +401,26 @@ def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list,
     within its ``longest_panel`` for a Gauss error of tol / 10: a leg's
     panels are never longer than the seam-long pieces'.  More than
     MAX_PIECE_NODES nodes on a seam-long piece raise ``PoleTooCloseToSeam``,
-    naming the d and M of the piece that needs the most, what sets that d
-    and the tolerance.  ``panels`` is the seam-long pieces' count, ``nodes``
-    the Gauss nodes of the three contours and ``bound`` the largest
-    ``gauss_error`` of a piece.
+    naming the d and M of the piece that needs the most and the tolerance.
+    ``panels`` is the seam-long pieces' count, ``nodes`` the Gauss nodes of
+    the three contours and ``bound`` the largest ``gauss_error`` of a piece.
     """
     quad, h, tol = QuadratureSpec(), geom.height, problem.tol
     pieces = []
     for a, b, _ in (piece for contour in split_contours(geom, quad) for piece in contour):
         dists = [distance_to_segment(c, a, b) - r for _, _, c, r in discs]
-        gap = math.inf if neighbour is None else min(distance_to_segment(complex(neighbour, y), a, b) for y in (-h, h))
-        d = min(dists + [geom.delta, gap])
+        d = min(dists + [geom.delta])
         M = max(1.0, sum(C / dt ** k for (k, C, _, _), dt in zip(discs, dists))) if d > 0 else math.inf
-        pieces.append((longest_panel(d, M, quad.nodes, tol / 10) if d > 0 else 0.0, d, M, d == gap))
-    ell, d, M, by_neighbour = min(pieces)
+        pieces.append((longest_panel(d, M, quad.nodes, tol / 10) if d > 0 else 0.0, d, M))
+    ell, d, M = min(pieces)
     panels = max(quad.panels, math.ceil(min(2 * h / ell if ell > 0 else math.inf, MAX_PIECE_NODES)))
     if panels * quad.nodes > MAX_PIECE_NODES:
-        near = f"the contour of the seam at {neighbour}" if by_neighbour else "a pole or an evaluated row"
-        raise PoleTooCloseToSeam(f"{near} comes within {max(0.0, d):.3g} of a contour of the seam at {geom.s}, "
-                                 f"with density bound M = {M:.3g} and tolerance {tol:.3g}: more than "
-                                 f"{MAX_PIECE_NODES} Gauss nodes on a seam-long piece would be needed")
+        raise PoleTooCloseToSeam(f"a pole or an evaluated row comes within {max(0.0, d):.3g} of a contour of the "
+                                 f"seam at {geom.s}, with density bound M = {M:.3g} and tolerance {tol:.3g}: more "
+                                 f"than {MAX_PIECE_NODES} Gauss nodes on a seam-long piece would be needed")
     spec = replace(quad, panels=panels)
     contours = [piece for contour in split_contours(geom, spec) for piece in contour]
-    bound = max(gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (_, d, M, _) in zip(contours, pieces))
+    bound = max(gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (_, d, M) in zip(contours, pieces))
     return spec, {"s": geom.s, "panels": panels, "nodes": quad.nodes * sum(k for *_, k in contours), "bound": bound}
 
 
@@ -451,33 +437,33 @@ class ChiSolution:
     seam_quadrature: list[dict] = field(default_factory=list)  # ``seam_quadrature`` entries, in seam order
 
 
-def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain, order: str) -> ChiSolution:
-    if order not in ("ltr", "rtl"):
-        raise ValueError(f"unknown merge order {order!r}")
+def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSolution:
     slabs = problem.partition.slabs
     region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
     seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
-    if problem.kind == "extension":  # closed form: no merge order, no quadrature
-        acc = _extension_state(problem, chain, seams)
+    locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
+    if problem.kind == "extension":  # closed form: no quadrature
+        halves = _extension_halves(problem, chain, seams)
         quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0} for s in seams]
     else:
         lo, hi = region.re[-1]
         base = Cuboid(region.re[:-1], region.im[:-1]) if problem.ndim > 1 else None
-        states = [_singleton_state(problem, alpha) for alpha in chain.indices]
-        discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
-        acc = states[0]
-        # seam chain.start + k joins states k and k + 1; the merge replaces both
-        quadrature, before = [None] * len(seams), None
-        for k in range(len(seams)) if order == "ltr" else reversed(range(len(seams))):
-            geom = SplitGeometry(s=seams[k], delta=problem.seam_margin(), theta=problem.theta,
-                                 re_lo=lo, re_hi=hi, base=base)
-            spec, quadrature[k] = seam_quadrature(problem, geom, discs[k] + discs[k + 1], before)
-            acc = states[k] = states[k + 1] = merge_pair(states[k], states[k + 1], geom, spec)
-            before = geom.s  # the next seam's density holds this seam's half
+        poles = [_pole_discs(problem, alpha) for alpha in chain.indices]
+        splits, quadrature = [], []
+        for k, s in enumerate(seams):  # seam k splits its own datum local_{k+1} - local_k
+            geom = SplitGeometry(s=s, delta=problem.seam_margin(), theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
+            spec, entry = seam_quadrature(problem, geom, poles[k] + poles[k + 1])
+            splits.append(merge_pair(locals_[k], locals_[k + 1], geom, spec))
+            quadrature.append(entry)
+        halves = lambda left: tuple(pair[0 if on_left else 1] for pair, on_left in zip(splits, left))
+    # one gluing rule: the chain's branch i takes the left half of every seam k >= i and the right half of the others
+    at = np.arange(len(seams))
+    state = ChainState([_Branch(local, _far_field_disc(problem, alpha), halves(at >= i))
+                        for i, (alpha, local) in enumerate(zip(chain.indices, locals_))], seams)
     return ChiSolution(
         chain=chain,
-        solution=Evaluable.batched(acc.values),
-        corrections=[Evaluable.batched(b.correction_values) for b in acc.branches],
+        solution=Evaluable.batched(state.values),
+        corrections=[Evaluable.batched(b.correction_values) for b in state.branches],
         region=region,
         seam_quadrature=quadrature,
     )
@@ -491,8 +477,16 @@ def chain_decomposition(problem: ChiProblem) -> list[ConnectivityChain]:
 
 
 def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) -> list[ChiSolution]:
-    """Solve every maximal connected chain of the partition; one solution each."""
-    sols = [_solve_one_chain(problem, c, order) for c in chain_decomposition(problem)]
+    """Solve every maximal connected chain of the partition; one solution each.
+
+    Every seam splits its own datum, so a chain has no merge order: ``order``
+    is still checked, and anything but "ltr" or "rtl" raises ``ValueError``,
+    but both give the same bits.  It stays while ``perfbench/bench_workloads.py``
+    passes ``order="rtl"``.
+    """
+    if order not in ("ltr", "rtl"):
+        raise ValueError(f"unknown merge order {order!r}")
+    sols = [_solve_one_chain(problem, c) for c in chain_decomposition(problem)]
     if verify:
         for sol in sols:
             sol.report = verify_solution(sol, problem)
