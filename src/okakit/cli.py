@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="report JSON file ('-' for stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
-        if name == "cousin-split":  # cousin1 seams take their panels from the pole table, extension seams none
+        if name == "cousin-split":  # the solvers' seams split in closed form, with no panels
             p.add_argument("--panels", type=int, default=None,
                            help="Gauss panels on each seam-long contour piece (default 6); a shorter piece gets "
                                 "panels in proportion to its length, at least one, so no panel is longer")

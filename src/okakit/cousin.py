@@ -48,12 +48,11 @@ class QuadratureSpec:
     ceil(panels / 2) each.  A leg lies at least delta from every point and
     pole the solvers admit, twice the delta/2 between the vertical piece and
     the points it serves, so its Gauss error is at most the vertical piece's.
-    A ``cousin-split`` request may set both; a cousin1 seam gets more than
-    the default panels where a pole is near one of its contours or delta is
-    small (``merge.seam_quadrature``); extension seams use none.  ``nodes`` is at most MAX_NODES, and a seam-long piece has at
-    most MAX_PIECE_NODES nodes (``panels * nodes``); the legs together get
-    at most panels + 1 panels, so a pushed contour has at most about twice
-    that.
+    A ``cousin-split`` request may set both; the solvers' seams split in
+    closed form and use none.  ``nodes`` is at most MAX_NODES, and a
+    seam-long piece has at most MAX_PIECE_NODES nodes (``panels * nodes``);
+    the legs together get at most panels + 1 panels, so a pushed contour
+    has at most about twice that.
     """
 
     panels: int = 6
@@ -278,87 +277,15 @@ def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray
 @dataclass(frozen=True)
 class SplitBranch(Evaluable):
     """One branch of ``cousin_split``: the Cauchy sum of the density over
-    the ``pushed`` contour where lo < Re z_n < hi, (lo, hi) = ``valid_re``,
-    and the segment integral plus the jump term elsewhere (near the seam)."""
+    the ``pushed`` contour away from the seam, and the segment integral plus
+    the jump term near it."""
 
     pushed: _PathQuad | None = None
-    valid_re: tuple[float, float] = (-math.inf, math.inf)
-
-
-def taylor_terms(rho: float) -> int:
-    """The fewest terms M of a far-field fold with rho^M / (1 - rho) <= 2^-53."""
-    return math.ceil(math.log(2.0 ** -53 * (1 - rho)) / math.log(rho))
 
 
 def summed(parts: Sequence[Evaluable]) -> Callable:
     """The map from points P to the sum of every part's values, part by part."""
     return lambda P: sum((e.values(P) for e in parts), np.zeros(len(P), dtype=complex))
-
-
-def fused_sums(branches: Sequence[SplitBranch], center: complex, radius: float) -> Callable:
-    """The map from points P to the sum of ``branches`` (densities of z_n
-    alone): the fused sums below for rows with |z_n - center| < radius inside
-    every ``valid_re``, ``summed`` for every other row.
-
-    The near branches give one Cauchy sum over the union of their nodes.
-    Those with every node at least 2 radius away give one Taylor series:
-    with rho = radius / (nearest node distance) <= 1/2, the truncation after
-    M terms is at most rho^M / (1 - rho) times (1/2 pi) sum_j |w_j
-    phi(zeta_j)| / |zeta_j - center|, and M is the smallest making that
-    factor <= 2^-53.  A row sums the coefficients (1/2 pi i) sum_j w_j
-    phi(zeta_j) / (zeta_j - center)^(m+1) against its powers (z_n -
-    center)^m.  One row takes the short path: one kernel row and one power
-    row, no blocks, with the bits of that row in a batch.
-    """
-    lo, hi = max(b.valid_re[0] for b in branches), min(b.valid_re[1] for b in branches)
-    parts: tuple[list, list] = ([], [])
-    for b in branches:
-        parts[bool(np.abs(b.pushed.zs - center).min() >= 2 * radius)].append(b)
-
-    def block(part) -> tuple[np.ndarray, np.ndarray]:
-        """Shared nodes and one row of weighted densities."""
-        row = np.concatenate([b.pushed.weighted(np.empty((1, 0), dtype=complex))[0] for b in part])
-        return np.concatenate([b.pushed.zs for b in part]), row
-
-    near = block(parts[0]) if parts[0] else None
-    coeffs = None
-    if parts[1]:
-        zc, t = block(parts[1])
-        zc = zc - center
-        coeffs = np.empty(taylor_terms(radius / np.abs(zc).min()), dtype=complex)
-        for m in range(len(coeffs)):
-            t = t / zc
-            coeffs[m] = t.sum()
-        coeffs = coeffs / TWO_PI_I
-
-    def column(P):
-        zn = P[:, -1]
-        out = None if near is None else kernel_sums(near[0], zn, lambda rows: near[1])
-        if coeffs is not None:
-            w = zn - center
-
-            def powers(rows):
-                pw = np.ones((len(w[rows]), len(coeffs)), dtype=complex)
-                pw[:, 1:] = w[rows, None]
-                np.cumprod(pw, axis=1, out=pw)
-                return pw * coeffs
-            sums = _row_sums(len(w), len(coeffs), powers)
-            out = (np.zeros(len(zn), dtype=complex) if out is None else out) + sums
-        return out
-
-    direct = summed(branches)
-
-    def many(P):
-        if len(P) == 1:  # the same test on Python floats; x * x gives inf where x ** 2 raises
-            z = complex(P[0, -1])
-            d = z - center
-            inside = d.real * d.real + d.imag * d.imag < radius ** 2 and lo < z.real < hi
-            return (column if inside else direct)(P)
-        d = P[:, -1] - center
-        return routed(P, (d.real ** 2 + d.imag ** 2 < radius ** 2) & (lo < P[:, -1].real) & (P[:, -1].real < hi),
-                      (direct, column))
-
-    return many
 
 
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
@@ -421,7 +348,7 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
             near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
             return routed(P, near, (pushed.cauchy, lambda Q: jump(seam_quad.cauchy(Q), phi.values(Q))))
 
-        return SplitBranch.batched(many, pushed=pushed, valid_re=(lo, hi))
+        return SplitBranch.batched(many, pushed=pushed)
 
     return (branch(_PathQuad(left, spec, phi), -math.inf, s + d / 2, np.add),
             branch(_PathQuad(right, spec, phi), s - d / 2, math.inf, np.subtract))
@@ -437,13 +364,6 @@ def gauss_error(length: float, d: float, bound: float, nodes: int) -> float:
     """The estimate M rho^(-2 nodes) for a panel of ``length``, M = ``bound``."""
     a = 2 * d / length
     return bound * (a + math.sqrt(a * a + 1)) ** (-2 * nodes)
-
-
-def longest_panel(d: float, bound: float, nodes: int, target: float) -> float:
-    """The longest panel whose ``gauss_error`` is at most ``target``: l = 2d/a
-    for the a whose rho = a + sqrt(a^2 + 1) is (bound / target)^(1 / 2 nodes)."""
-    rho = (bound / target) ** (0.5 / nodes)
-    return 4 * d / (rho - 1 / rho) if rho > 1 else math.inf
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5) -> list[tuple]:

@@ -4,41 +4,28 @@ For principal-part (Cousin-I) data the local solution on a slab is the
 finite sum of its pole terms; for holomorphic extension from a coordinate
 subspace it is the cylinder extension of the target (possibly perturbed
 within the ideal).  Both kinds glue by one rule, in no order: seam k
-splits only its own datum h_k = local_{k+1} - local_k, with the seam
-contour integrals for principal parts and in closed form for extension (a
-polynomial multiple of the subspace generators with explicit cofactors),
-and branch alpha is local_alpha plus the left half of every seam k >= alpha
-and the right half of every seam k < alpha.  Chains of slabs pairwise
-connected on the subspace are solved independently.
+splits only its own datum h_k = local_{k+1} - local_k by its Cauchy
+integral along the seam segment, in closed form and with no quadrature,
+(h_k ell + Q) / 2 pi i with ell a log difference: Q sums the segment
+integrals of the pole terms by partial fractions for principal parts, and
+is an exact polynomial for extension (a polynomial multiple of the
+subspace generators with explicit cofactors).  Branch alpha is
+local_alpha plus the left half of every seam k >= alpha and the right
+half of every seam k < alpha.  Chains of slabs pairwise connected on the
+subspace are solved independently.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .cousin import (
-    MAX_PIECE_NODES,
-    TWO_PI_I,
-    Evaluable,
-    QuadratureSpec,
-    SplitGeometry,
-    cousin_split,
-    distance_to_segment,
-    fused_sums,
-    gauss_error,
-    longest_panel,
-    morera_residual,
-    routed,
-    split_contours,
-    summed,
-    sup_abs,
-)
+from .cousin import TWO_PI_I, Evaluable, morera_residual, routed, summed, sup_abs
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -122,10 +109,10 @@ class ChiProblem:
                     raise ValueError("target must not depend on the constrained variables")
             if self.local_overrides is not None and len(self.local_overrides) != len(self.breakpoints) + 1:
                 raise ValueError("need one local override per slab")
-        # every seam then sits at least delta inside its chain, as SplitGeometry requires
+        # every seam then sits at least delta inside its chain
         if self.delta is not None and not 0 < self.delta <= min(self._slab_widths()):
             raise ValueError("seam margin delta must be positive and at most the narrowest slab width")
-        if not self.tol > 0:  # the panel rule aims at tol / 10
+        if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
     @property
@@ -199,16 +186,19 @@ def _pole_discs(problem: ChiProblem, alpha: int) -> list[tuple[int, float, compl
 
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
     """The slab's own solution: its principal-part sum, or the cylinder
-    extension of the target (or the supplied override)."""
+    extension of the target (or the supplied override).
+
+    A cousin1 pole whose locus disc (``_pole_discs``, over the whole base
+    cuboid) comes within delta of an edge of its slab, or lies wholly above
+    or below it, raises ``PoleTooCloseToSeam``: a locus crossing a seam
+    segment would make the seam's closed form jump by 2 pi i h in z'."""
     if problem.kind == "cousin1":
         delta = problem.seam_margin()
         rlo, rhi = problem.partition.slabs[alpha].re[-1]
-        for _, _, p in _poles(problem, alpha):
-            if not (rlo - 1e-12 <= p.real <= rhi + 1e-12) or abs(p.imag) > problem.theta:
-                raise PoleTooCloseToSeam(f"pole at {p} lies outside slab {alpha}")
-            for edge in (rlo, rhi):
-                if abs(p.real - edge) < delta:
-                    raise PoleTooCloseToSeam(f"pole at {p} within margin {delta} of a slab edge")
+        for _, _, c, r in _pole_discs(problem, alpha):
+            if not rlo + delta <= c.real - r <= c.real + r <= rhi - delta or abs(c.imag) - r > problem.theta:
+                raise PoleTooCloseToSeam(f"pole at {c}, whose locus over the base stays within {r:.3g} of it, lies "
+                                         f"outside slab {alpha} or within margin {delta} of its edges")
         return problem.data[alpha].evaluable()
     return series_evaluable(problem.slab_poly(alpha))
 
@@ -243,24 +233,17 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
 
 @dataclass(frozen=True)
 class _Branch:
-    """A slab's local solution plus its corrections, functions on C^n: for
-    cousin1 one ``cousin_split`` half per seam of the chain, in seam order,
-    for extension one closed-form correction or none.
-
-    ``disc`` = (c, R) is the far-field disc of an n = 1 cousin1 slab
-    (``_far_field_disc``).  The corrections are summed by one map,
-    ``correction_values``, built on the first evaluation: ``fused_sums``
-    about the disc, or ``summed`` for a branch without a disc or corrections.
-    """
+    """A slab's local solution plus its corrections, functions on C^n: one
+    closed-form correction holding the branch's half of every seam of the
+    chain, or none where the chain has no seam data.  ``correction_values``
+    sums them."""
 
     local: Evaluable
-    disc: tuple[complex, float] | None
     corrections: tuple[Evaluable, ...] = ()
 
     @cached_property
     def correction_values(self) -> Callable:
-        cs = self.corrections
-        return fused_sums(cs, *self.disc) if self.disc is not None and cs else summed(cs)
+        return summed(self.corrections)
 
     def values(self, P: np.ndarray) -> np.ndarray:
         return self.local.values(P) + self.correction_values(P)
@@ -282,26 +265,115 @@ class ChainState:
         return routed(P, np.searchsorted(self.seams, P[:, -1].real, side="right"), [b.values for b in self.branches])
 
 
-def _far_field_disc(problem: ChiProblem, alpha: int) -> tuple[complex, float] | None:
-    """(c, R) for an n = 1 cousin1 slab: c is the centre of its z_n
-    rectangle and R the half-diagonal of that rectangle grown by delta on
-    Re, so the seam overlaps lie inside.  None for extension, whose
-    corrections are no ``cousin_split`` halves, and for n >= 2, whose
-    corrections depend on z'."""
-    if problem.kind == "extension" or problem.ndim > 1:
-        return None
-    slab = problem.partition.slabs[alpha]
-    (rlo, rhi), (ilo, ihi) = slab.re[-1], slab.im[-1]
-    return (complex((rlo + rhi) / 2, (ilo + ihi) / 2),
-            math.hypot((rhi - rlo) / 2 + problem.seam_margin(), (ihi - ilo) / 2))
+def _side_logs(zn: np.ndarray, seams: np.ndarray, ih: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """ell_k(z) per row of the (m, 1) column ``zn`` and seam s_k, with ih =
+    i h ``sides``: Log(sides_k (w + ih)) - Log(sides_k (w - ih)) with w = s_k
+    - z_n.  With t = z_n - s_k that is Log(ih - t) - Log(-ih - t) on side +1,
+    the seams right of the branch, whose left halves it takes, and
+    Log(t - ih) - Log(t + ih) on side -1.  Each log's cuts are the horizontal
+    rays from s_k +/- ih leading away from its side, so both are holomorphic
+    on the strip |Im z_n| < h, where they differ by 2 pi i."""
+    d = sides * (seams - zn)
+    return np.log(d + ih) - np.log(d - ih)
 
 
-def merge_pair(left: Evaluable, right: Evaluable, geom: SplitGeometry,
-               spec: QuadratureSpec) -> tuple[Evaluable, Evaluable]:
-    """The halves of one cousin1 seam, whose left half less its right half
-    is the seam's datum ``right - left`` on the strip: the principal parts of
-    the two slabs at the seam of ``geom``, split on ``spec``'s panels."""
-    return cousin_split(right - left, geom, spec)
+def _moments(p: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> list[np.ndarray]:
+    """I_j, the integrals of (zeta - p)^(-j) d zeta along the segments from a
+    to b, for j = 1..m: I_1 = Log((b - p) / (a - p)), exact wherever p is off
+    the segment, and I_j = ((b - p)^(1-j) - (a - p)^(1-j)) / (1 - j)."""
+    ia, ib = 1 / (a - p), 1 / (b - p)
+    out, pa, pb = [np.log((b - p) / (a - p))], ia, ib
+    for j in range(2, m + 1):
+        out.append((pb - pa) / (1 - j))
+        pa, pb = pa * ia, pb * ib
+    return out
+
+
+@dataclass(frozen=True)
+class PoleSeams:
+    """cousin1 seam data split in closed form.  Entry (k, sign, term) puts
+    sign c(z') (zeta - p(z'))^(-m) into the datum of the seam at
+    ``seams[k]``, whose segment runs from s_k - ih to s_k + ih, h =
+    ``height``.  A term's Cauchy integral along the segment is
+    (f ell + Q) / 2 pi i, with ell a log difference of ``_side_logs`` and,
+    by partial fractions, Q(z) = -c sum_{j=1..m} (z_n - p)^(-(m-j+1)) I_j
+    (``_moments``).  In u = 1 / (z_n - p) that is c u (... ((ell - I_1) u -
+    I_2) u ... - I_m), summed by Horner."""
+
+    seams: tuple[float, ...]
+    height: float
+    entries: tuple[tuple[int, float, PoleTerm], ...]
+
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, Callable]]:
+        """Per order m: the seam index of each entry of that order, and the
+        map from rows z' to the entries' signed c, p and I_1..I_m, one column
+        per entry (for n = 1 one row of constants, built once)."""
+        groups = []
+        for m in sorted({t.order for _, _, t in self.entries}):
+            ks, signs, terms = zip(*((k, sign, t) for k, sign, t in self.entries if t.order == m))
+            s = np.array(self.seams)[list(ks)]
+            a, b, signs = s - 1j * self.height, s + 1j * self.height, np.array(signs)
+            coeffs, loci = [complex_evaluator(t.coeff) for t in terms], [complex_evaluator(t.locus) for t in terms]
+
+            def at(zp, m=m, a=a, b=b, signs=signs, coeffs=coeffs, loci=loci):
+                p = np.stack([f(zp) for f in loci], axis=-1)
+                return np.stack([f(zp) for f in coeffs], axis=-1) * signs, p, _moments(p, a, b, m)
+
+            if all(t.coeff.dim == t.locus.dim == 0 for t in terms):
+                at = partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))
+            groups.append((np.array(ks), at))
+        return groups
+
+    def half(self, sides: np.ndarray) -> Evaluable:
+        """The sum over the seams of their left halves (``sides`` +1) or right
+        halves (-1).  Every row count takes the same numpy operations, with
+        no array exponent and no matrix product, so one row has the bits of
+        its row in a batch."""
+        seams, ih = np.array(self.seams), 1j * self.height * sides
+
+        def many(P: np.ndarray) -> np.ndarray:
+            zn = P[:, -1:]
+            ell, out = _side_logs(zn, seams, ih, sides), np.zeros(len(P), dtype=complex)
+            for seam, at in self._groups:
+                c, p, moments = at(P[:, :-1])
+                u = 1 / (zn - p)
+                acc = ell[:, seam] - moments[0]
+                for moment in moments[1:]:
+                    acc = acc * u - moment
+                out = out + (acc * u * c).sum(axis=1)
+            return out / TWO_PI_I
+
+        return Evaluable.batched(many)
+
+
+def merge_pair(left: PrincipalPartData, right: PrincipalPartData, s: float, height: float) -> PoleSeams:
+    """The closed-form split of one cousin1 seam at Re z_n = s: its datum is
+    ``right - left``, the principal parts of its two slabs, and
+    ``half(+1)`` less ``half(-1)`` of the result is that datum on the strip."""
+    return PoleSeams((s,), height, tuple((0, 1.0, t) for t in right.terms) + tuple((0, -1.0, t) for t in left.terms))
+
+
+def _rounding_bound(discs: list, s: float) -> float:
+    """About eps sum_t C_t / g_t^m_t over the locus discs (order m, bound C,
+    centre, radius) of ``_pole_discs``, g_t the gap from t's disc to Re z_n
+    = s: the rounding left where f ell and Q, each about C / g^m near a pole,
+    cancel in a seam's halves at its rows."""
+    return 2.0 ** -52 * sum(C / (abs(c.real - s) - r) ** m for m, C, c, r in discs)
+
+
+def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> tuple[Callable, list[dict]]:
+    """The map from a branch's sides (``left[k]``: the branch takes seam k's
+    left half) to its corrections, each seam k split by ``merge_pair`` from
+    its own datum P_{k+1} - P_k, and the seams' report entries."""
+    data, height = [problem.data[alpha] for alpha in chain.indices], problem.theta + problem.seam_margin()
+    pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
+    chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
+                                                    for _, sign, t in pair.entries))
+    discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
+    quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": _rounding_bound(discs[k] + discs[k + 1], s)}
+                  for k, s in enumerate(seams)]
+    return (lambda left: (chained.half(np.where(left, 1.0, -1.0)),) if chained.entries else ()), quadrature
 
 
 # -- extension seams in closed form ------------------------------------------
@@ -351,22 +423,11 @@ def closed_form_series(seams: list[float], witnesses: list[list[TruncatedSeries]
 
 
 def _closed_form_correction(g: Callable, seams: np.ndarray, height: float, sides: np.ndarray) -> Evaluable:
-    """g, a compiled ``closed_form_series``, at (z, ell_1(z), ..., ell_K(z)):
-    ell_k = Log(sides_k (w + ih)) - Log(sides_k (w - ih)) with w = s_k - z_n
-    and h = ``height``.  With t = z_n - s_k that is Log(ih - t) - Log(-ih - t)
-    on side +1, the seams right of the branch, whose left halves it takes,
-    and Log(t - ih) - Log(t + ih) on side -1.  Each log's cuts are the
-    horizontal rays from s_k +/- ih leading away from its side, so both are
-    holomorphic on the strip |Im z_n| < h, where they differ by 2 pi i.
-    Every row count takes the same numpy operations, so one row has the
-    bits of its row in a batch."""
+    """g, a compiled ``closed_form_series``, at (z, ell_1(z), ..., ell_K(z)),
+    the ``_side_logs`` of ``sides``.  Every row count takes the same numpy
+    operations, so one row has the bits of its row in a batch."""
     ih = 1j * height * sides
-
-    def many(P: np.ndarray) -> np.ndarray:
-        d = sides * (seams - P[:, -1:])
-        return g(np.concatenate((P, np.log(d + ih) - np.log(d - ih)), axis=1))
-
-    return Evaluable.batched(many)
+    return Evaluable.batched(lambda P: g(np.concatenate((P, _side_logs(P[:, -1:], seams, ih, sides)), axis=1)))
 
 
 def _extension_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Callable:
@@ -384,46 +445,6 @@ def _extension_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list
     return lambda left: (_closed_form_correction(g, at, height, np.where(left, 1.0, -1.0)),)
 
 
-def seam_quadrature(problem: ChiProblem, geom: SplitGeometry, discs: list) -> tuple[QuadratureSpec, dict]:
-    """The cousin1 seam's quadrature, with panels from the pole table, and
-    its report entry {s, panels, nodes, bound}.
-
-    The seam's density is its own datum, the principal parts of the two
-    slabs at the seam, so their poles and the rows are all it has to keep
-    away from.  For every straight piece of the seam's contours
-    (``split_contours``: the segment, the two pushed contours and their
-    legs), d is the least distance to the piece from a locus disc of
-    ``discs`` (``_pole_discs`` of the two slabs), or delta: the rows at the
-    seam lie delta from the pushed contours, and the kernel 1 / (zeta - z_n)
-    is singular there.  M = max(1, sum_t C_t / d_t^k_t) over the terms t
-    bounds the density on the piece.  The seam gets the fewest panels, at
-    least ``QuadratureSpec()``'s, that keep every panel of every piece
-    within its ``longest_panel`` for a Gauss error of tol / 10: a leg's
-    panels are never longer than the seam-long pieces'.  More than
-    MAX_PIECE_NODES nodes on a seam-long piece raise ``PoleTooCloseToSeam``,
-    naming the d and M of the piece that needs the most and the tolerance.
-    ``panels`` is the seam-long pieces' count, ``nodes`` the Gauss nodes of
-    the three contours and ``bound`` the largest ``gauss_error`` of a piece.
-    """
-    quad, h, tol = QuadratureSpec(), geom.height, problem.tol
-    pieces = []
-    for a, b, _ in (piece for contour in split_contours(geom, quad) for piece in contour):
-        dists = [distance_to_segment(c, a, b) - r for _, _, c, r in discs]
-        d = min(dists + [geom.delta])
-        M = max(1.0, sum(C / dt ** k for (k, C, _, _), dt in zip(discs, dists))) if d > 0 else math.inf
-        pieces.append((longest_panel(d, M, quad.nodes, tol / 10) if d > 0 else 0.0, d, M))
-    ell, d, M = min(pieces)
-    panels = max(quad.panels, math.ceil(min(2 * h / ell if ell > 0 else math.inf, MAX_PIECE_NODES)))
-    if panels * quad.nodes > MAX_PIECE_NODES:
-        raise PoleTooCloseToSeam(f"a pole or an evaluated row comes within {max(0.0, d):.3g} of a contour of the "
-                                 f"seam at {geom.s}, with density bound M = {M:.3g} and tolerance {tol:.3g}: more "
-                                 f"than {MAX_PIECE_NODES} Gauss nodes on a seam-long piece would be needed")
-    spec = replace(quad, panels=panels)
-    contours = [piece for contour in split_contours(geom, spec) for piece in contour]
-    bound = max(gauss_error(abs(b - a) / k, d, M, quad.nodes) for (a, b, k), (_, d, M) in zip(contours, pieces))
-    return spec, {"s": geom.s, "panels": panels, "nodes": quad.nodes * sum(k for *_, k in contours), "bound": bound}
-
-
 # -- solving and verification -------------------------------------------
 
 
@@ -434,7 +455,7 @@ class ChiSolution:
     corrections: list[Evaluable]
     region: Cuboid
     report: dict | None = None
-    seam_quadrature: list[dict] = field(default_factory=list)  # ``seam_quadrature`` entries, in seam order
+    seam_quadrature: list[dict] = field(default_factory=list)  # {s, panels, nodes, bound} per seam, in seam order
 
 
 def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSolution:
@@ -442,24 +463,14 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSoluti
     region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
     seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
     locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
-    if problem.kind == "extension":  # closed form: no quadrature
+    if problem.kind == "extension":
         halves = _extension_halves(problem, chain, seams)
         quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0} for s in seams]
     else:
-        lo, hi = region.re[-1]
-        base = Cuboid(region.re[:-1], region.im[:-1]) if problem.ndim > 1 else None
-        poles = [_pole_discs(problem, alpha) for alpha in chain.indices]
-        splits, quadrature = [], []
-        for k, s in enumerate(seams):  # seam k splits its own datum local_{k+1} - local_k
-            geom = SplitGeometry(s=s, delta=problem.seam_margin(), theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
-            spec, entry = seam_quadrature(problem, geom, poles[k] + poles[k + 1])
-            splits.append(merge_pair(locals_[k], locals_[k + 1], geom, spec))
-            quadrature.append(entry)
-        halves = lambda left: tuple(pair[0 if on_left else 1] for pair, on_left in zip(splits, left))
+        halves, quadrature = _pole_halves(problem, chain, seams)
     # one gluing rule: the chain's branch i takes the left half of every seam k >= i and the right half of the others
     at = np.arange(len(seams))
-    state = ChainState([_Branch(local, _far_field_disc(problem, alpha), halves(at >= i))
-                        for i, (alpha, local) in enumerate(zip(chain.indices, locals_))], seams)
+    state = ChainState([_Branch(local, halves(at >= i)) for i, local in enumerate(locals_)], seams)
     return ChiSolution(
         chain=chain,
         solution=Evaluable.batched(state.values),
@@ -528,19 +539,23 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """Checkable form of the solution property.
 
     Both kinds: every branch is holomorphic on its routed region by
-    construction: a cousin1 branch is its slab's principal part plus Cauchy
-    sums whose nodes all lie at least delta outside that region (and
-    far-field Taylor polynomials), so it is meromorphic there with the
-    data's poles alone; an extension branch is a polynomial plus
-    polynomials times log differences holomorphic on the strip |Im z_n| <
-    theta + delta (``closed_form_series``).  A solution continuous across every seam is then holomorphic (for
-    cousin1: off the poles) on the chain (Morera).  ``seam_jumps`` gives,
-    per seam s, the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y
-    in [-theta, theta] and the diagonal corners z' of the base cuboid
-    (every axis at lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S for
-    extension), and every jump must be at most tol.  ``seam_quadrature``
-    holds each seam's panels and Gauss error estimate, as the solve chose
-    them (``seam_quadrature``).  ``patch_morera`` stays an empty list.
+    construction, its local solution plus closed-form seam halves: log
+    differences holomorphic on the strip |Im z_n| < theta + delta times the
+    seam data, plus Q.  For cousin1 Q is a sum of pole terms whose poles
+    cancel those of h ell wherever the log is the segment's own, so a
+    branch is meromorphic on its region with the data's poles alone, as
+    long as no locus crosses a seam segment (``local_solution`` refuses
+    that); for extension it is a polynomial (``closed_form_series``).  A
+    solution continuous across every seam is then holomorphic (for cousin1:
+    off the poles) on the chain (Morera).  ``seam_jumps`` gives, per seam s,
+    the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y in [-theta,
+    theta] and the diagonal corners z' of the base cuboid (every axis at
+    lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S for extension), and
+    every jump must be at most tol.  ``seam_quadrature`` has one entry {s,
+    panels: 0, nodes: 0, bound} per seam, since no seam uses quadrature:
+    ``bound`` is 0.0 for extension and the a priori rounding bound
+    ``_rounding_bound`` for cousin1, and every bound must be at most tol.
+    ``patch_morera`` stays an empty list.
 
     cousin1: principal coefficients re-extracted by contour integrals around
     each pole must match the prescribed ones, summed over the slab's terms
@@ -597,7 +612,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     vals = sol.solution.values(np.concatenate(rows))
     sides = vals[:len(rows[0])].reshape(len(seams), 2, len(corners) * 61)
     report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
-    ok = all(v <= tol for v in report["seam_jumps"])
+    ok = all(v <= tol for v in report["seam_jumps"]) and all(q["bound"] <= tol for q in sol.seam_quadrature)
     if problem.kind == "cousin1":
         got = _ring_coefficients(vals[len(rows[0]):], d, [term.order for _, term, _, _ in poles])
         errors = [{"slab": alpha, "order": term.order, "pole": [p.real, p.imag],

@@ -1,8 +1,8 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
-for user callables, the bounded density cache, the closed-form extension
-split, and the fused sums (one near kernel block and one far-field power
-block) that n = 1 cousin1 branches sum their corrections by."""
+for user callables, the bounded density cache of ``cousin_split``, and the
+closed-form seam splits of both problem kinds, which no solve replaces by
+quadrature."""
 
 import math
 from dataclasses import replace
@@ -175,8 +175,8 @@ def ml_problem():
 
 
 def ml_chain_problem(slabs=12):
-    """n = 1 chain of width-2 slabs with 1-3 poles each: most corrections of
-    a branch come from seams at least twice its disc radius away."""
+    """n = 1 chain of width-2 slabs with 1-3 poles each, of orders 1 and 2:
+    every branch takes a half of each of its many seams."""
     data = []
     for alpha in range(slabs):
         lo = -slabs + 2.0 * alpha
@@ -249,51 +249,15 @@ def test_split_branches_values_on_both_sides_of_switch(base):
     assert_values_match_fn(left - right, pts)
 
 
-def in_disc(branch, P):
-    center, radius = branch.disc
-    d = P[:, -1] - center
-    return d.real ** 2 + d.imag ** 2 < radius ** 2
-
-
-def in_band(e, P):
-    """Rows where the split branch e takes the seam segment, not its pushed contour."""
-    lo, hi = e.valid_re
-    return ~((lo < P[:, -1].real) & (P[:, -1].real < hi))
-
-
-def fused_rows(branch, P):
-    """Rows the branch sums through its fused sums: in its disc and outside
-    every correction's seam band."""
-    rows = in_disc(branch, P)
-    for e in branch.corrections:
-        rows &= ~in_band(e, P)
-    return rows
-
-
-def far_corrections(branch) -> list:
-    """The corrections the fused sums expand as a Taylor series: functions
-    of z_n alone whose pushed nodes all lie at least 2R from the disc centre."""
-    if branch.disc is None or not branch.corrections:
-        return []
-    center, radius = branch.disc
-    return [e for e in branch.corrections if np.abs(e.pushed.zs - center).min() >= 2 * radius]
-
-
-def folds_far(branch) -> bool:
-    return bool(far_corrections(branch))
-
-
 def one_row_routes(problem, state) -> list:
-    """Points for every route of a one-row call: on each seam, inside the seam
-    bands of the branches on either side, beyond both ends of the chain,
-    outside each branch's disc, and at Re z_n = +/-1e200, whose squares overflow."""
+    """Points for every route of a one-row call: on each seam, a margin to
+    either side of it, beyond both ends of the chain, and at Re z_n =
+    +/-1e200, whose squares overflow."""
     zp = () if problem.ndim == 1 else (0.2 - 0.1j,)
     (lo, hi), = problem.cuboid.re[-1:]
-    band = 0.75 * problem.seam_margin()  # past the delta/2 a band reaches across its seam
+    band = 0.75 * problem.seam_margin()
     res = [lo - 0.5, hi + 0.5, 1e200, -1e200] + [s + t for s in state.seams for t in (0.0, -band, band)]
-    pts = [zp + (complex(r, y),) for r in res for y in (0.0, 0.3)]
-    # routed to the branch (Re z_n is its slab's midpoint), outside its disc
-    return pts + [zp + (b.disc[0] + 1j * (b.disc[1] + 0.1),) for b in state.branches if b.disc is not None]
+    return [zp + (complex(r, y),) for r in res for y in (0.0, 0.3)]
 
 
 @pytest.mark.parametrize("problem", [ml_problem(), extension_problem(), ml_chain_problem(), n2_cousin1_problem()],
@@ -313,12 +277,6 @@ def test_chain_state_and_corrections_values(problem):
     with np.errstate(all="ignore"):
         for e in [sol.solution, *sol.corrections]:
             assert np.array([e.fn(tuple(z)) for z in P.tolist()]).tobytes() == e.values(P).tobytes()
-        # n >= 2 cousin1 branches have no disc: their corrections depend on z'
-        discs = [b for b in state.branches if b.disc is not None]
-        assert all(not in_disc(b, P).all() for b in discs)
-        assert not discs or any((in_disc(b, P) & ~fused_rows(b, P)).any() for b in discs)
-    # some rows take the far-field series
-    assert not discs or any(folds_far(b) and in_disc(b, np.array(pts)).any() for b in discs)
 
 
 def test_rows_on_s_take_no_extension_correction():
@@ -337,54 +295,12 @@ def test_rows_on_s_take_no_extension_correction():
         assert np.array([sol.solution.fn(tuple(z)) for z in on_s.tolist()]).tobytes() == local.tobytes()
 
 
-def direct_correction_sum(branch, P):
-    """The branch's corrections summed one by one, each by its own Cauchy
-    sums (the evaluation every row took before corrections were fused)."""
-    acc = np.zeros(len(P), dtype=complex)
-    for e in branch.corrections:
-        acc = acc + e.values(P)
-    return acc
-
-
 def cuboid_sample(problem, m=4000, seed=3):
     rng = np.random.default_rng(seed)
     P = np.empty((m, problem.ndim), dtype=complex)
     for k in range(problem.ndim):
         P[:, k] = rng.uniform(*problem.cuboid.re[k], m) + 1j * rng.uniform(*problem.cuboid.im[k], m)
     return P
-
-
-@pytest.mark.parametrize("problem, unfolded", [(ml_chain_problem(), 0), (ml_chain_problem(slabs=3), 1)],
-                         ids=["cousin1-12-slabs", "cousin1-3-slabs"])
-def test_far_field_matches_direct_sums(problem, unfolded):
-    # every branch takes a half of every seam: of 12 slabs each folds far ones, of 3 the middle one folds none
-    sol = solve_chain(problem, verify=False)[0]
-    branches = sol.solution.many.__self__.branches
-    P = cuboid_sample(problem)
-    assert sum(not folds_far(b) for b in branches) == unfolded
-    for b in branches:
-        got, want = b.correction_values(P), direct_correction_sum(b, P)
-        inside, fused = in_disc(b, P), fused_rows(b, P)
-        assert inside.any() and not inside.all() and fused.any()
-        # 2R keeps the disc off every far correction's seam band, where the
-        # branch would switch from the pushed contour the series expands
-        assert not any(in_band(e, P[inside]).any() for e in far_corrections(b))
-        assert got[~inside].tolist() == want[~inside].tolist()
-        assert np.max(np.abs(got[fused] - want[fused])) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("problem", [ml_chain_problem()], ids=["cousin1-12-slabs"])
-def test_disc_rows_in_a_seam_band_take_the_direct_sums(problem):
-    # a branch's own rows never lie in its seam bands, but its corrections
-    # are defined (and verified) a margin beyond them
-    sol = solve_chain(problem, verify=False)[0]
-    P = cuboid_sample(problem)
-    banded = 0
-    for b in sol.solution.many.__self__.branches:
-        rows = in_disc(b, P) & ~fused_rows(b, P)
-        banded += rows.sum()
-        assert b.correction_values(P[rows]).tolist() == direct_correction_sum(b, P[rows]).tolist()
-    assert banded > 100
 
 
 def test_routed_rows_equal_their_rows_alone():
@@ -413,9 +329,17 @@ def test_routed_rows_equal_their_rows_alone():
 
 
 def test_n2_cousin1_corrections_are_not_folded():
-    # their densities depend on z', so no single series in z_n represents them
+    """For n = 2 the coefficients and loci depend on z', so no set of
+    constants represents them: every row evaluates its own c(z') and p(z'),
+    and rows that differ in z' alone take different corrections, each with
+    the bits it has alone."""
     sol = solve_chain(n2_cousin1_problem(), verify=False)[0]
-    assert not any(folds_far(b) for b in sol.solution.many.__self__.branches)
+    P = np.array([(0.3 - 0.2j, -1.5 + 0.1j), (-0.4 + 0.1j, -1.5 + 0.1j), (0.3 - 0.2j, 1.5 - 0.3j),
+                  (-0.4 + 0.1j, 1.5 - 0.3j)])
+    for corr in sol.corrections:
+        got = corr.values(P)
+        assert got[0] != got[1] and got[2] != got[3]
+        assert got.tolist() == [corr.fn(tuple(z)) for z in P.tolist()]
 
 
 # -- dataclasses.replace(e, fn=...), as a tracer wrapping fn does ------------
@@ -484,16 +408,23 @@ def distinct_zp_points(m=5000):
     return P
 
 
-def test_density_cache_bounded_and_values_unchanged(monkeypatch):
-    # cousin1 with n = 2 splits n-dimensional densities: one cache row per z'
-    paths = record_paths(monkeypatch)
+def n2_seam_halves():
+    """The ``cousin_split`` halves of the seam datum P_1 - P_0 of
+    ``n2_cousin1_problem``, a density that depends on z'."""
     problem = n2_cousin1_problem()
-    sol = solve_chain(problem, verify=False)[0]
+    geom = SplitGeometry(s=0.0, delta=0.2, theta=0.5, re_lo=-2.0, re_hi=2.0,
+                         base=Cuboid(problem.cuboid.re[:-1], problem.cuboid.im[:-1]))
+    return cousin_split(problem.data[1].evaluable() - problem.data[0].evaluable(), geom)
+
+
+def test_density_cache_bounded_and_values_unchanged(monkeypatch):
+    # an n-dimensional density fills one cache row per z'
+    paths = record_paths(monkeypatch)
     P = distinct_zp_points()
-    got = np.concatenate([sol.solution.values(P[k:k + 500]) for k in range(0, len(P), 500)])
+    got = [np.concatenate([half.values(P[k:k + 500]) for k in range(0, len(P), 500)]) for half in n2_seam_halves()]
     assert paths and max(len(q._cache) for q in paths) == cousin.DENSITY_CACHE_SIZE
-    fresh = solve_chain(problem, verify=False)[0]
-    assert got.tolist() == fresh.solution.values(P[::-1])[::-1].tolist()
+    fresh = [half.values(P[::-1])[::-1] for half in n2_seam_halves()]
+    assert [g.tolist() for g in got] == [f.tolist() for f in fresh]
 
 
 def test_density_fills_stay_within_one_block(monkeypatch):
@@ -512,10 +443,9 @@ def test_density_fills_stay_within_one_block(monkeypatch):
             self.phi = Evaluable.batched(many)
 
     monkeypatch.setattr(cousin, "_PathQuad", Recorded)
-    sol = solve_chain(n2_cousin1_problem())[0]
-    assert sol.report["pass"]
     P = distinct_zp_points()
-    sol.solution.values(P)
+    for half in n2_seam_halves():
+        half.values(P)
     assert fills and all(points <= max(cousin.BLOCK_ENTRIES, nodes) for points, nodes in fills)
 
 
@@ -643,15 +573,19 @@ def test_closed_form_halves_equal_cousin_split(n):
                   / scale[strip]) <= 1e-14
 
 
+def refuse_quadrature(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("quadrature on a merge path")
+
+    for name in ("cousin_split", "kernel_sums", "_PathQuad"):
+        monkeypatch.setattr(cousin, name, refused)
+
+
 def test_extension_solve_runs_no_quadrature(monkeypatch):
     """An extension chain is built in closed form: no ``cousin_split``,
     contour or Cauchy kernel; its seams report no panels, and the merge
     order changes no bit of it."""
-    def refused(*args, **kwargs):
-        raise AssertionError("quadrature on the extension path")
-
-    for owner, name in ((merge, "cousin_split"), (cousin, "kernel_sums"), (cousin, "_PathQuad")):
-        monkeypatch.setattr(owner, name, refused)
+    refuse_quadrature(monkeypatch)
     for problem in (extension_problem(slabs=4), come_and_go_problem(), one_seam_extension(3, 2)):
         P = cuboid_sample(problem, m=300)
         got = []
@@ -663,3 +597,38 @@ def test_extension_solve_runs_no_quadrature(monkeypatch):
                                                  for s in problem.breakpoints]
             got.append(b"".join(e.values(P).tobytes() for e in [sol.solution, *sol.corrections]))
         assert got[0] == got[1]
+
+
+def test_cousin1_solve_runs_no_quadrature(monkeypatch):
+    """A cousin1 chain is built in closed form too, for n = 1 and n = 2:
+    no ``cousin_split``, contour or Cauchy kernel; its seams report no
+    panels and no nodes."""
+    refuse_quadrature(monkeypatch)
+    for problem in (ml_problem(), ml_chain_problem(), n2_cousin1_problem()):
+        sol = solve_chain(problem)[0]
+        assert sol.report["pass"], sol.report
+        assert [(q["s"], q["panels"], q["nodes"]) for q in sol.report["seam_quadrature"]] == [
+            (s, 0, 0) for s in problem.breakpoints]
+        sol.solution.values(cuboid_sample(problem, m=300))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pole_halves_equal_cousin_split(n):
+    """Each half of a cousin1 seam in closed form equals the branch of
+    ``cousin_split`` of the seam's datum on a fine rule, within 1e-11
+    relative, at points of the chain at least delta / 2 off its contours;
+    for n = 2, c(z') and p(z') vary with every row."""
+    problem = ml_problem() if n == 1 else n2_cousin1_problem()
+    base = Cuboid(problem.cuboid.re[:-1], problem.cuboid.im[:-1]) if n > 1 else None
+    (lo, hi), rng = problem.cuboid.re[-1], np.random.default_rng(11)
+    for k, s in enumerate(problem.breakpoints):
+        left, right = problem.data[k], problem.data[k + 1]
+        geom = SplitGeometry(s=s, delta=problem.delta, theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
+        fine = cousin_split(right.evaluable() - left.evaluable(), geom, cousin.QuadratureSpec(panels=40, nodes=20))
+        split = merge.merge_pair(left, right, s, geom.height)
+        P = cuboid_sample(problem, m=600, seed=k)
+        P = P[np.abs(np.abs(P[:, -1].real - s) - problem.delta) >= problem.delta / 2]
+        for side, branch in zip((1.0, -1.0), fine):
+            got, want = split.half(np.array([side])).values(P), branch.values(P)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        assert len(set(P[:, 0].tolist())) == len(P) or n == 1

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from okakit.cousin import Evaluable, QuadratureSpec, constant_evaluable
+from okakit.cousin import Evaluable, constant_evaluable
 from okakit.cuboids import Cuboid
 from okakit.division import CoordinateSubspace
 from okakit.errors import NotHolomorphicDifference, NotInIdeal, PoleTooCloseToSeam
@@ -475,32 +475,75 @@ class TestExtensionEndToEnd:
         assert not report["pass"]
 
 
-def right_half_dropped(monkeypatch, prob, s=0.0):
-    """The right split half at seam s is the split of 0."""
-    split, dropped = merge.cousin_split, []
+def left_contour_pushed_left(monkeypatch, prob, s=0.0):
+    """The left halves at seam s take the right side's log, the closed form
+    of integrating them over the right halves' contour, pushed to s - delta
+    instead of s + delta: the seam's halves then differ by 0, not by its
+    datum."""
+    logs = merge._side_logs
 
-    def mutant(density, geom, spec):
-        left, right = split(density, geom, spec)
-        if geom.s == s and not dropped:
-            dropped.append(geom.s)
-            right = split(constant_evaluable(0), geom, spec)[1]
-        return left, right
+    def mutant(zn, seams, ih, sides):
+        flipped = np.where(seams == s, -1.0, sides)
+        return logs(zn, seams, ih * flipped / sides, flipped)
 
-    monkeypatch.setattr(merge, "cousin_split", mutant)
+    monkeypatch.setattr(merge, "_side_logs", mutant)
     return prob
 
 
-def left_contour_pushed_left(monkeypatch, prob, s=0.0):
-    """The left branches at seam s integrate over the right branches'
-    contour, pushed to s - delta instead of s + delta."""
-    path_quad = cousin._PathQuad
+def right_half_dropped(monkeypatch, prob, s=0.0):
+    """The right half at seam s is the split of 0: the branches right of s
+    take none of the terms of its datum."""
+    half = merge.PoleSeams.half
 
-    def mutant(pieces, spec, phi):
-        if len(pieces) == 3 and pieces[0][0].real == s < pieces[1][0].real:
-            pieces = [(complex(2 * s - a.real, a.imag), complex(2 * s - b.real, b.imag), k) for a, b, k in pieces]
-        return path_quad(pieces, spec, phi)
+    def mutant(self, sides):
+        k = self.seams.index(s)
+        if sides[k] < 0:
+            self = replace(self, entries=tuple(e for e in self.entries if e[0] != k))
+        return half(self, sides)
 
-    monkeypatch.setattr(cousin, "_PathQuad", mutant)
+    monkeypatch.setattr(merge.PoleSeams, "half", mutant)
+    return prob
+
+
+def moments_mutant(monkeypatch, change):
+    """Every pole term's segment integrals I_1..I_m replaced by
+    change(I, a), a the lower ends of the terms' segments."""
+    moments = merge._moments
+    monkeypatch.setattr(merge, "_moments", lambda p, a, b, m: change(moments(p, a, b, m), a))
+
+
+def i1_on_the_wrong_branch(monkeypatch, prob, s=0.0):
+    """The terms of seam s take I_1 + 2 pi i, the log of their pole on the
+    other sheet: every branch gains -h_s, which glues but moves the poles."""
+    moments_mutant(monkeypatch, lambda I, a: [I[0] + cousin.TWO_PI_I * (a.real == s)] + I[1:])
+    return prob
+
+
+def q_dropped(monkeypatch, prob):
+    """Every half is h ell / 2 pi i, without Q: the halves still differ by
+    h, but a branch keeps h ell's poles of the slabs beside it."""
+    moments_mutant(monkeypatch, lambda I, a: [0 * x for x in I])
+    return prob
+
+
+def term_credited_to_the_neighbouring_slab(monkeypatch, prob):
+    """The seam data see slab 1's first term as slab 2's, while P_1 and
+    P_2 stay as given: the seams at -1, 0 and 1 split the wrong data."""
+    (moved, *kept), right = prob.data[1].terms, prob.data[2]
+    swap = {id(prob.data[1]): PrincipalPartData(tuple(kept)),
+            id(right): PrincipalPartData(right.terms + (moved,))}
+    pair = merge.merge_pair
+    monkeypatch.setattr(merge, "merge_pair",
+                        lambda left, right, *args: pair(swap.get(id(left), left), swap.get(id(right), right), *args))
+    return prob
+
+
+def log_cut_below_theta(monkeypatch, prob):
+    """Every log difference is taken with the cut height 0.45 theta, off
+    the seam rows, instead of theta + delta: above it the halves no longer
+    differ by the datum."""
+    logs = merge._side_logs
+    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih, sides: logs(zn, seams, 0.45j * prob.theta * sides, sides))
     return prob
 
 
@@ -601,8 +644,7 @@ def near_pole_problem(gap):
 
 def wide_neighbour_problem():
     """A slab of width 2 between slabs of width 40, with coefficients 10^4
-    next to the outer seams: the middle branch folds the corrections of the
-    seams at +/-41 with rho = 1.43 / 40.7 ~ 0.035 and about 11 terms."""
+    next to the outer seams at +/-41, whose halves every branch takes."""
     return ChiProblem(kind="cousin1", cuboid=Cuboid(((-45.0, 45.0),), ((-0.6, 0.6),)),
                       breakpoints=(-41.0, -1.0, 1.0, 41.0),
                       data=(pp((-42 + 0.1j, 1e4)), pp((-20.0, 1.0)), pp((0.2, 1 - 1j)), pp((20 + 0.2j, 1.0)),
@@ -610,27 +652,9 @@ def wide_neighbour_problem():
                       delta=0.3)
 
 
-def rule_bypassed(monkeypatch, prob):
-    """Every seam keeps the problem's panels, whatever the poles."""
-    monkeypatch.setattr(merge, "longest_panel", lambda *args: math.inf)
-    return prob
-
-
-def rule_bypassed_at_one_panel_of_two_nodes(monkeypatch, prob):
-    """Every seam gets one panel of two nodes."""
-    monkeypatch.setattr(merge, "QuadratureSpec", lambda: QuadratureSpec(panels=1, nodes=2))
-    return rule_bypassed(monkeypatch, prob)
-
-
-def eight_fewer_fold_terms(monkeypatch, prob):
-    terms = cousin.taylor_terms
-    monkeypatch.setattr(cousin, "taylor_terms", lambda rho: terms(rho) - 8)
-    return prob
-
-
 class TestCousin1Mutants:
-    """Broken quadrature or glue must fail the cousin1 report (or raise):
-    the seam check sees each jump."""
+    """Broken closed forms must fail the cousin1 report: a mutant whose
+    output is not a solution shows as a seam jump or a residue error."""
 
     @pytest.mark.parametrize("problem", [four_slab_cousin1_problem(), wide_neighbour_problem()],
                              ids=["four-slabs", "wide-neighbours"])
@@ -639,44 +663,46 @@ class TestCousin1Mutants:
         assert report["pass"] and len(report["seam_jumps"]) == len(problem.breakpoints)
         assert max(report["seam_jumps"]) <= problem.tol
 
-    @pytest.mark.parametrize("mutant", [rule_bypassed_at_one_panel_of_two_nodes, right_half_dropped,
-                                        left_contour_pushed_left])
+    @pytest.mark.parametrize("mutant", [right_half_dropped, left_contour_pushed_left,
+                                        term_credited_to_the_neighbouring_slab, log_cut_below_theta])
     def test_glue_mutant_fails(self, monkeypatch, mutant):
         prob = mutant(monkeypatch, four_slab_cousin1_problem())
         report = solve_chain(prob)[0].report
         assert not report["pass"]
         assert max(report["seam_jumps"]) > 1e-6, report
 
-    def test_fold_with_eight_fewer_terms_fails(self, monkeypatch):
-        """A truncated fold is still a polynomial, so only continuity can see
-        it; its error, about rho^-8 2^-53 times the folded sums, shows where
-        rho is small and the far densities large.  Five fewer terms leave a
-        jump of 3.5e-9, under tol: that solution is still a solution."""
-        prob = eight_fewer_fold_terms(monkeypatch, wide_neighbour_problem())
+    @pytest.mark.parametrize("mutant", [i1_on_the_wrong_branch, q_dropped])
+    def test_residue_mutant_fails(self, monkeypatch, mutant):
+        """These mutants glue: only the residue check can see them."""
+        prob = mutant(monkeypatch, four_slab_cousin1_problem())
         report = solve_chain(prob)[0].report
-        assert not report["pass"]
-        assert max(report["seam_jumps"][1:3]) > prob.tol >= max(e["error"] for e in report["principal_part_errors"])
-
-    def test_rule_disabled_on_a_pole_past_delta_fails(self, monkeypatch):
-        prob = rule_bypassed(monkeypatch, near_pole_problem(0.02))
-        report = solve_chain(prob)[0].report
-        assert not report["pass"]
-        assert report["seam_jumps"][0] > 1e-3, report
+        assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+        assert max(e["error"] for e in report["principal_part_errors"]) > 1e-3, report
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-3, 0.03, 0.1, 0.2])
 def test_near_pole_table(gap):
-    """A pole ``gap`` from a pushed contour: refused, or solved with every
-    seam jump within tol; from 0.1 on it is solved."""
+    """A pole ``gap`` from where the right half's pushed contour lay, as
+    near to the seam as admission allows (delta + gap): solved for every
+    gap, with a rounding bound and a seam jump within tol."""
     prob = near_pole_problem(gap)
-    try:
-        report = solve_chain(prob)[0].report
-    except PoleTooCloseToSeam:
-        assert gap < 0.1
-        return
+    report = solve_chain(prob)[0].report
     (entry,) = report["seam_quadrature"]
-    assert entry["s"] == 1.0 and entry["bound"] <= prob.tol / 10
+    assert entry["s"] == 1.0 and (entry["panels"], entry["nodes"]) == (0, 0) and entry["bound"] <= prob.tol
     assert report["pass"] and len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
+
+
+def test_rounding_bound_above_tol_fails():
+    """delta = 1e-3 admits an order-3 pole 2e-3 from the seam, where f ell and
+    Q, each about 1 / g^3 = 1.25e8, cancel: the seam's a priori rounding
+    bound, eps / g^3 = 2.8e-8, is above tol, and the report fails on it."""
+    prob = ChiProblem(kind="cousin1", cuboid=Cuboid(((-1.0, 1.0),), ((-0.5, 0.5),)), breakpoints=(0.0,), delta=1e-3,
+                      data=(PrincipalPartData((PoleTerm(3, constant(0, 1.0), constant(0, -2e-3)),)), pp((0.5, 1.0))))
+    report = solve_chain(prob)[0].report
+    (entry,) = report["seam_quadrature"]
+    assert entry["bound"] == pytest.approx(2.0 ** -52 / 2e-3 ** 3 + 2.0 ** -52 / 0.5)
+    assert entry["bound"] > prob.tol and not report["pass"]
+    assert solve_chain(replace(prob, tol=1e-6))[0].report["pass"]
 
 
 def narrow_middle_problem(width, delta, rng):
@@ -707,9 +733,11 @@ def assert_narrow_middle_family_passes(factor, count, orders=("ltr", "rtl")):
 
 def test_neighbouring_half_sets_the_panels():
     """Middle slabs 1.25 delta wide: 5 of these 24 solves failed, with jumps
-    up to 1.7e4 times the bound, while each seam density held the half of
-    the seam merged before it, a Cauchy sum on a contour w - delta from the
-    seam's own.  Each seam now splits its own datum."""
+    up to 1.7e4 times the Gauss error bound, while each seam density held
+    the half of the seam merged before it, a Cauchy sum on a contour
+    w - delta from the seam's own, and the panels had to count it.  Each
+    seam now splits its own datum in closed form, so no neighbouring half
+    and no panel enters."""
     assert_narrow_middle_family_passes(1.25, 12)
 
 
@@ -717,8 +745,8 @@ def test_neighbouring_half_sets_the_panels():
 def test_middle_slab_delta_wide_passes(order):
     """A middle slab delta wide put the contour of the half one seam took
     from its neighbour on one of its own contours, and every one of these
-    solves was refused.  Each seam's density is now the principal parts
-    of its two slabs alone, so all pass with every jump within tol."""
+    solves was refused.  Each seam's datum is now the principal parts of
+    its two slabs alone, so all pass with every jump within tol."""
     prob = narrow_middle_problem(0.3, 0.3, random.Random(1))
     report = solve_chain(prob, order=order)[0].report
     assert report["pass"] and max(report["seam_jumps"]) <= prob.tol, report
@@ -728,45 +756,49 @@ def test_middle_slab_delta_wide_passes(order):
 @pytest.mark.parametrize("problem", [lambda: three_slab_problem(), lambda: ab_bench_n2_cousin1_problem()],
                          ids=["n1", "n2"])
 def test_each_seam_splits_its_own_datum(monkeypatch, problem):
-    """The density seam k hands ``cousin_split`` is P_{k+1} - P_k, the
-    principal parts of its two slabs, bit for bit at every node of its
-    contours, in either order: no other seam's half enters it."""
-    prob, split, seen = problem(), merge.cousin_split, []
+    """Seam k hands ``merge_pair`` the principal parts of its two slabs,
+    P_k and P_{k+1}, and no other seam's half: its entries are the terms of
+    P_{k+1} with sign +1 and those of P_k with -1, and its left half less
+    its right half is P_{k+1} - P_k on the strip, in either order."""
+    prob, pair, seen = problem(), merge.merge_pair, []
 
-    def recorded(phi, geom, spec):
-        seen.append((phi, geom, spec))
-        return split(phi, geom, spec)
+    def recorded(left, right, s, height):
+        seen.append((left, right, s, pair(left, right, s, height)))
+        return seen[-1][-1]
 
-    monkeypatch.setattr(merge, "cousin_split", recorded)
+    monkeypatch.setattr(merge, "merge_pair", recorded)
+    rng = np.random.default_rng(27)
     for order in ("ltr", "rtl"):
         seen.clear()
         solve_chain(prob, order=order, verify=False)
-        assert [geom.s for _, geom, _ in seen] == list(prob.breakpoints)
-        for k, (phi, geom, spec) in enumerate(seen):
-            zs = np.concatenate([cousin._path_nodes(c, spec.nodes)[0] for c in cousin.split_contours(geom, spec)])
-            P = np.empty((len(zs), prob.ndim), dtype=complex)
-            P[:, :-1], P[:, -1] = 0.2 - 0.1j, zs
-            want = prob.data[k + 1].evaluable().values(P) - prob.data[k].evaluable().values(P)
-            assert phi.values(P).tobytes() == want.tobytes()
+        assert [s for *_, s, _ in seen] == list(prob.breakpoints)
+        for k, (left, right, s, split) in enumerate(seen):
+            assert (left, right) == (prob.data[k], prob.data[k + 1])
+            assert split.entries == tuple((0, 1.0, t) for t in right.terms) + tuple((0, -1.0, t) for t in left.terms)
+            P = np.empty((50, prob.ndim), dtype=complex)
+            P[:, :-1], P[:, -1] = 0.2 - 0.1j, s + rng.uniform(-0.9, 0.9, 50) * prob.delta + 1j * rng.uniform(-0.5, 0.5, 50)
+            want = right.evaluable().values(P) - left.evaluable().values(P)
+            got = split.half(np.ones(1)).values(P) - split.half(-np.ones(1)).values(P)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("slope", [1.0, 1.5])
 def test_n2_loci_widened_over_the_base(slope):
-    """The locus -1 + slope z1 sits at -1 at z1 = 0, 0.8 from the contour at
+    """The locus -1 + slope z1 sits at -1 at z1 = 0, 0.8 from the margin at
     -0.2, but sweeps a disc of radius slope |z1| <= 0.71 slope over the base:
-    slope 1 keeps it off every contour and passes, slope 1.5 reaches one."""
+    slope 1 keeps it inside the margin and passes, slope 1.5 crosses it."""
     def datum(locus):
         return PrincipalPartData((PoleTerm(1, make_series(1, {(0,): 1}), make_series(1, locus)),))
 
     prob = ChiProblem(kind="cousin1", cuboid=Cuboid(((-0.5, 0.5), (-2.0, 2.0)), ((-0.5, 0.5), (-0.5, 0.5))),
                       breakpoints=(0.0,), data=(datum({(0,): -1.0, (1,): slope}), datum({(0,): 1.0})), delta=0.2)
     if slope > 1:
-        with pytest.raises(PoleTooCloseToSeam, match="within 0 of a contour"):
+        with pytest.raises(PoleTooCloseToSeam, match="stays within 1.06 of it, lies outside slab 0 or within margin 0.2"):
             solve_chain(prob)
         return
     report = solve_chain(prob)[0].report
     (entry,) = report["seam_quadrature"]
-    assert entry["panels"] > 6 and entry["bound"] <= prob.tol / 10
+    assert (entry["panels"], entry["nodes"]) == (0, 0) and entry["bound"] <= prob.tol
     assert report["pass"] and report["seam_jumps"][0] <= prob.tol
 
 

@@ -18,7 +18,8 @@ quartiles, the change's median against the base's, and in how many pairs
 the change was better; the same for the one-point evaluation times
 ``eval_us.p50`` and ``eval_us.p90`` that ``run.py`` prints on detail lines
 for ``ml_chain`` and ``ext_merge`` (their samples include the cold first
-calls on each new solution, which build its branches' fused sums).  Under
+call on each new solution, which for ``ml_chain`` builds the chain's
+closed-form term arrays).  Under
 ``cycles`` it lists each side's cycle count per pair, from ``run.py``'s
 ``<workload>: N cycles`` line.  It also counts, on each side, the Cauchy kernel
 work of one verified solve of the first ``ml_chain`` and ``ext_merge``
@@ -28,8 +29,10 @@ points x contour nodes x weight columns summed over every call of
 and ``kernel_differences`` the zeta - z_n entries, points x contour nodes,
 which the columns of one call share.  Trees whose ``kernel_sums`` takes a
 key count (one weight column per extension key) have several columns per
-call; in trees without it every call has one, and ``ext_merge`` solves in
-closed form, so both of its counts read 0.  Under ``bits`` it gives, per group
+call; in trees without it every call has one.  Trees that split every
+seam in closed form, cousin1 and extension alike, run no Cauchy kernel in
+a solve, so all four counts read 0 there; they stay for comparisons with
+older trees.  Under ``bits`` it gives, per group
 (``ml_chain``, ``ext_merge``, ``n2_cousin1``, ``exact_algebra``, ``cli_mix``), the sha256 of
 fixed outputs on each side and whether they are equal; see ``BITS`` for what
 each group hashes.  Unequal bits are information, not a failure.  The script
