@@ -283,11 +283,6 @@ class SplitBranch(Evaluable):
     pushed: _PathQuad | None = None
 
 
-def summed(parts: Sequence[Evaluable]) -> Callable:
-    """The map from points P to the sum of every part's values, part by part."""
-    return lambda P: sum((e.values(P) for e in parts), np.zeros(len(P), dtype=complex))
-
-
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
     seg = b - a
     t = ((zn - a) / seg).real

@@ -8,8 +8,8 @@ splits only its own datum h_k = local_{k+1} - local_k by its Cauchy
 integral along the seam segment, in closed form and with no quadrature,
 (h_k ell + Q) / 2 pi i with ell a log difference: Q sums the segment
 integrals of the pole terms by partial fractions for principal parts, and
-is an exact polynomial for extension (a polynomial multiple of the
-subspace generators with explicit cofactors).  Branch alpha is
+is a polynomial for extension, built in floating point from the exact
+cofactors of each datum in the subspace ideal.  Branch alpha is
 local_alpha plus the left half of every seam k >= alpha and the right
 half of every seam k < alpha.  Chains of slabs pairwise connected on the
 subspace are solved independently.
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cousin import TWO_PI_I, Evaluable, morera_residual, routed, summed, sup_abs
+from .cousin import TWO_PI_I, Evaluable, morera_residual, routed, sup_abs
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, complex_evaluator, make_series, negligible, times_variable
+from .series import TruncatedSeries, complex_evaluator, make_series, negligible, times_variable, to_floating
 
 
 def series_evaluable(f: TruncatedSeries) -> Evaluable:
@@ -233,17 +233,15 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
 
 @dataclass(frozen=True)
 class _Branch:
-    """A slab's local solution plus its corrections, functions on C^n: one
+    """A slab's local solution plus its correction, functions on C^n: one
     closed-form correction holding the branch's half of every seam of the
-    chain, or none where the chain has no seam data.  ``correction_values``
-    sums them."""
+    chain, or None where the chain has no seam data, whose values are 0."""
 
     local: Evaluable
-    corrections: tuple[Evaluable, ...] = ()
+    correction: Evaluable | None = None
 
-    @cached_property
-    def correction_values(self) -> Callable:
-        return summed(self.corrections)
+    def correction_values(self, P: np.ndarray) -> np.ndarray:
+        return np.zeros(len(P), dtype=complex) if self.correction is None else self.correction.values(P)
 
     def values(self, P: np.ndarray) -> np.ndarray:
         return self.local.values(P) + self.correction_values(P)
@@ -364,8 +362,8 @@ def _rounding_bound(discs: list, s: float) -> float:
 
 def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> tuple[Callable, list[dict]]:
     """The map from a branch's sides (``left[k]``: the branch takes seam k's
-    left half) to its corrections, each seam k split by ``merge_pair`` from
-    its own datum P_{k+1} - P_k, and the seams' report entries."""
+    left half) to its correction (None without seams), each seam k split by
+    ``merge_pair`` from its own datum P_{k+1} - P_k, and the seams' report entries."""
     data, height = [problem.data[alpha] for alpha in chain.indices], problem.theta + problem.seam_margin()
     pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
     chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
@@ -373,7 +371,7 @@ def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[floa
     discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
     quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": _rounding_bound(discs[k] + discs[k + 1], s)}
                   for k, s in enumerate(seams)]
-    return (lambda left: (chained.half(np.where(left, 1.0, -1.0)),) if chained.entries else ()), quadrature
+    return (lambda left: chained.half(np.where(left, 1.0, -1.0)) if chained.entries else None), quadrature
 
 
 # -- extension seams in closed form ------------------------------------------
@@ -381,8 +379,8 @@ def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[floa
 
 def segment_quotient(w: TruncatedSeries, s: float, height: float) -> TruncatedSeries:
     """Q(z) = the integral of (w(z', zeta) - w(z)) / (zeta - z_n) d zeta along
-    the seam segment from s - i height to s + i height, an exact polynomial
-    in w's backend.  With u = z_n - c and v = zeta - c about w's centre c
+    the seam segment from s - i height to s + i height, a polynomial in w's
+    backend.  With u = z_n - c and v = zeta - c about w's centre c
     on the last axis, (v^m - u^m) / (v - u) = sum_{i<m} v^i u^(m-1-i), and
     v^i integrates to (b^(i+1) - a^(i+1)) / (i + 1) between the endpoints
     a, b, floats and so exact in either backend."""
@@ -401,25 +399,28 @@ def segment_quotient(w: TruncatedSeries, s: float, height: float) -> TruncatedSe
 
 
 def closed_form_series(seams: list[float], witnesses: list[list[TruncatedSeries]], height: float) -> TruncatedSeries:
-    """G = (Q + sum_k L_k h_k) / 2 pi i, one exact series in the n + K
-    variables (z, L_1, ..., L_K) for the K seams s_k with cofactors
-    ``witnesses[k]`` (Weak Coherence): h_k = sum_j z_j w_{k,j} and
+    """G = (Q + sum_k L_k h_k) / 2 pi i, one series in the witnesses' backend
+    in the n + K variables (z, L_1, ..., L_K) for the K seams s_k with
+    cofactors ``witnesses[k]`` (Weak Coherence): h_k = sum_j z_j w_{k,j} and
     Q = sum_k sum_j z_j Q_{k,j}, Q_{k,j} = ``segment_quotient(w_{k,j}, s_k,
     height)``.  At L_k = ell_k, the log difference of one side of seam k,
     the terms of seam k are z_j times the Cauchy integral (w ell_k + Q) / 2 pi i
     of w_{k,j} along the segment s_k -/+ i height.  Every term keeps its
-    factor z_j, so G is 0 on S."""
-    K, g = len(seams), 0  # + starts from 0, which a series adds as its zero
-
-    def lifted(f: TruncatedSeries, tail: tuple) -> TruncatedSeries:
-        return make_series(f.dim + K, {e + tail: v for e, v in f.coeffs.items()}, backend=f.backend,
-                           center=f.center + (0,) * K)
-
+    factor z_j, so G is 0 on S.  One dict sums the terms of z_j w_{k,j} L_k
+    and z_j Q_{k,j} for each k and j in turn, dropping a sum that cancels."""
+    K, w0, terms = len(seams), witnesses[0][0], {}
     for k, (s, ws) in enumerate(zip(seams, witnesses)):
+        tail = tuple(int(i == k) for i in range(K))
         for j, w in enumerate(ws):
-            g = (g + lifted(times_variable(w, j), tuple(int(i == k) for i in range(K)))
-                 + lifted(times_variable(segment_quotient(w, s, height), j), (0,) * K))
-    return g * (1 / TWO_PI_I)
+            for f, t in ((times_variable(w, j), tail), (times_variable(segment_quotient(w, s, height), j), (0,) * K)):
+                for e, v in f.coeffs.items():
+                    e = e + t
+                    terms[e] = terms[e] + v if e in terms else v
+                    if w0.backend.is_zero(terms[e]):
+                        del terms[e]
+    scale = w0.backend.coerce(1 / TWO_PI_I)
+    return make_series(w0.dim + K, {e: v * scale for e, v in terms.items()}, backend=w0.backend,
+                       center=w0.center + (0,) * K)
 
 
 def _closed_form_correction(g: Callable, seams: np.ndarray, height: float, sides: np.ndarray) -> Evaluable:
@@ -432,17 +433,19 @@ def _closed_form_correction(g: Callable, seams: np.ndarray, height: float, sides
 
 def _extension_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Callable:
     """The map from a branch's sides (``left[k]``: the branch takes seam k's
-    left half) to its corrections, each seam split in closed form from its
-    own datum h_k = local_{k+1} - local_k, with no quadrature: one
-    correction, the chain's one ``closed_form_series`` at the logs of those
-    sides, or none where every datum is 0 (one slab, or equal locals)."""
+    left half) to its correction, each seam split in closed form from its
+    own datum h_k = local_{k+1} - local_k: the chain's one
+    ``closed_form_series`` at the logs of those sides, built from floating
+    copies of the exact cofactors of ``ideal_witness``, or None where every
+    datum is 0 (one slab, or equal locals)."""
     height = problem.theta + problem.seam_margin()
     polys = [problem.slab_poly(alpha) for alpha in chain.indices]
     witnesses = [ideal_witness(right - left, problem.subspace) for left, right in zip(polys, polys[1:])]
     if all(w.is_zero() for ws in witnesses for w in ws):
-        return lambda left: ()
-    g, at = complex_evaluator(closed_form_series(seams, witnesses, height)), np.array(seams)
-    return lambda left: (_closed_form_correction(g, at, height, np.where(left, 1.0, -1.0)),)
+        return lambda left: None
+    floats = [[to_floating(w) for w in ws] for ws in witnesses]
+    g, at = complex_evaluator(closed_form_series(seams, floats, height)), np.array(seams)
+    return lambda left: _closed_form_correction(g, at, height, np.where(left, 1.0, -1.0))
 
 
 # -- solving and verification -------------------------------------------
@@ -601,11 +604,11 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
         if any(not lo <= 0 <= hi for k in range(q) for lo, hi in (region.re[k], region.im[k])):
             report["skipped_checks"].append({"check": "subspace", "reason": "chain region does not meet S"})
         elif q < n:
-            lo, hi = region.re[-1]
-            mids = problem.cuboid.midpoint()
             slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
-            rows.append(np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
-                                  for y in slices for t in np.linspace(lo, hi, 101)]))
+            S = np.zeros((len(slices), 101, n), dtype=complex)
+            S[..., q:-1] = problem.cuboid.midpoint()[q:-1]
+            S[..., -1].real, S[..., -1].imag = np.linspace(*region.re[-1], 101), np.reshape(slices, (-1, 1))
+            rows.append(S.reshape(-1, n))
         else:  # S is the origin
             slices = [0.0]
             rows.append(np.zeros((1, n), dtype=complex))

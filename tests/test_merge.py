@@ -27,7 +27,7 @@ from okakit.merge import (
 from okakit import cousin, merge
 from okakit.series import complex_evaluator, constant, make_series, monomial, scale, times_variable, variable
 from test_batched import extension_problem as perturbed_extension_problem
-from test_batched import n2_cousin1_problem
+from test_batched import n2_cousin1_problem, one_seam_extension
 
 
 def pp(*poles):
@@ -438,7 +438,8 @@ class TestExtensionEndToEnd:
     @pytest.mark.parametrize("n", [1, 2])
     def test_codim_equal_to_dimension_checked_at_the_origin(self, n):
         """For q = n, S is the origin: the subspace check evaluates the
-        origin alone, last in the one call; every other row lies on the seam."""
+        origin alone, (0j, ..., 0j) bit for bit, last in the one call; every
+        other row lies on the seam."""
         z = [variable(n, k) for k in range(n)]
         prob = ChiProblem(kind="extension",
                           cuboid=Cuboid(((-0.5, 0.5),) * (n - 1) + ((-2.0, 2.0),), ((-0.5, 0.5),) * n),
@@ -454,7 +455,7 @@ class TestExtensionEndToEnd:
         report = verify_solution(replace(sol, solution=Evaluable.batched(recorded)), prob)
         (P,) = rows
         seam_rows, origin = P[:-1], P[-1:]
-        assert origin.shape == (1, n) and not origin.any()
+        assert origin.tobytes() == np.zeros((1, n), dtype=complex).tobytes()
         assert len(seam_rows) and np.isin(seam_rows[:, -1].real, (np.nextafter(0.0, -np.inf), 0.0)).all()
         assert len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
         assert report["subspace_slices"] == [0.0] and report["pass"], report
@@ -617,6 +618,32 @@ class TestExtensionMutants:
         report = solve_chain(prob)[0].report
         assert not report["pass"]
         assert max(report["seam_jumps"]) > 1e-6, report
+
+
+def test_extension_closed_form_is_built_in_floating_point(monkeypatch):
+    """The G that ``_extension_halves`` compiles is a floating series with
+    the terms of ``closed_form_series`` on the exact witnesses, in their
+    order, each coefficient within 1e-15 of the exact one relative to the
+    largest; every term keeps a factor z_j of a constrained axis."""
+    prob, compiled = perturbed_extension_problem(slabs=4), []
+    compile_ = merge.complex_evaluator
+
+    def recorded(f):
+        compiled.append(f)
+        return compile_(f)
+
+    monkeypatch.setattr(merge, "complex_evaluator", recorded)
+    assert solve_chain(prob)[0].report["pass"]
+    seams = list(prob.breakpoints)
+    (g,) = [f for f in compiled if f.dim == prob.ndim + len(seams)]
+    assert not g.backend.exact
+    polys = prob.local_overrides
+    witnesses = [ideal_witness(right - left, prob.subspace) for left, right in zip(polys, polys[1:])]
+    exact = merge.closed_form_series(seams, witnesses, prob.theta + prob.seam_margin())
+    assert exact.backend.exact and list(g.coeffs) == list(exact.coeffs)
+    largest = max(abs(complex(v)) for v in exact.coeffs.values())
+    assert all(abs(g.coeffs[e] - complex(v)) <= 1e-15 * largest for e, v in exact.coeffs.items())
+    assert all(any(e[:prob.codim]) for e in g.coeffs)
 
 
 def four_slab_cousin1_problem(**kw):
@@ -914,6 +941,34 @@ class TestOneEvaluationPass:
         report = verify_solution(self.wrong_at(sol, subspace_rows[150]), prob)
         assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
         assert report["subspace_sup_error"] == pytest.approx(1.0, abs=1e-8)
+
+
+def off_centre_extension(q):
+    """``one_seam_extension(3, q)`` on a cuboid whose free base axes have
+    their midpoint off 0."""
+    prob = one_seam_extension(3, q)
+    re, im = list(prob.cuboid.re), list(prob.cuboid.im)
+    re[q:2], im[q:2] = [(-0.2, 0.6)] * (2 - q), [(-0.1, 0.5)] * (2 - q)
+    return replace(prob, cuboid=Cuboid(tuple(re), tuple(im)))
+
+
+@pytest.mark.parametrize("make", [lambda: perturbed_extension_problem(slabs=4), lambda: off_centre_extension(1),
+                                  lambda: off_centre_extension(2)], ids=["n2-q1", "n3-q1", "n3-q2"])
+def test_subspace_rows_keep_their_values_and_order(make):
+    """For q < n the rows ``verify_solution`` evaluates after the seam rows
+    are, bit for bit, (0, ..., 0, mid z', t + iy) for 101 t across the
+    chain's Re z_n range on each slice y in turn (q = n:
+    ``test_codim_equal_to_dimension_checked_at_the_origin``)."""
+    prob = make()
+    sol = solve_chain(prob, verify=False)[0]
+    _, rows, report = verification_rows(sol, prob)
+    q, n, mids = prob.codim, prob.ndim, prob.cuboid.midpoint()
+    slices = sorted({0.0, -0.9 * prob.theta, 0.9 * prob.theta})
+    want = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
+                     for y in slices for t in np.linspace(*sol.region.re[-1], 101)])
+    assert len(want) == 303 and (q == n - 1 or want[:, q:-1].any())
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    assert report["pass"], report
 
 
 class TestDeterminism:
