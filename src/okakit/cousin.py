@@ -193,8 +193,8 @@ def _path_nodes(pieces: Sequence[tuple[complex, complex, int]], nodes: int) -> t
 # path fills one row of values at its nodes per new z': a solve's own checks
 # visit a few z' (base corners, slab midpoints), and any run keeps this many.
 DENSITY_CACHE_SIZE = 512
-# Bound on temporaries: entries per Cauchy (points x nodes) or power
-# (points x terms) block.
+# Bound on temporaries: entries per Cauchy (points x nodes) or closed-form
+# seam (rows x pole terms, ``merge.PoleSeams``) block.
 BLOCK_ENTRIES = 1 << 13
 
 
@@ -254,16 +254,16 @@ def routed(P: np.ndarray, key: np.ndarray, parts: Sequence[Callable]) -> np.ndar
     return out
 
 
-def _row_sums(m: int, width: int, block: Callable) -> np.ndarray:
-    """block(rows).sum(axis=-1) for rows 0..m-1 and blocks of shape (rows,
-    width), in slices of at most BLOCK_ENTRIES entries."""
+def row_blocks(m: int, width: int, block: Callable) -> np.ndarray:
+    """block(rows), the (rows,) values of rows 0..m-1 from temporaries of
+    ``width`` entries per row, in slices of at most BLOCK_ENTRIES entries."""
     step = max(1, BLOCK_ENTRIES // width)
-    if m <= step:  # the rows fit one block, as one row does: the same sums, unsliced
-        return block(slice(None)).sum(axis=-1)
+    if m <= step:  # the rows fit one block, as one row does: the same values, unsliced
+        return block(slice(None))
     out = np.empty(m, dtype=complex)
     for lo in range(0, m, step):
         rows = slice(lo, lo + step)
-        out[rows] = block(rows).sum(axis=-1)
+        out[rows] = block(rows)
     return out
 
 
@@ -271,16 +271,7 @@ def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray
     """(1/2 pi i) * sum_j wd[..., j] / (zs_j - zn_i) per zn_i: the one Cauchy
     kernel loop.  wd = weights(rows) is a slice's weighted densities, one row
     shared by every row or one per row."""
-    return _row_sums(len(zn), len(zs), lambda rows: weights(rows) / (zs - zn[rows, None])) / TWO_PI_I
-
-
-@dataclass(frozen=True)
-class SplitBranch(Evaluable):
-    """One branch of ``cousin_split``: the Cauchy sum of the density over
-    the ``pushed`` contour away from the seam, and the segment integral plus
-    the jump term near it."""
-
-    pushed: _PathQuad | None = None
+    return row_blocks(len(zn), len(zs), lambda rows: (weights(rows) / (zs - zn[rows, None])).sum(axis=-1)) / TWO_PI_I
 
 
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
@@ -324,7 +315,7 @@ def split_contours(geom: SplitGeometry, spec: QuadratureSpec) -> tuple[list, lis
 
 
 def cousin_split(phi: Evaluable, geom: SplitGeometry,
-                 spec: QuadratureSpec | None = None) -> tuple[SplitBranch, SplitBranch]:
+                 spec: QuadratureSpec | None = None) -> tuple[Evaluable, Evaluable]:
     """Split phi across the seam: left and right branch functions whose
     difference equals phi on the overlap strip.
 
@@ -338,12 +329,12 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     seam, left, right = split_contours(geom, spec)
     seam_quad = _PathQuad(seam, spec, phi)
 
-    def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> SplitBranch:
+    def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> Evaluable:
         def many(P):
             near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
             return routed(P, near, (pushed.cauchy, lambda Q: jump(seam_quad.cauchy(Q), phi.values(Q))))
 
-        return SplitBranch.batched(many, pushed=pushed)
+        return Evaluable.batched(many)
 
     return (branch(_PathQuad(left, spec, phi), -math.inf, s + d / 2, np.add),
             branch(_PathQuad(right, spec, phi), s - d / 2, math.inf, np.subtract))

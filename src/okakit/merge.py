@@ -9,15 +9,18 @@ integral along the seam segment, in closed form and with no quadrature,
 (h_k ell + Q) / 2 pi i with ell a log difference: Q sums the segment
 integrals of the pole terms by partial fractions for principal parts, and
 is a polynomial for extension, built in floating point from the exact
-cofactors of each datum in the subspace ideal.  Branch alpha is
-local_alpha plus the left half of every seam k >= alpha and the right
-half of every seam k < alpha.  Chains of slabs pairwise connected on the
-subspace are solved independently.
+cofactors of each datum in the subspace ideal.  Seam by seam, slab
+alpha's branch is local_alpha plus the left half L_k of every seam k >=
+alpha and the right half R_k of every seam k < alpha.  On the strip
+|Im z_n| < theta + delta the two sides' logs differ by 2 pi i, so R_k =
+L_k - h_k, and the branch telescopes to local_0 + sum_k L_k for every
+alpha: a chain's solution is that one formula, with no routing by Re z_n.
+Chains of slabs pairwise connected on the subspace are solved
+independently.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cousin import TWO_PI_I, Evaluable, morera_residual, routed, sup_abs
+from .cousin import TWO_PI_I, Evaluable, morera_residual, row_blocks, sup_abs
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -228,50 +231,17 @@ def ideal_witness(h: TruncatedSeries, subspace: CoordinateSubspace) -> list[Trun
     return list(cof.cofactors)
 
 
-# -- chain states --------------------------------------------------------
+# -- closed-form seams -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Branch:
-    """A slab's local solution plus its correction, functions on C^n: one
-    closed-form correction holding the branch's half of every seam of the
-    chain, or None where the chain has no seam data, whose values are 0."""
-
-    local: Evaluable
-    correction: Evaluable | None = None
-
-    def correction_values(self, P: np.ndarray) -> np.ndarray:
-        return np.zeros(len(P), dtype=complex) if self.correction is None else self.correction.values(P)
-
-    def values(self, P: np.ndarray) -> np.ndarray:
-        return self.local.values(P) + self.correction_values(P)
-
-
-@dataclass
-class ChainState:
-    """The merged solution of a chain: one branch per slab, routed by Re z_n."""
-
-    branches: list[_Branch]
-    seams: list[float]  # Re positions separating consecutive branches
-
-    def values(self, P: np.ndarray) -> np.ndarray:
-        """Each row of P evaluated on the branch its Re z_n falls in.  One
-        row takes a short path: ``bisect`` on the Python float picks the
-        branch ``searchsorted`` would, NaN included, with the same bits."""
-        if len(P) == 1:
-            return self.branches[bisect.bisect_right(self.seams, P[0, -1].real)].values(P)
-        return routed(P, np.searchsorted(self.seams, P[:, -1].real, side="right"), [b.values for b in self.branches])
-
-
-def _side_logs(zn: np.ndarray, seams: np.ndarray, ih: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """ell_k(z) per row of the (m, 1) column ``zn`` and seam s_k, with ih =
-    i h ``sides``: Log(sides_k (w + ih)) - Log(sides_k (w - ih)) with w = s_k
-    - z_n.  With t = z_n - s_k that is Log(ih - t) - Log(-ih - t) on side +1,
-    the seams right of the branch, whose left halves it takes, and
-    Log(t - ih) - Log(t + ih) on side -1.  Each log's cuts are the horizontal
-    rays from s_k +/- ih leading away from its side, so both are holomorphic
-    on the strip |Im z_n| < h, where they differ by 2 pi i."""
-    d = sides * (seams - zn)
+def _side_logs(zn: np.ndarray, seams: np.ndarray, ih: complex) -> np.ndarray:
+    """ell_k(z) = Log(w + ih) - Log(w - ih) with w = s_k - z_n, per row of the
+    (m, 1) column ``zn`` and seam s_k, with ih = i h: the log difference of
+    the seams' left halves.  Each log's cut is the horizontal ray running
+    right from s_k +/- ih, so ell_k is holomorphic on the strip |Im z_n| < h,
+    on either side of the seam; the right halves' log difference,
+    Log(t - ih) - Log(t + ih) with t = z_n - s_k, is ell_k - 2 pi i there."""
+    d = seams - zn
     return np.log(d + ih) - np.log(d - ih)
 
 
@@ -323,16 +293,16 @@ class PoleSeams:
             groups.append((np.array(ks), at))
         return groups
 
-    def half(self, sides: np.ndarray) -> Evaluable:
-        """The sum over the seams of their left halves (``sides`` +1) or right
-        halves (-1).  Every row count takes the same numpy operations, with
-        no array exponent and no matrix product, so one row has the bits of
-        its row in a batch."""
-        seams, ih = np.array(self.seams), 1j * self.height * sides
+    def half(self) -> Evaluable:
+        """The sum over the seams of their left halves.  The rows go in blocks
+        of at most BLOCK_ENTRIES // len(entries) (``row_blocks``), and every
+        block takes the same numpy operations, with no array exponent and no
+        matrix product, so one row has the bits of its row in a batch."""
+        seams, ih = np.array(self.seams), 1j * self.height
 
-        def many(P: np.ndarray) -> np.ndarray:
+        def block(P: np.ndarray) -> np.ndarray:
             zn = P[:, -1:]
-            ell, out = _side_logs(zn, seams, ih, sides), np.zeros(len(P), dtype=complex)
+            ell, out = _side_logs(zn, seams, ih), np.zeros(len(P), dtype=complex)
             for seam, at in self._groups:
                 c, p, moments = at(P[:, :-1])
                 u = 1 / (zn - p)
@@ -342,13 +312,13 @@ class PoleSeams:
                 out = out + (acc * u * c).sum(axis=1)
             return out / TWO_PI_I
 
-        return Evaluable.batched(many)
+        return Evaluable.batched(lambda P: row_blocks(len(P), max(1, len(self.entries)), lambda rows: block(P[rows])))
 
 
 def merge_pair(left: PrincipalPartData, right: PrincipalPartData, s: float, height: float) -> PoleSeams:
     """The closed-form split of one cousin1 seam at Re z_n = s: its datum is
-    ``right - left``, the principal parts of its two slabs, and
-    ``half(+1)`` less ``half(-1)`` of the result is that datum on the strip."""
+    ``right - left``, the principal parts of its two slabs.  The result's
+    ``half()`` is the seam's left half; less the datum, it is the right half."""
     return PoleSeams((s,), height, tuple((0, 1.0, t) for t in right.terms) + tuple((0, -1.0, t) for t in left.terms))
 
 
@@ -360,10 +330,11 @@ def _rounding_bound(discs: list, s: float) -> float:
     return 2.0 ** -52 * sum(C / (abs(c.real - s) - r) ** m for m, C, c, r in discs)
 
 
-def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> tuple[Callable, list[dict]]:
-    """The map from a branch's sides (``left[k]``: the branch takes seam k's
-    left half) to its correction (None without seams), each seam k split by
-    ``merge_pair`` from its own datum P_{k+1} - P_k, and the seams' report entries."""
+def _pole_halves(problem: ChiProblem, chain: ConnectivityChain,
+                 seams: list[float]) -> tuple[Evaluable | None, list[dict]]:
+    """The sum of every seam's left half (None without seam data), each seam
+    k split by ``merge_pair`` from its own datum P_{k+1} - P_k, and the
+    seams' report entries."""
     data, height = [problem.data[alpha] for alpha in chain.indices], problem.theta + problem.seam_margin()
     pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
     chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
@@ -371,7 +342,7 @@ def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[floa
     discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
     quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": _rounding_bound(discs[k] + discs[k + 1], s)}
                   for k, s in enumerate(seams)]
-    return (lambda left: chained.half(np.where(left, 1.0, -1.0)) if chained.entries else None), quadrature
+    return (chained.half() if chained.entries else None), quadrature
 
 
 # -- extension seams in closed form ------------------------------------------
@@ -423,29 +394,26 @@ def closed_form_series(seams: list[float], witnesses: list[list[TruncatedSeries]
                        center=w0.center + (0,) * K)
 
 
-def _closed_form_correction(g: Callable, seams: np.ndarray, height: float, sides: np.ndarray) -> Evaluable:
+def _closed_form_correction(g: Callable, seams: np.ndarray, height: float) -> Evaluable:
     """g, a compiled ``closed_form_series``, at (z, ell_1(z), ..., ell_K(z)),
-    the ``_side_logs`` of ``sides``.  Every row count takes the same numpy
-    operations, so one row has the bits of its row in a batch."""
-    ih = 1j * height * sides
-    return Evaluable.batched(lambda P: g(np.concatenate((P, _side_logs(P[:, -1:], seams, ih, sides)), axis=1)))
+    the ``_side_logs`` of the seams' left halves.  Every row count takes the
+    same numpy operations, so one row has the bits of its row in a batch."""
+    return Evaluable.batched(lambda P: g(np.concatenate((P, _side_logs(P[:, -1:], seams, 1j * height)), axis=1)))
 
 
-def _extension_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Callable:
-    """The map from a branch's sides (``left[k]``: the branch takes seam k's
-    left half) to its correction, each seam split in closed form from its
-    own datum h_k = local_{k+1} - local_k: the chain's one
-    ``closed_form_series`` at the logs of those sides, built from floating
-    copies of the exact cofactors of ``ideal_witness``, or None where every
-    datum is 0 (one slab, or equal locals)."""
+def _extension_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Evaluable | None:
+    """The sum of every seam's left half, each seam split in closed form from
+    its own datum h_k = local_{k+1} - local_k: the chain's one
+    ``closed_form_series`` at the left logs, built from floating copies of
+    the exact cofactors of ``ideal_witness``, or None where every datum is 0
+    (one slab, or equal locals)."""
     height = problem.theta + problem.seam_margin()
     polys = [problem.slab_poly(alpha) for alpha in chain.indices]
     witnesses = [ideal_witness(right - left, problem.subspace) for left, right in zip(polys, polys[1:])]
     if all(w.is_zero() for ws in witnesses for w in ws):
-        return lambda left: None
-    floats = [[to_floating(w) for w in ws] for ws in witnesses]
-    g, at = complex_evaluator(closed_form_series(seams, floats, height)), np.array(seams)
-    return lambda left: _closed_form_correction(g, at, height, np.where(left, 1.0, -1.0))
+        return None
+    g = complex_evaluator(closed_form_series(seams, [[to_floating(w) for w in ws] for ws in witnesses], height))
+    return _closed_form_correction(g, np.array(seams), height)
 
 
 # -- solving and verification -------------------------------------------
@@ -467,20 +435,15 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSoluti
     seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
     locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
     if problem.kind == "extension":
-        halves = _extension_halves(problem, chain, seams)
+        correction = _extension_halves(problem, chain, seams)
         quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0} for s in seams]
     else:
-        halves, quadrature = _pole_halves(problem, chain, seams)
-    # one gluing rule: the chain's branch i takes the left half of every seam k >= i and the right half of the others
-    at = np.arange(len(seams))
-    state = ChainState([_Branch(local, halves(at >= i)) for i, local in enumerate(locals_)], seams)
-    return ChiSolution(
-        chain=chain,
-        solution=Evaluable.batched(state.values),
-        corrections=[Evaluable.batched(b.correction_values) for b in state.branches],
-        region=region,
-        seam_quadrature=quadrature,
-    )
+        correction, quadrature = _pole_halves(problem, chain, seams)
+    # branch alpha, local_alpha plus the left halves of the seams k >= alpha and
+    # the right halves of the others, is local_0 plus every seam's left half
+    solution = locals_[0] if correction is None else locals_[0] + correction
+    return ChiSolution(chain=chain, solution=solution, corrections=[solution - local for local in locals_],
+                       region=region, seam_quadrature=quadrature)
 
 
 def chain_decomposition(problem: ChiProblem) -> list[ConnectivityChain]:
@@ -541,24 +504,27 @@ def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
 def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """Checkable form of the solution property.
 
-    Both kinds: every branch is holomorphic on its routed region by
-    construction, its local solution plus closed-form seam halves: log
-    differences holomorphic on the strip |Im z_n| < theta + delta times the
-    seam data, plus Q.  For cousin1 Q is a sum of pole terms whose poles
-    cancel those of h ell wherever the log is the segment's own, so a
-    branch is meromorphic on its region with the data's poles alone, as
-    long as no locus crosses a seam segment (``local_solution`` refuses
-    that); for extension it is a polynomial (``closed_form_series``).  A
-    solution continuous across every seam is then holomorphic (for cousin1:
-    off the poles) on the chain (Morera).  ``seam_jumps`` gives, per seam s,
-    the sup of |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y in [-theta,
-    theta] and the diagonal corners z' of the base cuboid (every axis at
-    lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S for extension), and
-    every jump must be at most tol.  ``seam_quadrature`` has one entry {s,
+    Both kinds: the solution is local_0 plus every seam's left half, log
+    differences times the seam data plus Q.  Two facts make it holomorphic
+    (for cousin1: off the data's poles) on the chain, and both hold by
+    construction; no check here verifies them.  The log cuts run right from
+    s_k +/- i (theta + delta), and theta + delta > theta keeps them outside
+    the cuboid.  For cousin1, admission (``local_solution``) keeps every
+    locus disc delta inside its slab, off every seam segment, so Q's poles
+    cancel those of h ell; for extension Q is a polynomial
+    (``closed_form_series``).  ``seam_jumps`` gives, per seam s, the sup of
+    |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y in [-theta, theta] and
+    the diagonal corners z' of the base cuboid (every axis at lo + i lo,
+    hi + i hi, lo + i hi or hi + i lo: off S for extension), and every jump
+    must be at most tol.  Both sides evaluate one function, so a jump only
+    checks that it is continuous across Re z_n = s, to rounding: it sees
+    neither a wrong datum nor a log cut moved into the cuboid.
+    ``seam_quadrature`` has one entry {s,
     panels: 0, nodes: 0, bound} per seam, since no seam uses quadrature:
     ``bound`` is 0.0 for extension and the a priori rounding bound
     ``_rounding_bound`` for cousin1, and every bound must be at most tol.
-    ``patch_morera`` stays an empty list.
+    ``patch_morera`` stays an empty list.  The checks that carry weight
+    are the residues (cousin1) and the values on S (extension).
 
     cousin1: principal coefficients re-extracted by contour integrals around
     each pole must match the prescribed ones, summed over the slab's terms
@@ -577,7 +543,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     tol, n, region = problem.tol, problem.ndim, sol.region
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
                     "patch_morera": [], "seam_quadrature": sol.seam_quadrature}
-    # Re z_n = s^-, the float below s, routes to the left branch and s to the right one
+    # Re z_n = s^-, the float below s, and s: the seam's two sides
     seams = np.array([(np.nextafter(s, -np.inf), s) for s in map(problem.partition.seam, sol.chain.indices[:-1])])
     corners = list(dict.fromkeys(tuple(complex(re[a], im[b]) for re, im in zip(region.re[:-1], region.im[:-1]))
                                  for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))))
@@ -613,8 +579,8 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
             slices = [0.0]
             rows.append(np.zeros((1, n), dtype=complex))
     vals = sol.solution.values(np.concatenate(rows))
-    sides = vals[:len(rows[0])].reshape(len(seams), 2, len(corners) * 61)
-    report["seam_jumps"] = [sup_abs(left - right) for left, right in sides]
+    pairs = vals[:len(rows[0])].reshape(len(seams), 2, len(corners) * 61)
+    report["seam_jumps"] = [sup_abs(left - right) for left, right in pairs]
     ok = all(v <= tol for v in report["seam_jumps"]) and all(q["bound"] <= tol for q in sol.seam_quadrature)
     if problem.kind == "cousin1":
         got = _ring_coefficients(vals[len(rows[0]):], d, [term.order for _, term, _, _ in poles])

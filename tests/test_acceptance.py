@@ -249,8 +249,9 @@ def test_criterion_5_mittag_leffler_end_to_end():
 
 def test_criterion_7_merge_order_robustness():
     """Every seam splits its own datum, so ltr and rtl are one function; the
-    criterion checks the closed-form seam halves the solves glue with
-    against an independent quadrature: ``cousin_split`` of the same datum
+    criterion checks the closed-form seam halves the solves glue with (the
+    left half, and the left half less the datum, the right one) against an
+    independent quadrature: ``cousin_split`` of the same datum
     P_{k+1} - P_k on a rule whose a priori Gauss error is below 1e-10, at
     points of the chain at least delta / 2 off the seam's contours and off
     the poles."""
@@ -269,9 +270,11 @@ def test_criterion_7_merge_order_robustness():
             bound = max(1.0, sum(abs(complex(t.coeff.coefficient(()))) for d in (left, right) for t in d.terms) / (delta / 2))
             assert gauss_error(2 * geom.height / spec.panels, delta / 2, bound, spec.nodes) < 1e-10
             P = z[np.abs(z.real - s) >= 1.5 * delta][:, None]
-            split = merge_pair(left, right, s, geom.height)
-            for side, branch in zip((1.0, -1.0), cousin_split(right.evaluable() - left.evaluable(), geom, spec)):
-                worst = max(worst, float(np.max(np.abs(split.half(np.array([side])).values(P) - branch.values(P)))))
+            datum = right.evaluable() - left.evaluable()
+            half = merge_pair(left, right, s, geom.height).half().values(P)
+            # the left half, and the left half less the datum, the right one
+            for got, branch in zip((half, half - datum.values(P)), cousin_split(datum, geom, spec)):
+                worst = max(worst, float(np.max(np.abs(got - branch.values(P)))))
     report(7, worst <= 2e-8,
            f"closed-form seam halves vs cousin_split on a 1e-10 rule: difference <= {worst:.2e} over 20 instances")
 

@@ -249,14 +249,14 @@ def test_split_branches_values_on_both_sides_of_switch(base):
     assert_values_match_fn(left - right, pts)
 
 
-def one_row_routes(problem, state) -> list:
-    """Points for every route of a one-row call: on each seam, a margin to
-    either side of it, beyond both ends of the chain, and at Re z_n =
-    +/-1e200, whose squares overflow."""
+def one_row_points(problem) -> list:
+    """Points for a one-row call: on each seam, a margin to either side of
+    it, beyond both ends of the chain, and at Re z_n = +/-1e200, whose
+    squares overflow."""
     zp = () if problem.ndim == 1 else (0.2 - 0.1j,)
     (lo, hi), = problem.cuboid.re[-1:]
     band = 0.75 * problem.seam_margin()
-    res = [lo - 0.5, hi + 0.5, 1e200, -1e200] + [s + t for s in state.seams for t in (0.0, -band, band)]
+    res = [lo - 0.5, hi + 0.5, 1e200, -1e200] + [s + t for s in problem.breakpoints for t in (0.0, -band, band)]
     return [zp + (complex(r, y),) for r in res for y in (0.0, 0.3)]
 
 
@@ -270,10 +270,9 @@ def test_chain_state_and_corrections_values(problem):
     assert_values_match_fn(sol.solution, pts)
     for corr in sol.corrections:
         assert_values_match_fn(corr, pts)
-    state = sol.solution.many.__self__
-    # a one-row call has the bits of its row in a batch on every route, the
+    # a one-row call has the bits of its row in a batch at every point, the
     # overflowing ones included (a float ** would raise there)
-    P = np.array(one_row_routes(problem, state))
+    P = np.array(one_row_points(problem))
     with np.errstate(all="ignore"):
         for e in [sol.solution, *sol.corrections]:
             assert np.array([e.fn(tuple(z)) for z in P.tolist()]).tobytes() == e.values(P).tobytes()
@@ -281,16 +280,15 @@ def test_chain_state_and_corrections_values(problem):
 
 def test_rows_on_s_take_no_extension_correction():
     """Every term of an extension correction keeps its z_j factor, so rows on
-    S = {z_1 = ... = z_q = 0} equal their branch's local value bit for bit,
+    S = {z_1 = ... = z_q = 0} equal local_0 bit for bit on every slab,
     batched and one row at a time, also where the series centres lie off
     0 on the other axes."""
     for problem in (extension_problem(slabs=3), one_seam_extension(3, 1)):
         sol = solve_chain(problem, verify=False)[0]
-        state = sol.solution.many.__self__
         q, n = problem.codim, problem.ndim
         on_s = np.array(grid_points(-1.9, 1.9, -0.45, 0.45, zp=(0j,) * q + (0.2 - 0.1j,) * (n - 1 - q)))
-        idx = np.searchsorted(state.seams, on_s[:, -1].real, side="right")
-        local = np.array([state.branches[k].local.fn(tuple(z)) for k, z in zip(idx, on_s.tolist())])
+        assert len(set(np.searchsorted(problem.breakpoints, on_s[:, -1].real))) == len(problem.breakpoints) + 1
+        local = np.array([local_solution(problem, 0).fn(tuple(z)) for z in on_s.tolist()])
         assert sol.solution.values(on_s).tobytes() == local.tobytes()
         assert np.array([sol.solution.fn(tuple(z)) for z in on_s.tolist()]).tobytes() == local.tobytes()
 
@@ -308,10 +306,9 @@ def test_routed_rows_equal_their_rows_alone():
     row evaluated alone, hands a call whose rows all have one key its array
     uncopied, and gives zero rows an empty result."""
     problem = ml_chain_problem()
-    state = solve_chain(problem, verify=False)[0].solution.many.__self__
     P = cuboid_sample(problem, m=300)
-    parts = [b.values for b in state.branches]
-    key = np.searchsorted(state.seams, P[:, -1].real, side="right")
+    parts = [local_solution(problem, alpha).values for alpha in range(len(problem.data))]
+    key = np.searchsorted(problem.breakpoints, P[:, -1].real, side="right")
     assert len(np.unique(key)) > 1
     for k, part in ((key, parts), (key == 0, parts[:2])):  # integer and boolean keys
         alone = np.concatenate([part[int(k[i])](P[i:i + 1]) for i in range(len(P))])
@@ -326,6 +323,29 @@ def test_routed_rows_equal_their_rows_alone():
     assert len(seen) == 1 and seen[0] is P
     empty = cousin.routed(P[:0], key[:0], parts)
     assert empty.shape == (0,) and empty.dtype == complex
+
+
+def test_pole_seams_evaluate_rows_in_blocks(monkeypatch):
+    """A chain's closed-form cousin1 seams take at most BLOCK_ENTRIES //
+    len(entries) rows per block, so a call's temporaries stay bounded however
+    many rows it has; a call spanning several blocks has, row by row, the
+    bits ``fn`` gives each row alone."""
+    built, half, logs, blocks = [], merge.PoleSeams.half, merge._side_logs, []
+
+    def recorded(self):
+        built.append(self)
+        return half(self)
+
+    monkeypatch.setattr(merge.PoleSeams, "half", recorded)
+    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih: blocks.append(len(zn)) or logs(zn, seams, ih))
+    problem = ml_chain_problem()
+    sol = solve_chain(problem, verify=False)[0]
+    (chained,) = built
+    step = cousin.BLOCK_ENTRIES // len(chained.entries)
+    P = cuboid_sample(problem, m=3 * step + 7)
+    got = sol.solution.values(P)
+    assert blocks == [step, step, step, 7]
+    assert got.tobytes() == np.array([sol.solution.fn(tuple(z)) for z in P.tolist()]).tobytes()
 
 
 def test_n2_cousin1_corrections_are_not_folded():
@@ -535,10 +555,10 @@ def test_separated_merge_glues_when_coefficients_come_and_go():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_closed_form_halves_equal_cousin_split(n):
-    """The left and right halves z_1 (w ell + Q) / 2 pi i of one w, of
-    degree 8 in z_n, equal z_1 times the branches of ``cousin_split`` on a
-    fine rule within 1e-12 relative, from the seam out to the far ends of a
-    chain on Re z_n in [-4, 4]; their difference is z_1 w on the seam strip."""
+    """The left half z_1 (w ell + Q) / 2 pi i of one w, of degree 8 in z_n,
+    and the left half less z_1 w equal z_1 times the left and right
+    branches of ``cousin_split`` on a fine rule within 1e-12 relative, from
+    the seam out to the far ends of a chain on Re z_n in [-4, 4]."""
     rng = np.random.default_rng(8 + n)
 
     def coeff():
@@ -554,9 +574,9 @@ def test_closed_form_halves_equal_cousin_split(n):
     geom = SplitGeometry(s=s, delta=0.2, theta=0.5, re_lo=-4.0, re_hi=4.0, base=base)
     assert geom.height == height
     fine = cousin_split(series_evaluable(w), geom, cousin.QuadratureSpec(panels=40, nodes=20))
-    # the halves of z_1 w: Weak Coherence keeps the factor z_1 explicit
+    # the left half of z_1 w: Weak Coherence keeps the factor z_1 explicit
     g = complex_evaluator(merge.closed_form_series([s], [[w]], height))
-    halves = [merge._closed_form_correction(g, np.array([s]), height, np.array([side])) for side in (1.0, -1.0)]
+    half = merge._closed_form_correction(g, np.array([s]), height)
     m = 400
     P = np.empty((m, n), dtype=complex)
     P[:, :-1] = rng.uniform(-0.5, 0.5, (m, n - 1)) + 1j * rng.uniform(-0.4, 0.4, (m, n - 1))
@@ -564,13 +584,10 @@ def test_closed_form_halves_equal_cousin_split(n):
     P[:2, -1] = [-4.0 + 0.5j, 4.0 - 0.5j]  # the far ends, |z_n - s| up to 4.33
     z1, wz = P[:, 0], complex_evaluator(w)(P)
     scale = np.abs(z1) * (np.abs(wz) + 1)
-    for half, branch in zip(halves, fine):
-        assert_values_match_fn(half, P[:40])
-        assert np.max(np.abs(half.values(P) - z1 * branch.values(P)) / scale) <= 1e-12
-    strip = np.abs(P[:, -1].real - s) < 0.2
-    assert strip.any()
-    assert np.max(np.abs(halves[0].values(P[strip]) - halves[1].values(P[strip]) - z1[strip] * wz[strip])
-                  / scale[strip]) <= 1e-14
+    assert_values_match_fn(half, P[:40])
+    left = half.values(P)
+    for got, branch in zip((left, left - z1 * wz), fine):
+        assert np.max(np.abs(got - z1 * branch.values(P)) / scale) <= 1e-12
 
 
 def refuse_quadrature(monkeypatch):
@@ -614,21 +631,23 @@ def test_cousin1_solve_runs_no_quadrature(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_pole_halves_equal_cousin_split(n):
-    """Each half of a cousin1 seam in closed form equals the branch of
-    ``cousin_split`` of the seam's datum on a fine rule, within 1e-11
-    relative, at points of the chain at least delta / 2 off its contours;
-    for n = 2, c(z') and p(z') vary with every row."""
+    """The left half of a cousin1 seam in closed form, and the left half
+    less the seam's datum, equal the left and right branches of
+    ``cousin_split`` of the datum on a fine rule, within 1e-11 relative, at
+    points of the chain at least delta / 2 off its contours; for n = 2,
+    c(z') and p(z') vary with every row."""
     problem = ml_problem() if n == 1 else n2_cousin1_problem()
     base = Cuboid(problem.cuboid.re[:-1], problem.cuboid.im[:-1]) if n > 1 else None
     (lo, hi), rng = problem.cuboid.re[-1], np.random.default_rng(11)
     for k, s in enumerate(problem.breakpoints):
         left, right = problem.data[k], problem.data[k + 1]
         geom = SplitGeometry(s=s, delta=problem.delta, theta=problem.theta, re_lo=lo, re_hi=hi, base=base)
-        fine = cousin_split(right.evaluable() - left.evaluable(), geom, cousin.QuadratureSpec(panels=40, nodes=20))
-        split = merge.merge_pair(left, right, s, geom.height)
+        datum = right.evaluable() - left.evaluable()
+        fine = cousin_split(datum, geom, cousin.QuadratureSpec(panels=40, nodes=20))
         P = cuboid_sample(problem, m=600, seed=k)
         P = P[np.abs(np.abs(P[:, -1].real - s) - problem.delta) >= problem.delta / 2]
-        for side, branch in zip((1.0, -1.0), fine):
-            got, want = split.half(np.array([side])).values(P), branch.values(P)
+        half = merge.merge_pair(left, right, s, geom.height).half().values(P)
+        for got, branch in zip((half, half - datum.values(P)), fine):
+            want = branch.values(P)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
         assert len(set(P[:, 0].tolist())) == len(P) or n == 1

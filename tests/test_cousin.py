@@ -12,11 +12,13 @@ from okakit.cousin import (
     Evaluable,
     QuadratureSpec,
     SplitGeometry,
+    _path_nodes,
     cauchy_segment_integral,
     constant_evaluable,
     cousin_split,
     morera_residual,
     overlap_grid,
+    split_contours,
 )
 from okakit.cuboids import Cuboid
 from okakit.errors import OnContour
@@ -193,8 +195,9 @@ class TestCousinSplit:
         g = default_geom(**geom_kw)
         spec = QuadratureSpec(panels=panels)
         h = g.height
-        for branch, x in zip(cousin_split(constant_evaluable(1.0), g, spec), (g.s + g.delta, g.s - g.delta)):
-            zs = branch.pushed.zs
+        _, *pushed = split_contours(g, spec)  # the contours of cousin_split's branches
+        for pieces, x in zip(pushed, (g.s + g.delta, g.s - g.delta)):
+            zs, _ = _path_nodes(pieces, spec.nodes)
             # bottom leg, vertical piece at Re = x, top leg
             pieces = [np.sum(zs.imag == -h), np.sum(zs.real == x), np.sum(zs.imag == h)]
             assert pieces == [leg * spec.nodes, panels * spec.nodes, leg * spec.nodes]

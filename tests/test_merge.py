@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from okakit.cousin import Evaluable, constant_evaluable
+from okakit.cousin import Evaluable, QuadratureSpec, SplitGeometry, constant_evaluable, cousin_split
 from okakit.cuboids import Cuboid
 from okakit.division import CoordinateSubspace
 from okakit.errors import NotHolomorphicDifference, NotInIdeal, PoleTooCloseToSeam
@@ -25,9 +25,9 @@ from okakit.merge import (
     verify_solution,
 )
 from okakit import cousin, merge
-from okakit.series import complex_evaluator, constant, make_series, monomial, scale, times_variable, variable
+from okakit.series import complex_evaluator, constant, make_series, monomial, scale, to_floating, variable
 from test_batched import extension_problem as perturbed_extension_problem
-from test_batched import n2_cousin1_problem, one_seam_extension
+from test_batched import cuboid_sample, n2_cousin1_problem, one_seam_extension
 
 
 def pp(*poles):
@@ -476,36 +476,6 @@ class TestExtensionEndToEnd:
         assert not report["pass"]
 
 
-def left_contour_pushed_left(monkeypatch, prob, s=0.0):
-    """The left halves at seam s take the right side's log, the closed form
-    of integrating them over the right halves' contour, pushed to s - delta
-    instead of s + delta: the seam's halves then differ by 0, not by its
-    datum."""
-    logs = merge._side_logs
-
-    def mutant(zn, seams, ih, sides):
-        flipped = np.where(seams == s, -1.0, sides)
-        return logs(zn, seams, ih * flipped / sides, flipped)
-
-    monkeypatch.setattr(merge, "_side_logs", mutant)
-    return prob
-
-
-def right_half_dropped(monkeypatch, prob, s=0.0):
-    """The right half at seam s is the split of 0: the branches right of s
-    take none of the terms of its datum."""
-    half = merge.PoleSeams.half
-
-    def mutant(self, sides):
-        k = self.seams.index(s)
-        if sides[k] < 0:
-            self = replace(self, entries=tuple(e for e in self.entries if e[0] != k))
-        return half(self, sides)
-
-    monkeypatch.setattr(merge.PoleSeams, "half", mutant)
-    return prob
-
-
 def moments_mutant(monkeypatch, change):
     """Every pole term's segment integrals I_1..I_m replaced by
     change(I, a), a the lower ends of the terms' segments."""
@@ -540,84 +510,49 @@ def term_credited_to_the_neighbouring_slab(monkeypatch, prob):
 
 
 def log_cut_below_theta(monkeypatch, prob):
-    """Every log difference is taken with the cut height 0.45 theta, off
-    the seam rows, instead of theta + delta: above it the halves no longer
-    differ by the datum."""
+    """Every log difference is taken with the cut height 0.45 theta instead
+    of theta + delta: the cuts run right from s_k +/- 0.45 i theta through
+    the cuboid, and beyond them a seam's left half is off by its datum, so
+    the poles there take the wrong residues."""
     logs = merge._side_logs
-    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih, sides: logs(zn, seams, 0.45j * prob.theta * sides, sides))
+    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih: logs(zn, seams, 0.45j * prob.theta))
     return prob
 
 
-def closed_form_mutant(monkeypatch, change):
-    """Every extension branch's correction built from the compiled series
-    and sides change(alpha, g, sides) gives for branch alpha."""
-    build = merge._closed_form_correction
+def term_without_its_z_factor(monkeypatch, prob):
+    """G gains the term w L_2 / 2 pi i of seam 1's first cofactor w without
+    its factor z_1: the solution still glues, but is off the target on S."""
+    build = merge.closed_form_series
 
-    def mutant(g, seams, height, sides):
-        g, sides = change(int((sides < 0).sum()), g, sides.copy())
-        return build(g, seams, height, sides)
+    def mutant(seams, witnesses, height):
+        g, w = build(seams, witnesses, height), witnesses[1][0]
+        tail, terms = tuple(int(k == 1) for k in range(len(seams))), dict(g.coeffs)
+        for e, v in w.coeffs.items():
+            terms[e + tail] = terms.get(e + tail, 0) + v / cousin.TWO_PI_I
+        return make_series(g.dim, terms, backend=g.backend, center=g.center)
 
-    monkeypatch.setattr(merge, "_closed_form_correction", mutant)
-
-
-def right_log_on_a_left_branch(monkeypatch, prob):
-    """Branch 0 takes the right log difference at seam 1, right of it."""
-    def change(alpha, g, sides):
-        if alpha == 0:
-            sides[1] = -1.0
-        return g, sides
-
-    closed_form_mutant(monkeypatch, change)
-    return prob
-
-
-def one_datum_term_missed(monkeypatch, prob):
-    """Branch 1 misses seam 2's h_k ell term: its L_2 is 0."""
-    def change(alpha, g, sides):
-        def without(X):
-            X = X.copy()
-            X[:, prob.ndim + 2] = 0
-            return g(X)
-
-        return (without if alpha == 1 else g), sides
-
-    closed_form_mutant(monkeypatch, change)
-    return prob
-
-
-def quotient_on_its_left_side_only(monkeypatch, prob):
-    """Seam 1's share sum_j z_j Q_{1,j} / 2 pi i of G reaches the branches
-    left of it alone."""
-    left, right = prob.local_overrides[1:3]
-    height = prob.theta + prob.seam_margin()
-    q1 = complex_evaluator(sum(times_variable(merge.segment_quotient(w, prob.partition.seam(1), height), j)
-                               for j, w in enumerate(ideal_witness(right - left, prob.subspace))))
-
-    def change(alpha, g, sides):
-        return ((lambda X: g(X) - q1(X[:, :prob.ndim]) / cousin.TWO_PI_I) if alpha > 1 else g), sides
-
-    closed_form_mutant(monkeypatch, change)
+    monkeypatch.setattr(merge, "closed_form_series", mutant)
     return prob
 
 
 class TestExtensionMutants:
-    """Broken glue on the perturbed 4-slab problem (seams at -1, 0, 1) must
-    fail the report: the seam check sees each jump.  Dropping Q everywhere
+    """A broken closed form on the perturbed 4-slab problem (seams at -1, 0,
+    1) whose output is off the target on S must fail the report: the
+    subspace check sees it.  Dropping a seam's left half, or Q everywhere,
     is no mutant: the result still glues and vanishes on S, another gauge
-    (``test_closed_form_halves_equal_cousin_split`` pins Q)."""
+    (``test_closed_form_halves_equal_cousin_split`` pins the left half and Q)."""
 
     def test_unmutated_solution_passes(self):
         report = solve_chain(perturbed_extension_problem(slabs=4))[0].report
         assert report["pass"] and len(report["seam_jumps"]) == 3
         assert max(report["seam_jumps"]) <= 1e-10
 
-    @pytest.mark.parametrize("mutant", [right_log_on_a_left_branch, one_datum_term_missed,
-                                        quotient_on_its_left_side_only])
+    @pytest.mark.parametrize("mutant", [term_without_its_z_factor])
     def test_mutant_fails(self, monkeypatch, mutant):
         prob = mutant(monkeypatch, perturbed_extension_problem(slabs=4))
         report = solve_chain(prob)[0].report
-        assert not report["pass"]
-        assert max(report["seam_jumps"]) > 1e-6, report
+        assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+        assert report["subspace_sup_error"] > 1e-3, report
 
 
 def test_extension_closed_form_is_built_in_floating_point(monkeypatch):
@@ -681,7 +616,8 @@ def wide_neighbour_problem():
 
 class TestCousin1Mutants:
     """Broken closed forms must fail the cousin1 report: a mutant whose
-    output is not a solution shows as a seam jump or a residue error."""
+    output is not a solution shows as a residue error.  A chain is one
+    function, so no mutant here makes a seam jump."""
 
     @pytest.mark.parametrize("problem", [four_slab_cousin1_problem(), wide_neighbour_problem()],
                              ids=["four-slabs", "wide-neighbours"])
@@ -690,15 +626,8 @@ class TestCousin1Mutants:
         assert report["pass"] and len(report["seam_jumps"]) == len(problem.breakpoints)
         assert max(report["seam_jumps"]) <= problem.tol
 
-    @pytest.mark.parametrize("mutant", [right_half_dropped, left_contour_pushed_left,
-                                        term_credited_to_the_neighbouring_slab, log_cut_below_theta])
-    def test_glue_mutant_fails(self, monkeypatch, mutant):
-        prob = mutant(monkeypatch, four_slab_cousin1_problem())
-        report = solve_chain(prob)[0].report
-        assert not report["pass"]
-        assert max(report["seam_jumps"]) > 1e-6, report
-
-    @pytest.mark.parametrize("mutant", [i1_on_the_wrong_branch, q_dropped])
+    @pytest.mark.parametrize("mutant", [i1_on_the_wrong_branch, q_dropped, term_credited_to_the_neighbouring_slab,
+                                        log_cut_below_theta])
     def test_residue_mutant_fails(self, monkeypatch, mutant):
         """These mutants glue: only the residue check can see them."""
         prob = mutant(monkeypatch, four_slab_cousin1_problem())
@@ -785,8 +714,9 @@ def test_middle_slab_delta_wide_passes(order):
 def test_each_seam_splits_its_own_datum(monkeypatch, problem):
     """Seam k hands ``merge_pair`` the principal parts of its two slabs,
     P_k and P_{k+1}, and no other seam's half: its entries are the terms of
-    P_{k+1} with sign +1 and those of P_k with -1, and its left half less
-    its right half is P_{k+1} - P_k on the strip, in either order."""
+    P_{k+1} with sign +1 and those of P_k with -1, in either order.  On the
+    strip its left half, and its left half less P_{k+1} - P_k, equal the
+    left and right branches of ``cousin_split`` of that datum on a fine rule."""
     prob, pair, seen = problem(), merge.merge_pair, []
 
     def recorded(left, right, s, height):
@@ -794,7 +724,8 @@ def test_each_seam_splits_its_own_datum(monkeypatch, problem):
         return seen[-1][-1]
 
     monkeypatch.setattr(merge, "merge_pair", recorded)
-    rng = np.random.default_rng(27)
+    rng, spec = np.random.default_rng(27), QuadratureSpec(panels=40, nodes=20)
+    base = Cuboid(prob.cuboid.re[:-1], prob.cuboid.im[:-1]) if prob.ndim > 1 else None
     for order in ("ltr", "rtl"):
         seen.clear()
         solve_chain(prob, order=order, verify=False)
@@ -804,9 +735,49 @@ def test_each_seam_splits_its_own_datum(monkeypatch, problem):
             assert split.entries == tuple((0, 1.0, t) for t in right.terms) + tuple((0, -1.0, t) for t in left.terms)
             P = np.empty((50, prob.ndim), dtype=complex)
             P[:, :-1], P[:, -1] = 0.2 - 0.1j, s + rng.uniform(-0.9, 0.9, 50) * prob.delta + 1j * rng.uniform(-0.5, 0.5, 50)
-            want = right.evaluable().values(P) - left.evaluable().values(P)
-            got = split.half(np.ones(1)).values(P) - split.half(-np.ones(1)).values(P)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            datum = right.evaluable() - left.evaluable()
+            geom = SplitGeometry(s=s, delta=prob.delta, theta=prob.theta, re_lo=prob.cuboid.re[-1][0],
+                                 re_hi=prob.cuboid.re[-1][1], base=base)
+            half = split.half().values(P)
+            for got, branch in zip((half, half - datum.values(P)), cousin_split(datum, geom, spec)):
+                want = branch.values(P)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def seam_by_seam(problem):
+    """Per seam k of a one-chain problem, its own left half L_k and datum
+    h_k, each split alone: by ``merge_pair`` for cousin1, by a one-seam
+    ``closed_form_series`` of the floating cofactors for extension."""
+    height, out = problem.theta + problem.seam_margin(), []
+    for k, s in enumerate(problem.breakpoints):
+        if problem.kind == "cousin1":
+            left, right = problem.data[k], problem.data[k + 1]
+            out.append((merge.merge_pair(left, right, s, height).half(), right.evaluable() - left.evaluable()))
+            continue
+        h = problem.slab_poly(k + 1) - problem.slab_poly(k)
+        g = merge.closed_form_series([s], [[to_floating(w) for w in ideal_witness(h, problem.subspace)]], height)
+        out.append((merge._closed_form_correction(complex_evaluator(g), np.array([s]), height), series_evaluable(h)))
+    return out
+
+
+@pytest.mark.parametrize("problem", [four_slab_cousin1_problem, lambda: n2_chain_problem(4),
+                                     lambda: perturbed_extension_problem(slabs=4)], ids=["n1", "n2", "extension"])
+def test_one_formula_is_the_seam_by_seam_gluing(problem):
+    """On each slab alpha, ``corrections[alpha]`` = solution - local_alpha is
+    what the seam-by-seam rule glues: the left halves L_k of the seams k >=
+    alpha and the right halves L_k - h_k of the seams k < alpha, each seam
+    split alone, within 1e-13 relative to |local_alpha| + sum |L_k| + |h_k|
+    at every row."""
+    prob = problem()
+    sol, halves = solve_chain(prob, verify=False)[0], seam_by_seam(prob)
+    P = cuboid_sample(prob, m=3000, seed=30)
+    slab = np.searchsorted(prob.breakpoints, P[:, -1].real)
+    for alpha in range(len(prob.breakpoints) + 1):
+        rows = P[slab == alpha]
+        parts = [(half.values(rows), datum.values(rows)) for half, datum in halves]
+        want = sum(left - (k < alpha) * datum for k, (left, datum) in enumerate(parts))
+        scale = np.abs(local_solution(prob, alpha).values(rows)) + sum(abs(a) + abs(b) for a, b in parts)
+        assert np.all(np.abs(sol.corrections[alpha].values(rows) - want) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("slope", [1.0, 1.5])
