@@ -13,8 +13,6 @@ from .merge import (
     PoleTerm,
     PrincipalPartData,
     local_solution,
-    merge_pair,
-    seam_difference,
     ideal_witness,
     solve_chain,
     verify_solution,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -29,7 +28,7 @@ TWO_PI_I = 2j * cmath.pi
 
 
 # Limits on a QuadratureSpec: leggauss builds a nodes x nodes matrix, and a
-# path caches DENSITY_CACHE_SIZE rows of one value per contour node.
+# path fills one density value per contour node for each z' of a kernel block.
 MAX_NODES = 100
 MAX_PIECE_NODES = 1 << 12
 # Limit on an overlap_grid, which builds its nx * ny points as one list.
@@ -67,9 +66,6 @@ class QuadratureSpec:
             raise ValueError(f"{self.panels} panels of {self.nodes} nodes put {self.panels * self.nodes} nodes "
                              f"on a seam-long contour piece; at most {MAX_PIECE_NODES} are allowed")
 
-    def refined(self, factor: int = 4) -> "QuadratureSpec":
-        return replace(self, panels=self.panels * factor)
-
 
 @dataclass(frozen=True)
 class Evaluable:
@@ -106,11 +102,6 @@ class Evaluable:
 
     def __sub__(self, other: "Evaluable") -> "Evaluable":
         return self._combine(other, np.subtract)
-
-
-def constant_evaluable(value: complex) -> Evaluable:
-    value = complex(value)
-    return Evaluable.batched(lambda P: np.full(len(P), value))
 
 
 @dataclass(frozen=True)
@@ -151,15 +142,6 @@ class SplitGeometry:
     def ndim(self) -> int:
         return 1 if self.base is None else self.base.ndim + 1
 
-    @property
-    def overlap(self) -> Cuboid:
-        re = ((self.s - self.delta, self.s + self.delta),)
-        im = ((-self.theta, self.theta),)
-        if self.base is not None:
-            re = self.base.re + re
-            im = self.base.im + im
-        return Cuboid(re, im)
-
 
 # -- node sets -----------------------------------------------------------
 
@@ -188,11 +170,6 @@ def _path_nodes(pieces: Sequence[tuple[complex, complex, int]], nodes: int) -> t
     return np.concatenate(zs), np.concatenate(ws)
 
 
-# A path keeps its weighted node densities for this many distinct z', least
-# recently used dropped first.  An n >= 2 cousin1 density depends on z', so a
-# path fills one row of values at its nodes per new z': a solve's own checks
-# visit a few z' (base corners, slab midpoints), and any run keeps this many.
-DENSITY_CACHE_SIZE = 512
 # Bound on temporaries: entries per Cauchy (points x nodes) or closed-form
 # seam (rows x pole terms, ``merge.PoleSeams``) block.
 BLOCK_ENTRIES = 1 << 13
@@ -200,33 +177,21 @@ BLOCK_ENTRIES = 1 << 13
 
 class _PathQuad:
     """The node set along a polyline of straight pieces (a, b, panels) for
-    one density ``phi``, with its own LRU cache of weighted density values per z'."""
+    one density ``phi``."""
 
     def __init__(self, pieces: Sequence[tuple[complex, complex, int]], spec: QuadratureSpec, phi: Evaluable):
         self.zs, self.ws = _path_nodes(pieces, spec.nodes)
         self.phi = phi
-        self._cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
     def weighted(self, zps: np.ndarray) -> np.ndarray:
-        """w_j * phi(z', zeta_j) at every node zeta_j, one row per z' in ``zps``;
-        one ``values`` call fills the cache misses: callers pass at most one kernel
-        block's rows, so at most max(BLOCK_ENTRIES, nodes) points."""
-        cache, nodes = self._cache, len(self.zs)
-        keys = [zp.tobytes() for zp in zps]
-        fill = [i for i, key in enumerate(keys) if key not in cache]
-        if fill:
-            pts = np.empty((len(fill), nodes, zps.shape[1] + 1), dtype=complex)
-            pts[:, :, :-1] = zps[fill, None, :]
-            pts[:, :, -1] = self.zs
-            vals = self.phi.values(pts.reshape(len(fill) * nodes, -1)).reshape(len(fill), nodes)
-            for i, row in zip(fill, vals):
-                cache[keys[i]] = self.ws * row
-        for key in keys:
-            cache.move_to_end(key)
-        out = np.array([cache[key] for key in keys])
-        while len(cache) > DENSITY_CACHE_SIZE:
-            cache.popitem(last=False)
-        return out
+        """w_j * phi(z', zeta_j) at every node zeta_j, one row per z' in ``zps``,
+        from one ``values`` call: callers pass at most one kernel block's rows,
+        so at most max(BLOCK_ENTRIES, nodes) points."""
+        nodes = len(self.zs)
+        pts = np.empty((len(zps), nodes, zps.shape[1] + 1), dtype=complex)
+        pts[:, :, :-1] = zps[:, None, :]
+        pts[:, :, -1] = self.zs
+        return self.ws * self.phi.values(pts.reshape(len(zps) * nodes, -1)).reshape(len(zps), nodes)
 
     def cauchy(self, P: np.ndarray) -> np.ndarray:
         """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z of P."""
@@ -238,20 +203,6 @@ class _PathQuad:
             wd = self.weighted(zp[new])
             return wd if len(wd) == 1 else wd[np.cumsum(new) - 1]
         return kernel_sums(self.zs, P[:, -1], weights)
-
-
-def routed(P: np.ndarray, key: np.ndarray, parts: Sequence[Callable]) -> np.ndarray:
-    """parts[k](P[key == k]) in the rows of P whose key is k, for an integer
-    or boolean ``key`` per row.  Where every row has one key, that part gets
-    P itself, uncopied."""
-    ks = np.flatnonzero(np.bincount(key))
-    if len(ks) == 1:
-        return parts[ks[0]](P)
-    out = np.empty(len(P), dtype=complex)
-    for k in ks:
-        rows = key == k
-        out[rows] = parts[k](P[rows])
-    return out
 
 
 def row_blocks(m: int, width: int, block: Callable) -> np.ndarray:
@@ -332,24 +283,19 @@ def cousin_split(phi: Evaluable, geom: SplitGeometry,
     def branch(pushed: _PathQuad, lo: float, hi: float, jump: Callable) -> Evaluable:
         def many(P):
             near = (P[:, -1].real <= lo) | (P[:, -1].real >= hi)
-            return routed(P, near, (pushed.cauchy, lambda Q: jump(seam_quad.cauchy(Q), phi.values(Q))))
+            if not near.any():  # every row away from the pushed contour: P itself, uncopied
+                return pushed.cauchy(P)
+            out = np.empty(len(P), dtype=complex)
+            if not near.all():
+                out[~near] = pushed.cauchy(P[~near])
+            Q = P[near]
+            out[near] = jump(seam_quad.cauchy(Q), phi.values(Q))
+            return out
 
         return Evaluable.batched(many)
 
     return (branch(_PathQuad(left, spec, phi), -math.inf, s + d / 2, np.add),
             branch(_PathQuad(right, spec, phi), s - d / 2, math.inf, np.subtract))
-
-
-# The Gauss error of a panel of length l whose integrand is of size about M
-# off a singularity d from the panel: with a = 2d/l the singularity lies
-# outside the Bernstein ellipse rho = a + sqrt(a^2 + 1), whose half minor axis
-# is a, and the error is about M rho^(-2 nodes) (Trefethen, *Approximation
-# Theory and Approximation Practice*, SIAM 2013, Thm 19.3).
-
-def gauss_error(length: float, d: float, bound: float, nodes: int) -> float:
-    """The estimate M rho^(-2 nodes) for a panel of ``length``, M = ``bound``."""
-    a = 2 * d / length
-    return bound * (a + math.sqrt(a * a + 1)) ** (-2 * nodes)
 
 
 def overlap_grid(geom: SplitGeometry, nx: int = 5, ny: int = 5) -> list[tuple]:

@@ -34,24 +34,6 @@ class Cuboid:
         """Number of complex axes."""
         return len(self.re)
 
-    @property
-    def dim(self) -> int:
-        """Number of real edges of positive width."""
-        count = 0
-        for lo, hi in list(self.re) + list(self.im):
-            if hi > lo:
-                count += 1
-        return count
-
-    def contains(self, z) -> bool:
-        for k, v in enumerate(z):
-            v = complex(v)
-            if not (self.re[k][0] <= v.real <= self.re[k][1]):
-                return False
-            if not (self.im[k][0] <= v.imag <= self.im[k][1]):
-                return False
-        return True
-
     def slice_last(self, t: float) -> "Cuboid":
         """Slice {Re z_n = t}; drops the cuboid dimension by one at interior t."""
         lo, hi = self.re[-1]

@@ -39,10 +39,6 @@ from .errors import (
 from .series import TruncatedSeries, complex_evaluator, make_series, negligible, times_variable, to_floating
 
 
-def series_evaluable(f: TruncatedSeries) -> Evaluable:
-    return Evaluable.batched(complex_evaluator(f))
-
-
 # -- problem data --------------------------------------------------------
 
 
@@ -203,7 +199,7 @@ def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
                 raise PoleTooCloseToSeam(f"pole at {c}, whose locus over the base stays within {r:.3g} of it, lies "
                                          f"outside slab {alpha} or within margin {delta} of its edges")
         return problem.data[alpha].evaluable()
-    return series_evaluable(problem.slab_poly(alpha))
+    return Evaluable.batched(complex_evaluator(problem.slab_poly(alpha)))
 
 
 def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e-8) -> Evaluable:
@@ -567,7 +563,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
         rows.append(ring_rows)
     else:
         q = problem.codim
-        if any(not lo <= 0 <= hi for k in range(q) for lo, hi in (region.re[k], region.im[k])):
+        if not region.meets_subspace(problem.subspace):
             report["skipped_checks"].append({"check": "subspace", "reason": "chain region does not meet S"})
         elif q < n:
             slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})

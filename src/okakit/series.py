@@ -358,32 +358,6 @@ def negligible(f: TruncatedSeries, *refs: TruncatedSeries) -> bool:
     return all(abs(v) <= bound for v in f.coeffs.values())
 
 
-def truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """``f`` cut to ``order``, or to its own order where that is lower: no term is made up."""
-    return make_series(f.dim, f.coeffs, order=_min_order(order, f.order), backend=f.backend, center=f.center)
-
-
-def invert_unit(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Multiplicative inverse of a series with nonzero constant term, to ``order``
-    or to ``f``'s own order where that is lower.
-
-    Neumann recursion: 1/f = (1/c) * sum_k (1 - f/c)^k with c = f(b).
-    """
-    c = f.coeffs.get((0,) * f.dim)
-    if c is None or f.backend.is_zero(c):
-        raise ZeroDivisionError("series is not a unit (zero constant term)")
-    ft = truncate(f, order)
-    cinv = f.backend.one() / c
-    acc = pw = constant(f.dim, 1, backend=f.backend, center=f.center, order=ft.order)
-    w = acc - scale(ft, cinv)
-    for _ in range(order):
-        pw = mul(pw, w)
-        if pw.is_zero():
-            break
-        acc = add(acc, pw)
-    return scale(acc, cinv)
-
-
 def to_floating(f: TruncatedSeries, eps: float = 1e-12) -> TruncatedSeries:
     return make_series(f.dim, f.coeffs, order=f.order, backend=floating(eps), center=f.center)
 

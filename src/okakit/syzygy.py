@@ -238,11 +238,6 @@ def _fold(v: SyzygyVector, pres: GeneratorPresentation) -> tuple[list, Truncated
     return folded, _sum_times_variables(folded, _lowest_order([*v.components, *used]))
 
 
-def apply_generators(v: SyzygyVector, pres: GeneratorPresentation) -> TruncatedSeries:
-    """sum v_i sigma_i; zero iff v annihilates the generator tuple."""
-    return _fold(v, pres)[1]
-
-
 def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis:
     """Explicit generators of the relations among sigma_1..sigma_N: the
     trivial solutions in the first q slots padded with zeros, plus one

@@ -1,8 +1,8 @@
 """Tests for the batched evaluation core: the compiled series evaluator, the
 ``values`` contract of every library-built evaluable, the scalar fallback
-for user callables, the bounded density cache of ``cousin_split``, and the
-closed-form seam splits of both problem kinds, which no solve replaces by
-quadrature."""
+for user callables, the row split and density fills of ``cousin_split``,
+and the closed-form seam splits of both problem kinds, which no solve
+replaces by quadrature."""
 
 import math
 from dataclasses import replace
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okakit import cousin, merge
-from okakit.cousin import Evaluable, SplitGeometry, constant_evaluable, cousin_split, morera_residual
+from okakit.cousin import Evaluable, SplitGeometry, cousin_split, morera_residual
 from okakit.cuboids import Cuboid
 from okakit.merge import (
     ChiProblem,
@@ -22,7 +22,6 @@ from okakit.merge import (
     PrincipalPartData,
     ideal_witness,
     local_solution,
-    series_evaluable,
     solve_chain,
 )
 from okakit.scalars import EXACT, QQi, floating
@@ -149,6 +148,14 @@ def test_compiled_series_refuses_points_of_another_width(dim, shape):
 # -- values(P) == [fn(z) for z in P] -----------------------------------------
 
 
+def series_evaluable(f) -> Evaluable:
+    return Evaluable.batched(complex_evaluator(f))
+
+
+def constant(value: complex) -> Evaluable:
+    return Evaluable.batched(lambda P: np.full(len(P), complex(value)))
+
+
 def assert_values_match_fn(e: Evaluable, P):
     P = np.asarray(P, dtype=complex)
     assert e.many is not None
@@ -230,7 +237,7 @@ def test_series_and_principal_part_values():
     coeff = make_series(1, {(0,): 1 - 1j, (2,): 3})
     data = PrincipalPartData((PoleTerm(1, coeff, locus), PoleTerm(3, coeff, locus)))
     assert_values_match_fn(data.evaluable(), pts)
-    assert_values_match_fn(constant_evaluable(2 - 1j), pts)
+    assert_values_match_fn(constant(2 - 1j), pts)
 
 
 @pytest.mark.parametrize("base", [None, Cuboid(((-0.5, 0.5),), ((-0.2, 0.2),))])
@@ -301,30 +308,6 @@ def cuboid_sample(problem, m=4000, seed=3):
     return P
 
 
-def test_routed_rows_equal_their_rows_alone():
-    """``cousin.routed`` gives each row of a split call the bits of the same
-    row evaluated alone, hands a call whose rows all have one key its array
-    uncopied, and gives zero rows an empty result."""
-    problem = ml_chain_problem()
-    P = cuboid_sample(problem, m=300)
-    parts = [local_solution(problem, alpha).values for alpha in range(len(problem.data))]
-    key = np.searchsorted(problem.breakpoints, P[:, -1].real, side="right")
-    assert len(np.unique(key)) > 1
-    for k, part in ((key, parts), (key == 0, parts[:2])):  # integer and boolean keys
-        alone = np.concatenate([part[int(k[i])](P[i:i + 1]) for i in range(len(P))])
-        assert cousin.routed(P, k, part).tobytes() == alone.tobytes()
-    seen = []
-
-    def spy(Q):
-        seen.append(Q)
-        return np.zeros(len(Q), dtype=complex)
-
-    assert cousin.routed(P, np.full(len(P), 2), [None, None, spy]).tolist() == [0j] * len(P)
-    assert len(seen) == 1 and seen[0] is P
-    empty = cousin.routed(P[:0], key[:0], parts)
-    assert empty.shape == (0,) and empty.dtype == complex
-
-
 def test_pole_seams_evaluate_rows_in_blocks(monkeypatch):
     """A chain's closed-form cousin1 seams take at most BLOCK_ENTRIES //
     len(entries) rows per block, so a call's temporaries stay bounded however
@@ -369,7 +352,7 @@ def test_replacing_fn_leaves_values_unchanged():
     problem = ml_problem()
     sol = solve_chain(problem, verify=False)[0]
     geom = SplitGeometry(s=0.0, delta=0.25, theta=0.5, re_lo=-1.5, re_hi=1.5)
-    left, right = cousin_split(constant_evaluable(1.0), geom)
+    left, right = cousin_split(constant(1.0), geom)
     P = np.array(grid_points(-1.2, 1.2, -0.4, 0.4, n=9))
     for e in (local_solution(problem, 1), left, right, sol.solution, sol.corrections[1]):
         traced = replace(e, fn=lambda z: 0j)
@@ -404,16 +387,23 @@ def test_scalar_only_evaluable_goes_through_split_and_morera():
     assert len(calls) == 2 * 4 * 5 * 12  # 2 g(g+1) shared edges for grid g = 4, 12 nodes each
 
 
-# -- bounded density cache ----------------------------------------------------
+# -- the rows and density fills of cousin_split --------------------------------
 
 
 def record_paths(monkeypatch) -> list:
+    """Every ``_PathQuad`` built from here on, in build order, each keeping
+    the arrays its ``cauchy`` gets in ``calls``."""
     paths = []
 
     class Recorded(cousin._PathQuad):
         def __init__(self, *args):
             super().__init__(*args)
+            self.calls = []
             paths.append(self)
+
+        def cauchy(self, P):
+            self.calls.append(P)
+            return super().cauchy(P)
 
     monkeypatch.setattr(cousin, "_PathQuad", Recorded)
     return paths
@@ -437,12 +427,37 @@ def n2_seam_halves():
     return cousin_split(problem.data[1].evaluable() - problem.data[0].evaluable(), geom)
 
 
-def test_density_cache_bounded_and_values_unchanged(monkeypatch):
-    # an n-dimensional density fills one cache row per z'
+def n1_seam_halves():
+    """The ``cousin_split`` halves of a cubic density across Re z = 0."""
+    geom = SplitGeometry(s=0.0, delta=0.25, theta=0.5, re_lo=-1.5, re_hi=1.5)
+    return cousin_split(series_evaluable(make_series(1, {(0,): 1j, (1,): -2, (3,): 0.5})), geom)
+
+
+@pytest.mark.parametrize("halves", [n1_seam_halves, n2_seam_halves], ids=["n1", "n2"])
+def test_split_rows_equal_their_rows_alone(monkeypatch, halves):
+    """Each ``cousin_split`` branch takes the rows near its pushed contour to
+    the seam segment: a call mixing those with far rows gives each row the
+    bits it has alone, and a call whose rows are all far hands its array to
+    the pushed contour uncopied."""
     paths = record_paths(monkeypatch)
+    left, right = halves()
+    _, *pushed = paths
+    P = distinct_zp_points(m=200)[:, 1 if halves is n1_seam_halves else 0:]
+    far = (P[:, -1].real < -0.5, P[:, -1].real > 0.5)  # 2 delta or more from s: far for the left (right) branch
+    for branch, quad, rows in zip((left, right), pushed, far):
+        assert 0 < rows.sum() < len(P) and len(quad.calls) == 0
+        alone = np.concatenate([branch.values(P[i:i + 1]) for i in range(len(P))])
+        assert branch.values(P).tobytes() == alone.tobytes()
+        F = P[rows]
+        quad.calls.clear()
+        branch.values(F)
+        assert len(quad.calls) == 1 and quad.calls[0] is F
+
+
+def test_split_values_do_not_depend_on_the_rows_beside_them():
+    # an n-dimensional density is filled per z' in every call: blocked and reversed calls give the same bits
     P = distinct_zp_points()
     got = [np.concatenate([half.values(P[k:k + 500]) for k in range(0, len(P), 500)]) for half in n2_seam_halves()]
-    assert paths and max(len(q._cache) for q in paths) == cousin.DENSITY_CACHE_SIZE
     fresh = [half.values(P[::-1])[::-1] for half in n2_seam_halves()]
     assert [g.tolist() for g in got] == [f.tolist() for f in fresh]
 

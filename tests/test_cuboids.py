@@ -18,13 +18,6 @@ class TestCuboid:
     def test_dims(self):
         c = box((-1, 1), (-1, 1), (0, 0), (-2, 2))
         assert c.ndim == 2
-        assert c.dim == 3  # one degenerate real edge
-
-    def test_contains(self):
-        c = box((-1, 1), (-1, 1))
-        assert c.contains((0.5 - 0.5j,))
-        assert not c.contains((1.5,))
-        assert not c.contains((0.5 + 2j,))
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -34,7 +27,6 @@ class TestCuboid:
         c = box((-1, 1), (-1, 1), (-2, 2), (-1, 1))
         face = c.slice_last(0.5)
         assert face.re[-1] == (0.5, 0.5)
-        assert face.dim == c.dim - 1
         with pytest.raises(ValueError):
             c.slice_last(5.0)
 

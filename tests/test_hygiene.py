@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "okakit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "okakit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -47,6 +48,10 @@ def _read_names(node) -> set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
 
 
+def _imported_names(node) -> set[str]:
+    return {alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for alias in n.names}
+
+
 def orphans(sources: dict[str, str]) -> list[str]:
     """Module-level private names (``_x``) that no code of the package reads
     outside their own definition."""
@@ -65,3 +70,33 @@ def test_checker_flags_orphans():
 
 def test_no_orphaned_private_names():
     assert orphans({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def unread_public(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Module-level public functions and classes that no other code of the
+    package reads or imports (``__init__`` re-exporting one imports it), and
+    that no caller script reads as a name, an attribute or a string constant
+    (a tracer patches some by name)."""
+    nodes = [(mod, node) for mod, source in sources.items() for node in ast.parse(source).body]
+    reads = [(node, _read_names(node) | _imported_names(node)) for _, node in nodes]
+    outside = set()
+    for tree in map(ast.parse, callers):
+        outside |= _read_names(tree) | _imported_names(tree)
+        outside |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return sorted(f"{mod}: {node.name}" for mod, node in nodes
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                  and node.name not in outside
+                  and not any(node.name in names for other, names in reads if other is not node))
+
+
+def test_checker_flags_unread_public_names():
+    sources = {"__init__": "from .a import Exported\n",
+               "a": "class Exported: pass\ndef helper(): return 1\ndef lone(): return lone()\nx = helper()\n",
+               "b": "def called(): pass\ndef patched(): pass\ndef imported(): pass\nclass Unread: pass\n"}
+    callers = ["import b\nb.called()\nsetattr(b, 'patched', None)\n", "from b import imported\n"]
+    assert unread_public(sources, callers) == ["a: lone", "b: Unread"]
+
+
+def test_no_unread_public_names():
+    callers = [p.read_text() for p in sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")])]
+    assert unread_public({p.name: p.read_text() for p in SRC.glob("*.py")}, callers) == []

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from okakit.cousin import Evaluable, QuadratureSpec, SplitGeometry, constant_evaluable, cousin_split
+from okakit.cousin import Evaluable, QuadratureSpec, SplitGeometry, cousin_split
 from okakit.cuboids import Cuboid
 from okakit.division import CoordinateSubspace
 from okakit.errors import NotHolomorphicDifference, NotInIdeal, PoleTooCloseToSeam
@@ -20,14 +20,13 @@ from okakit.merge import (
     ideal_witness,
     local_solution,
     seam_difference,
-    series_evaluable,
     solve_chain,
     verify_solution,
 )
 from okakit import cousin, merge
 from okakit.series import complex_evaluator, constant, make_series, monomial, scale, to_floating, variable
 from test_batched import extension_problem as perturbed_extension_problem
-from test_batched import cuboid_sample, n2_cousin1_problem, one_seam_extension
+from test_batched import cuboid_sample, n2_cousin1_problem, one_seam_extension, series_evaluable
 
 
 def pp(*poles):
@@ -425,7 +424,7 @@ class TestExtensionEndToEnd:
         off = ChiSolution(
             chain=sol.chain,
             solution=Evaluable(lambda z: g(z) + 1e-3 * (z[-1].conjugate() - z[-1])),
-            corrections=[constant_evaluable(0.0) for _ in sol.corrections],
+            corrections=[Evaluable.batched(lambda P: np.full(len(P), 0j)) for _ in sol.corrections],
             region=sol.region,
         )
         report = verify_solution(off, prob)
