@@ -75,10 +75,8 @@ def _size(value) -> int:
     return value
 
 
-def _quadrature(data: dict, args) -> QuadratureSpec:
-    fields = {} if args.panels is None else {"panels": args.panels}
-    fields.update(data.get("quadrature", {}))
-    return QuadratureSpec(**{key: _number(value, int) for key, value in fields.items()})
+def _quadrature(data: dict) -> QuadratureSpec:
+    return QuadratureSpec(**{key: _number(value, int) for key, value in data.get("quadrature", {}).items()})
 
 
 def _round_trip(back, given) -> dict:
@@ -193,7 +191,7 @@ def cmd_cousin_split(data: dict, args):
         raise SchemaError(f"'dim' must be {geom.ndim}, the dimension of the geometry")
     grid = data.get("grid", {})
     pts = np.array(overlap_grid(geom, nx=_number(grid.get("nx", 7), int), ny=_number(grid.get("ny", 7), int)))
-    return partial(_split, exprtree.to_evaluable(data["function"], geom.ndim), geom, _quadrature(data, args), pts,
+    return partial(_split, exprtree.to_evaluable(data["function"], geom.ndim), geom, _quadrature(data), pts,
                    _output_path(data.get("csv")), args.tol)
 
 
@@ -323,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="report JSON file ('-' for stdout)")
         p.add_argument("--tol", type=float, default=1e-8, help="verification tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
-        if name == "cousin-split":  # the solvers' seams split in closed form, with no panels
-            p.add_argument("--panels", type=int, default=None,
-                           help="Gauss panels on each seam-long contour piece (default 6); a shorter piece gets "
-                                "panels in proportion to its length, at least one, so no panel is longer")
     return parser
 
 

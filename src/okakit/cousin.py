@@ -80,10 +80,9 @@ class Evaluable:
     many: Callable | None = None
 
     @classmethod
-    def batched(cls, many: Callable, **parts) -> "Evaluable":
-        """Evaluable (or subclass, with its extra fields ``parts``) whose
-        scalar ``fn`` is ``many`` on one row."""
-        return cls(lambda z: complex(many(np.array([z], dtype=complex))[0]), many, **parts)
+    def batched(cls, many: Callable) -> "Evaluable":
+        """Evaluable whose scalar ``fn`` is ``many`` on one row."""
+        return cls(lambda z: complex(many(np.array([z], dtype=complex))[0]), many)
 
     def __call__(self, z: Sequence) -> complex:
         return self.fn(tuple(complex(v) for v in z))
@@ -194,15 +193,17 @@ class _PathQuad:
         return self.ws * self.phi.values(pts.reshape(len(zps) * nodes, -1)).reshape(len(zps), nodes)
 
     def cauchy(self, P: np.ndarray) -> np.ndarray:
-        """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z of P."""
-        def weights(rows):
+        """(1/2 pi i) * sum_j w_j phi(z', zeta_j) / (zeta_j - z_n) per row z
+        of P, in row blocks of at most BLOCK_ENTRIES kernel entries."""
+        def block(rows):
             zp = P[rows, :-1]
             # a run of equal z' shares one row of weighted densities
             new = np.ones(len(zp), dtype=bool)
             new[1:] = (zp[1:] != zp[:-1]).any(axis=1)
             wd = self.weighted(zp[new])
-            return wd if len(wd) == 1 else wd[np.cumsum(new) - 1]
-        return kernel_sums(self.zs, P[:, -1], weights)
+            wd = wd if len(wd) == 1 else wd[np.cumsum(new) - 1]
+            return (wd / (self.zs - P[rows, -1, None])).sum(axis=-1)
+        return row_blocks(len(P), len(self.zs), block) / TWO_PI_I
 
 
 def row_blocks(m: int, width: int, block: Callable) -> np.ndarray:
@@ -216,13 +217,6 @@ def row_blocks(m: int, width: int, block: Callable) -> np.ndarray:
         rows = slice(lo, lo + step)
         out[rows] = block(rows)
     return out
-
-
-def kernel_sums(zs: np.ndarray, zn: np.ndarray, weights: Callable) -> np.ndarray:
-    """(1/2 pi i) * sum_j wd[..., j] / (zs_j - zn_i) per zn_i: the one Cauchy
-    kernel loop.  wd = weights(rows) is a slice's weighted densities, one row
-    shared by every row or one per row."""
-    return row_blocks(len(zn), len(zs), lambda rows: (weights(rows) / (zs - zn[rows, None])).sum(axis=-1)) / TWO_PI_I
 
 
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:

@@ -22,7 +22,7 @@ independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
@@ -36,7 +36,7 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, complex_evaluator, make_series, negligible, times_variable, to_floating
+from .series import TruncatedSeries, complex_evaluator, evaluate, make_series, negligible, times_variable, to_floating
 
 
 # -- problem data --------------------------------------------------------
@@ -148,15 +148,11 @@ class ChiProblem:
 # -- local solutions -----------------------------------------------------
 
 
-def _at(f: TruncatedSeries, zp: tuple) -> complex:
-    return complex(complex_evaluator(f)(np.array([zp], dtype=complex))[0])
-
-
 def _poles(problem: ChiProblem, alpha: int) -> list[tuple[PoleTerm, tuple, complex]]:
     """(term, z', p) for every term of slab alpha's principal part: p is the
-    term's locus at the slab's midpoint z'."""
+    term's locus at the slab's midpoint z', by the exact ``series.evaluate``."""
     zp = problem.partition.slabs[alpha].midpoint()[:-1]
-    return [(term, zp, _at(term.locus, zp)) for term in problem.data[alpha].terms]
+    return [(term, zp, complex(evaluate(term.locus, zp))) for term in problem.data[alpha].terms]
 
 
 def _majorant(f: TruncatedSeries, radii: tuple, constant: bool = True) -> float:
@@ -326,19 +322,14 @@ def _rounding_bound(discs: list, s: float) -> float:
     return 2.0 ** -52 * sum(C / (abs(c.real - s) - r) ** m for m, C, c, r in discs)
 
 
-def _pole_halves(problem: ChiProblem, chain: ConnectivityChain,
-                 seams: list[float]) -> tuple[Evaluable | None, list[dict]]:
-    """The sum of every seam's left half (None without seam data), each seam
-    k split by ``merge_pair`` from its own datum P_{k+1} - P_k, and the
-    seams' report entries."""
+def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Evaluable | None:
+    """The sum of every seam's left half, each seam k split by ``merge_pair``
+    from its own datum P_{k+1} - P_k, or None without seam data."""
     data, height = [problem.data[alpha] for alpha in chain.indices], problem.theta + problem.seam_margin()
     pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
     chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
                                                     for _, sign, t in pair.entries))
-    discs = [_pole_discs(problem, alpha) for alpha in chain.indices]
-    quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": _rounding_bound(discs[k] + discs[k + 1], s)}
-                  for k, s in enumerate(seams)]
-    return (chained.half() if chained.entries else None), quadrature
+    return chained.half() if chained.entries else None
 
 
 # -- extension seams in closed form ------------------------------------------
@@ -422,7 +413,6 @@ class ChiSolution:
     corrections: list[Evaluable]
     region: Cuboid
     report: dict | None = None
-    seam_quadrature: list[dict] = field(default_factory=list)  # {s, panels, nodes, bound} per seam, in seam order
 
 
 def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSolution:
@@ -430,16 +420,12 @@ def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSoluti
     region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
     seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
     locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
-    if problem.kind == "extension":
-        correction = _extension_halves(problem, chain, seams)
-        quadrature = [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0} for s in seams]
-    else:
-        correction, quadrature = _pole_halves(problem, chain, seams)
+    correction = (_extension_halves if problem.kind == "extension" else _pole_halves)(problem, chain, seams)
     # branch alpha, local_alpha plus the left halves of the seams k >= alpha and
     # the right halves of the others, is local_0 plus every seam's left half
     solution = locals_[0] if correction is None else locals_[0] + correction
     return ChiSolution(chain=chain, solution=solution, corrections=[solution - local for local in locals_],
-                       region=region, seam_quadrature=quadrature)
+                       region=region)
 
 
 def chain_decomposition(problem: ChiProblem) -> list[ConnectivityChain]:
@@ -515,18 +501,19 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     must be at most tol.  Both sides evaluate one function, so a jump only
     checks that it is continuous across Re z_n = s, to rounding: it sees
     neither a wrong datum nor a log cut moved into the cuboid.
-    ``seam_quadrature`` has one entry {s,
-    panels: 0, nodes: 0, bound} per seam, since no seam uses quadrature:
-    ``bound`` is 0.0 for extension and the a priori rounding bound
-    ``_rounding_bound`` for cousin1, and every bound must be at most tol.
     ``patch_morera`` stays an empty list.  The checks that carry weight
     are the residues (cousin1) and the values on S (extension).
 
-    cousin1: principal coefficients re-extracted by contour integrals around
-    each pole must match the prescribed ones, summed over the slab's terms
-    of one order at one position (one contour sees them all; each term keeps
-    its entry); for n >= 2 the poles and coefficients are taken at the
-    slab's midpoint z', where the contour is drawn.  extension: the solution
+    cousin1: ``seam_rounding`` has one entry {s, bound} per seam, ``bound``
+    the a priori ``_rounding_bound`` over the ``_pole_discs`` of the seam's
+    two slabs, and every bound must be at most tol.  Principal coefficients
+    re-extracted by contour integrals around each pole must match the
+    prescribed ones, summed over the slab's terms of one order at one
+    position (one contour sees them all; each term keeps its entry); for
+    n >= 2 the poles and coefficients are taken at the slab's midpoint z',
+    where the contour is drawn.  The prescribed c(z') and p(z') come from
+    the exact ``series.evaluate``, not from the compiled evaluators the
+    solution is built with, so a fault in those shows.  extension: the solution
     restricted to the subspace must match the target on a sample grid of
     Re z_n on each slice Im z_n in ``subspace_slices`` (0 and +/- 0.9 theta;
     for q = n at the origin alone); a chain region that misses S lists that
@@ -538,9 +525,10 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """
     tol, n, region = problem.tol, problem.ndim, sol.region
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
-                    "patch_morera": [], "seam_quadrature": sol.seam_quadrature}
+                    "patch_morera": []}
+    seam_re = [problem.partition.seam(k) for k in sol.chain.indices[:-1]]
     # Re z_n = s^-, the float below s, and s: the seam's two sides
-    seams = np.array([(np.nextafter(s, -np.inf), s) for s in map(problem.partition.seam, sol.chain.indices[:-1])])
+    seams = np.array([(np.nextafter(s, -np.inf), s) for s in seam_re])
     corners = list(dict.fromkeys(tuple(complex(re[a], im[b]) for re, im in zip(region.re[:-1], region.im[:-1]))
                                  for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))))
     P = np.empty((len(seams), 2, len(corners), 61, n), dtype=complex)
@@ -548,12 +536,15 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
     rows = [P.reshape(-1, n)]
     if problem.kind == "cousin1":
+        discs = [_pole_discs(problem, alpha) for alpha in sol.chain.indices]
+        report["seam_rounding"] = [{"s": s, "bound": _rounding_bound(discs[k] + discs[k + 1], s)}
+                                   for k, s in enumerate(seam_re)]
         delta = problem.seam_margin()
         poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
         # one pass over the terms: the prescribed sum per slab, order and position, in term order
         want: dict = {}
         for alpha, term, zp, p in poles:
-            want[alpha, term.order, p] = want.get((alpha, term.order, p), 0) + _at(term.coeff, zp)
+            want[alpha, term.order, p] = want.get((alpha, term.order, p), 0) + complex(evaluate(term.coeff, zp))
         positions, radii = list(dict.fromkeys(p for *_, p in poles)), []
         for *_, p in poles:
             # terms at one position are one principal part: only other positions bound the circle
@@ -577,13 +568,13 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     vals = sol.solution.values(np.concatenate(rows))
     pairs = vals[:len(rows[0])].reshape(len(seams), 2, len(corners) * 61)
     report["seam_jumps"] = [sup_abs(left - right) for left, right in pairs]
-    ok = all(v <= tol for v in report["seam_jumps"]) and all(q["bound"] <= tol for q in sol.seam_quadrature)
+    ok = all(v <= tol for v in report["seam_jumps"])
     if problem.kind == "cousin1":
         got = _ring_coefficients(vals[len(rows[0]):], d, [term.order for _, term, _, _ in poles])
         errors = [{"slab": alpha, "order": term.order, "pole": [p.real, p.imag],
                    "error": abs(g - want[alpha, term.order, p])} for (alpha, term, _, p), g in zip(poles, got)]
         report["principal_part_errors"] = errors
-        ok = ok and all(e["error"] <= tol for e in errors)
+        ok = ok and all(r["bound"] <= tol for r in report["seam_rounding"]) and all(e["error"] <= tol for e in errors)
     elif len(rows) > 1:
         sup = sup_abs(vals[len(rows[0]):] - complex_evaluator(problem.target)(rows[1]))
         report["subspace_sup_error"] = sup

@@ -609,14 +609,14 @@ def refuse_quadrature(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("quadrature on a merge path")
 
-    for name in ("cousin_split", "kernel_sums", "_PathQuad"):
+    for name in ("cousin_split", "_PathQuad"):
         monkeypatch.setattr(cousin, name, refused)
 
 
 def test_extension_solve_runs_no_quadrature(monkeypatch):
     """An extension chain is built in closed form: no ``cousin_split``,
-    contour or Cauchy kernel; its seams report no panels, and the merge
-    order changes no bit of it."""
+    contour or Cauchy kernel; its report has no ``seam_rounding``, and the
+    merge order changes no bit of it."""
     refuse_quadrature(monkeypatch)
     for problem in (extension_problem(slabs=4), come_and_go_problem(), one_seam_extension(3, 2)):
         P = cuboid_sample(problem, m=300)
@@ -625,22 +625,21 @@ def test_extension_solve_runs_no_quadrature(monkeypatch):
             sol = solve_chain(problem, order=order)[0]
             report = sol.report
             assert report["pass"], report
-            assert report["seam_quadrature"] == [{"s": s, "panels": 0, "nodes": 0, "bound": 0.0}
-                                                 for s in problem.breakpoints]
+            assert "seam_rounding" not in report
             got.append(b"".join(e.values(P).tobytes() for e in [sol.solution, *sol.corrections]))
         assert got[0] == got[1]
 
 
 def test_cousin1_solve_runs_no_quadrature(monkeypatch):
     """A cousin1 chain is built in closed form too, for n = 1 and n = 2:
-    no ``cousin_split``, contour or Cauchy kernel; its seams report no
-    panels and no nodes."""
+    no ``cousin_split``, contour or Cauchy kernel; its report has one
+    ``seam_rounding`` entry {s, bound} per seam."""
     refuse_quadrature(monkeypatch)
     for problem in (ml_problem(), ml_chain_problem(), n2_cousin1_problem()):
         sol = solve_chain(problem)[0]
         assert sol.report["pass"], sol.report
-        assert [(q["s"], q["panels"], q["nodes"]) for q in sol.report["seam_quadrature"]] == [
-            (s, 0, 0) for s in problem.breakpoints]
+        assert [(set(r), r["s"]) for r in sol.report["seam_rounding"]] == [
+            ({"s", "bound"}, s) for s in problem.breakpoints]
         sol.solution.values(cuboid_sample(problem, m=300))
 
 

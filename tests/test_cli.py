@@ -259,7 +259,7 @@ class TestCousin1:
         assert chain["patch_morera"] == [] and chain["skipped_checks"] == []
         assert len(chain["seam_jumps"]) == len(payload["breakpoints"])
         assert all(jump <= report["tolerance"] for jump in chain["seam_jumps"])
-        assert [q["s"] for q in chain["seam_quadrature"]] == payload["breakpoints"]
+        assert [r["s"] for r in chain["seam_rounding"]] == payload["breakpoints"]
         assert len(chain["principal_part_errors"]) == 3 and chain["pass"]
 
 
@@ -272,15 +272,15 @@ class TestCousin1:
          "slabs": [{"poles": [{"re": -1.0, "im": 0.1, "coeff_re": 1.5}]}, {"poles": [{"re": 1.0, "coeff_re": 0.7}]}]},
     ], ids=["n1", "n2"])
     def test_default_delta_seams_within_tolerance(self, tmp_path, payload):
-        # without "delta" the margin is a twentieth of a slab: the seams split in closed form, with no panels,
-        # and every seam jump and a priori rounding bound is within the tolerance
+        # without "delta" the margin is a twentieth of a slab: the seams split in closed form, and every seam
+        # jump and a priori rounding bound is within the tolerance
         code, report = run_cli(tmp_path, "cousin1", payload)
         assert code == 0
         (chain,) = report["result"]["chains"]
         assert len(chain["seam_jumps"]) == len(payload["breakpoints"])
         assert all(jump <= report["tolerance"] for jump in chain["seam_jumps"])
-        assert all((q["panels"], q["nodes"]) == (0, 0) and q["bound"] <= report["tolerance"]
-                   for q in chain["seam_quadrature"])
+        assert [r["s"] for r in chain["seam_rounding"]] == payload["breakpoints"]
+        assert all(r["bound"] <= report["tolerance"] for r in chain["seam_rounding"])
 
     @pytest.mark.parametrize("change, seam", [
         ({"slabs": [{"poles": [{"re": -2.0, "im": 0.1, "coeff_re": 1e308}]}]}, 0),
@@ -296,7 +296,7 @@ class TestCousin1:
         report = json.loads(out)
         (chain,) = report["result"]["chains"]
         assert not report["pass"] and not chain["pass"]
-        assert chain["seam_quadrature"][seam]["bound"] > report["tolerance"]
+        assert chain["seam_rounding"][seam]["bound"] > report["tolerance"]
 
     def test_middle_slab_delta_wide_glues(self):
         # the middle slab is delta wide: while the density at 0.15 held the right half of the seam at -0.15, whose
@@ -700,7 +700,7 @@ def test_printable_decimal_parts_still_read(part):
 
 @pytest.mark.parametrize("payload, extra", [
     pytest.param({**VALID["cousin-split"], "quadrature": {"nodes": 10_000_000}}, (), id="nodes"),
-    pytest.param(VALID["cousin-split"], ("--panels", "100000000"), id="panels"),
+    pytest.param({**VALID["cousin-split"], "quadrature": {"panels": 100_000_000}}, (), id="panels"),
 ])
 def test_huge_quadrature_counts_exit_2_before_allocating(payload, extra):
     # leggauss builds a nodes x nodes matrix: 10^7 nodes ended in a MemoryError
@@ -766,17 +766,18 @@ def test_report_gives_the_tolerance_applied():
 
 def test_one_parser_serves_every_call_without_carrying_flags(monkeypatch):
     specs, quadrature = [], cli._quadrature
-    monkeypatch.setattr(cli, "_quadrature", lambda data, args: specs.append(quadrature(data, args)) or specs[-1])
+    monkeypatch.setattr(cli, "_quadrature", lambda data: specs.append(quadrature(data)) or specs[-1])
     cli._parser.cache_clear()
     try:
-        calls = [("cousin-split", ("--panels", "3", "--tol", "1e-3", "--seed", "7"), 1e-3, 7, 3),
-                 ("cousin-split", (), 1e-8, 0, 6),
-                 ("divide", ("--tol", "1e-6"), 1e-6, 0, None),
-                 ("cousin1", ("--seed", "2"), 1e-8, 2, None),
-                 ("syzygy", (), 1e-8, 0, None)]
-        for command, extra, tol, seed, panels in calls:
+        split_with_3 = {**VALID["cousin-split"], "quadrature": {"panels": 3}}
+        calls = [("cousin-split", split_with_3, ("--tol", "1e-3", "--seed", "7"), 1e-3, 7, 3),
+                 ("cousin-split", VALID["cousin-split"], (), 1e-8, 0, 6),
+                 ("divide", VALID["divide"], ("--tol", "1e-6"), 1e-6, 0, None),
+                 ("cousin1", VALID["cousin1"], ("--seed", "2"), 1e-8, 2, None),
+                 ("syzygy", VALID["syzygy"], (), 1e-8, 0, None)]
+        for command, payload, extra, tol, seed, panels in calls:
             specs.clear()
-            code, out, err = run_stdin(command, VALID[command], extra)
+            code, out, err = run_stdin(command, payload, extra)
             report = json.loads(out)
             assert (code, err, report["command"]) == (0, "", command)
             assert (report["tolerance"], report["seed"]) == (tol, seed)
@@ -791,9 +792,10 @@ def test_one_parser_serves_every_call_without_carrying_flags(monkeypatch):
         cli._parser.cache_clear()
 
 
-@pytest.mark.parametrize("command, panels", [("divide", "3"), ("cousin1", "8"), ("jokuiko", "8")])
-def test_panels_only_on_cousin_split(command, panels):
-    # only cousin-split reads quadrature: the solvers' seams split in closed form
+@pytest.mark.parametrize("command, panels", [("divide", "3"), ("cousin1", "8"), ("jokuiko", "8"),
+                                             ("cousin-split", "8")])
+def test_panels_on_no_subcommand(command, panels):
+    # cousin-split reads its panels from the request's "quadrature" alone; the solvers' seams split in closed form
     with pytest.raises(SystemExit) as exit_, contextlib.redirect_stderr(io.StringIO()) as err:
         main([command, "--panels", panels])
     assert exit_.value.code == 2 and "unrecognized arguments: --panels" in err.getvalue()

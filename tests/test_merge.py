@@ -177,8 +177,8 @@ class TestCousin1EndToEnd:
         report = sols[0].report
         assert report["pass"]
         assert len(report["seam_jumps"]) == 2 and max(report["seam_jumps"]) <= 1e-8
-        assert [q["s"] for q in report["seam_quadrature"]] == [-1.0, 1.0]
-        assert all(q["bound"] <= prob.tol / 10 for q in report["seam_quadrature"])
+        assert [r["s"] for r in report["seam_rounding"]] == [-1.0, 1.0]
+        assert all(r["bound"] <= prob.tol / 10 for r in report["seam_rounding"])
         assert max(e["error"] for e in report["principal_part_errors"]) <= 1e-6
 
     def test_solution_equals_local_plus_correction(self):
@@ -613,6 +613,15 @@ def wide_neighbour_problem():
                       delta=0.3)
 
 
+def evaluators_scaled(monkeypatch, prob):
+    """Every compiled ``complex_evaluator`` output is scaled by 1 + 1e-6: the
+    locals and the seams' c and p alike, so the solution still glues, but
+    each residue is off by about 1e-6 |c|."""
+    compile_ = merge.complex_evaluator
+    monkeypatch.setattr(merge, "complex_evaluator", lambda f: (lambda P, g=compile_(f): g(P) * (1 + 1e-6)))
+    return prob
+
+
 class TestCousin1Mutants:
     """Broken closed forms must fail the cousin1 report: a mutant whose
     output is not a solution shows as a residue error.  A chain is one
@@ -634,6 +643,40 @@ class TestCousin1Mutants:
         assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
         assert max(e["error"] for e in report["principal_part_errors"]) > 1e-3, report
 
+    def test_scaled_evaluators_fail_on_residues(self, monkeypatch):
+        """The residue targets come from the exact ``series.evaluate``, not
+        from the compiled evaluators the solution is built with: targets
+        compiled there too would scale with the solution, and the report
+        would pass with a worst residue error of 2.4e-16."""
+        prob = evaluators_scaled(monkeypatch, four_slab_cousin1_problem())
+        report = solve_chain(prob)[0].report
+        assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+        assert all(r["bound"] <= prob.tol for r in report["seam_rounding"])
+        assert max(e["error"] for e in report["principal_part_errors"]) > 1e-6, report
+
+
+@pytest.mark.parametrize("problem", [lambda: four_slab_cousin1_problem(), lambda: ab_bench_n2_cousin1_problem()],
+                         ids=["four-slabs", "n2"])
+def test_seam_rounding_is_the_bound_over_both_slabs_discs(problem):
+    """Per seam k, in seam order, ``seam_rounding`` holds s_k and the
+    ``_rounding_bound`` over the ``_pole_discs`` of slabs k and k + 1."""
+    prob = problem()
+    discs = [merge._pole_discs(prob, alpha) for alpha in range(len(prob.data))]
+    assert solve_chain(prob)[0].report["seam_rounding"] == [
+        {"s": s, "bound": merge._rounding_bound(discs[k] + discs[k + 1], s)} for k, s in enumerate(prob.breakpoints)]
+
+
+@pytest.mark.parametrize("problem, keys", [
+    (lambda: three_slab_problem(), {"seam_rounding", "principal_part_errors"}),
+    (lambda: perturbed_extension_problem(slabs=4), {"subspace_sup_error", "subspace_slices"}),
+], ids=["cousin1", "extension"])
+def test_report_keys(problem, keys):
+    """``verify_solution`` builds every report figure: a cousin1 report
+    carries the seams' rounding bounds, an extension report none, as the
+    closed form's rounding is not bounded there."""
+    report = solve_chain(problem())[0].report
+    assert set(report) == {"kind", "chain", "skipped_checks", "patch_morera", "seam_jumps", "pass"} | keys
+
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-3, 0.03, 0.1, 0.2])
 def test_near_pole_table(gap):
@@ -642,8 +685,8 @@ def test_near_pole_table(gap):
     gap, with a rounding bound and a seam jump within tol."""
     prob = near_pole_problem(gap)
     report = solve_chain(prob)[0].report
-    (entry,) = report["seam_quadrature"]
-    assert entry["s"] == 1.0 and (entry["panels"], entry["nodes"]) == (0, 0) and entry["bound"] <= prob.tol
+    (entry,) = report["seam_rounding"]
+    assert entry["s"] == 1.0 and entry["bound"] <= prob.tol
     assert report["pass"] and len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
 
 
@@ -654,7 +697,7 @@ def test_rounding_bound_above_tol_fails():
     prob = ChiProblem(kind="cousin1", cuboid=Cuboid(((-1.0, 1.0),), ((-0.5, 0.5),)), breakpoints=(0.0,), delta=1e-3,
                       data=(PrincipalPartData((PoleTerm(3, constant(0, 1.0), constant(0, -2e-3)),)), pp((0.5, 1.0))))
     report = solve_chain(prob)[0].report
-    (entry,) = report["seam_quadrature"]
+    (entry,) = report["seam_rounding"]
     assert entry["bound"] == pytest.approx(2.0 ** -52 / 2e-3 ** 3 + 2.0 ** -52 / 0.5)
     assert entry["bound"] > prob.tol and not report["pass"]
     assert solve_chain(replace(prob, tol=1e-6))[0].report["pass"]
@@ -794,8 +837,8 @@ def test_n2_loci_widened_over_the_base(slope):
             solve_chain(prob)
         return
     report = solve_chain(prob)[0].report
-    (entry,) = report["seam_quadrature"]
-    assert (entry["panels"], entry["nodes"]) == (0, 0) and entry["bound"] <= prob.tol
+    (entry,) = report["seam_rounding"]
+    assert entry["s"] == 0.0 and entry["bound"] <= prob.tol
     assert report["pass"] and report["seam_jumps"][0] <= prob.tol
 
 

@@ -21,18 +21,7 @@ for ``ml_chain`` and ``ext_merge`` (their samples include the cold first
 call on each new solution, which for ``ml_chain`` builds the chain's
 closed-form term arrays).  Under
 ``cycles`` it lists each side's cycle count per pair, from ``run.py``'s
-``<workload>: N cycles`` line.  It also counts, on each side, the Cauchy kernel
-work of one verified solve of the first ``ml_chain`` and ``ext_merge``
-instance of seed 5: ``kernel_entries`` are the divisions w / (zeta - z_n),
-points x contour nodes x weight columns summed over every call of
-``cousin.kernel_sums`` (or of ``_PathQuad.cauchy`` in a tree without it),
-and ``kernel_differences`` the zeta - z_n entries, points x contour nodes,
-which the columns of one call share.  Trees whose ``kernel_sums`` takes a
-key count (one weight column per extension key) have several columns per
-call; in trees without it every call has one.  Trees that split every
-seam in closed form, cousin1 and extension alike, run no Cauchy kernel in
-a solve, so all four counts read 0 there; they stay for comparisons with
-older trees.  Under ``bits`` it gives, per group
+``<workload>: N cycles`` line.  Under ``bits`` it gives, per group
 (``ml_chain``, ``ext_merge``, ``n2_cousin1``, ``exact_algebra``, ``cli_mix``), the sha256 of
 fixed outputs on each side and whether they are equal; see ``BITS`` for what
 each group hashes.  Unequal bits are information, not a failure.  The script
@@ -53,46 +42,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNEL_SEED = 5
 
 EVAL_US = [{"name": f"eval_us.{q}", "unit": "us", "better": "lower"} for q in ("p50", "p90")]
 EVAL_US_LINE = re.compile(r"^\s*(eval_us\.p[59]0) = (\S+) us", re.M)
 CYCLES_LINE = re.compile(r"^(\S+): (\d+) cycles", re.M)
-
-# Run in a tree's own interpreter process: wrap the Cauchy kernel helper
-# (_PathQuad.cauchy in trees that predate it; kernel_sums takes a key count,
-# the number of weight columns, only in trees whose extension keys shared
-# its kernel block), solve the first instance of each workload with
-# verification, print the counts.
-KERNEL_COUNT = """
-import json, sys
-sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
-import bench_workloads as bw
-from okakit import cousin, merge
-count = {"entries": 0, "differences": 0}
-def add(points, nodes, keys=1):
-    count["entries"] += points * nodes * keys
-    count["differences"] += points * nodes
-if hasattr(cousin, "kernel_sums"):
-    kernel = cousin.kernel_sums
-    def counted(zs, zn, weights, *keys):
-        add(len(zn), len(zs), *keys)
-        return kernel(zs, zn, weights, *keys)
-    cousin.kernel_sums = counted
-else:
-    cauchy = cousin._PathQuad.cauchy
-    def counted(self, phi, P):
-        add(len(P), len(self.zs))
-        return cauchy(self, phi, P)
-    cousin._PathQuad.cauchy = counted
-out = {"entries": {}, "differences": {}}
-for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
-    count.update(entries=0, differences=0)
-    merge.solve_chain(workload(int(sys.argv[2])).pool[0][0])
-    for what in out:
-        out[what][name] = count[what]
-print(json.dumps(out))
-"""
 
 # Run in a tree's own interpreter process: the sha256 of each group's outputs.
 # ml_chain, ext_merge: the first 3 instances of seeds 5 and 11, both merge
@@ -224,12 +177,6 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def kernel_counts(tree: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", KERNEL_COUNT, str(tree), str(KERNEL_SEED)],
-                          check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout)
-
-
 def output_bits(tree: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", BITS, str(tree)], check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -260,10 +207,6 @@ def main(argv=None) -> int:
             report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
             report["workloads"][workload]["cycles"] = {side: [r["cycles"] for r in rs] for side, rs in runs.items()}
             print(f"ab_bench: {workload} done", file=sys.stderr)
-        counts = {side: kernel_counts(tree) for side, tree in sides.items()}
-        for what in ("entries", "differences"):
-            report[f"kernel_{what}"] = {"seed": KERNEL_SEED, "instance": "first of the workload's pool",
-                                        **{side: count[what] for side, count in counts.items()}}
         bits = {side: output_bits(tree) for side, tree in sides.items()}
         report["bits"] = {group: {"base": bits["base"][group], "change": bits["change"][group],
                                   "equal": bits["base"][group] == bits["change"][group]}
