@@ -55,27 +55,32 @@ class PoleTerm:
             raise ValueError("pole order must be >= 1")
 
 
+def _compiled(term: PoleTerm) -> Callable:
+    """zp -> (c(z'), p(z')) at rows z', by ``complex_evaluator``: for n = 1
+    the two constants, evaluated once on one row, for every call."""
+    coeff, locus = complex_evaluator(term.coeff), complex_evaluator(term.locus)
+    at = lambda zp: (coeff(zp), locus(zp))
+    return partial(lambda fixed, zp: fixed, at(np.empty((1, 0)))) if term.coeff.dim == term.locus.dim == 0 else at
+
+
+def _pole_sum(terms: list[tuple[int, Callable]]) -> Evaluable:
+    """sum c(z') / (z_n - p(z'))^m over the (order m, ``_compiled``) pairs."""
+    def many(P):
+        zp, zn, acc = P[:, :-1], P[:, -1], np.zeros(len(P), dtype=complex)
+        for order, at in terms:
+            coeff, locus = at(zp)
+            acc = acc + coeff / (zn - locus) ** order
+        return acc
+
+    return Evaluable.batched(many)
+
+
 @dataclass(frozen=True)
 class PrincipalPartData:
     terms: tuple[PoleTerm, ...]
 
     def evaluable(self) -> Evaluable:
-        terms = [(t.order, complex_evaluator(t.coeff), complex_evaluator(t.locus)) for t in self.terms]
-
-        def values(zp):
-            return [(order, coeff(zp), locus(zp)) for order, coeff, locus in terms]
-
-        # dim-0 coefficients and loci are constants: one call's values serve every call
-        folded = values(np.empty((1, 0))) if all(t.coeff.dim == t.locus.dim == 0 for t in self.terms) else None
-
-        def many(P):
-            zp, zn = P[:, :-1], P[:, -1]
-            acc = np.zeros(len(P), dtype=complex)
-            for order, coeff, locus in folded or values(zp):
-                acc = acc + coeff / (zn - locus) ** order
-            return acc
-
-        return Evaluable.batched(many)
+        return _pole_sum([(t.order, _compiled(t)) for t in self.terms])
 
 
 @dataclass(frozen=True)
@@ -148,13 +153,6 @@ class ChiProblem:
 # -- local solutions -----------------------------------------------------
 
 
-def _poles(problem: ChiProblem, alpha: int) -> list[tuple[PoleTerm, tuple, complex]]:
-    """(term, z', p) for every term of slab alpha's principal part: p is the
-    term's locus at the slab's midpoint z', by the exact ``series.evaluate``."""
-    zp = problem.partition.slabs[alpha].midpoint()[:-1]
-    return [(term, zp, complex(evaluate(term.locus, zp))) for term in problem.data[alpha].terms]
-
-
 def _majorant(f: TruncatedSeries, radii: tuple, constant: bool = True) -> float:
     """sum |a_e| prod r_i^e_i over the terms of f (without the constant term
     unless ``constant``): a bound on |f(z') - f(c)|, or on |f(z')| with the
@@ -179,33 +177,50 @@ def _pole_discs(problem: ChiProblem, alpha: int) -> list[tuple[int, float, compl
             for t in problem.data[alpha].terms]
 
 
+class _PoleTable:
+    """One solve's cousin1 pole terms on the slabs ``indices``, each bounded
+    (``_pole_discs``), admitted (``local_solution``) and ``_compiled`` once
+    for the slab sums, seam halves and rounding bounds; no solve shares it."""
+
+    def __init__(self, problem: ChiProblem, indices: range):
+        self.problem, self.discs, self.compiled, delta = problem, {}, {}, problem.seam_margin()
+        for alpha in indices:
+            rlo, rhi = problem.partition.slabs[alpha].re[-1]
+            for _, _, c, r in self.discs.setdefault(alpha, _pole_discs(problem, alpha)):
+                if not rlo + delta <= c.real - r <= c.real + r <= rhi - delta or abs(c.imag) - r > problem.theta:
+                    raise PoleTooCloseToSeam(f"pole at {c}, whose locus over the base stays within {r:.3g} of it, "
+                                             f"lies outside slab {alpha} or within margin {delta} of its edges")
+            self.compiled.update((id(t), _compiled(t)) for t in problem.data[alpha].terms)
+
+    def local(self, alpha: int) -> Evaluable:
+        return _pole_sum([(t.order, self.compiled[id(t)]) for t in self.problem.data[alpha].terms])
+
+    def halves(self, chain: ConnectivityChain, seams: list[float]) -> Evaluable | None:
+        """Every seam k's left half, split by ``merge_pair`` from P_{k+1} - P_k, summed, or None without seam data."""
+        data, height = [self.problem.data[a] for a in chain.indices], self.problem.theta + self.problem.seam_margin()
+        pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
+        chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
+                                                        for _, sign, t in pair.entries), lambda t: self.compiled[id(t)])
+        return chained.half() if chained.entries else None
+
+
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
     """The slab's own solution: its principal-part sum, or the cylinder
-    extension of the target (or the supplied override).
-
-    A cousin1 pole whose locus disc (``_pole_discs``, over the whole base
-    cuboid) comes within delta of an edge of its slab, or lies wholly above
-    or below it, raises ``PoleTooCloseToSeam``: a locus crossing a seam
-    segment would make the seam's closed form jump by 2 pi i h in z'."""
+    extension of the target (or the supplied override).  A cousin1 pole
+    whose locus disc (``_pole_discs``, over the whole base cuboid) comes
+    within delta of an edge of its slab, or lies wholly above or below it,
+    raises ``PoleTooCloseToSeam``: a locus crossing a seam segment would
+    make the seam's closed form jump by 2 pi i h in z'."""
     if problem.kind == "cousin1":
-        delta = problem.seam_margin()
-        rlo, rhi = problem.partition.slabs[alpha].re[-1]
-        for _, _, c, r in _pole_discs(problem, alpha):
-            if not rlo + delta <= c.real - r <= c.real + r <= rhi - delta or abs(c.imag) - r > problem.theta:
-                raise PoleTooCloseToSeam(f"pole at {c}, whose locus over the base stays within {r:.3g} of it, lies "
-                                         f"outside slab {alpha} or within margin {delta} of its edges")
-        return problem.data[alpha].evaluable()
+        return _PoleTable(problem, range(alpha, alpha + 1)).local(alpha)
     return Evaluable.batched(complex_evaluator(problem.slab_poly(alpha)))
 
 
 def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e-8) -> Evaluable:
-    """a - b, asserted holomorphic on the overlap via the Morera residual.
-
-    The dense default rule keeps the quadrature noise of nearby poles (data
-    may sit just outside the seam strip) well below the tolerance.  Nothing
-    in okakit calls it; ``perfbench/bench_trace.py`` ``install`` looks it up
-    with ``getattr``, so ``--trace 1`` fails without it.
-    """
+    """a - b, asserted holomorphic on the overlap via the Morera residual, on
+    a dense rule that keeps the noise of poles just outside the seam strip
+    well below tol.  Nothing in okakit calls it; ``perfbench/bench_trace.py``
+    looks it up, so ``--trace 1`` fails without it."""
     diff = a - b
     residual = morera_residual(diff, overlap, grid=3, nodes=24)
     if residual > tol:
@@ -258,11 +273,12 @@ class PoleSeams:
     (f ell + Q) / 2 pi i, with ell a log difference of ``_side_logs`` and,
     by partial fractions, Q(z) = -c sum_{j=1..m} (z_n - p)^(-(m-j+1)) I_j
     (``_moments``).  In u = 1 / (z_n - p) that is c u (... ((ell - I_1) u -
-    I_2) u ... - I_m), summed by Horner."""
+    I_2) u ... - I_m), summed by Horner, with c and p from ``compiled``."""
 
     seams: tuple[float, ...]
     height: float
     entries: tuple[tuple[int, float, PoleTerm], ...]
+    compiled: Callable[[PoleTerm], Callable] = _compiled
 
     @cached_property
     def _groups(self) -> list[tuple[np.ndarray, Callable]]:
@@ -274,11 +290,11 @@ class PoleSeams:
             ks, signs, terms = zip(*((k, sign, t) for k, sign, t in self.entries if t.order == m))
             s = np.array(self.seams)[list(ks)]
             a, b, signs = s - 1j * self.height, s + 1j * self.height, np.array(signs)
-            coeffs, loci = [complex_evaluator(t.coeff) for t in terms], [complex_evaluator(t.locus) for t in terms]
+            columns = [self.compiled(t) for t in terms]
 
-            def at(zp, m=m, a=a, b=b, signs=signs, coeffs=coeffs, loci=loci):
-                p = np.stack([f(zp) for f in loci], axis=-1)
-                return np.stack([f(zp) for f in coeffs], axis=-1) * signs, p, _moments(p, a, b, m)
+            def at(zp, m=m, a=a, b=b, signs=signs, columns=columns):
+                c, p = (np.stack(v, axis=-1) for v in zip(*(f(zp) for f in columns)))
+                return c * signs, p, _moments(p, a, b, m)
 
             if all(t.coeff.dim == t.locus.dim == 0 for t in terms):
                 at = partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))
@@ -320,16 +336,6 @@ def _rounding_bound(discs: list, s: float) -> float:
     = s: the rounding left where f ell and Q, each about C / g^m near a pole,
     cancel in a seam's halves at its rows."""
     return 2.0 ** -52 * sum(C / (abs(c.real - s) - r) ** m for m, C, c, r in discs)
-
-
-def _pole_halves(problem: ChiProblem, chain: ConnectivityChain, seams: list[float]) -> Evaluable | None:
-    """The sum of every seam's left half, each seam k split by ``merge_pair``
-    from its own datum P_{k+1} - P_k, or None without seam data."""
-    data, height = [problem.data[alpha] for alpha in chain.indices], problem.theta + problem.seam_margin()
-    pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
-    chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
-                                                    for _, sign, t in pair.entries))
-    return chained.half() if chained.entries else None
 
 
 # -- extension seams in closed form ------------------------------------------
@@ -413,39 +419,33 @@ class ChiSolution:
     corrections: list[Evaluable]
     region: Cuboid
     report: dict | None = None
+    poles: _PoleTable | None = None  # cousin1: the solve's pole table, whose discs verification bounds by
 
 
 def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSolution:
     slabs = problem.partition.slabs
     region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
     seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
-    locals_ = [local_solution(problem, alpha) for alpha in chain.indices]
-    correction = (_extension_halves if problem.kind == "extension" else _pole_halves)(problem, chain, seams)
+    poles = _PoleTable(problem, chain.indices) if problem.kind == "cousin1" else None
+    locals_ = [poles.local(alpha) if poles else local_solution(problem, alpha) for alpha in chain.indices]
+    correction = poles.halves(chain, seams) if poles else _extension_halves(problem, chain, seams)
     # branch alpha, local_alpha plus the left halves of the seams k >= alpha and
     # the right halves of the others, is local_0 plus every seam's left half
     solution = locals_[0] if correction is None else locals_[0] + correction
     return ChiSolution(chain=chain, solution=solution, corrections=[solution - local for local in locals_],
-                       region=region)
-
-
-def chain_decomposition(problem: ChiProblem) -> list[ConnectivityChain]:
-    partition = problem.partition
-    if problem.kind == "extension":
-        return connected_chains(partition, problem.subspace)
-    return [ConnectivityChain(0, partition.count - 1)]
+                       region=region, poles=poles)
 
 
 def solve_chain(problem: ChiProblem, order: str = "ltr", verify: bool = True) -> list[ChiSolution]:
-    """Solve every maximal connected chain of the partition; one solution each.
-
-    Every seam splits its own datum, so a chain has no merge order: ``order``
-    is still checked, and anything but "ltr" or "rtl" raises ``ValueError``,
-    but both give the same bits.  It stays while ``perfbench/bench_workloads.py``
-    passes ``order="rtl"``.
-    """
+    """Solve every maximal connected chain of the partition; one solution
+    each.  A chain has no merge order: ``order`` must be "ltr" or "rtl", and
+    both give the same bits; it stays while ``perfbench`` passes "rtl"."""
     if order not in ("ltr", "rtl"):
         raise ValueError(f"unknown merge order {order!r}")
-    sols = [_solve_one_chain(problem, c) for c in chain_decomposition(problem)]
+    partition = problem.partition
+    chains = (connected_chains(partition, problem.subspace) if problem.kind == "extension"
+              else [ConnectivityChain(0, partition.count - 1)])
+    sols = [_solve_one_chain(problem, c) for c in chains]
     if verify:
         for sol in sols:
             sol.report = verify_solution(sol, problem)
@@ -472,13 +472,23 @@ def _ring_coefficients(vals: np.ndarray, d: np.ndarray, orders: list[int]) -> li
     return out.tolist()
 
 
-def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
-                                  radius: float, zp: tuple = ()) -> complex:
-    """(1/2 pi i) * circle integral of f(z)*(z_n - pole)^(order-1) dz_n,
-    by the trapezoidal rule on 64 points: the ring rule of
-    ``verify_solution``'s residue check, for one ring.  Nothing in okakit
-    calls it; ``perfbench/bench_trace.py`` ``install`` looks it up with
-    ``getattr``, so ``--trace 1`` fails without it."""
+def _ring_radii(p: np.ndarray, group: np.ndarray, delta: float, theta: float) -> np.ndarray:
+    """Per pole p, its circle's radius: the least of delta / 2, 0.45 times
+    the gap to the nearest other position at its z' (``group``; terms at one
+    position are one principal part) and, for theta > 0, max(theta - |Im p|,
+    delta / 4).  Gaps by ``np.hypot``, with the bits of ``abs``, in row blocks."""
+    def nearest(rows):
+        d = np.where(group[rows, None] == group, p[rows, None] - p, 0)
+        return np.where(d == 0, np.inf, np.hypot(d.real, d.imag)).min(axis=1, initial=np.inf)
+
+    radii = np.minimum(delta / 2, 0.45 * row_blocks(len(p), max(1, len(p)), nearest).real)
+    return np.minimum(radii, np.maximum(theta - np.abs(p.imag), delta / 4)) if theta > 0 else radii
+
+
+def extract_principal_coefficient(f: Evaluable, pole: complex, order: int, radius: float, zp: tuple = ()) -> complex:
+    """The residue check's ring rule for one ring.  Nothing in okakit calls
+    it; ``perfbench/bench_trace.py`` looks it up, so ``--trace 1`` fails
+    without it."""
     P, d = _rings([pole], [radius], [zp], len(zp) + 1)
     return _ring_coefficients(f.values(P), d, [order])[0]
 
@@ -486,43 +496,34 @@ def extract_principal_coefficient(f: Evaluable, pole: complex, order: int,
 def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     """Checkable form of the solution property.
 
-    Both kinds: the solution is local_0 plus every seam's left half, log
-    differences times the seam data plus Q.  Two facts make it holomorphic
-    (for cousin1: off the data's poles) on the chain, and both hold by
-    construction; no check here verifies them.  The log cuts run right from
-    s_k +/- i (theta + delta), and theta + delta > theta keeps them outside
-    the cuboid.  For cousin1, admission (``local_solution``) keeps every
-    locus disc delta inside its slab, off every seam segment, so Q's poles
-    cancel those of h ell; for extension Q is a polynomial
-    (``closed_form_series``).  ``seam_jumps`` gives, per seam s, the sup of
-    |sol(z', s^- + iy) - sol(z', s + iy)| over 61 y in [-theta, theta] and
-    the diagonal corners z' of the base cuboid (every axis at lo + i lo,
-    hi + i hi, lo + i hi or hi + i lo: off S for extension), and every jump
-    must be at most tol.  Both sides evaluate one function, so a jump only
-    checks that it is continuous across Re z_n = s, to rounding: it sees
-    neither a wrong datum nor a log cut moved into the cuboid.
-    ``patch_morera`` stays an empty list.  The checks that carry weight
-    are the residues (cousin1) and the values on S (extension).
+    The solution is local_0 plus every seam's left half.  It is holomorphic
+    on the chain (cousin1: off the data's poles) by construction, and no
+    check here verifies that: the log cuts run right from s_k +/- i (theta
+    + delta), outside the cuboid, and Q is a polynomial (extension) or has
+    poles where h ell's cancel (cousin1, whose loci admission keeps off the
+    seam segments).  ``seam_jumps``, per seam s, is the sup of |sol(z', s^-
+    + iy) - sol(z', s + iy)| over 61 y in [-theta, theta] and the diagonal
+    corners z' of the base (every axis at lo + i lo, hi + i hi, lo + i hi or
+    hi + i lo: off S for extension); every jump must be at most tol.  Both
+    sides evaluate one function, so it sees neither a wrong datum nor a log
+    cut moved into the cuboid: the residues (cousin1) and the values on S
+    (extension) carry the weight.  ``patch_morera`` stays an empty list.
+    Every check's rows go to the solution in one call, each in its own
+    order; a row's value does not depend on the rows beside it.
 
-    cousin1: ``seam_rounding`` has one entry {s, bound} per seam, ``bound``
-    the a priori ``_rounding_bound`` over the ``_pole_discs`` of the seam's
-    two slabs, and every bound must be at most tol.  Principal coefficients
-    re-extracted by contour integrals around each pole must match the
-    prescribed ones, summed over the slab's terms of one order at one
-    position (one contour sees them all; each term keeps its entry); for
-    n >= 2 the poles and coefficients are taken at the slab's midpoint z',
-    where the contour is drawn.  The prescribed c(z') and p(z') come from
-    the exact ``series.evaluate``, not from the compiled evaluators the
-    solution is built with, so a fault in those shows.  extension: the solution
-    restricted to the subspace must match the target on a sample grid of
-    Re z_n on each slice Im z_n in ``subspace_slices`` (0 and +/- 0.9 theta;
-    for q = n at the origin alone); a chain region that misses S lists that
-    check in ``skipped_checks``.
-
-    The seam rows and the residue rings (cousin1) or the subspace rows
-    (extension) go to the solution in one call, each check's rows in their
-    own order; a row's value does not depend on the rows beside it.
-    """
+    cousin1: ``seam_rounding`` holds {s, bound} per seam, the a priori
+    ``_rounding_bound`` over the locus discs of its two slabs that the solve
+    admitted (``sol.poles``), and every bound must be at most tol.  Each
+    term's coefficient, re-extracted on a circle around its pole, must match
+    the sum prescribed for its slab, order and position (one circle sees
+    them all), at the base midpoint z' and, for n >= 2, at every corner z',
+    entries z' by z' (each naming its ``zp``), each z' with its own poles,
+    coefficients and radii (``_ring_radii``).  The prescribed c(z')
+    and p(z') come from the exact ``series.evaluate``, not from the compiled
+    evaluators the solution is built with, so a fault in those shows.
+    extension: on S the solution must match the target on a grid of Re z_n
+    on each slice Im z_n in ``subspace_slices`` (0 and +/- 0.9 theta; for q =
+    n the origin alone); a chain region that misses S skips that check."""
     tol, n, region = problem.tol, problem.ndim, sol.region
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
                     "patch_morera": []}
@@ -536,21 +537,18 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
     rows = [P.reshape(-1, n)]
     if problem.kind == "cousin1":
-        discs = [_pole_discs(problem, alpha) for alpha in sol.chain.indices]
-        report["seam_rounding"] = [{"s": s, "bound": _rounding_bound(discs[k] + discs[k + 1], s)}
-                                   for k, s in enumerate(seam_re)]
-        delta = problem.seam_margin()
-        poles = [(alpha, *pole) for alpha in sol.chain.indices for pole in _poles(problem, alpha)]
-        # one pass over the terms: the prescribed sum per slab, order and position, in term order
-        want: dict = {}
-        for alpha, term, zp, p in poles:
-            want[alpha, term.order, p] = want.get((alpha, term.order, p), 0) + complex(evaluate(term.coeff, zp))
-        positions, radii = list(dict.fromkeys(p for *_, p in poles)), []
-        for *_, p in poles:
-            # terms at one position are one principal part: only other positions bound the circle
-            radius = min(delta / 2, 0.45 * min((abs(p - q) for q in positions if q != p), default=np.inf))
-            radii.append(min(radius, max(problem.theta - abs(p.imag), delta / 4)) if problem.theta > 0 else radius)
-        ring_rows, d = _rings([p for *_, p in poles], radii, [zp for *_, zp, _ in poles], n)
+        report["seam_rounding"] = [{"s": s, "bound": _rounding_bound(sol.poles.discs[a] + sol.poles.discs[a + 1], s)}
+                                   for a, s in zip(sol.chain.indices, seam_re)]
+        # per z' and pole term, (z', slab, order, p(z')), and the prescribed sum per slab, order and position
+        poles, want, zps = [], {}, list(dict.fromkeys([region.midpoint()[:-1]] + corners))  # n = 1: one empty z'
+        for zp in zps:
+            for alpha in sol.chain.indices:
+                for term in problem.data[alpha].terms:
+                    poles.append(key := (zp, alpha, term.order, complex(evaluate(term.locus, zp))))
+                    want[key] = want.get(key, 0) + complex(evaluate(term.coeff, zp))
+        p = np.array([key[-1] for key in poles], dtype=complex)
+        radii = _ring_radii(p, np.repeat(np.arange(len(zps)), len(p) // len(zps)), problem.seam_margin(), problem.theta)
+        ring_rows, d = _rings(p, radii, [key[0] for key in poles], n)
         rows.append(ring_rows)
     else:
         q = problem.codim
@@ -567,12 +565,14 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
             rows.append(np.zeros((1, n), dtype=complex))
     vals = sol.solution.values(np.concatenate(rows))
     pairs = vals[:len(rows[0])].reshape(len(seams), 2, len(corners) * 61)
-    report["seam_jumps"] = [sup_abs(left - right) for left, right in pairs]
+    # per seam, the largest |left - right|, and NaN when any is NaN (as ``sup_abs``)
+    report["seam_jumps"] = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=1, initial=0.0).tolist()
     ok = all(v <= tol for v in report["seam_jumps"])
     if problem.kind == "cousin1":
-        got = _ring_coefficients(vals[len(rows[0]):], d, [term.order for _, term, _, _ in poles])
-        errors = [{"slab": alpha, "order": term.order, "pole": [p.real, p.imag],
-                   "error": abs(g - want[alpha, term.order, p])} for (alpha, term, _, p), g in zip(poles, got)]
+        got = _ring_coefficients(vals[len(rows[0]):], d, [order for _, _, order, _ in poles])
+        errors = [{"slab": alpha, "order": order, **({"zp": [[z.real, z.imag] for z in zp]} if n > 1 else {}),
+                   "pole": [p.real, p.imag], "error": abs(g - want[zp, alpha, order, p])}
+                  for (zp, alpha, order, p), g in zip(poles, got)]
         report["principal_part_errors"] = errors
         ok = ok and all(r["bound"] <= tol for r in report["seam_rounding"]) and all(e["error"] <= tol for e in errors)
     elif len(rows) > 1:

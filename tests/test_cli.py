@@ -228,7 +228,7 @@ class TestCousin1:
 
 
     def test_skipped_residue_checks_listed(self, tmp_path):
-        # n = 2 poles are re-extracted at the slab's midpoint z': no residue check is skipped
+        # n = 2 poles are re-extracted at the base midpoint z' and the four corners: no residue check is skipped
         payload = {
             "cuboid": {"re": [[-0.5, 0.5], [-2.0, 2.0]], "im": [[-0.5, 0.5], [-0.5, 0.5]]},
             "breakpoints": [0.0],
@@ -239,8 +239,11 @@ class TestCousin1:
         code, report = run_cli(tmp_path, "cousin1", payload)
         assert code == 0
         (chain,) = report["result"]["chains"]
-        errors = chain["principal_part_errors"]
-        assert [(e["slab"], e["order"]) for e in errors] == [(0, 1), (1, 1), (1, 2)]
+        errors, by_zp = chain["principal_part_errors"], {}
+        for e in errors:
+            by_zp.setdefault(tuple(map(tuple, e["zp"])), []).append((e["slab"], e["order"]))
+        assert list(by_zp) == [((0.0, 0.0),), ((-0.5, -0.5),), ((0.5, 0.5),), ((-0.5, 0.5),), ((0.5, -0.5),)]
+        assert all(group == [(0, 1), (1, 1), (1, 2)] for group in by_zp.values())
         assert all(e["error"] <= report["tolerance"] for e in errors)
         assert chain["skipped_checks"] == [] and chain["pass"]
         code, report = run_cli(tmp_path, "cousin1", self.payload())

@@ -267,12 +267,17 @@ class TestCousin1EndToEnd:
     @pytest.mark.parametrize("problem", [n2_cousin1_problem(), n2_chain_problem(3), n2_chain_problem(4)],
                              ids=["n2-two-slabs", "n2-three-slabs", "n2-four-slabs"])
     def test_every_n2_pole_checked(self, problem, order):
-        """Poles whose locus depends on z' are re-extracted at the slab's
-        midpoint z', one entry per term."""
+        """Poles whose locus depends on z' are re-extracted at the base
+        midpoint z' and at the four corners of the seam rows, one entry per
+        term and z', the midpoint's first."""
         report = solve_chain(problem, order=order)[0].report
         errors = report["principal_part_errors"]
-        assert [(e["slab"], e["order"]) for e in errors] == [
-            (alpha, term.order) for alpha, datum in enumerate(problem.data) for term in datum.terms]
+        by_zp = {}
+        for e in errors:
+            by_zp.setdefault(tuple(map(tuple, e["zp"])), []).append((e["slab"], e["order"]))
+        assert list(by_zp)[0] == tuple((z.real, z.imag) for z in problem.cuboid.midpoint()[:-1])
+        assert len(by_zp) == 5 and all(group == [(alpha, term.order) for alpha, datum in enumerate(problem.data)
+                                                 for term in datum.terms] for group in by_zp.values())
         assert all(e["error"] <= problem.tol for e in errors)
         assert report["pass"] and report["skipped_checks"] == []
 
@@ -303,10 +308,10 @@ class TestCousin1EndToEnd:
             assert [e["error"] for e in report["principal_part_errors"][:2]] == pytest.approx([dropped] * 2)
 
     def test_unknown_order_rejected_before_solving(self, monkeypatch):
-        def no_local_solution(*args):
-            raise AssertionError("a local solution was built")
+        def no_chain_solved(*args):
+            raise AssertionError("a chain was solved")
 
-        monkeypatch.setattr(merge, "local_solution", no_local_solution)
+        monkeypatch.setattr(merge, "_solve_one_chain", no_chain_solved)
         with pytest.raises(ValueError, match="unknown merge order"):
             solve_chain(three_slab_problem(), order="up")
 
@@ -622,6 +627,27 @@ def evaluators_scaled(monkeypatch, prob):
     return prob
 
 
+def seam_terms_frozen_at_the_midpoint(monkeypatch, prob):
+    """Every seam half takes c(z') and p(z') at the base midpoint, whatever
+    the row's z' (its logs depend on z_n alone): the chain still glues, but
+    off the midpoint the poles the halves carry into slabs 1, 2, ... sit at
+    p(midpoint) with coefficients c(midpoint), not where the data put them."""
+    half, mid = merge.PoleSeams.half, prob.cuboid.midpoint()[:-1]
+
+    def frozen(self):
+        values = half(self).values
+
+        def many(P):
+            P = P.copy()
+            P[:, :-1] = mid
+            return values(P)
+
+        return Evaluable.batched(many)
+
+    monkeypatch.setattr(merge.PoleSeams, "half", frozen)
+    return prob
+
+
 class TestCousin1Mutants:
     """Broken closed forms must fail the cousin1 report: a mutant whose
     output is not a solution shows as a residue error.  A chain is one
@@ -653,6 +679,36 @@ class TestCousin1Mutants:
         assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
         assert all(r["bound"] <= prob.tol for r in report["seam_rounding"])
         assert max(e["error"] for e in report["principal_part_errors"]) > 1e-6, report
+
+    def test_frozen_zp_fails_off_the_midpoint(self, monkeypatch):
+        """With rings at the base midpoint alone the frozen mutant passed
+        (worst residue error 4.6e-16): the residues at the corners of the
+        seam rows see it."""
+        prob = seam_terms_frozen_at_the_midpoint(monkeypatch, ab_bench_n2_cousin1_problem())
+        report = solve_chain(prob)[0].report
+        errors = report["principal_part_errors"]
+        assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+        assert max(e["error"] for e in errors if e["zp"] == [[0.0, 0.0]]) <= prob.tol
+        assert max(e["error"] for e in errors if e["zp"] != [[0.0, 0.0]]) > 1e-3, report
+
+
+def test_one_verified_solve_compiles_each_series_once(monkeypatch):
+    """A verified cousin1 solve compiles each term's coefficient and locus
+    once, for the slab sums and the seam halves alike (the seams used to
+    compile theirs again per entry, and every term sits in two seams: 26
+    here); verification compiles none."""
+    prob, compiled = four_slab_cousin1_problem(), []
+    compile_ = merge.complex_evaluator
+
+    def recorded(f):
+        compiled.append(f)
+        return compile_(f)
+
+    monkeypatch.setattr(merge, "complex_evaluator", recorded)
+    assert solve_chain(prob)[0].report["pass"]
+    terms = [term for datum in prob.data for term in datum.terms]
+    assert len(compiled) == 2 * len(terms) == 10
+    assert sorted(map(id, compiled)) == sorted(id(f) for term in terms for f in (term.coeff, term.locus))
 
 
 @pytest.mark.parametrize("problem", [lambda: four_slab_cousin1_problem(), lambda: ab_bench_n2_cousin1_problem()],
@@ -946,6 +1002,19 @@ class TestOneEvaluationPass:
         assert not report["pass"] and [j > prob.tol for j in jumps] == [k == len(jumps) // 2 for k in range(len(jumps))]
         assert max(e["error"] for e in report.get("principal_part_errors", [{"error": 0.0}])) <= prob.tol
         assert report.get("subspace_sup_error", 0.0) <= prob.tol
+
+    def test_nan_on_one_seams_rows_fails_its_jump(self):
+        """A solution that is NaN on both sides of the middle seam's rows
+        has a NaN jump there, and the report fails: NaN <= tol is false."""
+        prob = four_slab_cousin1_problem()
+        sol = solve_chain(prob, verify=False)[0]
+        values, s = sol.solution.values, prob.breakpoints[1]
+        on_seam = lambda P: np.isin(P[:, -1].real, [np.nextafter(s, -np.inf), s])
+        nan = replace(sol, solution=Evaluable.batched(lambda P: np.where(on_seam(P), np.nan, values(P))))
+        report = verify_solution(nan, prob)
+        jumps = report["seam_jumps"]
+        assert math.isnan(jumps[1]) and jumps[0] <= prob.tol and jumps[2] <= prob.tol
+        assert max(e["error"] for e in report["principal_part_errors"]) <= prob.tol and not report["pass"]
 
     def test_one_wrong_subspace_row_fails_the_subspace_check(self):
         prob = perturbed_extension_problem(slabs=4)
