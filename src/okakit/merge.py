@@ -6,17 +6,16 @@ subspace it is the cylinder extension of the target (possibly perturbed
 within the ideal).  Both kinds glue by one rule, in no order: seam k
 splits only its own datum h_k = local_{k+1} - local_k by its Cauchy
 integral along the seam segment, in closed form and with no quadrature,
-(h_k ell + Q) / 2 pi i with ell a log difference: Q sums the segment
-integrals of the pole terms by partial fractions for principal parts, and
-is a polynomial for extension, built in floating point from the exact
-cofactors of each datum in the subspace ideal.  Seam by seam, slab
-alpha's branch is local_alpha plus the left half L_k of every seam k >=
-alpha and the right half R_k of every seam k < alpha.  On the strip
-|Im z_n| < theta + delta the two sides' logs differ by 2 pi i, so R_k =
-L_k - h_k, and the branch telescopes to local_0 + sum_k L_k for every
-alpha: a chain's solution is that one formula, with no routing by Re z_n.
-Chains of slabs pairwise connected on the subspace are solved
-independently.
+(h_k ell + Q) / 2 pi i with ell a log difference: Q sums the pole terms'
+segment integrals by partial fractions (a term of slab a enters seams a -
+1 and a, and its two left halves fold into one sum), or is a polynomial
+built in floating point from the exact cofactors of each extension datum
+in the subspace ideal.  Slab alpha's branch is local_alpha plus the left
+half L_k of every seam k >= alpha and the right half R_k = L_k - h_k of
+every other (on |Im z_n| < theta + delta the sides' logs differ by 2 pi
+i), so it telescopes to local_0 + sum_k L_k: one formula per chain, with
+no routing by Re z_n.  Chains of slabs connected on the subspace are
+solved independently.
 """
 
 from __future__ import annotations
@@ -196,12 +195,11 @@ class _PoleTable:
         return _pole_sum([(t.order, self.compiled[id(t)]) for t in self.problem.data[alpha].terms])
 
     def halves(self, chain: ConnectivityChain, seams: list[float]) -> Evaluable | None:
-        """Every seam k's left half, split by ``merge_pair`` from P_{k+1} - P_k, summed, or None without seam data."""
-        data, height = [self.problem.data[a] for a in chain.indices], self.problem.theta + self.problem.seam_margin()
-        pairs = [merge_pair(left, right, s, height) for s, left, right in zip(seams, data, data[1:])]
-        chained = PoleSeams(tuple(seams), height, tuple((k, sign, t) for k, pair in enumerate(pairs)
-                                                        for _, sign, t in pair.entries), lambda t: self.compiled[id(t)])
-        return chained.half() if chained.entries else None
+        """The sum of every seam's left half: one ``PoleSeams``, each term once at its slab's position, or None."""
+        entries = tuple((a, t) for a, alpha in enumerate(chain.indices) for t in self.problem.data[alpha].terms)
+        chained = PoleSeams(tuple(seams), self.problem.theta + self.problem.seam_margin(), entries,
+                            lambda t: self.compiled[id(t)])
+        return chained.half() if seams and entries else None
 
 
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
@@ -217,10 +215,8 @@ def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
 
 
 def seam_difference(a: Evaluable, b: Evaluable, overlap: Cuboid, tol: float = 1e-8) -> Evaluable:
-    """a - b, asserted holomorphic on the overlap via the Morera residual, on
-    a dense rule that keeps the noise of poles just outside the seam strip
-    well below tol.  Nothing in okakit calls it; ``perfbench/bench_trace.py``
-    looks it up, so ``--trace 1`` fails without it."""
+    """a - b, asserted holomorphic on the overlap by a dense Morera residual.
+    Nothing in okakit calls it; ``perfbench/bench_trace.py`` looks it up."""
     diff = a - b
     residual = morera_residual(diff, overlap, grid=3, nodes=24)
     if residual > tol:
@@ -266,39 +262,41 @@ def _moments(p: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> list[np.nda
 
 @dataclass(frozen=True)
 class PoleSeams:
-    """cousin1 seam data split in closed form.  Entry (k, sign, term) puts
-    sign c(z') (zeta - p(z'))^(-m) into the datum of the seam at
-    ``seams[k]``, whose segment runs from s_k - ih to s_k + ih, h =
-    ``height``.  A term's Cauchy integral along the segment is
-    (f ell + Q) / 2 pi i, with ell a log difference of ``_side_logs`` and,
-    by partial fractions, Q(z) = -c sum_{j=1..m} (z_n - p)^(-(m-j+1)) I_j
-    (``_moments``).  In u = 1 / (z_n - p) that is c u (... ((ell - I_1) u -
-    I_2) u ... - I_m), summed by Horner, with c and p from ``compiled``."""
+    """cousin1 seam data split in closed form.  Entry (a, term) puts f = c(z')
+    (zeta - p(z'))^(-m) at slab position a of a chain with seams s_k =
+    ``seams[k]``: into the datum of seam a - 1 with sign + and of seam a
+    with sign -, where they exist.  Its Cauchy integral along seam k's
+    segment, s_k -/+ ih with h = ``height``, is (f ell_k + Q) / 2 pi i, ell_k
+    from ``_side_logs`` and Q(z) = -c sum_{j=1..m} (z_n - p)^(-(m-j+1)) I_j
+    (``_moments``).  In u = 1 / (z_n - p) both seams fold into one Horner
+    sum, c u (... ((W_a - J_1) u - J_2) u ... - J_m), W_a = ell_{a-1} - ell_a
+    and J_j = I_j^{a-1} - I_j^a, a missing seam giving 0 (c, p: ``compiled``)."""
 
     seams: tuple[float, ...]
     height: float
-    entries: tuple[tuple[int, float, PoleTerm], ...]
+    entries: tuple[tuple[int, PoleTerm], ...]
     compiled: Callable[[PoleTerm], Callable] = _compiled
 
     @cached_property
     def _groups(self) -> list[tuple[np.ndarray, Callable]]:
-        """Per order m: the seam index of each entry of that order, and the
-        map from rows z' to the entries' signed c, p and I_1..I_m, one column
-        per entry (for n = 1 one row of constants, built once)."""
-        groups = []
-        for m in sorted({t.order for _, _, t in self.entries}):
-            ks, signs, terms = zip(*((k, sign, t) for k, sign, t in self.entries if t.order == m))
-            s = np.array(self.seams)[list(ks)]
-            a, b, signs = s - 1j * self.height, s + 1j * self.height, np.array(signs)
-            columns = [self.compiled(t) for t in terms]
+        """Per order m: the position of each entry of that order, and the map
+        from rows z' to the entries' c, p and J_1..J_m, one column per entry
+        (for n = 1 one row of constants, built once)."""
+        groups, seams, last, ih = [], np.array(self.seams), len(self.seams) - 1, 1j * self.height
+        for m in sorted({t.order for _, t in self.entries}):
+            pos, terms = zip(*((a, t) for a, t in self.entries if t.order == m))
+            pos = np.array(pos)
+            # per entry, the seams left and right of its position; an end's missing one has weight 0
+            sides = [(pos > 0, seams[np.maximum(pos - 1, 0)]), (pos <= last, seams[np.minimum(pos, last)])]
 
-            def at(zp, m=m, a=a, b=b, signs=signs, columns=columns):
+            def at(zp, m=m, sides=sides, columns=[self.compiled(t) for t in terms]):
                 c, p = (np.stack(v, axis=-1) for v in zip(*(f(zp) for f in columns)))
-                return c * signs, p, _moments(p, a, b, m)
+                (wl, I), (wr, K) = ((w, _moments(p, s - ih, s + ih, m)) for w, s in sides)
+                return c, p, [wl * i - wr * k for i, k in zip(I, K)]
 
             if all(t.coeff.dim == t.locus.dim == 0 for t in terms):
                 at = partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))
-            groups.append((np.array(ks), at))
+            groups.append((pos, at))
         return groups
 
     def half(self) -> Evaluable:
@@ -309,12 +307,14 @@ class PoleSeams:
         seams, ih = np.array(self.seams), 1j * self.height
 
         def block(P: np.ndarray) -> np.ndarray:
-            zn = P[:, -1:]
+            zn, W = P[:, -1:], np.zeros((len(P), len(seams) + 1), dtype=complex)
             ell, out = _side_logs(zn, seams, ih), np.zeros(len(P), dtype=complex)
-            for seam, at in self._groups:
+            W[:, 1:] = ell  # then W_a = ell_{a-1} - ell_a, with 0 for a missing seam
+            W[:, :-1] -= ell
+            for pos, at in self._groups:
                 c, p, moments = at(P[:, :-1])
                 u = 1 / (zn - p)
-                acc = ell[:, seam] - moments[0]
+                acc = W[:, pos] - moments[0]
                 for moment in moments[1:]:
                     acc = acc * u - moment
                 out = out + (acc * u * c).sum(axis=1)
@@ -324,10 +324,9 @@ class PoleSeams:
 
 
 def merge_pair(left: PrincipalPartData, right: PrincipalPartData, s: float, height: float) -> PoleSeams:
-    """The closed-form split of one cousin1 seam at Re z_n = s: its datum is
-    ``right - left``, the principal parts of its two slabs.  The result's
-    ``half()`` is the seam's left half; less the datum, it is the right half."""
-    return PoleSeams((s,), height, tuple((0, 1.0, t) for t in right.terms) + tuple((0, -1.0, t) for t in left.terms))
+    """One cousin1 seam at Re z_n = s as the two-slab ``PoleSeams``, ``left`` at 0 and ``right`` at 1:
+    ``half()`` is the seam's left half, and less its datum ``right - left``, its right half."""
+    return PoleSeams((s,), height, tuple((0, t) for t in left.terms) + tuple((1, t) for t in right.terms))
 
 
 def _rounding_bound(discs: list, s: float) -> float:
@@ -487,8 +486,7 @@ def _ring_radii(p: np.ndarray, group: np.ndarray, delta: float, theta: float) ->
 
 def extract_principal_coefficient(f: Evaluable, pole: complex, order: int, radius: float, zp: tuple = ()) -> complex:
     """The residue check's ring rule for one ring.  Nothing in okakit calls
-    it; ``perfbench/bench_trace.py`` looks it up, so ``--trace 1`` fails
-    without it."""
+    it; ``perfbench/bench_trace.py`` looks it up."""
     P, d = _rings([pole], [radius], [zp], len(zp) + 1)
     return _ring_coefficients(f.values(P), d, [order])[0]
 
@@ -523,7 +521,8 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     evaluators the solution is built with, so a fault in those shows.
     extension: on S the solution must match the target on a grid of Re z_n
     on each slice Im z_n in ``subspace_slices`` (0 and +/- 0.9 theta; for q =
-    n the origin alone); a chain region that misses S skips that check."""
+    n the origin alone), at the midpoint and then each diagonal corner of
+    the free base axes q..n-2; a chain region that misses S skips that check."""
     tol, n, region = problem.tol, problem.ndim, sol.region
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
                     "patch_morera": []}
@@ -556,8 +555,9 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
             report["skipped_checks"].append({"check": "subspace", "reason": "chain region does not meet S"})
         elif q < n:
             slices = sorted({0.0, -0.9 * problem.theta, 0.9 * problem.theta})
-            S = np.zeros((len(slices), 101, n), dtype=complex)
-            S[..., q:-1] = problem.cuboid.midpoint()[q:-1]
+            free = list(dict.fromkeys([region.midpoint()[q:-1]] + [zp[q:] for zp in corners]))  # z' on free axes
+            S = np.zeros((len(free), len(slices), 101, n), dtype=complex)
+            S[..., q:-1] = np.reshape(free, (len(free), 1, 1, n - 1 - q))
             S[..., -1].real, S[..., -1].imag = np.linspace(*region.re[-1], 101), np.reshape(slices, (-1, 1))
             rows.append(S.reshape(-1, n))
         else:  # S is the origin

@@ -310,25 +310,36 @@ def cuboid_sample(problem, m=4000, seed=3):
 
 def test_pole_seams_evaluate_rows_in_blocks(monkeypatch):
     """A chain's closed-form cousin1 seams take at most BLOCK_ENTRIES //
-    len(entries) rows per block, so a call's temporaries stay bounded however
-    many rows it has; a call spanning several blocks has, row by row, the
-    bits ``fn`` gives each row alone."""
-    built, half, logs, blocks = [], merge.PoleSeams.half, merge._side_logs, []
+    (number of terms) rows per block, so a call's temporaries stay bounded
+    however many rows it has; a call spanning several blocks has, row by
+    row, the bits ``fn`` gives each row alone."""
+    logs, blocks = merge._side_logs, []
+    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih: blocks.append(len(zn)) or logs(zn, seams, ih))
+    problem = ml_chain_problem()
+    sol = solve_chain(problem, verify=False)[0]
+    step = cousin.BLOCK_ENTRIES // sum(len(datum.terms) for datum in problem.data)
+    P = cuboid_sample(problem, m=3 * step + 7)
+    got = sol.solution.values(P)
+    assert blocks == [step, step, step, 7]
+    assert got.tobytes() == np.array([sol.solution.fn(tuple(z)) for z in P.tolist()]).tobytes()
+
+
+def test_twelve_slab_chain_holds_each_term_once(monkeypatch):
+    """The 12-slab chain's 24 terms each enter two seams but one Horner sum:
+    its one ``PoleSeams`` has 24 entries, one per term at its slab's
+    position (one per term and seam, 44, before the two halves folded)."""
+    built, half = [], merge.PoleSeams.half
 
     def recorded(self):
         built.append(self)
         return half(self)
 
     monkeypatch.setattr(merge.PoleSeams, "half", recorded)
-    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih: blocks.append(len(zn)) or logs(zn, seams, ih))
     problem = ml_chain_problem()
-    sol = solve_chain(problem, verify=False)[0]
+    assert solve_chain(problem)[0].report["pass"]
     (chained,) = built
-    step = cousin.BLOCK_ENTRIES // len(chained.entries)
-    P = cuboid_sample(problem, m=3 * step + 7)
-    got = sol.solution.values(P)
-    assert blocks == [step, step, step, 7]
-    assert got.tobytes() == np.array([sol.solution.fn(tuple(z)) for z in P.tolist()]).tobytes()
+    assert len(chained.entries) == 24 and len(chained.seams) == 11
+    assert chained.entries == tuple((a, t) for a, datum in enumerate(problem.data) for t in datum.terms)
 
 
 def test_n2_cousin1_corrections_are_not_folded():

@@ -502,14 +502,12 @@ def q_dropped(monkeypatch, prob):
 
 
 def term_credited_to_the_neighbouring_slab(monkeypatch, prob):
-    """The seam data see slab 1's first term as slab 2's, while P_1 and
-    P_2 stay as given: the seams at -1, 0 and 1 split the wrong data."""
-    (moved, *kept), right = prob.data[1].terms, prob.data[2]
-    swap = {id(prob.data[1]): PrincipalPartData(tuple(kept)),
-            id(right): PrincipalPartData(right.terms + (moved,))}
-    pair = merge.merge_pair
-    monkeypatch.setattr(merge, "merge_pair",
-                        lambda left, right, *args: pair(swap.get(id(left), left), swap.get(id(right), right), *args))
+    """The chain's ``PoleSeams`` puts slab 1's first term at slab 2's
+    position, while P_1 and P_2 stay as given: the seams at -1, 0 and 1
+    split the wrong data."""
+    moved, seams = prob.data[1].terms[0], merge.PoleSeams
+    monkeypatch.setattr(merge, "PoleSeams", lambda s, height, entries, *rest: seams(
+        s, height, tuple((2 if t is moved else a, t) for a, t in entries), *rest))
     return prob
 
 
@@ -810,36 +808,41 @@ def test_middle_slab_delta_wide_passes(order):
 @pytest.mark.parametrize("problem", [lambda: three_slab_problem(), lambda: ab_bench_n2_cousin1_problem()],
                          ids=["n1", "n2"])
 def test_each_seam_splits_its_own_datum(monkeypatch, problem):
-    """Seam k hands ``merge_pair`` the principal parts of its two slabs,
-    P_k and P_{k+1}, and no other seam's half: its entries are the terms of
-    P_{k+1} with sign +1 and those of P_k with -1, in either order.  On the
-    strip its left half, and its left half less P_{k+1} - P_k, equal the
-    left and right branches of ``cousin_split`` of that datum on a fine rule."""
-    prob, pair, seen = problem(), merge.merge_pair, []
+    """The chain's one ``PoleSeams`` holds each term once, at its slab's
+    position, and each seam s_k the principal parts of its two slabs alone:
+    ``merge_pair(P_k, P_{k+1})`` puts P_k's terms at position 0 and
+    P_{k+1}'s at 1, and on the strip its left half, and its left half less
+    P_{k+1} - P_k, equal the left and right branches of ``cousin_split`` of
+    that datum on a fine rule."""
+    prob, half, built = problem(), merge.PoleSeams.half, []
 
-    def recorded(left, right, s, height):
-        seen.append((left, right, s, pair(left, right, s, height)))
-        return seen[-1][-1]
+    def recorded(self):
+        built.append(self)
+        return half(self)
 
-    monkeypatch.setattr(merge, "merge_pair", recorded)
+    monkeypatch.setattr(merge.PoleSeams, "half", recorded)
+    for order in ("ltr", "rtl"):
+        built.clear()
+        solve_chain(prob, order=order, verify=False)
+        (chained,) = built
+        assert chained.seams == prob.breakpoints
+        assert chained.entries == tuple((a, t) for a, datum in enumerate(prob.data) for t in datum.terms)
     rng, spec = np.random.default_rng(27), QuadratureSpec(panels=40, nodes=20)
     base = Cuboid(prob.cuboid.re[:-1], prob.cuboid.im[:-1]) if prob.ndim > 1 else None
-    for order in ("ltr", "rtl"):
-        seen.clear()
-        solve_chain(prob, order=order, verify=False)
-        assert [s for *_, s, _ in seen] == list(prob.breakpoints)
-        for k, (left, right, s, split) in enumerate(seen):
-            assert (left, right) == (prob.data[k], prob.data[k + 1])
-            assert split.entries == tuple((0, 1.0, t) for t in right.terms) + tuple((0, -1.0, t) for t in left.terms)
-            P = np.empty((50, prob.ndim), dtype=complex)
-            P[:, :-1], P[:, -1] = 0.2 - 0.1j, s + rng.uniform(-0.9, 0.9, 50) * prob.delta + 1j * rng.uniform(-0.5, 0.5, 50)
-            datum = right.evaluable() - left.evaluable()
-            geom = SplitGeometry(s=s, delta=prob.delta, theta=prob.theta, re_lo=prob.cuboid.re[-1][0],
-                                 re_hi=prob.cuboid.re[-1][1], base=base)
-            half = split.half().values(P)
-            for got, branch in zip((half, half - datum.values(P)), cousin_split(datum, geom, spec)):
-                want = branch.values(P)
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for k, s in enumerate(prob.breakpoints):
+        left, right = prob.data[k], prob.data[k + 1]
+        split = merge.merge_pair(left, right, s, chained.height)
+        assert split.seams == (s,)
+        assert split.entries == tuple((0, t) for t in left.terms) + tuple((1, t) for t in right.terms)
+        P = np.empty((50, prob.ndim), dtype=complex)
+        P[:, :-1], P[:, -1] = 0.2 - 0.1j, s + rng.uniform(-0.9, 0.9, 50) * prob.delta + 1j * rng.uniform(-0.5, 0.5, 50)
+        datum = right.evaluable() - left.evaluable()
+        geom = SplitGeometry(s=s, delta=prob.delta, theta=prob.theta, re_lo=prob.cuboid.re[-1][0],
+                             re_hi=prob.cuboid.re[-1][1], base=base)
+        left_half = split.half().values(P)
+        for got, branch in zip((left_half, left_half - datum.values(P)), cousin_split(datum, geom, spec)):
+            want = branch.values(P)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def seam_by_seam(problem):
@@ -1038,19 +1041,41 @@ def off_centre_extension(q):
                                   lambda: off_centre_extension(2)], ids=["n2-q1", "n3-q1", "n3-q2"])
 def test_subspace_rows_keep_their_values_and_order(make):
     """For q < n the rows ``verify_solution`` evaluates after the seam rows
-    are, bit for bit, (0, ..., 0, mid z', t + iy) for 101 t across the
-    chain's Re z_n range on each slice y in turn (q = n:
+    are, bit for bit, (0, ..., 0, z', t + iy) for 101 t across the chain's
+    Re z_n range on each slice y in turn, with z' on the free base axes
+    q..n-2 at their midpoint and then at each diagonal corner (one z' where
+    there is no free axis; q = n:
     ``test_codim_equal_to_dimension_checked_at_the_origin``)."""
     prob = make()
     sol = solve_chain(prob, verify=False)[0]
     _, rows, report = verification_rows(sol, prob)
-    q, n, mids = prob.codim, prob.ndim, prob.cuboid.midpoint()
+    q, n, mids, (re, im) = prob.codim, prob.ndim, prob.cuboid.midpoint(), (prob.cuboid.re, prob.cuboid.im)
+    free = [mids[q:n - 1]] + [tuple(complex(re[i][a], im[i][b]) for i in range(q, n - 1))
+                              for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)) if q < n - 1]
     slices = sorted({0.0, -0.9 * prob.theta, 0.9 * prob.theta})
-    want = np.array([(0j,) * q + mids[q:n - 1] + (complex(t, y),)
-                     for y in slices for t in np.linspace(*sol.region.re[-1], 101)])
-    assert len(want) == 303 and (q == n - 1 or want[:, q:-1].any())
+    want = np.array([(0j,) * q + zp + (complex(t, y),)
+                     for zp in free for y in slices for t in np.linspace(*sol.region.re[-1], 101)])
+    assert len(want) == 303 * (5 if q < n - 1 else 1) and (q == n - 1 or want[:, q:-1].any())
     assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
     assert report["pass"], report
+
+
+def test_locals_off_the_target_fail_off_the_base_midpoint():
+    """n = 3, q = 1: both locals are the target plus (z_2 - 1/2) z_3, off
+    it on S everywhere but at z_2 = 1/2, the base midpoint.  With subspace
+    rows at that midpoint alone the report passed with error 0, though the
+    error at z = (0, 0.9 + 0.3i, 0.5 + 0.1i) is 0.255; the rows at the
+    corners of the free axis z_2 see it."""
+    target = make_series(3, {(0, 1, 0): 1, (0, 0, 1): 1})
+    local = target + make_series(3, {(0, 1, 1): 1, (0, 0, 1): -0.5})
+    prob = ChiProblem(kind="extension", cuboid=Cuboid(((-0.5, 0.5), (0.0, 1.0), (-2.0, 2.0)), ((-0.5, 0.5),) * 3),
+                      breakpoints=(0.0,), codim=1, target=target, local_overrides=(local, local), delta=0.2)
+    sol = solve_chain(prob)[0]
+    z = (0j, 0.9 + 0.3j, 0.5 + 0.1j)
+    assert abs(sol.solution(z) - complex_evaluator(target)(np.array([z]))[0]) == pytest.approx(0.255, abs=1e-3)
+    report = sol.report
+    assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
+    assert report["subspace_sup_error"] > 0.255, report
 
 
 class TestDeterminism:
