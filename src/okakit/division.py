@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CenterNotOnAxis
-from .series import TruncatedSeries, _ring_result, negligible, times_variable
+from .series import TruncatedSeries, _series, combine, negligible
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,8 @@ class CofactorVector:
 
     def recombined(self) -> TruncatedSeries:
         """sum_j h_j * z_j + g_q, for checking against the original series."""
-        acc = self.remainder
-        for j, h in enumerate(self.cofactors):
-            acc = acc + times_variable(h, j)
-        return acc
+        g = self.remainder
+        return combine(g, [(1, None, g), *((1, j, h) for j, h in enumerate(self.cofactors))])
 
 
 def split_variable(f: TruncatedSeries, axis: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -50,23 +48,21 @@ def split_variable(f: TruncatedSeries, axis: int) -> tuple[TruncatedSeries, Trun
         raise ValueError(f"axis {axis} out of range for dim {f.dim}")
     if not f.backend.is_zero(f.center[axis]):
         raise CenterNotOnAxis(f"center coordinate {axis} is nonzero")
-    h_terms: dict = {}
-    g_terms: dict = {}
+    h_terms, g_terms = {}, {}
     for exp, v in f.coeffs.items():
         if exp[axis] > 0:
             h_terms[exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]] = v
         else:
             g_terms[exp] = v
-    # terms of a valid series, exponents lowered but never below 0: ring results
-    return _ring_result(f, h_terms, f.order), _ring_result(f, g_terms, f.order)
+    # f's nonzero terms, exponents lowered but never below 0: canonical as they stand
+    return _series(f, h_terms, f.order), _series(f, g_terms, f.order)
 
 
 def ideal_cofactors(f: TruncatedSeries, subspace: CoordinateSubspace) -> CofactorVector:
     """Iterated split over z_1,...,z_q: f = sum h_j z_j + g_q."""
     if subspace.dim != f.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    cofactors = []
-    g = f
+    cofactors, g = [], f
     for axis in range(subspace.codim):
         h, g = split_variable(g, axis)
         cofactors.append(h)

@@ -286,13 +286,17 @@ class PoleSeams:
         for m in sorted({t.order for _, t in self.entries}):
             pos, terms = zip(*((a, t) for a, t in self.entries if t.order == m))
             pos = np.array(pos)
-            # per entry, the seams left and right of its position; an end's missing one has weight 0
-            sides = [(pos > 0, seams[np.maximum(pos - 1, 0)]), (pos <= last, seams[np.minimum(pos, last)])]
+            # the entries with a seam on their left, and on their right, and those seams
+            left, right = np.flatnonzero(pos > 0), np.flatnonzero(pos <= last)
+            sides = (left, seams[pos[left] - 1]), (right, seams[pos[right]])
 
             def at(zp, m=m, sides=sides, columns=[self.compiled(t) for t in terms]):
                 c, p = (np.stack(v, axis=-1) for v in zip(*(f(zp) for f in columns)))
-                (wl, I), (wr, K) = ((w, _moments(p, s - ih, s + ih, m)) for w, s in sides)
-                return c, p, [wl * i - wr * k for i, k in zip(I, K)]
+                J = [np.zeros_like(p) for _ in range(m)]  # J_j = I_j^left - I_j^right, a missing side 0
+                for k, (cols, s) in enumerate(sides):
+                    for j, moment in zip(J, _moments(p[:, cols], s - ih, s + ih, m)):
+                        j[:, cols] = j[:, cols] - moment if k else moment
+                return c, p, J
 
             if all(t.coeff.dim == t.locus.dim == 0 for t in terms):
                 at = partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))

@@ -10,6 +10,7 @@ of their coefficient maps.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -59,17 +60,13 @@ class TruncatedSeries:
 
     def degree(self) -> int:
         """Largest total degree among stored terms (-1 for the zero series)."""
-        if not self.coeffs:
-            return -1
-        return max(total_degree(e) for e in self.coeffs)
+        return max((total_degree(e) for e in self.coeffs), default=-1)
 
     def depends_on(self, axis: int) -> bool:
         return any(e[axis] > 0 for e in self.coeffs)
 
     def max_abs_coeff(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def coefficient(self, exp: MultiIndex):
         return self.coeffs.get(tuple(exp), self.backend.zero())
@@ -79,25 +76,23 @@ class TruncatedSeries:
     def __add__(self, other):
         return add(self, _coerce_operand(self, other))
 
-    def __radd__(self, other):
-        return add(self, _coerce_operand(self, other))
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, -_coerce_operand(self, other))
+        return combine(self, [(1, None, self), (-1, None, _coerce_operand(self, other))])
 
     def __rsub__(self, other):
-        return add(_coerce_operand(self, other), -self)
+        return combine(self, [(1, None, _coerce_operand(self, other)), (-1, None, self)])
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return mul(self, other)
         return scale(self, other)
 
-    def __rmul__(self, other):
-        return scale(self, other)
+    __rmul__ = __mul__
 
     def __neg__(self):
-        return _ring_result(self, {e: -v for e, v in self.coeffs.items()}, self.order)
+        return _series(self, {e: -v for e, v in self.coeffs.items()}, self.order)
 
     def __pow__(self, k: int):
         """self**k as k successive products, for an integer k >= 0."""
@@ -152,7 +147,7 @@ def make_series(
             raise ValueError("center length does not match dimension")
     canon = {}
     for exp, value in coeffs.items():
-        exp = tuple(int(e) for e in exp)
+        exp = exp if type(exp) is tuple and all(type(e) is int for e in exp) else tuple(int(e) for e in exp)
         if any(e < 0 for e in exp):
             raise ValueError(f"negative exponent in {exp}")
         v = backend.coerce(value)
@@ -190,7 +185,7 @@ def monomial(dim: int, exp: MultiIndex, coeff=1, backend: Backend = EXACT, cente
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries):
     if a.dim != b.dim:
         raise IncompatibleOperands(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.backend != b.backend:
+    if a.backend is not b.backend and a.backend != b.backend:
         raise IncompatibleOperands(f"backend mismatch: {a.backend.tag} vs {b.backend.tag}")
     if a.center != b.center:
         raise IncompatibleOperands("center mismatch")
@@ -200,27 +195,57 @@ def _min_order(a: int | None, b: int | None) -> int | None:
     return b if a is None else a if b is None else min(a, b)
 
 
-def _ring_result(like: TruncatedSeries, terms: dict, order: int | None) -> TruncatedSeries:
-    """The series of ring-operation ``terms`` (backend-typed, on valid multi-indices)
-    with ``like``'s dim, center and backend: only zeros and terms above ``order`` go."""
-    zero_ = like.backend.zero()
-    canon = {e: v for e, v in terms.items() if v != zero_ and (order is None or sum(e) <= order)}
+def _series(like: TruncatedSeries, terms: dict, order: int | None) -> TruncatedSeries:
+    """``terms``, nonzero and of degree at most ``order``, as a series like ``like``, unchecked."""
     f = object.__new__(TruncatedSeries)  # skips __post_init__'s multi-index checks
-    f.__dict__.update(dim=like.dim, center=like.center, coeffs=canon, order=order, backend=like.backend)
+    f.__dict__.update(dim=like.dim, center=like.center, coeffs=terms, order=order, backend=like.backend)
     return f
 
 
+def combine(like: TruncatedSeries, parts, order: int | None = None) -> TruncatedSeries:
+    """sum sign * z_axis * f over the (sign, axis, f) of ``parts`` (f alone where
+    ``axis`` is None) like ``like``, at the lowest order among ``order`` and the
+    parts'.  One dict takes each part's terms, f's or ``times_variable``'s,
+    negated where sign < 0: the chain of ``add`` it replaces, bit for bit.  A
+    canonical f negated or shifted has no zero coefficient, so only keys where
+    parts meet are tested for zero (and, off a zero centre, ``mul``'s products)."""
+    parts = list(parts)
+    for _, _, f in parts:
+        _check_compatible(like, f)
+        order = _min_order(order, f.order)
+    zero_, terms = like.backend.zero(), {}
+    for sign, axis, f in parts:
+        if axis is None:
+            items = f.coeffs
+        elif not 0 <= axis < f.dim:
+            raise ValueError(f"axis {axis} out of range for dim {f.dim}")
+        elif f.backend.is_zero(f.center[axis]):
+            items = {exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:]: v for exp, v in f.coeffs.items()}
+        else:  # the product with (z_axis - b_axis) + b_axis
+            unit = tuple(int(k == axis) for k in range(f.dim))
+            items = mul(f, make_series(f.dim, {unit: 1, (0,) * f.dim: f.center[axis]}, backend=f.backend,
+                                       center=f.center)).coeffs
+        if order is not None and (axis is not None or f.order != order):
+            items = {e: v for e, v in items.items() if sum(e) <= order}
+        if sign < 0:
+            items = {e: -v for e, v in items.items()}
+        for exp, v in items.items():
+            if exp in terms:
+                v = terms[exp] + v
+                if v == zero_:
+                    del terms[exp]
+                    continue
+            terms[exp] = v
+    return _series(like, terms, order)
+
+
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_compatible(a, b)
-    terms = dict(a.coeffs)
-    for exp, v in b.coeffs.items():
-        terms[exp] = terms[exp] + v if exp in terms else v
-    return _ring_result(a, terms, _min_order(a.order, b.order))
+    return combine(a, [(1, None, a), (1, None, b)])
 
 
 def scale(a: TruncatedSeries, scalar) -> TruncatedSeries:
-    s = a.backend.coerce(scalar)
-    return _ring_result(a, {e: v * s for e, v in a.coeffs.items()}, a.order)
+    s, zero_ = a.backend.coerce(scalar), a.backend.zero()
+    return _series(a, {e: p for e, v in a.coeffs.items() if (p := v * s) != zero_}, a.order)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -234,22 +259,14 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 continue
             prod = va * vb
             terms[exp] = terms[exp] + prod if exp in terms else prod
-    return _ring_result(a, terms, order)
+    zero_ = a.backend.zero()  # a float product can underflow to 0, and a sum cancel
+    return _series(a, {e: v for e, v in terms.items() if v != zero_}, order)
 
 
 def times_variable(f: TruncatedSeries, axis: int) -> TruncatedSeries:
     """f * z_axis at f's order, summed as ``mul`` sums it: every exponent of ``axis``
     raised by one, plus b_axis * f off the axis.  ``division.split_variable`` undoes it."""
-    if not 0 <= axis < f.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.dim}")
-    b, terms = f.center[axis], {}
-    off = not f.backend.is_zero(b)
-    for exp, v in f.coeffs.items():
-        up = exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:]
-        terms[up] = terms[up] + v if up in terms else v
-        if off:
-            terms[exp] = terms[exp] + v * b if exp in terms else v * b
-    return _ring_result(f, terms, f.order)
+    return combine(f, [(1, axis, f)])
 
 
 def recenter(f: TruncatedSeries, new_center: Sequence) -> TruncatedSeries:
@@ -262,13 +279,9 @@ def recenter(f: TruncatedSeries, new_center: Sequence) -> TruncatedSeries:
     if len(bnew) != f.dim:
         raise ValueError("new center has wrong length")
     shifted = [variable(f.dim, k, backend=f.backend, center=bnew) - f.center[k] for k in range(f.dim)]
-    acc = zero(f.dim, backend=f.backend, center=bnew)
-    for exp, v in f.coeffs.items():
-        term = constant(f.dim, v, backend=f.backend, center=bnew)
-        for s, e in zip(shifted, exp):
-            term = term * s**e
-        acc = acc + term
-    return acc
+    terms = [math.prod((s**e for s, e in zip(shifted, exp)), start=constant(f.dim, v, backend=f.backend, center=bnew))
+             for exp, v in f.coeffs.items()]
+    return combine(zero(f.dim, backend=f.backend, center=bnew), [(1, None, t) for t in terms])
 
 
 def evaluate(f: TruncatedSeries, point: Sequence):
@@ -277,24 +290,15 @@ def evaluate(f: TruncatedSeries, point: Sequence):
     if len(z) != f.dim:
         raise ValueError("point has wrong length")
     w = tuple(z[k] - f.center[k] for k in range(f.dim))
-    # cache powers per axis
-    max_pow = [0] * f.dim
-    for exp in f.coeffs:
-        for k, e in enumerate(exp):
-            max_pow[k] = max(max_pow[k], e)
-    powers = []
-    for k in range(f.dim):
-        row = [f.backend.one()]
-        for _ in range(max_pow[k]):
-            row.append(row[-1] * w[k])
-        powers.append(row)
+    powers = [[f.backend.one()] for _ in w]  # per axis w_k^0, w_k^1, ..., as far as a term needs
     acc = f.backend.zero()
     for exp, v in f.coeffs.items():
-        term = v
         for k, e in enumerate(exp):
+            while len(powers[k]) <= e:
+                powers[k].append(powers[k][-1] * w[k])
             if e:
-                term = term * powers[k][e]
-        acc = acc + term
+                v = v * powers[k][e]
+        acc = acc + v
     return acc
 
 

@@ -17,10 +17,10 @@ from .errors import InvalidArity, NotARelation
 from .scalars import EXACT, Backend
 from .series import (
     TruncatedSeries,
+    combine,
     constant,
     mul,
     negligible,
-    times_variable,
     variable,
     zero,
 )
@@ -92,17 +92,9 @@ def _lowest_order(factors) -> int | None:
     return min((s.order for s in factors if s.order is not None), default=None)
 
 
-def _sum_times_variables(comps, order: int | None, center=None) -> TruncatedSeries:
-    """sum_j comps_j * z_j at ``order``, summed at ``center`` (the origin by default)."""
-    acc = zero(comps[0].dim, backend=comps[0].backend, center=center, order=order)
-    for j, c in enumerate(comps):
-        acc = acc + times_variable(c, j)
-    return acc
-
-
 def relation_residual(v: SyzygyVector) -> TruncatedSeries:
     """sum_j v_j * z_j; zero iff v is a relation."""
-    return _sum_times_variables(v.components, _lowest_order(v.components), v.components[0].center)
+    return combine(v.components[0], [(1, j, c) for j, c in enumerate(v.components)])
 
 
 def verify_relation(v: SyzygyVector) -> tuple[bool, TruncatedSeries]:
@@ -130,12 +122,13 @@ def decompose_relation(v: SyzygyVector) -> dict[tuple[int, int], TruncatedSeries
     comps = list(v.components)
     for m in range(p - 1):
         # slot m after subtracting sum_{j>m} h_j T_mj must vanish identically
-        forced = comps[m]
+        parts = [(1, None, comps[m])]
         for j in range(m + 1, p):
             h, comps[j] = split_variable(comps[j], m)
-            forced = forced + times_variable(h, j)
+            parts.append((1, j, h))
             if not h.is_zero():
                 out[(m, j)] = h
+        forced = combine(ref, parts)
         if not negligible(forced, *v.components):
             raise NotARelation("forced slot did not vanish; inconsistent relation", residual=forced)
     # the surviving last component must vanish: its relation is g * z_p = 0
@@ -153,17 +146,19 @@ def recombine(coeffs: Mapping[tuple[int, int], TruncatedSeries], p: int, dim: in
     n, backend = (p if dim is None else dim, backend) if first is None else (first.dim, first.backend)
     for i, j in coeffs:
         _check_pair(i, j, p, n)
-    slots = [zero(n, backend=backend, order=_lowest_order(coeffs.values()))] * p
-    _add_trivial(slots, coeffs.items())
-    return SyzygyVector(tuple(slots))
+    like, order = zero(n, backend=backend), _lowest_order(coeffs.values())
+    return SyzygyVector(tuple(combine(like, parts, order) for parts in _trivial_parts(coeffs.items(), p)))
 
 
-def _add_trivial(slots: list, pairs):
-    """slots += b_ij T_ij over the ((i, j), b_ij) in ``pairs``: -b_ij z_j into slot i, b_ij z_i into slot j."""
+def _trivial_parts(pairs, count: int) -> list[list]:
+    """The ``combine`` parts of sum b_ij T_ij over the ((i, j), b_ij) in ``pairs``, one
+    list per slot of ``count``: -b_ij z_j into slot i, b_ij z_i into slot j."""
+    slots: list[list] = [[] for _ in range(count)]
     for (i, j), b in pairs:
         if not b.is_zero():
-            slots[i] = slots[i] - times_variable(b, j)
-            slots[j] = slots[j] + times_variable(b, i)
+            slots[i].append((-1, j, b))
+            slots[j].append((1, i, b))
+    return slots
 
 
 # -- general generator systems ------------------------------------------
@@ -203,7 +198,7 @@ class GeneratorPresentation:
         if i < self.codim:
             return variable(self.dim, i, backend=self.backend)
         row = [self.coefficient(i, j) for j in range(self.codim)]
-        return _sum_times_variables(row, _lowest_order(row))
+        return combine(row[0], [(1, j, a) for j, a in enumerate(row)])
 
 
 @dataclass(frozen=True)
@@ -228,14 +223,15 @@ class GeneralSyzygyBasis:
 def _fold(v: SyzygyVector, pres: GeneratorPresentation) -> tuple[list, TruncatedSeries]:
     """The fold f'_j = f_j + sum_{i>=q} f_i a_ij (j < q) of v, and sum_i f_i sigma_i
     as sum_j f'_j z_j, at the lowest order among the f_i and the a_ij of their sigma_i."""
-    folded = list(v.components[:pres.codim])
+    parts = [[(1, None, f)] for f in v.components[:pres.codim]]
     for i in range(pres.codim, v.arity):
         for j in range(pres.codim):
             a = pres.coeffs.get((i, j))
             if a is not None:
-                folded[j] = folded[j] + mul(v.components[i], a)
+                parts[j].append((1, None, mul(v.components[i], a)))
+    folded = [combine(f, ps) for f, ps in zip(v.components, parts)]
     used = [a for (i, _j), a in pres.coeffs.items() if i < v.arity]
-    return folded, _sum_times_variables(folded, _lowest_order([*v.components, *used]))
+    return folded, combine(folded[0], [(1, j, f) for j, f in enumerate(folded)], _lowest_order([*v.components, *used]))
 
 
 def general_syzygy_generators(pres: GeneratorPresentation) -> GeneralSyzygyBasis:
@@ -269,16 +265,16 @@ class GeneralDecomposition:
         taus = [((j, k), self.tau_coeffs[j, k]) for j in range(q) for k in range(j + 1, q) if (j, k) in self.tau_coeffs]
         phis = [(i, self.phi_coeffs[i]) for i in range(q, pres.total) if i in self.phi_coeffs]
         a_of = [[pres.coefficient(i, j) for j in range(q)] for i, _ in phis]
-        slots = [zero(pres.dim, backend=pres.backend, order=_lowest_order(
-            [b for _, b in taus + phis] + [row[s] for row in a_of if s < q])) for s in range(pres.total)]
-        _add_trivial(slots, taus)
+        slots = _trivial_parts(taus, pres.total)
         for (i, c), row in zip(phis, a_of):
             if not c.is_zero():
-                slots[i] = slots[i] + c
+                slots[i].append((1, None, c))
                 for j, a in enumerate(row):
                     if not a.is_zero():
-                        slots[j] = slots[j] + mul(c, -a)
-        return SyzygyVector(tuple(slots))
+                        slots[j].append((1, None, mul(c, -a)))
+        like, factors = zero(pres.dim, backend=pres.backend), [b for _, b in taus + phis]
+        return SyzygyVector(tuple(combine(like, parts, _lowest_order(factors + [row[s] for row in a_of if s < q]))
+                                  for s, parts in enumerate(slots)))
 
 
 def decompose_general_relation(v: SyzygyVector, pres: GeneratorPresentation) -> GeneralDecomposition:

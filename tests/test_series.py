@@ -1,6 +1,7 @@
 """Unit tests for the truncated-series ring."""
 
 import copy
+import inspect
 import math
 import pickle
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okakit import series
 from okakit.division import split_variable
 from okakit.errors import IncompatibleOperands, RequiresExactPolynomial
 from okakit.scalars import EXACT, QQi, floating
@@ -20,6 +22,7 @@ from okakit.series import (
     MAX_DIM,
     TruncatedSeries,
     add,
+    combine,
     complex_evaluator,
     constant,
     evaluate,
@@ -468,3 +471,109 @@ def test_times_variable_is_undone_by_split_variable():
         dim = rng.randint(1, 3)
         f = random_series(rng, dim, EXACT, center=[0] + [rng.randint(-2, 2) for _ in range(dim - 1)])
         assert split_variable(times_variable(f, 0), 0) == (f, zero(dim, center=f.center))
+
+
+# -- the canonical form of ring results ---------------------------------------
+
+
+def is_canonical(f):
+    """No zero coefficient, no term above the order, and nothing make_series would change."""
+    return (all(not f.backend.is_zero(v) for v in f.coeffs.values())
+            and (f.order is None or all(sum(e) <= f.order for e in f.coeffs))
+            and bits(f) == bits(make_series(f.dim, f.coeffs, order=f.order, backend=f.backend, center=f.center)))
+
+
+def cancelling_parts(rng, backend):
+    """``combine`` parts on a random shared center, zero or not on each axis: sums and
+    shifts of three random series of dim 1-4 at random orders, so that parts share
+    terms, and the negative of one part, so that a whole part cancels.  Where the
+    center of an axis j is b != 0, a part z_j (v z^(e + e_j) - v b z^e) whose two
+    terms cancel in z_j's own sum."""
+    dim = rng.randint(1, 4)
+    center = [rng.choice([0, complex(rng.randint(-3, 3), rng.randint(-2, 2)) / rng.randint(1, 3)]) for _ in range(dim)]
+    pool = [random_series(rng, dim, backend, center=center, order=random_order(rng)) for _ in range(3)]
+    parts, j = [], rng.randrange(dim)
+    if center[j]:
+        e = tuple(rng.randint(0, 2) for _ in range(dim))
+        v, b = backend.coerce(complex(rng.randint(1, 5), rng.randint(-3, 3))), pool[0].center[j]
+        pool.append(make_series(dim, {e[:j] + (e[j] + 1,) + e[j + 1:]: v, e: -(v * b)}, backend=backend, center=center))
+        parts.append((rng.choice([1, -1]), j, pool[-1]))
+    for _ in range(rng.randint(1, 5)):
+        f = rng.choice(pool)
+        if rng.random() < 0.5:
+            f = add(f, rng.choice(pool))
+        parts.append((rng.choice([1, -1]), rng.choice([None, *range(dim)]), f))
+    sign, axis, f = rng.choice(parts)
+    parts.insert(rng.randint(0, len(parts)), (-sign, None, f if axis is None else times_variable(f, axis)))
+    return pool[0], parts
+
+
+def chained_sum(like, parts, order=None):
+    """``combine``'s sum as the chain of two-operand sums it replaces: each link merges
+    the next part's terms, the shift taken as the product with the coordinate, into
+    a copy of the sum so far, and make_series drops every zero and every term above
+    the lower order of the two."""
+    acc = zero(like.dim, backend=like.backend, center=like.center, order=order)
+    for sign, axis, f in parts:
+        term = f if axis is None else mul(f, coordinate(f.dim, axis, f.backend, f.center))
+        terms = dict(acc.coeffs)
+        for e, v in term.coeffs.items():
+            v = -v if sign < 0 else v
+            terms[e] = terms[e] + v if e in terms else v
+        order = term.order if acc.order is None else acc.order if term.order is None else min(acc.order, term.order)
+        acc = make_series(like.dim, terms, order=order, backend=like.backend, center=like.center)
+    return acc
+
+
+def ring_results(rng, backend):
+    """Every ring operation on one draw of ``cancelling_parts``: (name, result)."""
+    like, parts = cancelling_parts(rng, backend)
+    (_, _, a), (_, _, b) = rng.choice(parts), rng.choice(parts)
+    s = rng.choice([1, -1, Fraction(2, 3)])
+    yield "combine", combine(like, parts)
+    yield "combine at an order", combine(like, parts, random_order(rng))
+    yield from (("add", add(a, b)), ("a - b", a - b), ("1 - a", 1 - a), ("-a", -a), ("mul", mul(a, b)),
+                ("scale", scale(a, s)))
+    for axis in range(a.dim):
+        yield "times_variable", times_variable(a, axis)
+        if a.backend.is_zero(a.center[axis]):
+            yield from (("split_variable", f) for f in split_variable(a, axis))
+
+
+@pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
+def test_every_ring_result_is_canonical(backend):
+    rng = random.Random(3501)
+    for _ in range(300):
+        for name, f in ring_results(rng, backend):
+            assert is_canonical(f), name
+
+
+@pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
+def test_combine_is_the_chain_of_sums_it_replaces(backend):
+    """Bit for bit: the coefficients and their order, on either backend."""
+    rng = random.Random(3502)
+    for _ in range(300):
+        like, parts = cancelling_parts(rng, backend)
+        order = random_order(rng)
+        assert bits(combine(like, parts, order)) == bits(chained_sum(like, parts, order))
+
+
+def test_combine_checks_its_parts():
+    f = random_series(random.Random(3503), 2, EXACT)
+    assert combine(f, []) == zero(2) and combine(f, [], 3).order == 3
+    for other in (zero(3), zero(2, backend=floating()), zero(2, center=[1, 0])):
+        with pytest.raises(IncompatibleOperands):
+            combine(f, [(1, 0, f), (1, None, other)])
+
+
+def test_a_sum_that_keeps_its_cancelled_terms_is_caught(monkeypatch):
+    """The mutant drops no zero where two parts meet; ``add``, ``-`` and
+    ``times_variable`` sum through it too.  The canonical-form check fails it."""
+    source = inspect.getsource(series.combine)
+    assert source.count("if v == zero_:") == 1
+    namespace = dict(vars(series))
+    exec(compile(source.replace("if v == zero_:", "if False:"), series.__file__, "exec"), namespace)
+    monkeypatch.setattr(series, "combine", namespace["combine"])
+    rng = random.Random(3501)
+    for backend in (EXACT, floating()):
+        assert any(not is_canonical(f) for _ in range(50) for _, f in ring_results(rng, backend))

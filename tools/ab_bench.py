@@ -1,7 +1,15 @@
 """A/B comparison of two okakit trees on the perfbench workloads.
 
     python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --seeds 921 --output BENCH_8.json
+    python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --control
     python3 tools/ab_bench.py --pairs 1 --seconds 2       # same-tree smoke run
+
+With ``--control`` every pair also runs the base a second time, from a
+second export of ``--base``: a same-code control.  Even pairs run base, change,
+control and odd ones control, change, base.  Each metric then also gives
+the control's median and quartiles (``control``) and the base's median
+against the control's (``base_vs_control``).  That column reads code that
+did not change, so it shows the noise a change must clear.
 
 The *change* side is the working tree this script sits in.  The *base*
 side is ``--base REV``, exported with ``git archive``; without it both sides
@@ -159,9 +167,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def relative(new: float, old: float) -> float | None:
+    return (new - old) / old if old else None
+
+
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the relative change of
-    the median, and the pairs in which the change was better."""
+    the median, and the pairs in which the change was better; with a
+    control side, the base's median against the control's too."""
     out = {}
     for m in metrics:
         base = [r[m["name"]] for r in runs["base"]]
@@ -170,10 +183,13 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         b, c = quartiles(base), quartiles(change)
         out[m["name"]] = {
             "unit": m["unit"], "better": m["better"], "base": b, "change": c,
-            "change_vs_base": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
+            "change_vs_base": relative(c["median"], b["median"]),
             "change_better_pairs": sum(sign * (y - x) < 0 for x, y in zip(base, change)),
             "pairs": len(base),
         }
+        if "control" in runs:
+            control = quartiles([r[m["name"]] for r in runs["control"]])
+            out[m["name"]].update(control=control, base_vs_control=relative(b["median"], control["median"]))
     return out
 
 
@@ -191,23 +207,29 @@ def main(argv=None) -> int:
                         help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--seeds", type=int, default=911, help="seed of the first pair; pair k runs seeds + k")
     parser.add_argument("--output", help="write the JSON summary here (default: stdout)")
+    parser.add_argument("--control", action="store_true",
+                        help="run the base side a second time in every pair, as a same-code control")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         base = export(args.base, Path(tmp) / "base") if args.base else ROOT
         sides = {"base": base, "change": ROOT}
+        orders = [("base", "change"), ("change", "base")]
+        if args.control:
+            sides["control"] = export(args.base, Path(tmp) / "control") if args.base else ROOT
+            orders = [("base", "change", "control"), ("control", "change", "base")]
         report = {"base": commit(args.base) if args.base else "same tree", "change": "working tree",
-                  "pairs": args.pairs, "seconds": args.seconds,
+                  "control": args.control, "pairs": args.pairs, "seconds": args.seconds,
                   "seeds": [args.seeds + k for k in range(args.pairs)], "workloads": {}}
         for workload in (w["name"] for w in spec["workloads"]):
-            runs = {"base": [], "change": []}
+            runs = {side: [] for side in sides}
             for k in range(args.pairs):
-                for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+                for side in orders[k % 2]:
                     runs[side].append(run_once(sides[side], workload, args.seeds + k, args.seconds))
-            details = [m for m in EVAL_US if all(m["name"] in r for r in runs["base"] + runs["change"])]
+            details = [m for m in EVAL_US if all(m["name"] in r for rs in runs.values() for r in rs)]
             report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
             report["workloads"][workload]["cycles"] = {side: [r["cycles"] for r in rs] for side, rs in runs.items()}
             print(f"ab_bench: {workload} done", file=sys.stderr)
-        bits = {side: output_bits(tree) for side, tree in sides.items()}
+        bits = {side: output_bits(sides[side]) for side in ("base", "change")}
         report["bits"] = {group: {"base": bits["base"][group], "change": bits["change"][group],
                                   "equal": bits["base"][group] == bits["change"][group]}
                           for group in bits["change"]}
