@@ -48,7 +48,8 @@ def split_variable(f: TruncatedSeries, axis: int) -> tuple[TruncatedSeries, Trun
         raise ValueError(f"axis {axis} out of range for dim {f.dim}")
     if not f.backend.is_zero(f.center[axis]):
         raise CenterNotOnAxis(f"center coordinate {axis} is nonzero")
-    h_terms, g_terms = {}, {}
+    h_terms: dict = {}
+    g_terms: dict = {}
     for exp, v in f.coeffs.items():
         if exp[axis] > 0:
             h_terms[exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]] = v
@@ -62,7 +63,8 @@ def ideal_cofactors(f: TruncatedSeries, subspace: CoordinateSubspace) -> Cofacto
     """Iterated split over z_1,...,z_q: f = sum h_j z_j + g_q."""
     if subspace.dim != f.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    cofactors, g = [], f
+    cofactors = []
+    g = f
     for axis in range(subspace.codim):
         h, g = split_variable(g, axis)
         cofactors.append(h)

@@ -35,7 +35,8 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
-from .series import TruncatedSeries, complex_evaluator, evaluate, make_series, negligible, times_variable, to_floating
+from .series import (TruncatedSeries, combine, complex_evaluator, evaluate, make_series, negligible, scale,
+                     times_variable, to_floating, zero)
 
 
 # -- problem data --------------------------------------------------------
@@ -286,17 +287,13 @@ class PoleSeams:
         for m in sorted({t.order for _, t in self.entries}):
             pos, terms = zip(*((a, t) for a, t in self.entries if t.order == m))
             pos = np.array(pos)
-            # the entries with a seam on their left, and on their right, and those seams
-            left, right = np.flatnonzero(pos > 0), np.flatnonzero(pos <= last)
-            sides = (left, seams[pos[left] - 1]), (right, seams[pos[right]])
+            # per entry, the seams left and right of its position; an end's missing one has weight 0
+            sides = [(pos > 0, seams[np.maximum(pos - 1, 0)]), (pos <= last, seams[np.minimum(pos, last)])]
 
             def at(zp, m=m, sides=sides, columns=[self.compiled(t) for t in terms]):
                 c, p = (np.stack(v, axis=-1) for v in zip(*(f(zp) for f in columns)))
-                J = [np.zeros_like(p) for _ in range(m)]  # J_j = I_j^left - I_j^right, a missing side 0
-                for k, (cols, s) in enumerate(sides):
-                    for j, moment in zip(J, _moments(p[:, cols], s - ih, s + ih, m)):
-                        j[:, cols] = j[:, cols] - moment if k else moment
-                return c, p, J
+                (wl, I), (wr, K) = ((w, _moments(p, s - ih, s + ih, m)) for w, s in sides)
+                return c, p, [wl * i - wr * k for i, k in zip(I, K)]
 
             if all(t.coeff.dim == t.locus.dim == 0 for t in terms):
                 at = partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))
@@ -373,21 +370,19 @@ def closed_form_series(seams: list[float], witnesses: list[list[TruncatedSeries]
     height)``.  At L_k = ell_k, the log difference of one side of seam k,
     the terms of seam k are z_j times the Cauchy integral (w ell_k + Q) / 2 pi i
     of w_{k,j} along the segment s_k -/+ i height.  Every term keeps its
-    factor z_j, so G is 0 on S.  One dict sums the terms of z_j w_{k,j} L_k
-    and z_j Q_{k,j} for each k and j in turn, dropping a sum that cancels."""
-    K, w0, terms = len(seams), witnesses[0][0], {}
-    for k, (s, ws) in enumerate(zip(seams, witnesses)):
+    factor z_j, so G is 0 on S.  One ``combine`` sums the terms of z_j w_{k,j} L_k
+    and z_j Q_{k,j} for each k and j in turn, each shift at its factor's order
+    and the sum untruncated."""
+    K, w0 = len(seams), witnesses[0][0]
+
+    def lifted(f: TruncatedSeries, k: int | None) -> TruncatedSeries:  # f in (z, L), times L_k unless k is None
         tail = tuple(int(i == k) for i in range(K))
-        for j, w in enumerate(ws):
-            for f, t in ((times_variable(w, j), tail), (times_variable(segment_quotient(w, s, height), j), (0,) * K)):
-                for e, v in f.coeffs.items():
-                    e = e + t
-                    terms[e] = terms[e] + v if e in terms else v
-                    if w0.backend.is_zero(terms[e]):
-                        del terms[e]
-    scale = w0.backend.coerce(1 / TWO_PI_I)
-    return make_series(w0.dim + K, {e: v * scale for e, v in terms.items()}, backend=w0.backend,
-                       center=w0.center + (0,) * K)
+        return make_series(f.dim + K, {e + tail: v for e, v in f.coeffs.items()}, backend=f.backend,
+                           center=f.center + (0,) * K)
+
+    parts = [(1, None, lifted(times_variable(f, j), t)) for k, (s, ws) in enumerate(zip(seams, witnesses))
+             for j, w in enumerate(ws) for f, t in ((w, k), (segment_quotient(w, s, height), None))]
+    return scale(combine(lifted(zero(w0.dim, backend=w0.backend, center=w0.center), None), parts), 1 / TWO_PI_I)
 
 
 def _closed_form_correction(g: Callable, seams: np.ndarray, height: float) -> Evaluable:

@@ -10,7 +10,6 @@ of their coefficient maps.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -60,13 +59,17 @@ class TruncatedSeries:
 
     def degree(self) -> int:
         """Largest total degree among stored terms (-1 for the zero series)."""
-        return max((total_degree(e) for e in self.coeffs), default=-1)
+        if not self.coeffs:
+            return -1
+        return max(total_degree(e) for e in self.coeffs)
 
     def depends_on(self, axis: int) -> bool:
         return any(e[axis] > 0 for e in self.coeffs)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        if not self.coeffs:
+            return 0.0
+        return max(abs(c) for c in self.coeffs.values())
 
     def coefficient(self, exp: MultiIndex):
         return self.coeffs.get(tuple(exp), self.backend.zero())
@@ -76,7 +79,8 @@ class TruncatedSeries:
     def __add__(self, other):
         return add(self, _coerce_operand(self, other))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return add(self, _coerce_operand(self, other))
 
     def __sub__(self, other):
         return combine(self, [(1, None, self), (-1, None, _coerce_operand(self, other))])
@@ -89,7 +93,8 @@ class TruncatedSeries:
             return mul(self, other)
         return scale(self, other)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return scale(self, other)
 
     def __neg__(self):
         return _series(self, {e: -v for e, v in self.coeffs.items()}, self.order)
@@ -208,7 +213,7 @@ def combine(like: TruncatedSeries, parts, order: int | None = None) -> Truncated
     parts'.  One dict takes each part's terms, f's or ``times_variable``'s,
     negated where sign < 0: the chain of ``add`` it replaces, bit for bit.  A
     canonical f negated or shifted has no zero coefficient, so only keys where
-    parts meet are tested for zero (and, off a zero centre, ``mul``'s products)."""
+    parts meet are tested for zero (and, off a zero centre, a part's own sums)."""
     parts = list(parts)
     for _, _, f in parts:
         _check_compatible(like, f)
@@ -221,10 +226,13 @@ def combine(like: TruncatedSeries, parts, order: int | None = None) -> Truncated
             raise ValueError(f"axis {axis} out of range for dim {f.dim}")
         elif f.backend.is_zero(f.center[axis]):
             items = {exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:]: v for exp, v in f.coeffs.items()}
-        else:  # the product with (z_axis - b_axis) + b_axis
-            unit = tuple(int(k == axis) for k in range(f.dim))
-            items = mul(f, make_series(f.dim, {unit: 1, (0,) * f.dim: f.center[axis]}, backend=f.backend,
-                                       center=f.center)).coeffs
+        else:  # z_axis = (z_axis - b_axis) + b_axis: v raised, then b_axis * v in place, as mul sums
+            b, items = f.center[axis], {}
+            for exp, v in f.coeffs.items():
+                up = exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:]
+                items[up] = items[up] + v if up in items else v
+                items[exp] = items[exp] + v * b if exp in items else v * b
+            items = {e: v for e, v in items.items() if v != zero_}  # these sums and products can be 0
         if order is not None and (axis is not None or f.order != order):
             items = {e: v for e, v in items.items() if sum(e) <= order}
         if sign < 0:
@@ -279,9 +287,13 @@ def recenter(f: TruncatedSeries, new_center: Sequence) -> TruncatedSeries:
     if len(bnew) != f.dim:
         raise ValueError("new center has wrong length")
     shifted = [variable(f.dim, k, backend=f.backend, center=bnew) - f.center[k] for k in range(f.dim)]
-    terms = [math.prod((s**e for s, e in zip(shifted, exp)), start=constant(f.dim, v, backend=f.backend, center=bnew))
-             for exp, v in f.coeffs.items()]
-    return combine(zero(f.dim, backend=f.backend, center=bnew), [(1, None, t) for t in terms])
+    acc = zero(f.dim, backend=f.backend, center=bnew)
+    for exp, v in f.coeffs.items():
+        term = constant(f.dim, v, backend=f.backend, center=bnew)
+        for s, e in zip(shifted, exp):
+            term = term * s**e
+        acc = acc + term
+    return acc
 
 
 def evaluate(f: TruncatedSeries, point: Sequence):
@@ -290,15 +302,24 @@ def evaluate(f: TruncatedSeries, point: Sequence):
     if len(z) != f.dim:
         raise ValueError("point has wrong length")
     w = tuple(z[k] - f.center[k] for k in range(f.dim))
-    powers = [[f.backend.one()] for _ in w]  # per axis w_k^0, w_k^1, ..., as far as a term needs
+    # cache powers per axis
+    max_pow = [0] * f.dim
+    for exp in f.coeffs:
+        for k, e in enumerate(exp):
+            max_pow[k] = max(max_pow[k], e)
+    powers = []
+    for k in range(f.dim):
+        row = [f.backend.one()]
+        for _ in range(max_pow[k]):
+            row.append(row[-1] * w[k])
+        powers.append(row)
     acc = f.backend.zero()
     for exp, v in f.coeffs.items():
+        term = v
         for k, e in enumerate(exp):
-            while len(powers[k]) <= e:
-                powers[k].append(powers[k][-1] * w[k])
             if e:
-                v = v * powers[k][e]
-        acc = acc + v
+                term = term * powers[k][e]
+        acc = acc + term
     return acc
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,9 @@ from okakit.merge import (
     verify_solution,
 )
 from okakit import cousin, merge
-from okakit.series import complex_evaluator, constant, make_series, monomial, scale, to_floating, variable
+from okakit.scalars import floating
+from okakit.series import (complex_evaluator, constant, make_series, monomial, scale, times_variable,
+                            to_floating, variable)
 from test_batched import extension_problem as perturbed_extension_problem
 from test_batched import cuboid_sample, n2_cousin1_problem, one_seam_extension, series_evaluable
 
@@ -555,6 +558,41 @@ class TestExtensionMutants:
         report = solve_chain(prob)[0].report
         assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
         assert report["subspace_sup_error"] > 1e-3, report
+
+
+def test_closed_form_series_is_its_term_by_term_sum():
+    """Bit for bit, in stored order: the terms of z_j w_{k,j} L_k and z_j Q_{k,j},
+    each shifted at its factor's order, summed into one untruncated dict in turn,
+    then times 1 / 2 pi i; on witnesses of unequal orders, off a zero center."""
+
+    def reference(seams, witnesses, height):
+        K, w0, terms = len(seams), witnesses[0][0], {}
+        for k, (s, ws) in enumerate(zip(seams, witnesses)):
+            tail = tuple(int(i == k) for i in range(K))
+            for j, w in enumerate(ws):
+                for f, t in ((times_variable(w, j), tail), (times_variable(merge.segment_quotient(w, s, height), j),
+                                                            (0,) * K)):
+                    for e, v in f.coeffs.items():
+                        terms[e + t] = terms[e + t] + v if e + t in terms else v
+                        if terms[e + t] == 0:
+                            del terms[e + t]
+        return make_series(w0.dim + K, {e: v * (1 / cousin.TWO_PI_I) for e, v in terms.items()}, backend=w0.backend,
+                           center=w0.center + (0,) * K)
+
+    def bits(g):
+        return [(e, struct.pack("<dd", v.real, v.imag)) for e, v in g.coeffs.items()], g.order, g.dim
+
+    rng = random.Random(3505)
+    for _ in range(100):
+        n, K = rng.randint(1, 3), rng.randint(1, 3)
+        center = tuple(rng.choice([0, 0.5, complex(-1, 0.25)]) for _ in range(n))
+        witnesses = [[make_series(n, {tuple(rng.randint(0, 2) for _ in range(n)): complex(rng.choice([1, -1, 0.5]),
+                                                                                          rng.choice([0.0, -0.0, 1]))
+                                      for _ in range(rng.randint(0, 5))},
+                                  order=rng.choice([None, 1, 2, 3]), backend=floating(), center=center)
+                      for _ in range(rng.randint(1, n))] for _ in range(K)]
+        seams, height = sorted(rng.uniform(-2, 2) for _ in range(K)), rng.uniform(0.3, 1.0)
+        assert bits(merge.closed_form_series(seams, witnesses, height)) == bits(reference(seams, witnesses, height))
 
 
 def test_extension_closed_form_is_built_in_floating_point(monkeypatch):

@@ -1,29 +1,25 @@
 """A/B comparison of two okakit trees on the perfbench workloads.
 
     python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --seeds 921 --output BENCH_8.json
-    python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --control
     python3 tools/ab_bench.py --pairs 1 --seconds 2       # same-tree smoke run
-
-With ``--control`` every pair also runs the base a second time, from a
-second export of ``--base``: a same-code control.  Even pairs run base, change,
-control and odd ones control, change, base.  Each metric then also gives
-the control's median and quartiles (``control``) and the base's median
-against the control's (``base_vs_control``).  That column reads code that
-did not change, so it shows the noise a change must clear.
 
 The *change* side is the working tree this script sits in.  The *base*
 side is ``--base REV``, exported with ``git archive``; without it both sides
 run the working tree, which checks the script and shows the spread a null
-comparison gives.
+comparison gives.  The *control* side runs the base's code a second time,
+from a second export: a same-code control, whose difference from the base
+shows the noise a change must clear.
 
-For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py`` once per side on seed
-``seeds + k``, base first in even pairs and change first in odd ones, one
-process at a time, for ``--seconds`` (by default the benchmark's own
-``run_seconds``: ``peak_rss_mb`` grows with the cycles a run completes, so
-shorter runs hide what the benchmark sees).  The output gives, per workload
-and end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, the change's median against the base's, and in how many pairs
-the change was better; the same for the one-point evaluation times
+For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py``
+once per side on seed ``seeds + k``, in the order base, change, control in
+even pairs and control, change, base in odd ones, one process at a time,
+for ``--seconds`` (by default the benchmark's own ``run_seconds``:
+``peak_rss_mb`` grows with the cycles a run completes, so shorter runs hide
+what the benchmark sees).  The output gives, per workload and end-to-end
+metric of ``BENCHMARK.json``, each side's median and quartiles, the
+change's median against the base's (``change_vs_base``), in how many pairs
+the change was better, and the base's median against the control's
+(``base_vs_control``); the same for the one-point evaluation times
 ``eval_us.p50`` and ``eval_us.p90`` that ``run.py`` prints on detail lines
 for ``ml_chain`` and ``ext_merge`` (their samples include the cold first
 call on each new solution, which for ``ml_chain`` builds the chain's
@@ -173,23 +169,20 @@ def relative(new: float, old: float) -> float | None:
 
 def summarize(runs: dict, metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the relative change of
-    the median, and the pairs in which the change was better; with a
-    control side, the base's median against the control's too."""
+    the median, the pairs in which the change was better, and the base's
+    median against the control's."""
     out = {}
     for m in metrics:
         base = [r[m["name"]] for r in runs["base"]]
         change = [r[m["name"]] for r in runs["change"]]
         sign = 1 if m["better"] == "lower" else -1
-        b, c = quartiles(base), quartiles(change)
+        b, c, control = quartiles(base), quartiles(change), quartiles([r[m["name"]] for r in runs["control"]])
         out[m["name"]] = {
-            "unit": m["unit"], "better": m["better"], "base": b, "change": c,
+            "unit": m["unit"], "better": m["better"], "base": b, "change": c, "control": control,
             "change_vs_base": relative(c["median"], b["median"]),
             "change_better_pairs": sum(sign * (y - x) < 0 for x, y in zip(base, change)),
-            "pairs": len(base),
+            "pairs": len(base), "base_vs_control": relative(b["median"], control["median"]),
         }
-        if "control" in runs:
-            control = quartiles([r[m["name"]] for r in runs["control"]])
-            out[m["name"]].update(control=control, base_vs_control=relative(b["median"], control["median"]))
     return out
 
 
@@ -207,18 +200,13 @@ def main(argv=None) -> int:
                         help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--seeds", type=int, default=911, help="seed of the first pair; pair k runs seeds + k")
     parser.add_argument("--output", help="write the JSON summary here (default: stdout)")
-    parser.add_argument("--control", action="store_true",
-                        help="run the base side a second time in every pair, as a same-code control")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        base = export(args.base, Path(tmp) / "base") if args.base else ROOT
-        sides = {"base": base, "change": ROOT}
-        orders = [("base", "change"), ("change", "base")]
-        if args.control:
-            sides["control"] = export(args.base, Path(tmp) / "control") if args.base else ROOT
-            orders = [("base", "change", "control"), ("control", "change", "base")]
+        sides = {side: export(args.base, Path(tmp) / side) if args.base else ROOT for side in ("base", "control")}
+        sides["change"] = ROOT
+        orders = [("base", "change", "control"), ("control", "change", "base")]
         report = {"base": commit(args.base) if args.base else "same tree", "change": "working tree",
-                  "control": args.control, "pairs": args.pairs, "seconds": args.seconds,
+                  "pairs": args.pairs, "seconds": args.seconds,
                   "seeds": [args.seeds + k for k in range(args.pairs)], "workloads": {}}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in sides}
