@@ -11,11 +11,11 @@ from a second export: a same-code control, whose difference from the base
 shows the noise a change must clear.
 
 For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py``
-once per side on seed ``seeds + k``, in the order base, change, control in
-even pairs and control, change, base in odd ones, one process at a time,
-for ``--seconds`` (by default the benchmark's own ``run_seconds``:
-``peak_rss_mb`` grows with the cycles a run completes, so shorter runs hide
-what the benchmark sees).  The output gives, per workload and end-to-end
+once per side on seed ``seeds + k``, one process at a time, in the order
+base, change, control rotated by k places, so that each side runs first,
+second and third in turn, for ``--seconds`` (by default the benchmark's
+own ``run_seconds``: ``peak_rss_mb`` grows with the cycles a run
+completes, so shorter runs hide what the benchmark sees).  The output gives, per workload and end-to-end
 metric of ``BENCHMARK.json``, each side's median and quartiles, the
 change's median against the base's (``change_vs_base``), in how many pairs
 the change was better, and the base's median against the control's
@@ -204,14 +204,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         sides = {side: export(args.base, Path(tmp) / side) if args.base else ROOT for side in ("base", "control")}
         sides["change"] = ROOT
-        orders = [("base", "change", "control"), ("control", "change", "base")]
+        orders = [("base", "change", "control"), ("change", "control", "base"), ("control", "base", "change")]
         report = {"base": commit(args.base) if args.base else "same tree", "change": "working tree",
                   "pairs": args.pairs, "seconds": args.seconds,
                   "seeds": [args.seeds + k for k in range(args.pairs)], "workloads": {}}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in sides}
             for k in range(args.pairs):
-                for side in orders[k % 2]:
+                for side in orders[k % 3]:
                     runs[side].append(run_once(sides[side], workload, args.seeds + k, args.seconds))
             details = [m for m in EVAL_US if all(m["name"] in r for rs in runs.values() for r in rs)]
             report["workloads"][workload] = summarize(runs, spec["end_to_end"] + details)
