@@ -249,8 +249,8 @@ def cmd_jokuiko(data: dict, args):
                    local_overrides=None if locs is None else tuple(exprtree.to_series(t, cuboid.ndim) for t in locs))
 
 
-def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
-    """Solution values on an nx x ny grid of the last axis; points where the
+def _dump_solution_csv(path: str, sols):
+    """Solution values on a 21 x 5 grid of the last axis; points where the
     value is not finite (a pole) are left out."""
     with _open_output(path) as fh:
         writer = csv.writer(fh)
@@ -259,7 +259,7 @@ def _dump_solution_csv(path: str, sols, nx: int = 21, ny: int = 5):
             (rlo, rhi) = sol.region.re[-1]
             (ilo, ihi) = sol.region.im[-1]
             mids = sol.region.midpoint()
-            pts = [mids[:-1] + (complex(r, i),) for r in np.linspace(rlo, rhi, nx) for i in np.linspace(ilo, ihi, ny)]
+            pts = [mids[:-1] + (complex(r, i),) for r in np.linspace(rlo, rhi, 21) for i in np.linspace(ilo, ihi, 5)]
             vals = sol.solution.values(pts).tolist()
             writer.writerows([idx, z[-1].real, z[-1].imag, v.real, v.imag]
                              for z, v in zip(pts, vals) if cmath.isfinite(v))

@@ -55,32 +55,12 @@ class PoleTerm:
             raise ValueError("pole order must be >= 1")
 
 
-def _compiled(term: PoleTerm) -> Callable:
-    """zp -> (c(z'), p(z')) at rows z', by ``complex_evaluator``: for n = 1
-    the two constants, evaluated once on one row, for every call."""
-    coeff, locus = complex_evaluator(term.coeff), complex_evaluator(term.locus)
-    at = lambda zp: (coeff(zp), locus(zp))
-    return partial(lambda fixed, zp: fixed, at(np.empty((1, 0)))) if term.coeff.dim == term.locus.dim == 0 else at
-
-
-def _pole_sum(terms: list[tuple[int, Callable]]) -> Evaluable:
-    """sum c(z') / (z_n - p(z'))^m over the (order m, ``_compiled``) pairs."""
-    def many(P):
-        zp, zn, acc = P[:, :-1], P[:, -1], np.zeros(len(P), dtype=complex)
-        for order, at in terms:
-            coeff, locus = at(zp)
-            acc = acc + coeff / (zn - locus) ** order
-        return acc
-
-    return Evaluable.batched(many)
-
-
 @dataclass(frozen=True)
 class PrincipalPartData:
     terms: tuple[PoleTerm, ...]
 
     def evaluable(self) -> Evaluable:
-        return _pole_sum([(t.order, _compiled(t)) for t in self.terms])
+        return PoleSeams((), 0.0, tuple((0, t) for t in self.terms)).local(0)
 
 
 @dataclass(frozen=True)
@@ -163,55 +143,35 @@ def _majorant(f: TruncatedSeries, radii: tuple, constant: bool = True) -> float:
 
 def _pole_discs(problem: ChiProblem, alpha: int) -> list[tuple[int, float, complex, float]]:
     """(order, coefficient bound, centre, radius) for every term of slab
-    alpha's principal part: over the base cuboid the term's locus stays in
-    the disc and its coefficient's modulus under the bound (majorants about
-    each series' centre; for n = 1 the locus is a point)."""
-    cub = problem.cuboid
+    alpha's principal part, each admitted: over the base cuboid the term's
+    locus stays in the disc and its coefficient's modulus under the bound
+    (majorants about each series' centre; for n = 1 the locus is a point).
+    A disc that comes within delta of an edge of its slab, or lies wholly
+    above or below it, raises ``PoleTooCloseToSeam``: a locus crossing a
+    seam segment would make the seam's closed form jump by 2 pi i h in z'."""
+    cub, delta, (rlo, rhi) = problem.cuboid, problem.seam_margin(), problem.partition.slabs[alpha].re[-1]
 
     def reach(f: TruncatedSeries) -> tuple:  # per base axis, the farthest corner of its rectangle from f's centre
         return tuple(max(abs(complex(re, im) - complex(c)) for re in cub.re[i] for im in cub.im[i])
                      for i, c in enumerate(f.center))
 
-    return [(t.order, _majorant(t.coeff, reach(t.coeff)),
-             complex(t.locus.coefficient((0,) * t.locus.dim)), _majorant(t.locus, reach(t.locus), False))
-            for t in problem.data[alpha].terms]
-
-
-class _PoleTable:
-    """One solve's cousin1 pole terms on the slabs ``indices``, each bounded
-    (``_pole_discs``), admitted (``local_solution``) and ``_compiled`` once
-    for the slab sums, seam halves and rounding bounds; no solve shares it."""
-
-    def __init__(self, problem: ChiProblem, indices: range):
-        self.problem, self.discs, self.compiled, delta = problem, {}, {}, problem.seam_margin()
-        for alpha in indices:
-            rlo, rhi = problem.partition.slabs[alpha].re[-1]
-            for _, _, c, r in self.discs.setdefault(alpha, _pole_discs(problem, alpha)):
-                if not rlo + delta <= c.real - r <= c.real + r <= rhi - delta or abs(c.imag) - r > problem.theta:
-                    raise PoleTooCloseToSeam(f"pole at {c}, whose locus over the base stays within {r:.3g} of it, "
-                                             f"lies outside slab {alpha} or within margin {delta} of its edges")
-            self.compiled.update((id(t), _compiled(t)) for t in problem.data[alpha].terms)
-
-    def local(self, alpha: int) -> Evaluable:
-        return _pole_sum([(t.order, self.compiled[id(t)]) for t in self.problem.data[alpha].terms])
-
-    def halves(self, chain: ConnectivityChain, seams: list[float]) -> Evaluable | None:
-        """The sum of every seam's left half: one ``PoleSeams``, each term once at its slab's position, or None."""
-        entries = tuple((a, t) for a, alpha in enumerate(chain.indices) for t in self.problem.data[alpha].terms)
-        chained = PoleSeams(tuple(seams), self.problem.theta + self.problem.seam_margin(), entries,
-                            lambda t: self.compiled[id(t)])
-        return chained.half() if seams and entries else None
+    discs = [(t.order, _majorant(t.coeff, reach(t.coeff)),
+              complex(t.locus.coefficient((0,) * t.locus.dim)), _majorant(t.locus, reach(t.locus), False))
+             for t in problem.data[alpha].terms]
+    for _, _, c, r in discs:
+        if not rlo + delta <= c.real - r <= c.real + r <= rhi - delta or abs(c.imag) - r > problem.theta:
+            raise PoleTooCloseToSeam(f"pole at {c}, whose locus over the base stays within {r:.3g} of it, "
+                                     f"lies outside slab {alpha} or within margin {delta} of its edges")
+    return discs
 
 
 def local_solution(problem: ChiProblem, alpha: int) -> Evaluable:
     """The slab's own solution: its principal-part sum, or the cylinder
-    extension of the target (or the supplied override).  A cousin1 pole
-    whose locus disc (``_pole_discs``, over the whole base cuboid) comes
-    within delta of an edge of its slab, or lies wholly above or below it,
-    raises ``PoleTooCloseToSeam``: a locus crossing a seam segment would
-    make the seam's closed form jump by 2 pi i h in z'."""
+    extension of the target (or the supplied override).  A cousin1 slab's
+    poles must pass admission (``_pole_discs``)."""
     if problem.kind == "cousin1":
-        return _PoleTable(problem, range(alpha, alpha + 1)).local(alpha)
+        _pole_discs(problem, alpha)
+        return problem.data[alpha].evaluable()
     return Evaluable.batched(complex_evaluator(problem.slab_poly(alpha)))
 
 
@@ -261,6 +221,15 @@ def _moments(p: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> list[np.nda
     return out
 
 
+def _fixed(at: Callable, terms: tuple[PoleTerm, ...]) -> Callable:
+    """``at``, a map from rows z' to the c, p and moments of ``terms``: or
+    where every c and p is a constant (n = 1), its value on one row, built
+    once and returned for every call."""
+    if any(t.coeff.dim or t.locus.dim for t in terms):
+        return at
+    return partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))
+
+
 @dataclass(frozen=True)
 class PoleSeams:
     """cousin1 seam data split in closed form.  Entry (a, term) puts f = c(z')
@@ -271,34 +240,53 @@ class PoleSeams:
     from ``_side_logs`` and Q(z) = -c sum_{j=1..m} (z_n - p)^(-(m-j+1)) I_j
     (``_moments``).  In u = 1 / (z_n - p) both seams fold into one Horner
     sum, c u (... ((W_a - J_1) u - J_2) u ... - J_m), W_a = ell_{a-1} - ell_a
-    and J_j = I_j^{a-1} - I_j^a, a missing seam giving 0 (c, p: ``compiled``)."""
+    and J_j = I_j^{a-1} - I_j^a, a missing seam giving 0.  ``local(a)`` is
+    the principal-part sum at position a; it and ``half`` share the terms'
+    compiled c and p (``_columns``)."""
 
     seams: tuple[float, ...]
     height: float
     entries: tuple[tuple[int, PoleTerm], ...]
-    compiled: Callable[[PoleTerm], Callable] = _compiled
+
+    @cached_property
+    def _columns(self) -> list[Callable]:
+        """Per entry, the map from rows z' to its c(z') and p(z'), each term's
+        coefficient and locus compiled once by ``complex_evaluator``."""
+        compiled = [(t, complex_evaluator(t.coeff), complex_evaluator(t.locus)) for _, t in self.entries]
+        return [_fixed(lambda zp, c=c, p=p: (c(zp), p(zp)), (t,)) for t, c, p in compiled]
 
     @cached_property
     def _groups(self) -> list[tuple[np.ndarray, Callable]]:
         """Per order m: the position of each entry of that order, and the map
-        from rows z' to the entries' c, p and J_1..J_m, one column per entry
-        (for n = 1 one row of constants, built once)."""
+        from rows z' to the entries' c, p and J_1..J_m, one column per entry."""
         groups, seams, last, ih = [], np.array(self.seams), len(self.seams) - 1, 1j * self.height
         for m in sorted({t.order for _, t in self.entries}):
-            pos, terms = zip(*((a, t) for a, t in self.entries if t.order == m))
+            pos, terms, columns = zip(*((a, t, f) for (a, t), f in zip(self.entries, self._columns) if t.order == m))
             pos = np.array(pos)
             # per entry, the seams left and right of its position; an end's missing one has weight 0
             sides = [(pos > 0, seams[np.maximum(pos - 1, 0)]), (pos <= last, seams[np.minimum(pos, last)])]
 
-            def at(zp, m=m, sides=sides, columns=[self.compiled(t) for t in terms]):
+            def at(zp, m=m, sides=sides, columns=columns):
                 c, p = (np.stack(v, axis=-1) for v in zip(*(f(zp) for f in columns)))
                 (wl, I), (wr, K) = ((w, _moments(p, s - ih, s + ih, m)) for w, s in sides)
                 return c, p, [wl * i - wr * k for i, k in zip(I, K)]
 
-            if all(t.coeff.dim == t.locus.dim == 0 for t in terms):
-                at = partial(lambda fixed, zp: fixed, at(np.empty((1, 0), dtype=complex)))
-            groups.append((pos, at))
+            groups.append((pos, _fixed(at, terms)))
         return groups
+
+    def local(self, a: int) -> Evaluable:
+        """The sum of c(z') / (z_n - p(z'))^m over the entries at position a,
+        in their stored order."""
+        terms = [(t.order, f) for (b, t), f in zip(self.entries, self._columns) if b == a]
+
+        def many(P):
+            zp, zn, acc = P[:, :-1], P[:, -1], np.zeros(len(P), dtype=complex)
+            for order, at in terms:
+                coeff, locus = at(zp)
+                acc = acc + coeff / (zn - locus) ** order
+            return acc
+
+        return Evaluable.batched(many)
 
     def half(self) -> Evaluable:
         """The sum over the seams of their left halves.  The rows go in blocks
@@ -417,16 +405,22 @@ class ChiSolution:
     corrections: list[Evaluable]
     region: Cuboid
     report: dict | None = None
-    poles: _PoleTable | None = None  # cousin1: the solve's pole table, whose discs verification bounds by
+    poles: dict[int, list] | None = None  # cousin1: per slab, the admitted ``_pole_discs`` that verification bounds by
 
 
 def _solve_one_chain(problem: ChiProblem, chain: ConnectivityChain) -> ChiSolution:
     slabs = problem.partition.slabs
     region = problem.cuboid.with_last_re(slabs[chain.start].re[-1][0], slabs[chain.stop].re[-1][1])
     seams = [problem.partition.seam(k) for k in chain.indices[:-1]]
-    poles = _PoleTable(problem, chain.indices) if problem.kind == "cousin1" else None
-    locals_ = [poles.local(alpha) if poles else local_solution(problem, alpha) for alpha in chain.indices]
-    correction = poles.halves(chain, seams) if poles else _extension_halves(problem, chain, seams)
+    if problem.kind == "cousin1":
+        poles = {alpha: _pole_discs(problem, alpha) for alpha in chain.indices}
+        entries = tuple((a, t) for a, alpha in enumerate(chain.indices) for t in problem.data[alpha].terms)
+        chained = PoleSeams(tuple(seams), problem.theta + problem.seam_margin(), entries)
+        locals_ = [chained.local(a) for a in range(len(chain.indices))]
+        correction = chained.half() if seams and entries else None
+    else:
+        poles, locals_ = None, [local_solution(problem, alpha) for alpha in chain.indices]
+        correction = _extension_halves(problem, chain, seams)
     # branch alpha, local_alpha plus the left halves of the seams k >= alpha and
     # the right halves of the others, is local_0 plus every seam's left half
     solution = locals_[0] if correction is None else locals_[0] + correction
@@ -499,12 +493,12 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     + delta), outside the cuboid, and Q is a polynomial (extension) or has
     poles where h ell's cancel (cousin1, whose loci admission keeps off the
     seam segments).  ``seam_jumps``, per seam s, is the sup of |sol(z', s^-
-    + iy) - sol(z', s + iy)| over 61 y in [-theta, theta] and the diagonal
-    corners z' of the base (every axis at lo + i lo, hi + i hi, lo + i hi or
-    hi + i lo: off S for extension); every jump must be at most tol.  Both
-    sides evaluate one function, so it sees neither a wrong datum nor a log
-    cut moved into the cuboid: the residues (cousin1) and the values on S
-    (extension) carry the weight.  ``patch_morera`` stays an empty list.
+    + iy) - sol(z', s^+ + iy)|, s^- and s^+ the floats below and above s,
+    over 61 y in [-theta, theta] and the diagonal corners z' of the base
+    (every axis at lo + i lo, hi + i hi, lo + i hi or hi + i lo: off S for
+    extension); every jump must be at most tol.  It sees a cut along the
+    seam itself, as one Log of the quotient in ``_side_logs`` would put
+    there.  ``patch_morera`` stays an empty list.
     Every check's rows go to the solution in one call, each in its own
     order; a row's value does not depend on the rows beside it.
 
@@ -526,8 +520,8 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     report: dict = {"kind": problem.kind, "chain": [sol.chain.start, sol.chain.stop], "skipped_checks": [],
                     "patch_morera": []}
     seam_re = [problem.partition.seam(k) for k in sol.chain.indices[:-1]]
-    # Re z_n = s^-, the float below s, and s: the seam's two sides
-    seams = np.array([(np.nextafter(s, -np.inf), s) for s in seam_re])
+    # Re z_n = s^- and s^+, the floats below and above s: the seam's two sides
+    seams = np.array([(np.nextafter(s, -np.inf), np.nextafter(s, np.inf)) for s in seam_re])
     corners = list(dict.fromkeys(tuple(complex(re[a], im[b]) for re, im in zip(region.re[:-1], region.im[:-1]))
                                  for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))))
     P = np.empty((len(seams), 2, len(corners), 61, n), dtype=complex)
@@ -535,7 +529,7 @@ def verify_solution(sol: ChiSolution, problem: ChiProblem) -> dict:
     P[..., -1] = seams.reshape(-1, 2, 1, 1) + 1j * np.linspace(-problem.theta, problem.theta, 61)
     rows = [P.reshape(-1, n)]
     if problem.kind == "cousin1":
-        report["seam_rounding"] = [{"s": s, "bound": _rounding_bound(sol.poles.discs[a] + sol.poles.discs[a + 1], s)}
+        report["seam_rounding"] = [{"s": s, "bound": _rounding_bound(sol.poles[a] + sol.poles[a + 1], s)}
                                    for a, s in zip(sol.chain.indices, seam_re)]
         # per z' and pole term, (z', slab, order, p(z')), and the prescribed sum per slab, order and position
         poles, want, zps = [], {}, list(dict.fromkeys([region.midpoint()[:-1]] + corners))  # n = 1: one empty z'

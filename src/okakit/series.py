@@ -383,8 +383,8 @@ def negligible(f: TruncatedSeries, *refs: TruncatedSeries) -> bool:
     return all(abs(v) <= bound for v in f.coeffs.values())
 
 
-def to_floating(f: TruncatedSeries, eps: float = 1e-12) -> TruncatedSeries:
-    return make_series(f.dim, f.coeffs, order=f.order, backend=floating(eps), center=f.center)
+def to_floating(f: TruncatedSeries) -> TruncatedSeries:
+    return make_series(f.dim, f.coeffs, order=f.order, backend=floating(), center=f.center)
 
 
 # -- JSON round trip -----------------------------------------------------

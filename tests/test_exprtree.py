@@ -1,10 +1,11 @@
 """Expression trees: one walker over points, numpy columns and series."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from okakit.errors import SchemaError
@@ -48,12 +49,25 @@ def tree_and_points(draw, polynomial=False):
     return dim, draw(trees(dim, polynomial)), draw(points(dim))
 
 
+def reference(tree, z):
+    """``evaluate`` at one point, raising OverflowError where the value of any
+    subtree is not finite: CPython's 1 / z overflows to inf + 0j without
+    raising, and its inverse then reads 0j, where numpy reads nan."""
+    for child in tree.get("args", []) + [tree[key] for key in ("arg", "base") if key in tree]:
+        reference(child, z)
+    value = evaluate(tree, z)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{tree['op']} is not finite at {z}")
+    return value
+
+
 @settings(max_examples=100, deadline=None)
 @given(tree_and_points())
+@example((2, {"op": "inv", "arg": {"op": "inv", "arg": {"op": "var", "index": 2}}}, [[0j, 2.2250738585e-313 + 0j]]))
 def test_batched_values_match_pointwise_evaluate(case):
     dim, tree, pts = case
     try:
-        want = [evaluate(tree, tuple(complex(v) for v in z)) for z in pts]
+        want = [reference(tree, tuple(complex(v) for v in z)) for z in pts]
     except (ZeroDivisionError, OverflowError):
         assume(False)
     assume(np.all(np.isfinite(want)))

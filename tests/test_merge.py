@@ -211,7 +211,8 @@ class TestCousin1EndToEnd:
         errors = report["principal_part_errors"]
         seam_rows, rings = P[:2 * 2 * 61], P[2 * 2 * 61:]
         assert len(errors) == len(terms) == 4 and rings.shape == (64 * 4, 1)
-        assert np.isin(seam_rows[:, -1].real, [np.nextafter(s, -np.inf) for s in (-1.0, 1.0)] + [-1.0, 1.0]).all()
+        sides = [np.nextafter(s, side) for s in (-1.0, 1.0) for side in (-np.inf, np.inf)]
+        assert np.isin(seam_rows[:, -1].real, sides).all()
         batched = sol.solution.values(P)[len(seam_rows):]
         assert batched.tobytes() == np.array([sol.solution.fn(tuple(z)) for z in rings.tolist()]).tobytes()
         for i, (term, e) in enumerate(zip(terms, errors)):
@@ -463,7 +464,8 @@ class TestExtensionEndToEnd:
         (P,) = rows
         seam_rows, origin = P[:-1], P[-1:]
         assert origin.tobytes() == np.zeros((1, n), dtype=complex).tobytes()
-        assert len(seam_rows) and np.isin(seam_rows[:, -1].real, (np.nextafter(0.0, -np.inf), 0.0)).all()
+        sides = (np.nextafter(0.0, -np.inf), np.nextafter(0.0, np.inf))
+        assert len(seam_rows) and np.isin(seam_rows[:, -1].real, sides).all()
         assert len(report["seam_jumps"]) == 1 and report["seam_jumps"][0] <= prob.tol
         assert report["subspace_slices"] == [0.0] and report["pass"], report
 
@@ -540,12 +542,23 @@ def term_without_its_z_factor(monkeypatch, prob):
     return prob
 
 
+def log_cut_on_the_seam(monkeypatch, prob):
+    """Each log difference is taken as one Log((d + ih) / (d - ih)), d = s_k
+    - z_n, whose principal cut runs along d = 0: right of seam k every ell_k
+    is 2 pi i low, so the solution is local_0 plus the seams' Cauchy
+    integrals, which match the target on S but jump by each datum off it."""
+    monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih: np.log((seams - zn + ih) / (seams - zn - ih)))
+    return prob
+
+
 class TestExtensionMutants:
     """A broken closed form on the perturbed 4-slab problem (seams at -1, 0,
     1) whose output is off the target on S must fail the report: the
-    subspace check sees it.  Dropping a seam's left half, or Q everywhere,
-    is no mutant: the result still glues and vanishes on S, another gauge
-    (``test_closed_form_halves_equal_cousin_split`` pins the left half and Q)."""
+    subspace check sees it.  One whose output jumps across a seam must fail
+    it too: the seam check alone sees that.  Dropping a seam's left half,
+    or Q everywhere, is no mutant: the result still glues and vanishes on
+    S, another gauge (``test_closed_form_halves_equal_cousin_split`` pins
+    the left half and Q)."""
 
     def test_unmutated_solution_passes(self):
         report = solve_chain(perturbed_extension_problem(slabs=4))[0].report
@@ -558,6 +571,14 @@ class TestExtensionMutants:
         report = solve_chain(prob)[0].report
         assert not report["pass"] and max(report["seam_jumps"]) <= prob.tol
         assert report["subspace_sup_error"] > 1e-3, report
+
+    def test_log_cut_on_the_seam_fails_the_seam_check_alone(self, monkeypatch):
+        """Sampled at s^- and s itself the mutant passed (jumps 7.2e-16): at
+        Re z_n = s its logs take the values of the left side."""
+        prob = log_cut_on_the_seam(monkeypatch, perturbed_extension_problem(slabs=4))
+        report = solve_chain(prob)[0].report
+        assert not report["pass"] and report["subspace_sup_error"] <= prob.tol
+        assert max(report["seam_jumps"]) > prob.tol, report
 
 
 def test_closed_form_series_is_its_term_by_term_sum():
@@ -1050,7 +1071,7 @@ class TestOneEvaluationPass:
         prob = four_slab_cousin1_problem()
         sol = solve_chain(prob, verify=False)[0]
         values, s = sol.solution.values, prob.breakpoints[1]
-        on_seam = lambda P: np.isin(P[:, -1].real, [np.nextafter(s, -np.inf), s])
+        on_seam = lambda P: np.isin(P[:, -1].real, [np.nextafter(s, -np.inf), np.nextafter(s, np.inf)])
         nan = replace(sol, solution=Evaluable.batched(lambda P: np.where(on_seam(P), np.nan, values(P))))
         report = verify_solution(nan, prob)
         jumps = report["seam_jumps"]

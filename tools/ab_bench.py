@@ -3,12 +3,13 @@
     python3 tools/ab_bench.py --base HEAD~1 --pairs 10 --seeds 921 --output BENCH_8.json
     python3 tools/ab_bench.py --pairs 1 --seconds 2       # same-tree smoke run
 
-The *change* side is the working tree this script sits in.  The *base*
-side is ``--base REV``, exported with ``git archive``; without it both sides
-run the working tree, which checks the script and shows the spread a null
-comparison gives.  The *control* side runs the base's code a second time,
-from a second export: a same-code control, whose difference from the base
-shows the noise a change must clear.
+The *change* side is the working tree this script sits in, its untracked
+files that git does not ignore included.  The *base* side is ``--base
+REV``; without it both sides run the working tree, which checks the script
+and shows the spread a null comparison gives.  The *control* side runs the
+base's code a second time: a same-code control, whose difference from the
+base shows the noise a change must clear.  Every side runs from its own
+``git archive`` export, so where a side runs from is the same for all three.
 
 For every workload of ``BENCHMARK.json``, pair k runs ``perfbench/run.py``
 once per side on seed ``seeds + k``, one process at a time, in the order
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -133,6 +135,17 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
+def working_tree() -> str:
+    """The id of a git tree of the working tree's files, untracked ones that
+    git does not ignore included: ``git add -A`` and ``git write-tree`` on a
+    temporary index, so the repository's own index stays as it is."""
+    with tempfile.TemporaryDirectory(prefix="ab_bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "-C", str(ROOT), "add", "-A"], check=True, env=env)
+        return subprocess.run(["git", "-C", str(ROOT), "write-tree"], check=True, capture_output=True, text=True,
+                              env=env).stdout.strip()
+
+
 def commit(rev: str) -> str:
     """The short hash ``rev`` names now, so the report still says which tree ran."""
     return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
@@ -202,8 +215,9 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="write the JSON summary here (default: stdout)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        sides = {side: export(args.base, Path(tmp) / side) if args.base else ROOT for side in ("base", "control")}
-        sides["change"] = ROOT
+        tree = working_tree()
+        revs = {"base": args.base or tree, "change": tree, "control": args.base or tree}
+        sides = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         orders = [("base", "change", "control"), ("change", "control", "base"), ("control", "base", "change")]
         report = {"base": commit(args.base) if args.base else "same tree", "change": "working tree",
                   "pairs": args.pairs, "seconds": args.seconds,
