@@ -4,9 +4,10 @@ principal-part and extension problems on cuboids."""
 
 __version__ = "0.1.0"
 
-from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cauchy_segment_integral, cousin_split, morera_residual
+from .cousin import QuadratureSpec, SplitGeometry, cauchy_segment_integral, cousin_split, morera_residual
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CofactorVector, CoordinateSubspace, ideal_cofactors, is_member, split_variable
+from .evaluable import Evaluable
 from .merge import (
     ChiProblem,
     ChiSolution,

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import __version__
 from . import exprtree
-from .cousin import Evaluable, QuadratureSpec, SplitGeometry, cousin_split, morera_residual, overlap_grid
+from .cousin import QuadratureSpec, SplitGeometry, cousin_split, morera_residual, overlap_grid
 from .cuboids import Cuboid
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import InvalidArity, OkakitError, SchemaError
+from .evaluable import Evaluable
 from .merge import ChiProblem, PoleTerm, PrincipalPartData, solve_chain
 from .scalars import EXACT, _number
-from .series import MAX_DIM, TruncatedSeries, constant, from_json, negligible, to_json
+from .series import MAX_DIM, TruncatedSeries, constant, from_json, monomial, negligible, to_json
 from .syzygy import (
     GeneratorPresentation,
     SyzygyVector,
@@ -272,7 +273,6 @@ def cmd_selftest(data: dict, args):
 def _selftest(seed: int) -> tuple[dict, bool]:
     checks = {}
     # division recombination on a fixed polynomial
-    from .series import monomial
     f = monomial(3, (1, 0, 1)) + monomial(3, (0, 2, 0))
     cof = ideal_cofactors(f, CoordinateSubspace(3, 2))
     checks["division_recombines"] = cof.recombined() == f and cof.remainder.is_zero()
@@ -287,14 +287,14 @@ def _selftest(seed: int) -> tuple[dict, bool]:
     )
     # cousin split jump for a constant density
     geom = SplitGeometry(s=0.0, delta=0.2, theta=0.5, re_lo=-1.0, re_hi=1.0)
-    one = Evaluable(lambda z: 1 + 0j)
+    one = Evaluable.batched(lambda P: np.ones(len(P), dtype=complex))
     p1, p2 = cousin_split(one, geom)
     z = (0.05 + 0.1j,)
     checks["cousin_jump_constant"] = abs(p1(z) - p2(z) - 1) < 1e-8
     # morera detects conj
     region = Cuboid(((-1.0, 1.0),), ((-1.0, 1.0),))
-    checks["morera_entire"] = morera_residual(Evaluable(lambda z: z[0] ** 2), region) < 1e-10
-    checks["morera_conj"] = morera_residual(Evaluable(lambda z: z[0].conjugate()), region) > 1e-3
+    checks["morera_entire"] = morera_residual(Evaluable.batched(lambda P: P[:, 0] ** 2), region) < 1e-10
+    checks["morera_conj"] = morera_residual(Evaluable.batched(lambda P: P[:, 0].conj()), region) > 1e-3
     return {"checks": checks}, all(checks.values())
 
 

@@ -13,7 +13,6 @@ two branches equals the density on the overlap strip.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +22,7 @@ import numpy as np
 
 from .cuboids import Cuboid
 from .errors import OnContour
-
-TWO_PI_I = 2j * cmath.pi
-
+from .evaluable import TWO_PI_I, Evaluable, row_blocks, sup_abs
 
 # Limits on a QuadratureSpec: leggauss builds a nodes x nodes matrix, and a
 # path fills one density value per contour node for each z' of a kernel block.
@@ -65,42 +62,6 @@ class QuadratureSpec:
         if self.panels * self.nodes > MAX_PIECE_NODES:
             raise ValueError(f"{self.panels} panels of {self.nodes} nodes put {self.panels * self.nodes} nodes "
                              f"on a seam-long contour piece; at most {MAX_PIECE_NODES} are allowed")
-
-
-@dataclass(frozen=True)
-class Evaluable:
-    """Immutable black box: point of C^n -> complex.
-
-    ``fn`` maps one point (a tuple) to its value.  The optional ``many`` maps
-    an (m, n) complex array of points to their (m,) values; ``values`` calls
-    it when present and loops over ``fn`` otherwise.
-    """
-
-    fn: Callable
-    many: Callable | None = None
-
-    @classmethod
-    def batched(cls, many: Callable) -> "Evaluable":
-        """Evaluable whose scalar ``fn`` is ``many`` on one row."""
-        return cls(lambda z: complex(many(np.array([z], dtype=complex))[0]), many)
-
-    def __call__(self, z: Sequence) -> complex:
-        return self.fn(tuple(complex(v) for v in z))
-
-    def values(self, points) -> np.ndarray:
-        P = np.asarray(points, dtype=complex)
-        if self.many is not None:
-            return self.many(P)
-        return np.array([self.fn(tuple(z)) for z in P.tolist()], dtype=complex)
-
-    def _combine(self, other: "Evaluable", op: Callable) -> "Evaluable":
-        return Evaluable.batched(lambda P: op(self.values(P), other.values(P)))
-
-    def __add__(self, other: "Evaluable") -> "Evaluable":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "Evaluable") -> "Evaluable":
-        return self._combine(other, np.subtract)
 
 
 @dataclass(frozen=True)
@@ -169,11 +130,6 @@ def _path_nodes(pieces: Sequence[tuple[complex, complex, int]], nodes: int) -> t
     return np.concatenate(zs), np.concatenate(ws)
 
 
-# Bound on temporaries: entries per Cauchy (points x nodes) or closed-form
-# seam (rows x pole terms, ``merge.PoleSeams``) block.
-BLOCK_ENTRIES = 1 << 13
-
-
 class _PathQuad:
     """The node set along a polyline of straight pieces (a, b, panels) for
     one density ``phi``."""
@@ -204,19 +160,6 @@ class _PathQuad:
             wd = wd if len(wd) == 1 else wd[np.cumsum(new) - 1]
             return (wd / (self.zs - P[rows, -1, None])).sum(axis=-1)
         return row_blocks(len(P), len(self.zs), block) / TWO_PI_I
-
-
-def row_blocks(m: int, width: int, block: Callable) -> np.ndarray:
-    """block(rows), the (rows,) values of rows 0..m-1 from temporaries of
-    ``width`` entries per row, in slices of at most BLOCK_ENTRIES entries."""
-    step = max(1, BLOCK_ENTRIES // width)
-    if m <= step:  # the rows fit one block, as one row does: the same values, unsliced
-        return block(slice(None))
-    out = np.empty(m, dtype=complex)
-    for lo in range(0, m, step):
-        rows = slice(lo, lo + step)
-        out[rows] = block(rows)
-    return out
 
 
 def distance_to_segment(zn: complex, a: complex, b: complex) -> float:
@@ -347,9 +290,3 @@ def morera_residual(
         total = h[:, :-1] + v[1:] - h[:, 1:] - v[:-1]
         worst.append(sup_abs(total))
     return sup_abs(worst)
-
-
-def sup_abs(values) -> float:
-    """Largest |v|, and NaN when any |v| is NaN: the builtin ``max`` would
-    keep a NaN only if it came first."""
-    return float(np.max(np.abs(values), initial=0.0))

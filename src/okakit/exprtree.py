@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .cousin import Evaluable
 from .errors import SchemaError
+from .evaluable import Evaluable
 from .scalars import EXACT, Backend, _number
 from .series import TruncatedSeries, variable, zero
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cousin import TWO_PI_I, Evaluable, morera_residual, row_blocks, sup_abs
+from .cousin import morera_residual
 from .cuboids import ConnectivityChain, Cuboid, SlabPartition, connected_chains, make_partition
 from .division import CoordinateSubspace, ideal_cofactors
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
     NotInIdeal,
     PoleTooCloseToSeam,
 )
+from .evaluable import TWO_PI_I, Evaluable, row_blocks, sup_abs
 from .series import (TruncatedSeries, combine, complex_evaluator, evaluate, make_series, negligible, scale,
                      times_variable, to_floating, zero)
 

@@ -272,8 +272,9 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def times_variable(f: TruncatedSeries, axis: int) -> TruncatedSeries:
-    """f * z_axis at f's order, summed as ``mul`` sums it: every exponent of ``axis``
-    raised by one, plus b_axis * f off the axis.  ``division.split_variable`` undoes it."""
+    """f * z_axis at f's order: every exponent of ``axis`` raised by one, plus b_axis * f off the axis.
+    Each v moves unchanged, where ``mul`` multiplies it by 1 + 0j and so may turn a -0.0 part into 0.0:
+    the product with z_axis up to the sign of zero.  ``division.split_variable`` undoes it."""
     return combine(f, [(1, axis, f)])
 
 

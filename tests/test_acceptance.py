@@ -12,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from okakit.cousin import (Evaluable, QuadratureSpec, SplitGeometry, cauchy_segment_integral, cousin_split,
-                           morera_residual, overlap_grid)
+from okakit.cousin import (QuadratureSpec, SplitGeometry, cauchy_segment_integral, cousin_split, morera_residual,
+                           overlap_grid)
 from okakit.cuboids import Cuboid
 from okakit.division import CoordinateSubspace, ideal_cofactors
+from okakit.evaluable import Evaluable
 from okakit.merge import ChiProblem, PoleTerm, PrincipalPartData, ideal_witness, merge_pair, solve_chain
 from okakit.scalars import QQi
 from okakit.series import constant, make_series, variable

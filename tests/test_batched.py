@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okakit import cousin, merge
-from okakit.cousin import Evaluable, SplitGeometry, cousin_split, morera_residual
+from okakit import cousin, evaluable, merge
+from okakit.cousin import SplitGeometry, cousin_split, morera_residual
 from okakit.cuboids import Cuboid
+from okakit.evaluable import Evaluable
 from okakit.merge import (
     ChiProblem,
     PoleTerm,
@@ -317,7 +318,7 @@ def test_pole_seams_evaluate_rows_in_blocks(monkeypatch):
     monkeypatch.setattr(merge, "_side_logs", lambda zn, seams, ih: blocks.append(len(zn)) or logs(zn, seams, ih))
     problem = ml_chain_problem()
     sol = solve_chain(problem, verify=False)[0]
-    step = cousin.BLOCK_ENTRIES // sum(len(datum.terms) for datum in problem.data)
+    step = evaluable.BLOCK_ENTRIES // sum(len(datum.terms) for datum in problem.data)
     P = cuboid_sample(problem, m=3 * step + 7)
     got = sol.solution.values(P)
     assert blocks == [step, step, step, 7]
@@ -492,7 +493,7 @@ def test_density_fills_stay_within_one_block(monkeypatch):
     P = distinct_zp_points()
     for half in n2_seam_halves():
         half.values(P)
-    assert fills and all(points <= max(cousin.BLOCK_ENTRIES, nodes) for points, nodes in fills)
+    assert fills and all(points <= max(evaluable.BLOCK_ENTRIES, nodes) for points, nodes in fills)
 
 
 # -- separated extension merge --------------------------------------------------

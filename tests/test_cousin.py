@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from okakit.cousin import (
-    Evaluable,
     QuadratureSpec,
     SplitGeometry,
     _path_nodes,
@@ -21,6 +20,7 @@ from okakit.cousin import (
 )
 from okakit.cuboids import Cuboid
 from okakit.errors import OnContour
+from okakit.evaluable import Evaluable
 
 
 ONE = Evaluable.batched(lambda P: np.full(len(P), 1 + 0j))

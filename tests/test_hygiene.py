@@ -100,3 +100,33 @@ def test_checker_flags_unread_public_names():
 def test_no_unread_public_names():
     callers = [p.read_text() for p in sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")])]
     assert unread_public({p.name: p.read_text() for p in SRC.glob("*.py")}, callers) == []
+
+
+def cousin_imports(source: str) -> set[str]:
+    """The names a package module imports from the quadrature module
+    ``cousin``, and ``cousin`` itself for ``from . import cousin``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "cousin":
+                names |= {alias.name for alias in node.names}
+            elif node.module is None:
+                names |= {alias.name for alias in node.names if alias.name == "cousin"}
+    return names
+
+
+def test_checker_reads_cousin_imports():
+    source = "from .cousin import a, b as c\nfrom . import cousin, merge\nfrom .merge import d\nfrom cousin import e\n"
+    assert cousin_imports(source) == {"a", "b", "cousin"}
+
+
+def test_solver_core_imports_no_quadrature():
+    """Only the cousin-split command and the package's exports import the
+    quadrature module; the solver core takes its types from ``evaluable``."""
+    found = {p.stem: names for p in SRC.glob("*.py") if (names := cousin_imports(p.read_text()))}
+    assert found == {
+        "cli": {"QuadratureSpec", "SplitGeometry", "cousin_split", "morera_residual", "overlap_grid"},
+        "__init__": {"QuadratureSpec", "SplitGeometry", "cauchy_segment_integral", "cousin_split", "morera_residual"},
+        # merge's entry goes with seam_difference, the tracer-only seam check (ROADMAP item 5)
+        "merge": {"morera_residual"},
+    }

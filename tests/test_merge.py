@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from okakit.cousin import Evaluable, QuadratureSpec, SplitGeometry, cousin_split
+from okakit.cousin import QuadratureSpec, SplitGeometry, cousin_split
 from okakit.cuboids import Cuboid
 from okakit.division import CoordinateSubspace
 from okakit.errors import NotHolomorphicDifference, NotInIdeal, PoleTooCloseToSeam
+from okakit.evaluable import Evaluable
 from okakit.merge import (
     ChiProblem,
     ChiSolution,
@@ -24,7 +25,7 @@ from okakit.merge import (
     solve_chain,
     verify_solution,
 )
-from okakit import cousin, merge
+from okakit import evaluable, merge
 from okakit.scalars import floating
 from okakit.series import (complex_evaluator, constant, make_series, monomial, scale, times_variable,
                             to_floating, variable)
@@ -495,7 +496,7 @@ def moments_mutant(monkeypatch, change):
 def i1_on_the_wrong_branch(monkeypatch, prob, s=0.0):
     """The terms of seam s take I_1 + 2 pi i, the log of their pole on the
     other sheet: every branch gains -h_s, which glues but moves the poles."""
-    moments_mutant(monkeypatch, lambda I, a: [I[0] + cousin.TWO_PI_I * (a.real == s)] + I[1:])
+    moments_mutant(monkeypatch, lambda I, a: [I[0] + evaluable.TWO_PI_I * (a.real == s)] + I[1:])
     return prob
 
 
@@ -535,7 +536,7 @@ def term_without_its_z_factor(monkeypatch, prob):
         g, w = build(seams, witnesses, height), witnesses[1][0]
         tail, terms = tuple(int(k == 1) for k in range(len(seams))), dict(g.coeffs)
         for e, v in w.coeffs.items():
-            terms[e + tail] = terms.get(e + tail, 0) + v / cousin.TWO_PI_I
+            terms[e + tail] = terms.get(e + tail, 0) + v / evaluable.TWO_PI_I
         return make_series(g.dim, terms, backend=g.backend, center=g.center)
 
     monkeypatch.setattr(merge, "closed_form_series", mutant)
@@ -597,7 +598,7 @@ def test_closed_form_series_is_its_term_by_term_sum():
                         terms[e + t] = terms[e + t] + v if e + t in terms else v
                         if terms[e + t] == 0:
                             del terms[e + t]
-        return make_series(w0.dim + K, {e: v * (1 / cousin.TWO_PI_I) for e, v in terms.items()}, backend=w0.backend,
+        return make_series(w0.dim + K, {e: v * (1 / evaluable.TWO_PI_I) for e, v in terms.items()}, backend=w0.backend,
                            center=w0.center + (0,) * K)
 
     def bits(g):

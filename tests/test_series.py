@@ -451,6 +451,9 @@ def coordinate(dim, axis, backend, center):
 
 @pytest.mark.parametrize("backend", [EXACT, floating()], ids=["exact", "floating"])
 def test_times_variable_is_the_product_with_the_coordinate(backend):
+    """Bit for bit on the floating backend only because ``random_series`` draws
+    no signed zero: ``mul``'s product with 1 + 0j may turn a -0.0 part into
+    0.0, which ``times_variable`` keeps (``test_a_shift_keeps_the_bits_of_each_coefficient``)."""
     rng = random.Random(1601)
     for k in range(150):
         dim = rng.randint(1, 4)

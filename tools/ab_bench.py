@@ -27,7 +27,8 @@ call on each new solution, which for ``ml_chain`` builds the chain's
 closed-form term arrays).  Under
 ``cycles`` it lists each side's cycle count per pair, from ``run.py``'s
 ``<workload>: N cycles`` line.  Under ``bits`` it gives, per group
-(``ml_chain``, ``ext_merge``, ``n2_cousin1``, ``exact_algebra``, ``cli_mix``), the sha256 of
+(``ml_chain``, ``ml_chain.report``, ``ext_merge``, ``ext_merge.report``,
+``n2_cousin1``, ``n2_cousin1.report``, ``exact_algebra``, ``cli_mix``), the sha256 of
 fixed outputs on each side and whether they are equal; see ``BITS`` for what
 each group hashes.  Unequal bits are information, not a failure.  The script
 exits 1 if a run fails or reports a failed output check.
@@ -54,9 +55,10 @@ EVAL_US_LINE = re.compile(r"^\s*(eval_us\.p[59]0) = (\S+) us", re.M)
 CYCLES_LINE = re.compile(r"^(\S+): (\d+) cycles", re.M)
 
 # Run in a tree's own interpreter process: the sha256 of each group's outputs.
-# ml_chain, ext_merge: the first 3 instances of seeds 5 and 11, both merge
-# orders: merged values at the instance's points, 20 one-point calls, every
-# correction's values and the report's repr.  n2_cousin1, which no workload
+# ml_chain, ext_merge: the first 3 instances of seeds 5 and 11, each solved
+# once: the solution's values at the instance's points and 20 one-point calls;
+# the reports' reprs go to their own group, <group>.report, so that a changed
+# report figure leaves the values' group alone.  n2_cousin1, which no workload
 # covers: the same for a fixed 4-slab n = 2 cousin1 problem with z'-dependent
 # loci, at 60 points of distinct z'.  exact_algebra: the outputs of the first
 # 20 case groups of seed 5.  cli_mix: exit code, stdout without
@@ -78,22 +80,19 @@ def canon(x):
     if isinstance(x, (list, tuple)):
         return [canon(v) for v in x]
     return repr(x)
-def solved(h, problem, pts):
+def solved(h, reports, problem, pts):
     P = np.array(pts, dtype=complex)
-    for order in ("ltr", "rtl"):
-        for sol in merge.solve_chain(problem, order=order):
-            h.update(sol.solution.values(P).tobytes())
-            h.update(np.array([sol.solution.fn(z) for z in pts[:20]]).tobytes())
-            for correction in sol.corrections:
-                h.update(correction.values(P).tobytes())
-            h.update(repr(sol.report).encode())
+    for sol in merge.solve_chain(problem):
+        h.update(sol.solution.values(P).tobytes())
+        h.update(np.array([sol.solution(z) for z in pts[:20]]).tobytes())
+        reports.update(repr(sol.report).encode())
 out = {}
 for name, workload in (("ml_chain", bw.MlChain), ("ext_merge", bw.ExtMerge)):
-    h = hashlib.sha256()
+    h, reports = hashlib.sha256(), hashlib.sha256()
     for seed in (5, 11):
         for item in workload(seed).pool[:3]:
-            solved(h, item[0], item[2])
-    out[name] = h.hexdigest()
+            solved(h, reports, item[0], item[2])
+    out[name], out[name + ".report"] = h.hexdigest(), reports.hexdigest()
 def slab(*terms):  # (order, coefficient, locus) with series in z_1
     return merge.PrincipalPartData(tuple(merge.PoleTerm(k, series.make_series(1, c), series.make_series(1, p))
                                          for k, c, p in terms))
@@ -107,9 +106,9 @@ problem = merge.ChiProblem(
 rng = np.random.default_rng(24)
 z1 = rng.uniform(-0.5, 0.5, 60) + 1j * rng.uniform(-0.5, 0.5, 60)
 z2 = rng.uniform(-1.95, 1.95, 60) + 1j * rng.uniform(-0.45, 0.45, 60)
-h = hashlib.sha256()
-solved(h, problem, list(zip(z1.tolist(), z2.tolist())))
-out["n2_cousin1"] = h.hexdigest()
+h, reports = hashlib.sha256(), hashlib.sha256()
+solved(h, reports, problem, list(zip(z1.tolist(), z2.tolist())))
+out["n2_cousin1"], out["n2_cousin1.report"] = h.hexdigest(), reports.hexdigest()
 h = hashlib.sha256()
 for group in bw.ExactAlgebra(5).pool[:20]:
     for case, inputs in group:
